@@ -12,101 +12,14 @@ classical-fidelity split with its short- and long-time asymptotes, and the
 numerical verification that localized launches are the worst case. A CLI
 (`qcwalk`) exposes graph generation, distance sweeps to CSV, figure-style
 presets, and the verification suite.
+
+The package namespace holds the quick-start names; everything else lives
+in the submodules (graph, spectral, walks, distance, config, checks, cli).
 """
 
-from .graph import (
-    Graph,
-    Laplacian,
-    graph_from_edges,
-    generate,
-    laplacian,
-    degree,
-    degree_sequence,
-    max_degree,
-    average_degree,
-    is_connected,
-    fiedler_value,
-    read_edge_list,
-    write_edge_list,
-)
-from .spectral import (
-    DensityMatrix,
-    SpectralDecomposition,
-    eigendecompose,
-    heat_propagator,
-    unitary_propagator,
-    uhlmann_fidelity,
-)
-from .walks import (
-    classical_distribution,
-    quantum_amplitudes,
-    localized_fidelity,
-    coherence,
-    classical_fidelity,
-)
-from .distance import (
-    AsymptoticsReport,
-    DisconnectedGraphError,
-    DistanceCurve,
-    OptimalityReport,
-    asymptotics_report,
-    average_distance,
-    conditional_distance,
-    delta,
-    distance_curve,
-    gamma_ratio,
-    long_asymptote,
-    qc_distance,
-    short_asymptote,
-    verify_localized_optimality,
-)
-from .config import TimeGrid, GraphSource, RunConfig, QUANTITIES, default_grid
+from .config import GraphSource, TimeGrid, default_grid
+from .distance import distance_curve, gamma_ratio, qc_distance
+from .graph import degree_sequence, generate, graph_from_edges, laplacian, read_edge_list
+from .spectral import eigendecompose
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Graph",
-    "Laplacian",
-    "graph_from_edges",
-    "generate",
-    "laplacian",
-    "degree",
-    "degree_sequence",
-    "max_degree",
-    "average_degree",
-    "is_connected",
-    "fiedler_value",
-    "read_edge_list",
-    "write_edge_list",
-    "DensityMatrix",
-    "SpectralDecomposition",
-    "eigendecompose",
-    "heat_propagator",
-    "unitary_propagator",
-    "uhlmann_fidelity",
-    "classical_distribution",
-    "quantum_amplitudes",
-    "localized_fidelity",
-    "coherence",
-    "classical_fidelity",
-    "AsymptoticsReport",
-    "DisconnectedGraphError",
-    "DistanceCurve",
-    "OptimalityReport",
-    "asymptotics_report",
-    "average_distance",
-    "conditional_distance",
-    "delta",
-    "distance_curve",
-    "gamma_ratio",
-    "long_asymptote",
-    "qc_distance",
-    "short_asymptote",
-    "verify_localized_optimality",
-    "TimeGrid",
-    "GraphSource",
-    "RunConfig",
-    "QUANTITIES",
-    "default_grid",
-    "__version__",
-]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import walks
 from .distance import qc_distance, verify_localized_optimality
-from .graph import Graph, fiedler_value, generate, laplacian
+from .graph import Graph, generate, laplacian
 from .spectral import (
     DensityMatrix,
     eigendecompose,
@@ -178,18 +178,17 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
     sweep("localized fidelity matches Uhlmann oracle", 1e-9, fid_errs)
 
     plateau_errs = []
-    for label, g in family:
-        sd = eigendecompose(laplacian(g))
-        t_inf = 50.0 / fiedler_value(g)
+    for label, sd in decs:
+        t_inf = 50.0 / sd.fiedler
         value, _ = qc_distance(sd, t_inf)
-        plateau_errs.append((f"{label} t={t_inf:.1f}", abs(value - (1.0 - 1.0 / g.n))))
+        plateau_errs.append((f"{label} t={t_inf:.1f}", abs(value - (1.0 - 1.0 / sd.n))))
     sweep("long-time plateau 1 - 1/n", 1e-2, plateau_errs)
 
     regular_errs = []
-    for label, g in (("ring(6)", generate("ring", 6)), ("complete(5)", generate("complete", 5))):
-        sd = eigendecompose(laplacian(g))
+    for label in ("ring(6)", "complete(5)"):
+        sd = dict(decs)[label]
         for t in (0.2, 1.0, 4.0):
-            vals = [walks.localized_fidelity(sd, j, t) for j in range(g.n)]
+            vals = [walks.localized_fidelity(sd, j, t) for j in range(sd.n)]
             regular_errs.append((f"{label} t={t}", max(vals) - min(vals)))
     sweep("regular graphs are node equivalent", 1e-10, regular_errs)
 

@@ -27,7 +27,7 @@ from . import distance as dist
 from .checks import run_invariant_checks, run_optimality_checks
 from .config import QUANTITIES, GraphSource, TimeGrid, default_grid
 from .distance import DisconnectedGraphError
-from .graph import fiedler_value, generate, laplacian, max_degree, to_edge_list, write_edge_list
+from .graph import generate, laplacian, max_degree, to_edge_list, write_edge_list
 from .spectral import SpectralDecomposition, eigendecompose
 from .walks import coherence, classical_fidelity
 
@@ -53,11 +53,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    """CSV cell: 12 significant digits, NA for undefined, plain ints."""
+    """CSV cell: 12 significant digits, NA for undefined."""
     if value is None:
         return "NA"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     value = float(value)
     if not np.isfinite(value):
         return "NA"
@@ -128,7 +126,7 @@ def cmd_graph(args) -> int:
     source = GraphSource(kind=args.kind, n=args.n, extra=args.extra)
     g = source.build(seed=args.seed)
     dmax, _ = max_degree(g)
-    fiedler = _fmt(fiedler_value(g)) if g.n >= 2 else "NA"
+    fiedler = _fmt(eigendecompose(laplacian(g)).fiedler) if g.n >= 2 else "NA"
     summary = f"nodes={g.n} edges={len(g.edges)} max_degree={dmax} fiedler={fiedler}"
     if args.out == "-":
         sys.stdout.write(to_edge_list(g))
@@ -169,10 +167,7 @@ def cmd_distance(args) -> int:
     source = _graph_source(args)
     g = source.build(seed=args.seed)
     sd = eigendecompose(laplacian(g))
-    if not sd.is_connected:
-        raise DisconnectedGraphError(
-            "graph is disconnected; distance quantities are undefined"
-        )
+    dist.require_connected(sd)
     if args.node is not None and not 0 <= args.node < g.n:
         raise ValueError(f"node {args.node} out of range for n={g.n}")
     grid = _resolve_grid(args, sd.fiedler if g.n >= 2 else 0.0)
@@ -273,13 +268,11 @@ def cmd_figure(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.n_max > 10:
-        raise ValueError("n_max above 10 refused: dense fidelity cost grows as n^3")
-    results = run_invariant_checks(seed=args.seed)
+    # the optimality sweep validates --n-max, so it runs first and fails fast
     opt_results, worst = run_optimality_checks(
         n_max=args.n_max, samples=args.samples, seed=args.seed
     )
-    results += opt_results
+    results = run_invariant_checks(seed=args.seed) + opt_results
     failures = 0
     for r in results:
         tag = "ok " if r.passed else "FAIL"

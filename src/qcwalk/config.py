@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +10,7 @@ import numpy as np
 from . import graph as graphmod
 from .graph import Graph
 
-__all__ = ["TimeGrid", "GraphSource", "RunConfig", "QUANTITIES", "default_grid"]
+__all__ = ["TimeGrid", "GraphSource", "QUANTITIES", "default_grid"]
 
 #: quantity names accepted by distance sweeps, in canonical column order
 QUANTITIES = (
@@ -47,6 +47,8 @@ class TimeGrid:
             raise ValueError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.steps < 1:
             raise ValueError("grid needs at least one point")
+        if not (np.isfinite(self.t_min) and np.isfinite(self.t_max)):
+            raise ValueError("t_min and t_max must be finite")
         if self.t_min < 0:
             raise ValueError("t_min must be nonnegative")
         if self.spacing == "log" and self.t_min <= 0 and self.steps > 1:
@@ -117,23 +119,3 @@ class GraphSource:
             return graphmod.read_edge_list(self.path)
         return graphmod.generate(self.kind, self.n, extra=self.extra, seed=seed)
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One distance sweep: a graph, a grid, requested quantities, a seed."""
-
-    source: GraphSource
-    grid: TimeGrid | None = None  # None means derive default_grid from the graph
-    seed: int = 0
-    outputs: tuple[str, ...] = ("qc",)
-    node: int | None = None
-
-    def __post_init__(self):
-        if not self.outputs:
-            raise ValueError("at least one output quantity is required")
-        bad = [q for q in self.outputs if q not in QUANTITIES]
-        if bad:
-            raise ValueError(f"unknown quantities {bad}; choose from {QUANTITIES}")
-        if self.node is not None and self.node < 0:
-            raise ValueError("node index must be nonnegative")
-        object.__setattr__(self, "outputs", tuple(self.outputs))

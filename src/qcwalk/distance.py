@@ -65,7 +65,8 @@ class DisconnectedGraphError(ValueError):
     """Raised when a distance quantity is requested for a disconnected graph."""
 
 
-def _require_connected(sd: SpectralDecomposition) -> None:
+def require_connected(sd: SpectralDecomposition) -> None:
+    """Refuse a disconnected graph with DisconnectedGraphError."""
     if not sd.is_connected:
         raise DisconnectedGraphError(
             "graph is disconnected (repeated zero Laplacian eigenvalue); "
@@ -75,13 +76,13 @@ def _require_connected(sd: SpectralDecomposition) -> None:
 
 def conditional_distance(sd: SpectralDecomposition, j: int, t: float) -> float:
     """D_QC(t|j) = 1 - F_j(t), the distance conditioned on launch node j."""
-    _require_connected(sd)
+    require_connected(sd)
     return 1.0 - localized_fidelity(sd, j, t)
 
 
 def qc_distance(sd: SpectralDecomposition, t: float) -> tuple[float, int]:
     """(max_j D_QC(t|j), argmax node); ties go to the smallest node index."""
-    _require_connected(sd)
+    require_connected(sd)
     cond = np.array([conditional_distance(sd, j, t) for j in range(sd.n)])
     j = int(np.argmax(cond))
     return float(cond[j]), j
@@ -89,7 +90,7 @@ def qc_distance(sd: SpectralDecomposition, t: float) -> tuple[float, int]:
 
 def average_distance(sd: SpectralDecomposition, t: float) -> float:
     """Mean of D_QC(t|j) over launch nodes; equals the max on regular graphs."""
-    _require_connected(sd)
+    require_connected(sd)
     cond = [conditional_distance(sd, j, t) for j in range(sd.n)]
     return float(np.mean(cond))
 
@@ -126,6 +127,8 @@ def _check_grid(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("time grid must be finite")
     if times[0] < 0:
         raise ValueError("time grid must be nonnegative")
     if times.size > 1 and not np.all(np.diff(times) > 0):
@@ -140,7 +143,7 @@ def distance_curve(sd: SpectralDecomposition, times) -> DistanceCurve:
     curve values are bitwise identical to individual conditional_distance
     evaluations and independent of any internal work partitioning.
     """
-    _require_connected(sd)
+    require_connected(sd)
     times = _check_grid(times)
     cond = np.empty((sd.n, times.size))
     for i, t in enumerate(times):
@@ -158,13 +161,13 @@ def distance_curve(sd: SpectralDecomposition, times) -> DistanceCurve:
 
 def short_asymptote(sd: SpectralDecomposition, j: int, t: float) -> float:
     """Short-time law D^S(t|j) = C_j(t) / 2."""
-    _require_connected(sd)
+    require_connected(sd)
     return coherence(sd, j, t) / 2.0
 
 
 def long_asymptote(sd: SpectralDecomposition, j: int, t: float) -> float:
     """Long-time law D^L(t|j) = 1 - G_j(t)^2 + C_j(t) / n."""
-    _require_connected(sd)
+    require_connected(sd)
     g = classical_fidelity(sd, j, t)
     c = coherence(sd, j, t)
     return 1.0 - g * g + c / sd.n
@@ -181,7 +184,7 @@ def gamma_ratio(sd: SpectralDecomposition, which: str, t: float) -> float | None
     both distances are 0) the ratio is undefined and None is returned
     rather than a 0/0 quotient. Ratios may exceed 1.
     """
-    _require_connected(sd)
+    require_connected(sd)
     key = {"s": "S", "short": "S", "l": "L", "long": "L"}.get(str(which).lower())
     if key is None:
         raise ValueError(f"asymptote selector must be 'S' or 'L', got {which!r}")
@@ -195,7 +198,7 @@ def gamma_ratio(sd: SpectralDecomposition, which: str, t: float) -> float | None
 
 def delta(sd: SpectralDecomposition, j: int, t: float) -> float:
     """delta_j(t) = G_j(t)^2 - C_j(t) / n; converges to 1/n at long times."""
-    _require_connected(sd)
+    require_connected(sd)
     g = classical_fidelity(sd, j, t)
     return g * g - coherence(sd, j, t) / sd.n
 
@@ -276,7 +279,7 @@ def verify_localized_optimality(
     below that minimum. Cost is one dense eigenproblem per sample and time,
     so keep n at desk scale (<= 10 or so).
     """
-    _require_connected(sd)
+    require_connected(sd)
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError("need at least one sample")

@@ -11,7 +11,6 @@ after construction, so instances are safe to share between threads.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,8 +27,6 @@ __all__ = [
     "degree_sequence",
     "max_degree",
     "average_degree",
-    "is_connected",
-    "fiedler_value",
     "to_edge_list",
     "parse_edge_list",
     "write_edge_list",
@@ -37,9 +34,6 @@ __all__ = [
 ]
 
 GENERATOR_KINDS = ("complete", "ring", "path", "star", "wheel", "random_connected")
-
-#: eigenvalue magnitudes at or below this count as zero (disconnected mode)
-_ZERO_EIGENVALUE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -201,39 +195,6 @@ def max_degree(g: Graph) -> tuple[int, int]:
 
 def average_degree(g: Graph) -> float:
     return 2.0 * len(g.edges) / g.n
-
-
-def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability of every node from node 0."""
-    if g.n == 1:
-        return True
-    adjacency: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == g.n
-
-
-def fiedler_value(g: Graph) -> float:
-    """Magnitude of the smallest nonzero Laplacian eigenvalue.
-
-    This is the algebraic connectivity: it is positive exactly for connected
-    graphs and sets the relaxation rate of the classical walk. Returns 0.0
-    for disconnected graphs.
-    """
-    if g.n < 2:
-        raise ValueError("fiedler value needs at least two nodes")
-    vals = np.linalg.eigvalsh(laplacian(g).matrix)
-    second = float(np.sort(np.abs(vals))[1])
-    return second if second > _ZERO_EIGENVALUE_TOL else 0.0
 
 
 # --- edge-list text format ------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES
-from qcwalk import degree_sequence, fiedler_value, generate, laplacian
+from qcwalk import degree_sequence, generate, laplacian
 from qcwalk.checks import run_invariant_checks
 from qcwalk.distance import (
     conditional_distance,
@@ -109,7 +109,7 @@ def test_criterion_04_long_time_decomposition():
     worst_gap, worst_identity = 0.0, 0.0
     for g in graphs:
         sd = sd_of(g)
-        t = 50.0 / fiedler_value(g)
+        t = 50.0 / sd.fiedler
         for j in range(g.n):
             d = conditional_distance(sd, j, t)
             worst_gap = max(worst_gap, abs(d - long_asymptote(sd, j, t)))
@@ -130,7 +130,7 @@ def test_criterion_05_delta_convergence():
         for seed in range(10):
             g = generate("random_connected", n, extra=extra, seed=seed)
             sd = sd_of(g)
-            t_inf = 50.0 / fiedler_value(g)
+            t_inf = 50.0 / sd.fiedler
             for t in (t_inf, 2 * t_inf, 5 * t_inf):
                 _, node = qc_distance(sd, t)
                 worst = max(worst, abs(delta(sd, node, t) - 1.0 / n))

@@ -46,6 +46,10 @@ def test_time_grid_validation():
         TimeGrid(-1.0, 1.0, 5, "linear")
     with pytest.raises(ValueError):
         TimeGrid(0.0, 1.0, 5, "cubic")
+    with pytest.raises(ValueError):
+        TimeGrid(float("nan"), 1.0, 1, "linear")
+    with pytest.raises(ValueError):
+        TimeGrid(1e-2, float("inf"), 3, "log")
 
 
 def test_default_grid_spans_relaxation():
@@ -212,11 +216,29 @@ def test_distance_error_exit_codes(tmp_path, capsys):
 
     disco = tmp_path / "d.edges"
     disco.write_text("4\n0 1\n2 3\n")
-    code, _, stderr = run(["distance", "--edges", str(disco)], capsys)
+    code, stdout, stderr = run(["distance", "--edges", str(disco)], capsys)
     assert code == 2 and "disconnected" in stderr
+    assert stdout == ""  # refused before the CSV header
+    out = tmp_path / "curve.csv"
+    code, stdout, stderr = run(["distance", "--edges", str(disco), "--out", str(out)], capsys)
+    assert code == 2 and "disconnected" in stderr
+    assert stdout == "" and not out.exists()
 
     code, _, stderr = run(["distance", "--edges", str(tmp_path / "missing.edges")], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "grid_flags", [["--tmin", "nan", "--steps", "1"], ["--tmax", "inf", "--steps", "3"]]
+)
+def test_distance_non_finite_times_exit_one(grid_flags, tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    code, stdout, stderr = run(["distance", "--graph", "ring:5"] + grid_flags, capsys)
+    assert code == 1 and "finite" in stderr
+    assert stdout == ""
+    code, _, _ = run(["distance", "--graph", "ring:5", "--out", str(out)] + grid_flags, capsys)
+    assert code == 1
+    assert not out.exists()
 
 
 def test_usage_error_exit_code_is_one():
@@ -282,10 +304,20 @@ def test_verify_default_passes(capsys):
     assert "worst optimality margin" in stdout
 
 
-def test_verify_refuses_large_n(capsys):
+def test_verify_refuses_large_n(monkeypatch, capsys):
     code, _, stderr = run(["verify", "--n-max", "12"], capsys)
     assert code == 1
     assert "n_max" in stderr
+    # both bounds of 3..10 are refused before any check runs or prints
+    monkeypatch.setattr(
+        "qcwalk.cli.run_invariant_checks",
+        lambda **kwargs: pytest.fail("invariant checks ran before --n-max was validated"),
+    )
+    for n_max in ("11", "2"):
+        code, stdout, stderr = run(["verify", "--n-max", n_max], capsys)
+        assert code == 1
+        assert "n_max" in stderr
+        assert stdout == ""
 
 
 def test_verify_detects_tampered_fidelity(monkeypatch, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcwalk import fiedler_value, generate, graph_from_edges, laplacian
+from qcwalk import generate, graph_from_edges, laplacian
 from qcwalk.distance import (
     AsymptoticsReport,
     DisconnectedGraphError,
@@ -55,7 +55,7 @@ def test_k2_closed_form_and_slope():
 def test_long_time_plateau():
     for label, g in FAMILY:
         sd = eigendecompose(laplacian(g))
-        t = 50.0 / fiedler_value(g)
+        t = 50.0 / sd.fiedler
         for j in range(g.n):
             assert conditional_distance(sd, j, t) == pytest.approx(
                 1 - 1 / g.n, abs=1e-2
@@ -135,6 +135,9 @@ def test_curve_grid_validation():
         distance_curve(K2, [-1.0, 2.0])
     with pytest.raises(ValueError):
         distance_curve(K2, [1.0, 1.0])
+    for times in ([np.inf], [np.nan], [0.5, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            distance_curve(RING11, times)
 
 
 # --- asymptotes and diagnostics ------------------------------------------------------
@@ -154,7 +157,7 @@ def test_k2_short_asymptote_closed_form():
 def test_long_asymptote_matches_distance_late():
     for label, g in FAMILY:
         sd = eigendecompose(laplacian(g))
-        t = 50.0 / fiedler_value(g)
+        t = 50.0 / sd.fiedler
         for j in range(g.n):
             gap = abs(conditional_distance(sd, j, t) - long_asymptote(sd, j, t))
             assert gap <= 1e-2, label
@@ -162,7 +165,7 @@ def test_long_asymptote_matches_distance_late():
 
 def test_gamma_limits():
     assert gamma_ratio(RING11, "S", 1e-3) == pytest.approx(1.0, abs=0.01)
-    t_inf = 50.0 / fiedler_value(generate("ring", 11))
+    t_inf = 50.0 / RING11.fiedler
     assert gamma_ratio(RING11, "L", t_inf) == pytest.approx(1.0, abs=1e-3)
 
 
@@ -180,7 +183,7 @@ def test_gamma_selector_accepts_aliases():
 
 
 def test_delta_converges_to_one_over_n():
-    t_inf = 50.0 / fiedler_value(generate("ring", 11))
+    t_inf = 50.0 / RING11.fiedler
     assert delta(RING11, 0, t_inf) == pytest.approx(1 / 11, abs=1e-2)
     assert delta(RING11, 0, 3 * t_inf) == pytest.approx(1 / 11, abs=1e-2)
 

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from qcwalk import graph as G
+from qcwalk.spectral import eigendecompose
 
 
 def edge_subset_graph(n: int, mask: int) -> G.Graph:
@@ -13,6 +15,10 @@ def edge_subset_graph(n: int, mask: int) -> G.Graph:
     all_pairs = list(itertools.combinations(range(n), 2))
     edges = [e for i, e in enumerate(all_pairs) if mask >> i & 1]
     return G.graph_from_edges(n, edges)
+
+
+def spectrum(g: G.Graph):
+    return eigendecompose(G.laplacian(g))
 
 
 graphs = st.integers(2, 9).flatmap(
@@ -81,7 +87,7 @@ def test_random_connected_degree_target_and_reproducibility():
     for d in (2, 4, 6, 10):
         g = G.generate("random_connected", 11, extra=d, seed=42)
         assert G.degree(g, 1) == d
-        assert G.is_connected(g)
+        assert spectrum(g).is_connected
         assert g == G.generate("random_connected", 11, extra=d, seed=42)
     # different seeds explore different edge sets
     sets = {G.generate("random_connected", 11, extra=6, seed=s).edges for s in range(8)}
@@ -136,27 +142,38 @@ def test_max_degree_tie_break_smallest_index():
 @given(graphs)
 @settings(max_examples=60, deadline=None)
 def test_fiedler_positive_iff_connected(g):
-    assert (G.fiedler_value(g) > 0) == G.is_connected(g)
+    # independent oracle: scipy's graph traversal on the adjacency matrix
+    adjacency = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        adjacency[u, v] = 1.0
+    n_components, _ = connected_components(adjacency, directed=False)
+    sd = spectrum(g)
+    assert (sd.fiedler > 0) == (n_components == 1)
+    assert sd.is_connected == (n_components == 1)
 
 
 def test_fiedler_known_values():
-    assert G.fiedler_value(G.generate("complete", 4)) == pytest.approx(4.0, abs=1e-9)
-    assert G.fiedler_value(G.generate("complete", 2)) == pytest.approx(2.0, abs=1e-12)
-    assert G.fiedler_value(G.generate("ring", 6)) == pytest.approx(1.0, abs=1e-9)
+    assert spectrum(G.generate("complete", 4)).fiedler == pytest.approx(4.0, abs=1e-9)
+    assert spectrum(G.generate("complete", 2)).fiedler == pytest.approx(2.0, abs=1e-12)
+    assert spectrum(G.generate("ring", 6)).fiedler == pytest.approx(1.0, abs=1e-9)
     # circulant formula: 2(1 - cos(2 pi / n))
     want = 2.0 * (1.0 - math.cos(2.0 * math.pi / 11.0))
-    assert G.fiedler_value(G.generate("ring", 11)) == pytest.approx(want, abs=1e-9)
+    assert spectrum(G.generate("ring", 11)).fiedler == pytest.approx(want, abs=1e-9)
+    # path formula 2(1 - cos(pi / n)): ~1.1e-4 at n = 300, still far above ZERO_MODE_TOL
+    sd = spectrum(G.generate("path", 300))
+    assert sd.is_connected
+    assert sd.fiedler == pytest.approx(2.0 * (1.0 - math.cos(math.pi / 300.0)), rel=1e-6)
 
 
 def test_fiedler_requires_two_nodes():
     with pytest.raises(ValueError):
-        G.fiedler_value(G.graph_from_edges(1, []))
+        spectrum(G.graph_from_edges(1, [])).fiedler
 
 
 def test_disconnected_examples():
-    assert not G.is_connected(G.graph_from_edges(4, [(0, 1), (2, 3)]))
-    assert G.fiedler_value(G.graph_from_edges(4, [(0, 1), (2, 3)])) == 0.0
-    assert G.is_connected(G.graph_from_edges(1, []))
+    assert not spectrum(G.graph_from_edges(4, [(0, 1), (2, 3)])).is_connected
+    assert spectrum(G.graph_from_edges(4, [(0, 1), (2, 3)])).fiedler == 0.0
+    assert spectrum(G.graph_from_edges(1, [])).is_connected
 
 
 # --- edge-list text format -----------------------------------------------------

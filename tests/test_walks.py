@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcwalk import fiedler_value, generate, laplacian
+from qcwalk import generate, laplacian
 from qcwalk.spectral import DensityMatrix, eigendecompose, uhlmann_fidelity
 from qcwalk.walks import (
     classical_distribution,
@@ -103,14 +103,14 @@ def test_k3_return_probability():
 
 @pytest.mark.parametrize("g,sd", list(zip(FAMILY, DECS)))
 def test_distribution_flattens(g, sd):
-    t = 50.0 / fiedler_value(g)
+    t = 50.0 / sd.fiedler
     p = classical_distribution(sd, 0, t)
     assert np.abs(p - 1.0 / g.n).max() <= 1e-10
 
 
 @pytest.mark.parametrize("g,sd", list(zip(FAMILY, DECS)))
 def test_localized_fidelity_reaches_uniform(g, sd):
-    t = 50.0 / fiedler_value(g)
+    t = 50.0 / sd.fiedler
     for j in range(g.n):
         assert localized_fidelity(sd, j, t) == pytest.approx(1.0 / g.n, abs=1e-6)
 
@@ -140,7 +140,7 @@ def test_short_time_coherence_slope(g, sd):
 @pytest.mark.parametrize("g,sd", list(zip(FAMILY, DECS)))
 def test_long_time_sqrtn_identity(g, sd):
     # sqrt(n) G_j(t) approaches the amplitude l1 norm once p is flat
-    t = 50.0 / fiedler_value(g)
+    t = 50.0 / sd.fiedler
     for j in (0, g.n - 1):
         lhs = np.sqrt(g.n) * classical_fidelity(sd, j, t)
         rhs = np.abs(quantum_amplitudes(sd, j, t)).sum()
