@@ -14,15 +14,9 @@ import argparse
 
 import numpy as np
 
-from qcwalk import (
-    GraphSource,
-    default_grid,
-    eigendecompose,
-    gamma_ratio,
-    laplacian,
-    qc_distance,
-)
-from qcwalk.distance import delta, long_asymptote, short_asymptote
+from qcwalk import GraphSource, default_grid, eigendecompose, laplacian
+from qcwalk.distance import delta_vector, gamma_of, long_vector, qc_of, short_vector
+from qcwalk.walks import node_observables
 
 
 def main() -> None:
@@ -43,13 +37,13 @@ def main() -> None:
     print(f"graph {args.graph}  n={g.n}  fiedler={sd.fiedler:.4f}  1/n={1 / g.n:.4f}")
     print(f"{'t':>9}  {'D_QC':>7}  {'D^S':>7}  {'D^L':>7}  {'g_S':>7}  {'g_L':>7}  {'delta':>7}")
     for t in times:
-        value, node = qc_distance(sd, t)
-        d_s = max(short_asymptote(sd, j, t) for j in range(g.n))
-        d_l = max(long_asymptote(sd, j, t) for j in range(g.n))
+        obs = node_observables(sd, t)
+        value, node = qc_of(obs)
+        d_s, d_l = short_vector(obs).max(), long_vector(obs).max()
         print(
             f"{t:9.3f}  {value:7.4f}  {d_s:7.4f}  {d_l:7.4f}  "
-            f"{fmt(gamma_ratio(sd, 'S', t))}  {fmt(gamma_ratio(sd, 'L', t))}  "
-            f"{delta(sd, node, t):7.4f}"
+            f"{fmt(gamma_of(obs, 'S'))}  {fmt(gamma_of(obs, 'L'))}  "
+            f"{delta_vector(obs)[node]:7.4f}"
         )
 
 

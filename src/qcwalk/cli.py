@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .config import QUANTITIES, GraphSource, TimeGrid, default_grid
 from .distance import DisconnectedGraphError
 from .graph import generate, laplacian, max_degree, to_edge_list, write_edge_list
 from .spectral import SpectralDecomposition, eigendecompose
-from .walks import coherence, classical_fidelity
+from .walks import check_node, node_observables
 
 __all__ = ["main", "entry", "cmd_graph", "cmd_distance", "cmd_figure", "cmd_verify"]
 
@@ -40,8 +41,26 @@ EXIT_VERIFY = 3
 
 FIGURES = ("fig1-left", "fig1-center", "fig1-right", "fig2", "fig3-left", "fig3-right")
 
-#: quantities that resolve per launch node (expand into one column per node)
-_NODE_QUANTITIES = ("conditional", "coherence", "gfid", "short", "long")
+#: graph-level quantities, one column each, read from one kernel record
+_GRAPH_COLUMNS = {
+    "qc": lambda obs: dist.qc_of(obs)[0],
+    "average": lambda obs: np.mean(dist.conditional_vector(obs)),
+    "gamma_s": lambda obs: dist.gamma_of(obs, "S"),
+    "gamma_l": lambda obs: dist.gamma_of(obs, "L"),
+    # graph-level delta: evaluated at the node realizing D_QC(t)
+    "delta": lambda obs: dist.delta_vector(obs)[dist.qc_of(obs)[1]],
+}
+
+#: node-level quantities, one column per node, as vectors over launch nodes;
+#: delta is one of them when --node picks a node
+_NODE_VECTORS = {
+    "conditional": dist.conditional_vector,
+    "coherence": lambda obs: obs.coherence,
+    "gfid": lambda obs: obs.gfid,
+    "short": dist.short_vector,
+    "long": dist.long_vector,
+    "delta": dist.delta_vector,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,60 +82,41 @@ def _fmt(value) -> str:
 
 
 def _columns(sd: SpectralDecomposition, outputs, node: int | None):
-    """Header names and per-time evaluators for the requested quantities."""
-    nodes = range(sd.n) if node is None else [node]
-    headers: list[str] = []
-    evaluators = []  # each maps t -> cell value
+    """Header names and per-time evaluators for the requested quantities.
 
-    def add(header, fn):
-        headers.append(header)
-        evaluators.append(fn)
+    Each evaluator maps one kernel record (``node_observables(sd, t)``) to
+    the cells of the headers it added, in order.
+    """
+    nodes = list(range(sd.n)) if node is None else [node]
+    headers: list[str] = []
+    evaluators = []
 
     for q in outputs:
-        if q == "qc":
-            add("qc", lambda t: dist.qc_distance(sd, t)[0])
-        elif q == "average":
-            add("average", lambda t: dist.average_distance(sd, t))
-        elif q == "gamma_s":
-            add("gamma_s", lambda t: dist.gamma_ratio(sd, "S", t))
-        elif q == "gamma_l":
-            add("gamma_l", lambda t: dist.gamma_ratio(sd, "L", t))
-        elif q == "delta":
-            if node is None:
-                # graph-level delta: evaluated at the node realizing D_QC(t)
-                add("delta", lambda t: dist.delta(sd, dist.qc_distance(sd, t)[1], t))
-            else:
-                add(f"delta_{node}", lambda t: dist.delta(sd, node, t))
-        elif q in _NODE_QUANTITIES:
-            fn = {
-                "conditional": dist.conditional_distance,
-                "coherence": coherence,
-                "gfid": classical_fidelity,
-                "short": dist.short_asymptote,
-                "long": dist.long_asymptote,
-            }[q]
-            for j in nodes:
-                add(f"{q}_{j}", lambda t, fn=fn, j=j: fn(sd, j, t))
+        if q in _GRAPH_COLUMNS and not (q == "delta" and node is not None):
+            headers.append(q)
+            evaluators.append(lambda obs, column=_GRAPH_COLUMNS[q]: [column(obs)])
+        elif q in _NODE_VECTORS:
+            headers += [f"{q}_{j}" for j in nodes]
+            evaluators.append(lambda obs, vector=_NODE_VECTORS[q]: vector(obs)[nodes])
         else:
             raise ValueError(f"unknown quantity {q!r}; choose from {QUANTITIES}")
     return headers, evaluators
 
 
-def _write_csv(stream, headers, times, evaluators) -> None:
-    writer = csv.writer(stream)
-    writer.writerow(["t"] + list(headers))
-    for t in times:
-        t = float(t)
-        writer.writerow([_fmt(t)] + [_fmt(fn(t)) for fn in evaluators])
+def _write_csv(out: str, sd, outputs, node, times) -> list[str]:
+    """Write the sweep to ``out`` (``-`` is stdout); return the column headers.
 
-
-def _sweep_to_path(out: str, sd, outputs, node, times) -> None:
+    Each row makes one kernel call, and every column reads from that record.
+    """
     headers, evaluators = _columns(sd, outputs, node)
-    if out == "-":
-        _write_csv(sys.stdout, headers, times, evaluators)
-    else:
-        with open(out, "w", newline="") as fh:
-            _write_csv(fh, headers, times, evaluators)
+    with (nullcontext(sys.stdout) if out == "-" else open(out, "w", newline="")) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + headers)
+        for t in times:
+            t = float(t)
+            obs = node_observables(sd, t)
+            writer.writerow([_fmt(t)] + [_fmt(v) for fn in evaluators for v in fn(obs)])
+    return headers
 
 
 # --- graph ------------------------------------------------------------------
@@ -168,13 +168,13 @@ def cmd_distance(args) -> int:
     g = source.build(seed=args.seed)
     sd = eigendecompose(laplacian(g))
     dist.require_connected(sd)
-    if args.node is not None and not 0 <= args.node < g.n:
-        raise ValueError(f"node {args.node} out of range for n={g.n}")
+    if args.node is not None:
+        check_node(sd, args.node)
     grid = _resolve_grid(args, sd.fiedler if g.n >= 2 else 0.0)
     outputs = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
     if not outputs:
         raise ValueError("at least one output quantity is required")
-    _sweep_to_path(args.out, sd, outputs, args.node, grid.times())
+    _write_csv(args.out, sd, outputs, args.node, grid.times())
     return EXIT_OK
 
 
@@ -244,9 +244,7 @@ def cmd_figure(args) -> int:
     }
     for c in curves:
         path = out_dir / f"{args.which}_{c['label']}.csv"
-        headers, evaluators = _columns(c["sd"], c["quantities"], c["node"])
-        with open(path, "w", newline="") as fh:
-            _write_csv(fh, headers, times, evaluators)
+        headers = _write_csv(str(path), c["sd"], c["quantities"], c["node"], times)
         manifest["curves"].append(
             {
                 "file": path.name,

@@ -19,6 +19,9 @@ and the diagnostics gamma_S, gamma_L (ratios of the exact maximum to each
 asymptote's maximum) and delta = G^2 - C/n quantify where each regime
 holds. All operations require a connected graph: the stationary state and
 the long-time laws presuppose a single component.
+
+Every quantity reads F, C and G from one walks.node_observables record per t,
+looked up on the walks module so that a patched kernel reaches every caller.
 """
 
 from __future__ import annotations
@@ -35,13 +38,19 @@ from .spectral import (
     unitary_propagator,
     uhlmann_fidelity,
 )
-from .walks import coherence, classical_fidelity, localized_fidelity
+from .walks import NodeObservables
 
 __all__ = [
     "DisconnectedGraphError",
     "DistanceCurve",
     "AsymptoticsReport",
     "OptimalityReport",
+    "conditional_vector",
+    "short_vector",
+    "long_vector",
+    "delta_vector",
+    "qc_of",
+    "gamma_of",
     "conditional_distance",
     "qc_distance",
     "average_distance",
@@ -74,25 +83,66 @@ def require_connected(sd: SpectralDecomposition) -> None:
         )
 
 
+# Laws over all launch nodes at once, read from one kernel record. The pointwise
+# API below applies them to node_observables(sd, t).
+
+
+def conditional_vector(obs: NodeObservables) -> np.ndarray:
+    return 1.0 - obs.fidelity
+
+
+def short_vector(obs: NodeObservables) -> np.ndarray:
+    return obs.coherence / 2.0
+
+
+def long_vector(obs: NodeObservables) -> np.ndarray:
+    return 1.0 - obs.gfid * obs.gfid + obs.coherence / obs.n
+
+
+def delta_vector(obs: NodeObservables) -> np.ndarray:
+    return obs.gfid * obs.gfid - obs.coherence / obs.n
+
+
+def qc_of(obs: NodeObservables) -> tuple[float, int]:
+    """(max_j D_QC(t|j), argmax node); ties go to the smallest node index."""
+    cond = conditional_vector(obs)
+    j = int(np.argmax(cond))
+    return float(cond[j]), j
+
+
+_ASYMPTOTES = {"s": short_vector, "short": short_vector, "l": long_vector, "long": long_vector}
+
+
+def gamma_of(obs: NodeObservables, which: str) -> float | None:
+    """gamma_K = D_QC / max_j D^K(t|j) for K in {S, L}; None when undefined."""
+    asymptote = _ASYMPTOTES.get(str(which).lower())
+    if asymptote is None:
+        raise ValueError(f"asymptote selector must be 'S' or 'L', got {which!r}")
+    denom = float(asymptote(obs).max())
+    return None if denom <= RATIO_FLOOR else qc_of(obs)[0] / denom
+
+
+def _at_node(law, sd: SpectralDecomposition, j: int, t: float) -> float:
+    require_connected(sd)
+    j = walks.check_node(sd, j)
+    return float(law(walks.node_observables(sd, t))[j])
+
+
 def conditional_distance(sd: SpectralDecomposition, j: int, t: float) -> float:
     """D_QC(t|j) = 1 - F_j(t), the distance conditioned on launch node j."""
-    require_connected(sd)
-    return 1.0 - localized_fidelity(sd, j, t)
+    return _at_node(conditional_vector, sd, j, t)
 
 
 def qc_distance(sd: SpectralDecomposition, t: float) -> tuple[float, int]:
     """(max_j D_QC(t|j), argmax node); ties go to the smallest node index."""
     require_connected(sd)
-    cond = np.array([conditional_distance(sd, j, t) for j in range(sd.n)])
-    j = int(np.argmax(cond))
-    return float(cond[j]), j
+    return qc_of(walks.node_observables(sd, t))
 
 
 def average_distance(sd: SpectralDecomposition, t: float) -> float:
     """Mean of D_QC(t|j) over launch nodes; equals the max on regular graphs."""
     require_connected(sd)
-    cond = [conditional_distance(sd, j, t) for j in range(sd.n)]
-    return float(np.mean(cond))
+    return float(np.mean(conditional_vector(walks.node_observables(sd, t))))
 
 
 @dataclass(frozen=True)
@@ -139,16 +189,16 @@ def _check_grid(times) -> np.ndarray:
 def distance_curve(sd: SpectralDecomposition, times) -> DistanceCurve:
     """Tabulate D_QC(t|j) on a grid, plus the per-time max and mean.
 
-    Each cell is computed by the same pointwise call a user would make, so
-    curve values are bitwise identical to individual conditional_distance
-    evaluations and independent of any internal work partitioning.
+    Column i comes from one kernel call, node_observables(sd, times[i]),
+    the same per-time record every pointwise function reads. Curve cells
+    are therefore bitwise identical to conditional_distance at that time,
+    and each grid point costs one propagator pair.
     """
     require_connected(sd)
     times = _check_grid(times)
     cond = np.empty((sd.n, times.size))
     for i, t in enumerate(times):
-        for j in range(sd.n):
-            cond[j, i] = conditional_distance(sd, j, t)
+        cond[:, i] = conditional_vector(walks.node_observables(sd, t))
     argmax = np.argmax(cond, axis=0)
     return DistanceCurve(
         times=times,
@@ -161,19 +211,12 @@ def distance_curve(sd: SpectralDecomposition, times) -> DistanceCurve:
 
 def short_asymptote(sd: SpectralDecomposition, j: int, t: float) -> float:
     """Short-time law D^S(t|j) = C_j(t) / 2."""
-    require_connected(sd)
-    return coherence(sd, j, t) / 2.0
+    return _at_node(short_vector, sd, j, t)
 
 
 def long_asymptote(sd: SpectralDecomposition, j: int, t: float) -> float:
     """Long-time law D^L(t|j) = 1 - G_j(t)^2 + C_j(t) / n."""
-    require_connected(sd)
-    g = classical_fidelity(sd, j, t)
-    c = coherence(sd, j, t)
-    return 1.0 - g * g + c / sd.n
-
-
-_ASYMPTOTES = {"S": short_asymptote, "L": long_asymptote}
+    return _at_node(long_vector, sd, j, t)
 
 
 def gamma_ratio(sd: SpectralDecomposition, which: str, t: float) -> float | None:
@@ -185,22 +228,12 @@ def gamma_ratio(sd: SpectralDecomposition, which: str, t: float) -> float | None
     rather than a 0/0 quotient. Ratios may exceed 1.
     """
     require_connected(sd)
-    key = {"s": "S", "short": "S", "l": "L", "long": "L"}.get(str(which).lower())
-    if key is None:
-        raise ValueError(f"asymptote selector must be 'S' or 'L', got {which!r}")
-    asymptote = _ASYMPTOTES[key]
-    denom = max(asymptote(sd, j, t) for j in range(sd.n))
-    if denom <= RATIO_FLOOR:
-        return None
-    value, _ = qc_distance(sd, t)
-    return value / denom
+    return gamma_of(walks.node_observables(sd, t), which)
 
 
 def delta(sd: SpectralDecomposition, j: int, t: float) -> float:
     """delta_j(t) = G_j(t)^2 - C_j(t) / n; converges to 1/n at long times."""
-    require_connected(sd)
-    g = classical_fidelity(sd, j, t)
-    return g * g - coherence(sd, j, t) / sd.n
+    return _at_node(delta_vector, sd, j, t)
 
 
 @dataclass(frozen=True)
@@ -221,14 +254,17 @@ class AsymptoticsReport:
 
 
 def asymptotics_report(sd: SpectralDecomposition, j: int, t: float) -> AsymptoticsReport:
+    require_connected(sd)
+    j = walks.check_node(sd, j)
+    obs = walks.node_observables(sd, t)
     return AsymptoticsReport(
-        node=int(j),
+        node=j,
         t=float(t),
-        short=short_asymptote(sd, j, t),
-        long=long_asymptote(sd, j, t),
-        gamma_s=gamma_ratio(sd, "S", t),
-        gamma_l=gamma_ratio(sd, "L", t),
-        delta=delta(sd, j, t),
+        short=float(short_vector(obs)[j]),
+        long=float(long_vector(obs)[j]),
+        gamma_s=gamma_of(obs, "S"),
+        gamma_l=gamma_of(obs, "L"),
+        delta=float(delta_vector(obs)[j]),
     )
 
 
@@ -291,8 +327,7 @@ def verify_localized_optimality(
     for i, t in enumerate(t_values):
         p = heat_propagator(sd, float(t))
         u = unitary_propagator(sd, float(t))
-        # attribute lookup, not a frozen reference: test hooks may patch it
-        floor = min(walks.localized_fidelity(sd, j, float(t)) for j in range(n))
+        floor = float(walks.node_observables(sd, t).fidelity.min())
         for s in range(n_samples):
             z = rng.dirichlet(np.ones(n))
             rho_c = DensityMatrix.diagonal(np.clip(p @ z, 0.0, None))

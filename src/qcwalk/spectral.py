@@ -33,6 +33,11 @@ _TRACE_TOL = 1e-10
 _NEGATIVITY_TOL = -1e-10
 
 
+def _is_connected(eigenvalues: np.ndarray) -> bool:
+    # sorted by modulus: a repeated zero eigenvalue means more than one component
+    return eigenvalues.size == 1 or abs(eigenvalues[1]) > ZERO_MODE_TOL
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigensystem of a graph Laplacian, sorted by eigenvalue magnitude.
@@ -61,8 +66,7 @@ class SpectralDecomposition:
 
     @property
     def is_connected(self) -> bool:
-        # a repeated zero eigenvalue means more than one component
-        return self.n == 1 or abs(self.eigenvalues[1]) > ZERO_MODE_TOL
+        return _is_connected(self.eigenvalues)
 
     @property
     def fiedler(self) -> float:
@@ -79,10 +83,18 @@ def eigendecompose(lap: Laplacian) -> SpectralDecomposition:
     numpy's eigh already returns ascending eigenvalues, but the Laplacian
     here is negative semidefinite, so ascending order puts the zero mode
     last; the stable argsort by modulus pins it at index 0 instead.
+
+    A connected graph's zero mode is then pinned to eigenvalue 0.0 and the
+    flat vector 1/sqrt(n): eigh's roundoff (|lambda_0| up to ~1e-14) makes
+    exp(lambda_0 t) drift from 1 at large t and corrupts the plateau.
     """
     vals, vecs = np.linalg.eigh(lap.matrix)
     order = np.argsort(np.abs(vals), kind="stable")
-    return SpectralDecomposition(vals[order], vecs[:, order])
+    vals, vecs = vals[order], vecs[:, order]
+    if _is_connected(vals):
+        vals[0] = 0.0
+        vecs[:, 0] = 1.0 / np.sqrt(vals.size)
+    return SpectralDecomposition(vals, vecs)
 
 
 def heat_propagator(sd: SpectralDecomposition, t: float) -> np.ndarray:

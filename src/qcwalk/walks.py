@@ -16,15 +16,26 @@ starts from the point mass at j and the quantum walk from the basis state
   quantum measurement distribution |a|^2.
 
 Here p_kj is column j of exp(L t) and a_kj is column j of exp(i L t).
+
+:func:`node_observables` is the one numerical kernel: for one time t it
+forms both propagators once and reduces them column by column to the
+vectors F, C and G over all launch nodes. Every distance quantity, curve,
+CLI column and figure preset reads from it, so a time point costs one
+propagator pair however many quantities and nodes are asked for. The
+scalar functions below are node lookups into that record.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral import SpectralDecomposition, heat_propagator, unitary_propagator
 
 __all__ = [
+    "NodeObservables",
+    "node_observables",
     "classical_distribution",
     "quantum_amplitudes",
     "localized_fidelity",
@@ -36,11 +47,47 @@ __all__ = [
 _NEGATIVE_PROBABILITY_TOL = -1e-10
 
 
-def _check_node(sd: SpectralDecomposition, j: int) -> int:
+def check_node(sd: SpectralDecomposition, j: int) -> int:
     j = int(j)
     if not 0 <= j < sd.n:
         raise ValueError(f"node {j} out of range for n={sd.n}")
     return j
+
+
+def _probabilities(p: np.ndarray) -> np.ndarray:
+    smallest = float(p.min())
+    if smallest < _NEGATIVE_PROBABILITY_TOL:
+        raise ValueError(f"classical distribution has negative entry {smallest:.3e}")
+    return np.clip(p, 0.0, 1.0)
+
+
+@dataclass(frozen=True)
+class NodeObservables:
+    """F_j(t), C_j(t) and G_j(t) at one time t; entry j belongs to launch node j."""
+
+    fidelity: np.ndarray  # clamped into [0, 1]
+    coherence: np.ndarray  # clamped to be nonnegative
+    gfid: np.ndarray  # clamped into [0, 1]
+
+    @property
+    def n(self) -> int:
+        return self.fidelity.size
+
+
+def node_observables(sd: SpectralDecomposition, t: float) -> NodeObservables:
+    """The kernel: F, C and G over all launch nodes from one propagator pair.
+
+    Every entry of exp(L t) is checked and clipped as in
+    :func:`classical_distribution` before the reductions.
+    """
+    t = float(t)
+    p = _probabilities(heat_propagator(sd, t))
+    amp = np.abs(unitary_propagator(sd, t))
+    return NodeObservables(
+        fidelity=np.clip((p * amp**2).sum(axis=0), 0.0, 1.0),
+        coherence=np.maximum(amp.sum(axis=0) ** 2 - 1.0, 0.0),
+        gfid=np.clip((np.sqrt(p) * amp).sum(axis=0), 0.0, 1.0),
+    )
 
 
 def classical_distribution(sd: SpectralDecomposition, j: int, t: float) -> np.ndarray:
@@ -50,25 +97,20 @@ def classical_distribution(sd: SpectralDecomposition, j: int, t: float) -> np.nd
     beyond roundoff; genuinely negative values indicate a corrupted
     decomposition and raise.
     """
-    j = _check_node(sd, j)
-    p = heat_propagator(sd, float(t))[:, j]
-    smallest = float(p.min())
-    if smallest < _NEGATIVE_PROBABILITY_TOL:
-        raise ValueError(f"classical distribution has negative entry {smallest:.3e}")
-    return np.clip(p, 0.0, 1.0)
+    j = check_node(sd, j)
+    return _probabilities(heat_propagator(sd, float(t))[:, j])
 
 
 def quantum_amplitudes(sd: SpectralDecomposition, j: int, t: float) -> np.ndarray:
     """Amplitudes a_.j(t) of the quantum walk started at basis state j."""
-    j = _check_node(sd, j)
+    j = check_node(sd, j)
     return unitary_propagator(sd, float(t))[:, j]
 
 
 def localized_fidelity(sd: SpectralDecomposition, j: int, t: float) -> float:
     """F_j(t) = sum_k p_kj |a_kj|^2, clamped into [0, 1]."""
-    p = classical_distribution(sd, j, t)
-    a = quantum_amplitudes(sd, j, t)
-    return float(np.clip(p @ (np.abs(a) ** 2), 0.0, 1.0))
+    j = check_node(sd, j)
+    return float(node_observables(sd, t).fidelity[j])
 
 
 def coherence(sd: SpectralDecomposition, j: int, t: float) -> float:
@@ -77,12 +119,11 @@ def coherence(sd: SpectralDecomposition, j: int, t: float) -> float:
     Ranges from 0 (quantum walker still on one node) to n - 1 (flat
     superposition over all nodes).
     """
-    a = quantum_amplitudes(sd, j, t)
-    return float(max(np.abs(a).sum() ** 2 - 1.0, 0.0))
+    j = check_node(sd, j)
+    return float(node_observables(sd, t).coherence[j])
 
 
 def classical_fidelity(sd: SpectralDecomposition, j: int, t: float) -> float:
     """Bhattacharyya overlap G_j(t) = sum_k sqrt(p_kj) |a_kj|, in [0, 1]."""
-    p = classical_distribution(sd, j, t)
-    a = quantum_amplitudes(sd, j, t)
-    return float(np.clip(np.sqrt(p) @ np.abs(a), 0.0, 1.0))
+    j = check_node(sd, j)
+    return float(node_observables(sd, t).gfid[j])

@@ -321,17 +321,63 @@ def test_verify_refuses_large_n(monkeypatch, capsys):
 
 
 def test_verify_detects_tampered_fidelity(monkeypatch, capsys):
+    import dataclasses
+
     import qcwalk.walks as walks
 
-    true_fn = walks.localized_fidelity
+    true_kernel = walks.node_observables
 
-    def skewed(sd, j, t):
-        return min(1.0, true_fn(sd, j, t) + 0.05)
+    def skewed(sd, t):
+        obs = true_kernel(sd, t)
+        return dataclasses.replace(obs, fidelity=np.minimum(obs.fidelity + 0.05, 1.0))
 
-    monkeypatch.setattr("qcwalk.walks.localized_fidelity", skewed)
+    monkeypatch.setattr("qcwalk.walks.node_observables", skewed)
     code, stdout, stderr = run(["verify", "--n-max", "4", "--samples", "16"], capsys)
     assert code == 3
     assert "FAIL" in stdout
+    assert "[FAIL] localized fidelity matches Uhlmann oracle" in stdout
+
+
+# --- cost: one propagator pair per grid point ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "quantities",
+    ["qc,average,gamma_s,gamma_l,delta", "conditional,coherence,gfid,short,long"],
+)
+def test_distance_forms_one_propagator_pair_per_point(monkeypatch, tmp_path, quantities):
+    import qcwalk.spectral as spectral
+
+    counts = {"heat_propagator": 0, "unitary_propagator": 0}
+    for name in counts:
+        original = getattr(spectral, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        # every qcwalk namespace that holds the propagator gets the counter
+        for mod in [m for key, m in sys.modules.items() if key.startswith("qcwalk")]:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+
+    steps = 25
+    out = tmp_path / "sweep.csv"
+    argv = ["distance", "--graph", "random_connected:11:6", "--steps", str(steps)]
+    assert main(argv + ["--quantities", quantities, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == steps + 1
+    assert counts == {"heat_propagator": steps, "unitary_propagator": steps}
+
+
+def test_distance_plateau_at_huge_time(capsys):
+    code, stdout, stderr = run(
+        ["distance", "--graph", "ring:5", "--tmin", "1e300", "--steps", "1", "--quantities", "qc,average"],
+        capsys,
+    )
+    assert code == 0
+    assert stdout.splitlines()[1] == "1e+300,0.8,0.8"
+    assert stderr == ""
 
 
 # --- console entry point ----------------------------------------------------------------

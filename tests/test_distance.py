@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +93,20 @@ def test_distance_bounds(t):
     assert 0.0 <= value <= 1.0
     assert 0 <= node < 7
     assert 0.0 <= average_distance(STAR7, t) <= value + 1e-15
+
+
+@pytest.mark.parametrize("kind,n", [("ring", 5), ("complete", 20)])
+@pytest.mark.parametrize("t", [1e15, 1e300])
+def test_plateau_holds_at_huge_times(kind, n, t):
+    # an unpinned zero mode (|lambda_0| ~ 1e-15 from eigh) makes exp(lambda_0 t)
+    # drift from 1 here: the plateau came out as 0.688, 0.99994 or 1.8e-15
+    sd = eigendecompose(laplacian(generate(kind, n)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value, _ = qc_distance(sd, t)
+        mean = average_distance(sd, t)
+    assert abs(value - (1.0 - 1.0 / n)) <= 1e-12
+    assert abs(mean - (1.0 - 1.0 / n)) <= 1e-12
 
 
 # --- curves ------------------------------------------------------------------------

@@ -53,6 +53,26 @@ def test_zero_mode_vector_is_uniform():
     assert np.abs(np.abs(v) - 1 / np.sqrt(6)).max() <= 1e-9
 
 
+@pytest.mark.parametrize("g", FAMILY + [generate("path", 300)])
+def test_zero_mode_pinned_exactly_for_connected_graphs(g):
+    sd = eigendecompose(laplacian(g))
+    assert sd.eigenvalues[0] == 0.0
+    assert np.all(sd.eigenvectors[:, 0] == 1.0 / np.sqrt(g.n))
+    # the pinned vector stays orthogonal to the rest of the eigenbasis
+    assert np.abs(sd.eigenvectors.T @ sd.eigenvectors - np.eye(g.n)).max() <= 1e-9
+
+
+def test_zero_mode_left_alone_for_disconnected_graphs():
+    from qcwalk import graph_from_edges
+
+    lap = laplacian(graph_from_edges(4, [(0, 1), (2, 3)]))
+    sd = eigendecompose(lap)
+    # two zero modes: neither is the flat vector, and both stay as eigh found them
+    rebuilt = (sd.eigenvectors * sd.eigenvalues) @ sd.eigenvectors.T
+    assert np.abs(rebuilt - lap.matrix).max() <= 1e-12
+    assert np.abs(sd.eigenvectors.T @ sd.eigenvectors - np.eye(4)).max() <= 1e-12
+
+
 def test_known_spectra():
     k2 = eigendecompose(laplacian(generate("complete", 2)))
     assert np.allclose(k2.eigenvalues, [0.0, -2.0], atol=1e-12)
