@@ -107,12 +107,14 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
             for label, sd in decs
         ],
     )
+    # read eigvalsh's own spectrum: eigendecompose pins a connected graph's zero mode to 0.0
+    spectra = [(label, np.linalg.eigvalsh(lap.matrix)) for label, lap in laps]
     sweep(
         "zero mode first, spectrum nonpositive",
         1e-9,
         [
-            (label, max(abs(float(sd.eigenvalues[0])), float(sd.eigenvalues.max())))
-            for label, sd in decs
+            (label, max(float(np.abs(vals).min()), float(vals.max())))
+            for label, vals in spectra
         ],
     )
 
@@ -208,9 +210,11 @@ def run_optimality_checks(
         raise ValueError("n_max above 10 is not supported (dense fidelity cost)")
     if n_max < 3:
         raise ValueError("need n_max >= 3")
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     sizes = list(range(3, n_max + 1))
     t_values = (0.1, 0.5, 1.0, 3.0)
-    per_size = max(1, int(np.ceil(samples / (len(sizes) * len(t_values)))))
+    per_size = int(np.ceil(samples / (len(sizes) * len(t_values))))
     results = []
     worst = np.inf
     for n in sizes:

@@ -19,10 +19,12 @@ from .graph import Laplacian
 __all__ = [
     "SpectralDecomposition",
     "DensityMatrix",
+    "check_density",
     "eigendecompose",
     "heat_propagator",
     "unitary_propagator",
     "uhlmann_fidelity",
+    "classical_quantum_fidelity",
 ]
 
 #: eigenvalue magnitudes at or below this count as the flat zero mode
@@ -31,6 +33,9 @@ ZERO_MODE_TOL = 1e-9
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _NEGATIVITY_TOL = -1e-10
+
+#: a state whose largest eigenvalue exceeds this is treated as pure
+_PURE_THRESHOLD = 1.0 - 1e-12
 
 
 def _is_connected(eigenvalues: np.ndarray) -> bool:
@@ -125,6 +130,30 @@ def unitary_propagator(sd: SpectralDecomposition, t: float) -> np.ndarray:
     return (sd.eigenvectors * phases) @ sd.eigenvectors.T
 
 
+def check_density(m: np.ndarray, eigenvalues: np.ndarray | None = None) -> np.ndarray:
+    """Validate a density matrix, or a stack (..., n, n) of them; return the eigenvalues.
+
+    Every member must be square, Hermitian, of unit trace and positive
+    semidefinite, within the tolerances DensityMatrix uses. The eigenvalues
+    come from one (stacked) eigvalsh unless the caller already knows them:
+    a diagonal state's eigenvalues are its diagonal.
+    """
+    m = np.asarray(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("density matrix must be square")
+    if np.abs(m - np.swapaxes(m, -1, -2).conj()).max() > _HERMITICITY_TOL:
+        raise ValueError("density matrix must be Hermitian")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0) > _TRACE_TOL
+    if off.any():
+        raise ValueError(f"density matrix trace must be 1, got {complex(tr[off].flat[0]):.12g}")
+    vals = np.linalg.eigvalsh(m) if eigenvalues is None else np.asarray(eigenvalues)
+    smallest = float(vals.min())
+    if smallest < _NEGATIVITY_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
+    return vals
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated density matrix: Hermitian, unit trace, positive semidefinite."""
@@ -133,16 +162,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim != 2:
             raise ValueError("density matrix must be square")
-        if np.abs(m - m.conj().T).max() > _HERMITICITY_TOL:
-            raise ValueError("density matrix must be Hermitian")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise ValueError(f"density matrix trace must be 1, got {tr:.12g}")
-        smallest = float(np.linalg.eigvalsh(m).min())
-        if smallest < _NEGATIVITY_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
+        check_density(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -180,10 +202,35 @@ def uhlmann_fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
         raise ValueError("density matrices must have equal dimension")
     for pure, other in ((rho1, rho2), (rho2, rho1)):
         vals, vecs = np.linalg.eigh(pure.matrix)
-        if vals[-1] > 1.0 - 1e-12:
+        if vals[-1] > _PURE_THRESHOLD:
             psi = vecs[:, -1]
             return float(np.clip((psi.conj() @ other.matrix @ psi).real, 0.0, 1.0))
     root = _psd_sqrt(rho1.matrix)
     inner = root @ rho2.matrix @ root
     vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     return float(np.clip(np.sqrt(vals).sum() ** 2, 0.0, 1.0))
+
+
+def classical_quantum_fidelity(q, rho) -> np.ndarray:
+    """Uhlmann fidelity of diag(q[s]) and rho[s] for a stack of S state pairs.
+
+    ``q`` is (S, n), one classical (diagonal) state per row; ``rho`` is
+    (S, n, n). Both stacks are validated like DensityMatrix. sqrt(diag(q))
+    is elementwise, so each mixed pair costs one eigvalsh of
+    sqrt(q_i) rho_ij sqrt(q_j), all S in one stacked call. Rows where either
+    state is pure go through uhlmann_fidelity, like its rank-one shortcut.
+    """
+    q = np.asarray(q, dtype=float)
+    rho = np.asarray(rho, dtype=complex)
+    if q.ndim != 2 or rho.shape != q.shape + q.shape[-1:]:
+        raise ValueError("need q of shape (S, n) and rho of shape (S, n, n)")
+    check_density(q[:, :, None] * np.eye(q.shape[1]), eigenvalues=q)
+    rho_vals = check_density(rho)
+    pure = (q.max(axis=1) > _PURE_THRESHOLD) | (rho_vals[:, -1] > _PURE_THRESHOLD)
+    root = np.sqrt(q)
+    inner = root[:, :, None] * rho * root[:, None, :]
+    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
+    fid = np.clip(np.sqrt(vals).sum(axis=1) ** 2, 0.0, 1.0)
+    for s in np.flatnonzero(pure):
+        fid[s] = uhlmann_fidelity(DensityMatrix.diagonal(q[s]), DensityMatrix(rho[s]))
+    return fid

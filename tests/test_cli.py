@@ -318,6 +318,12 @@ def test_verify_refuses_large_n(monkeypatch, capsys):
         assert code == 1
         assert "n_max" in stderr
         assert stdout == ""
+    # so is a sample count below one
+    for samples in ("0", "-5"):
+        code, stdout, stderr = run(["verify", "--samples", samples], capsys)
+        assert code == 1
+        assert "samples" in stderr
+        assert stdout == ""
 
 
 def test_verify_detects_tampered_fidelity(monkeypatch, capsys):
@@ -336,6 +342,28 @@ def test_verify_detects_tampered_fidelity(monkeypatch, capsys):
     assert code == 3
     assert "FAIL" in stdout
     assert "[FAIL] localized fidelity matches Uhlmann oracle" in stdout
+
+
+def test_verify_zero_mode_check_reads_its_own_spectrum(monkeypatch, capsys):
+    # eigendecompose would pin this shifted zero mode to 0.0; the check must not trust it
+    import types
+
+    import qcwalk.checks as checks
+
+    true_laplacian = checks.laplacian
+
+    def shifted(g):
+        lap = true_laplacian(g)
+        if g.n != 4:
+            return lap
+        return types.SimpleNamespace(matrix=lap.matrix + 1e-6 * np.eye(4), n=4)
+
+    monkeypatch.setattr(checks, "laplacian", shifted)
+    code, stdout, _ = run(["verify", "--n-max", "3", "--samples", "4"], capsys)
+    assert code == 3
+    (line,) = [line for line in stdout.splitlines() if "zero mode" in line]
+    assert line.startswith("[FAIL] zero mode first, spectrum nonpositive: worst error 1.000e-06")
+    assert line.endswith("at path(4)")
 
 
 # --- cost: one propagator pair per grid point ----------------------------------------

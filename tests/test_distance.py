@@ -277,6 +277,71 @@ def test_optimality_localized_state_margin_zero():
         assert fid == pytest.approx(localized_fidelity(sd, j, t), abs=1e-9)
 
 
+def test_optimality_pure_rows_take_the_scalar_path(monkeypatch):
+    # z = e_j rows reduce to the localized pair: they go through uhlmann_fidelity
+    # and give F_j(t); the mixed row between them takes the stacked eigvalsh
+    import qcwalk.spectral as spectral
+
+    calls = []
+    true_uhlmann = spectral.uhlmann_fidelity
+
+    def counted(rho1, rho2):
+        calls.append(1)
+        return true_uhlmann(rho1, rho2)
+
+    monkeypatch.setattr(spectral, "uhlmann_fidelity", counted)
+    sd, t = STAR7, 0.9
+    p, u = spectral.heat_propagator(sd, t), spectral.unitary_propagator(sd, t)
+    z = np.array([np.eye(7)[0], np.full(7, 1.0 / 7), np.eye(7)[3]])
+    fid = spectral.classical_quantum_fidelity(np.clip(z @ p.T, 0.0, None), (u * z[:, None, :]) @ u.conj().T)
+    assert len(calls) == 2
+    assert fid[0] == pytest.approx(localized_fidelity(sd, 0, t), abs=1e-9)
+    assert fid[2] == pytest.approx(localized_fidelity(sd, 3, t), abs=1e-9)
+    assert fid[1] >= min(fid[0], fid[2]) - 1e-8
+
+
+@pytest.mark.parametrize("size", [1, 7, 125])
+def test_batched_dirichlet_draws_equal_sequential_draws(size):
+    # the sweep draws a (size, n) batch; the benchmark's reference draws one row at a time
+    for n in range(3, 11):
+        batch = np.random.Generator(np.random.PCG64(n))
+        seq = np.random.Generator(np.random.PCG64(n))
+        rows = batch.dirichlet(np.ones(n), size=size)
+        assert np.array_equal(rows, np.array([seq.dirichlet(np.ones(n)) for _ in range(size)]))
+        assert batch.bit_generator.state == seq.bit_generator.state
+
+
+def test_optimality_eigensolves_independent_of_sample_count(monkeypatch):
+    from qcwalk.spectral import DensityMatrix
+
+    counts = {"eigh": 0, "eigvalsh": 0, "builds": 0}
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    true_post_init = DensityMatrix.__post_init__
+
+    def counted_post_init(self):
+        counts["builds"] += 1
+        true_post_init(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
+    sd = eigendecompose(laplacian(generate("random_connected", 8, extra=3, seed=4)))
+    t_values = [0.1, 0.5, 1.0, 3.0]
+    seen = []
+    for n_samples in (5, 50):
+        for key in counts:
+            counts[key] = 0
+        report = verify_localized_optimality(sd, n_samples, t_values, seed=4)
+        assert report.margins.shape == (n_samples, 4)
+        seen.append(dict(counts))
+    # two stacked eigvalsh per time point, whatever the sample count, and no DensityMatrix
+    assert seen[0] == seen[1] == {"eigh": 0, "eigvalsh": 2 * len(t_values), "builds": 0}
+
+
 def test_optimality_input_validation():
     with pytest.raises(ValueError):
         verify_localized_optimality(K2, 0, [1.0])

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from qcwalk import generate, laplacian
 from qcwalk.spectral import (
     DensityMatrix,
+    check_density,
+    classical_quantum_fidelity,
     eigendecompose,
     heat_propagator,
     unitary_propagator,
@@ -245,3 +247,54 @@ def test_fidelity_symmetric_and_matches_sqrtm_oracle():
             oracle = float(np.trace(inner).real) ** 2
             assert ours == pytest.approx(oracle, abs=1e-9)
             assert 0.0 <= ours <= 1.0
+
+
+# --- stacked validation and the batched classical-quantum fidelity ----------------
+
+
+def test_batched_fidelity_matches_scalar_uhlmann():
+    rng = np.random.Generator(np.random.PCG64(17))
+    for n in (2, 3, 5, 8):
+        q = rng.dirichlet(np.ones(n), size=20)
+        rho = np.array([random_density(rng, n).matrix for _ in range(20)])
+        batched = classical_quantum_fidelity(q, rho)
+        scalar = [
+            uhlmann_fidelity(DensityMatrix.diagonal(qs), DensityMatrix(rs)) for qs, rs in zip(q, rho)
+        ]
+        assert batched.shape == (20,)
+        assert np.abs(batched - scalar).max() <= 1e-12
+
+
+def _faulty_stack(fault: str) -> np.ndarray:
+    # three valid states; member 2 carries the fault
+    stack = np.array([np.eye(3) / 3, np.diag([0.5, 0.25, 0.25]), np.diag([0.2, 0.3, 0.5])], dtype=complex)
+    if fault == "hermiticity":
+        stack[2, 0, 1] = 0.1
+    elif fault == "trace":
+        stack[2] *= 1.5
+    else:
+        stack[2] = np.diag([1.2, -0.3, 0.1])
+    return stack
+
+
+@pytest.mark.parametrize("fault", ["hermiticity", "trace", "negativity"])
+def test_stacked_validation_refuses_a_later_member(fault):
+    stack = _faulty_stack(fault)
+    with pytest.raises(ValueError):
+        DensityMatrix(stack[2])
+    with pytest.raises(ValueError):
+        check_density(stack)
+    check_density(stack[:2])
+    # both sides of the batched fidelity are validated
+    q_good = np.full((3, 3), 1.0 / 3)
+    with pytest.raises(ValueError):
+        classical_quantum_fidelity(q_good, stack)
+    if fault != "hermiticity":  # a diagonal state is Hermitian by construction
+        q_bad = np.array([np.diagonal(m).real for m in stack])
+        with pytest.raises(ValueError):
+            classical_quantum_fidelity(q_bad, stack[[0, 0, 0]])
+
+
+def test_batched_fidelity_refuses_mismatched_shapes():
+    with pytest.raises(ValueError):
+        classical_quantum_fidelity(np.full((2, 3), 1.0 / 3), np.array([np.eye(2) / 2] * 2))
