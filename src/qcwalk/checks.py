@@ -47,7 +47,28 @@ def check_family(seed: int = 0) -> list[tuple[str, Graph]]:
     ]
 
 
-def _result(name: str, worst: float, tol: float, where: str) -> CheckResult:
+#: the invariant checks in reported order, each with its tolerance
+_TOLERANCES = {
+    "laplacian row sums vanish": 1e-12,
+    "laplacian trace is -2|edges|": 1e-12,
+    "eigendecomposition reconstructs L": 1e-9,
+    "eigenvectors orthonormal": 1e-9,
+    "zero mode first, spectrum nonpositive": 1e-9,
+    "heat propagator doubly stochastic": 1e-10,
+    "heat propagator entries in [0, 1]": 1e-10,
+    "unitary propagator unitary": 1e-10,
+    "heat propagator semigroup": 1e-8,
+    "unitary propagator group inverse": 1e-8,
+    "localized fidelity matches Uhlmann oracle": 1e-9,
+    "long-time plateau 1 - 1/n": 1e-2,
+    "regular graphs are node equivalent": 1e-10,
+}
+
+
+def _result(name: str, errs: list[tuple[str, float]]) -> CheckResult:
+    """Worst error of one check against its tolerance; the first maximum wins."""
+    where, worst = max(errs, key=lambda kv: kv[1])
+    tol = _TOLERANCES[name]
     return CheckResult(
         name=name,
         passed=worst <= tol,
@@ -58,116 +79,51 @@ def _result(name: str, worst: float, tol: float, where: str) -> CheckResult:
 def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
     """Numerical invariants of the graph, spectral, and walk layers."""
     rng = np.random.Generator(np.random.PCG64(int(seed)))
-    family = check_family(seed)
-    results: list[CheckResult] = []
-
-    def sweep(name, tol, errs):
-        worst_label, worst = max(errs, key=lambda kv: kv[1])
-        results.append(_result(name, worst, tol, worst_label))
-
-    laps = [(label, laplacian(g)) for label, g in family]
-    decs = [(label, eigendecompose(lap)) for label, lap in laps]
-
-    sweep(
-        "laplacian row sums vanish",
-        1e-12,
-        [(label, float(np.abs(lap.matrix.sum(axis=1)).max())) for label, lap in laps],
-    )
-    sweep(
-        "laplacian trace is -2|edges|",
-        1e-12,
-        [
-            (label, abs(float(np.trace(lap.matrix)) + 2.0 * len(g.edges)))
-            for (label, lap), (_, g) in zip(laps, family)
-        ],
-    )
-    sweep(
-        "eigendecomposition reconstructs L",
-        1e-9,
-        [
-            (
-                label,
-                float(
-                    np.abs(
-                        (sd.eigenvectors * sd.eigenvalues) @ sd.eigenvectors.T - lap.matrix
-                    ).max()
-                ),
-            )
-            for (label, sd), (_, lap) in zip(decs, laps)
-        ],
-    )
-    sweep(
-        "eigenvectors orthonormal",
-        1e-9,
-        [
-            (
-                label,
-                float(np.abs(sd.eigenvectors.T @ sd.eigenvectors - np.eye(sd.n)).max()),
-            )
-            for label, sd in decs
-        ],
-    )
-    # read eigvalsh's own spectrum: eigendecompose pins a connected graph's zero mode to 0.0
-    spectra = [(label, np.linalg.eigvalsh(lap.matrix)) for label, lap in laps]
-    sweep(
-        "zero mode first, spectrum nonpositive",
-        1e-9,
-        [
-            (label, max(float(np.abs(vals).min()), float(vals.max())))
-            for label, vals in spectra
-        ],
-    )
-
     t_samples = rng.uniform(0.0, 5.0, size=4)
-    stoch_errs, band_errs, unit_errs = [], [], []
-    for label, sd in decs:
-        for t in t_samples:
-            p = heat_propagator(sd, t)
-            stoch_errs.append(
-                (
-                    f"{label} t={t:.3f}",
-                    max(
-                        float(np.abs(p.sum(axis=0) - 1.0).max()),
-                        float(np.abs(p.sum(axis=1) - 1.0).max()),
-                    ),
-                )
-            )
-            band_errs.append(
-                (f"{label} t={t:.3f}", max(float(-p.min()), float(p.max() - 1.0), 0.0))
-            )
-            u = unitary_propagator(sd, t)
-            unit_errs.append(
-                (
-                    f"{label} t={t:.3f}",
-                    float(np.abs(u @ u.conj().T - np.eye(sd.n)).max()),
-                )
-            )
-    sweep("heat propagator doubly stochastic", 1e-10, stoch_errs)
-    sweep("heat propagator entries in [0, 1]", 1e-10, band_errs)
-    sweep("unitary propagator unitary", 1e-10, unit_errs)
+    errs: dict[str, list[tuple[str, float]]] = {name: [] for name in _TOLERANCES}
 
-    semi_errs, group_errs = [], []
-    for label, sd in decs:
+    def add(name: str, where: str, err) -> None:
+        errs[name].append((where, float(err)))
+
+    for label, g in check_family(seed):
+        lap = laplacian(g)
+        sd = eigendecompose(lap)
+        vecs, eye = sd.eigenvectors, np.eye(sd.n)
+        add("laplacian row sums vanish", label, np.abs(lap.matrix.sum(axis=1)).max())
+        trace = float(np.trace(lap.matrix))
+        add("laplacian trace is -2|edges|", label, abs(trace + 2.0 * len(g.edges)))
+        add(
+            "eigendecomposition reconstructs L",
+            label,
+            np.abs((vecs * sd.eigenvalues) @ vecs.T - lap.matrix).max(),
+        )
+        add("eigenvectors orthonormal", label, np.abs(vecs.T @ vecs - eye).max())
+        # read eigvalsh's own spectrum: eigendecompose pins a connected graph's zero mode to 0.0
+        vals = np.linalg.eigvalsh(lap.matrix)
+        add("zero mode first, spectrum nonpositive", label, max(np.abs(vals).min(), vals.max()))
+
+        for t in t_samples:
+            where = f"{label} t={t:.3f}"
+            p = heat_propagator(sd, t)
+            u = unitary_propagator(sd, t)
+            stoch = max(np.abs(p.sum(axis=0) - 1.0).max(), np.abs(p.sum(axis=1) - 1.0).max())
+            add("heat propagator doubly stochastic", where, stoch)
+            add("heat propagator entries in [0, 1]", where, max(-p.min(), p.max() - 1.0, 0.0))
+            add("unitary propagator unitary", where, np.abs(u @ u.conj().T - eye).max())
+
         for _ in range(3):
             t1, t2 = rng.uniform(0.0, 5.0, size=2)
             lhs = heat_propagator(sd, t1) @ heat_propagator(sd, t2)
-            semi_errs.append(
-                (
-                    f"{label} t1={t1:.3f} t2={t2:.3f}",
-                    float(np.abs(lhs - heat_propagator(sd, t1 + t2)).max()),
-                )
+            add(
+                "heat propagator semigroup",
+                f"{label} t1={t1:.3f} t2={t2:.3f}",
+                np.abs(lhs - heat_propagator(sd, t1 + t2)).max(),
             )
             t = rng.uniform(0.0, 5.0)
             prod = unitary_propagator(sd, t) @ unitary_propagator(sd, -t)
-            group_errs.append(
-                (f"{label} t={t:.3f}", float(np.abs(prod - np.eye(sd.n)).max()))
-            )
-    sweep("heat propagator semigroup", 1e-8, semi_errs)
-    sweep("unitary propagator group inverse", 1e-8, group_errs)
+            add("unitary propagator group inverse", f"{label} t={t:.3f}", np.abs(prod - eye).max())
 
-    # the oracle is built by hand from the propagators, independent of the kernel
-    fid_errs = []
-    for label, sd in decs:
+        # the oracle is built by hand from the propagators, independent of the kernel
         for t in (0.3, 1.7):
             p = heat_propagator(sd, t)
             u = unitary_propagator(sd, t)
@@ -177,25 +133,19 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
                     DensityMatrix.diagonal(np.clip(p[:, j], 0.0, None)),
                     DensityMatrix.pure(u[:, j]),
                 )
-                fid_errs.append((f"{label} j={j} t={t}", abs(direct[j] - oracle)))
-    sweep("localized fidelity matches Uhlmann oracle", 1e-9, fid_errs)
+                where = f"{label} j={j} t={t}"
+                add("localized fidelity matches Uhlmann oracle", where, abs(direct[j] - oracle))
 
-    plateau_errs = []
-    for label, sd in decs:
         t_inf = 50.0 / sd.fiedler
         value, _ = qc_distance(sd, t_inf)
-        plateau_errs.append((f"{label} t={t_inf:.1f}", abs(value - (1.0 - 1.0 / sd.n))))
-    sweep("long-time plateau 1 - 1/n", 1e-2, plateau_errs)
+        add("long-time plateau 1 - 1/n", f"{label} t={t_inf:.1f}", abs(value - (1.0 - 1.0 / sd.n)))
 
-    regular_errs = []
-    for label in ("ring(6)", "complete(5)"):
-        sd = dict(decs)[label]
-        for t in (0.2, 1.0, 4.0):
-            fid = walks.node_observables(sd, t).fidelity
-            regular_errs.append((f"{label} t={t}", float(fid.max() - fid.min())))
-    sweep("regular graphs are node equivalent", 1e-10, regular_errs)
+        if label in ("complete(5)", "ring(6)"):
+            for t in (0.2, 1.0, 4.0):
+                fid = walks.node_observables(sd, t).fidelity
+                add("regular graphs are node equivalent", f"{label} t={t}", fid.max() - fid.min())
 
-    return results
+    return [_result(name, found) for name, found in errs.items()]
 
 
 def run_optimality_checks(

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import distance as dist
 from .checks import run_invariant_checks, run_optimality_checks
-from .config import QUANTITIES, GraphSource, TimeGrid, default_grid
+from .config import GraphSource, TimeGrid, default_grid
 from .distance import DisconnectedGraphError
 from .graph import generate, laplacian, max_degree, to_edge_list, write_edge_list
 from .spectral import SpectralDecomposition, eigendecompose
@@ -41,25 +41,25 @@ EXIT_VERIFY = 3
 
 FIGURES = ("fig1-left", "fig1-center", "fig1-right", "fig2", "fig3-left", "fig3-right")
 
-#: graph-level quantities, one column each, read from one kernel record
-_GRAPH_COLUMNS = {
-    "qc": lambda obs: dist.qc_of(obs)[0],
-    "average": lambda obs: np.mean(dist.conditional_vector(obs)),
-    "gamma_s": lambda obs: dist.gamma_of(obs, "S"),
-    "gamma_l": lambda obs: dist.gamma_of(obs, "L"),
-    # graph-level delta: evaluated at the node realizing D_QC(t)
-    "delta": lambda obs: dist.delta_vector(obs)[dist.qc_of(obs)[1]],
-}
-
-#: node-level quantities, one column per node, as vectors over launch nodes;
-#: delta is one of them when --node picks a node
-_NODE_VECTORS = {
-    "conditional": dist.conditional_vector,
-    "coherence": lambda obs: obs.coherence,
-    "gfid": lambda obs: obs.gfid,
-    "short": dist.short_vector,
-    "long": dist.long_vector,
-    "delta": dist.delta_vector,
+#: every quantity a distance sweep accepts, in canonical column order, as
+#: (graph-level column, vector over launch nodes), both read from one kernel
+#: record; delta has both forms, the graph-level one evaluated at the node
+#: realizing D_QC(t) and the node-level one used when --node picks a node.
+#: Laws are looked up on dist at call time, so a patched law reaches every column.
+_QUANTITIES = {
+    "conditional": (None, lambda obs: dist.conditional_vector(obs)),
+    "qc": (lambda obs: dist.qc_of(obs)[0], None),
+    "average": (lambda obs: np.mean(dist.conditional_vector(obs)), None),
+    "coherence": (None, lambda obs: obs.coherence),
+    "gfid": (None, lambda obs: obs.gfid),
+    "short": (None, lambda obs: dist.short_vector(obs)),
+    "long": (None, lambda obs: dist.long_vector(obs)),
+    "gamma_s": (lambda obs: dist.gamma_of(obs, "S"), None),
+    "gamma_l": (lambda obs: dist.gamma_of(obs, "L"), None),
+    "delta": (
+        lambda obs: dist.delta_vector(obs)[dist.qc_of(obs)[1]],
+        lambda obs: dist.delta_vector(obs),
+    ),
 }
 
 
@@ -92,14 +92,15 @@ def _columns(sd: SpectralDecomposition, outputs, node: int | None):
     evaluators = []
 
     for q in outputs:
-        if q in _GRAPH_COLUMNS and not (q == "delta" and node is not None):
+        if q not in _QUANTITIES:
+            raise ValueError(f"unknown quantity {q!r}; choose from {tuple(_QUANTITIES)}")
+        column, vector = _QUANTITIES[q]
+        if column is not None and (vector is None or node is None):
             headers.append(q)
-            evaluators.append(lambda obs, column=_GRAPH_COLUMNS[q]: [column(obs)])
-        elif q in _NODE_VECTORS:
-            headers += [f"{q}_{j}" for j in nodes]
-            evaluators.append(lambda obs, vector=_NODE_VECTORS[q]: vector(obs)[nodes])
+            evaluators.append(lambda obs, column=column: [column(obs)])
         else:
-            raise ValueError(f"unknown quantity {q!r}; choose from {QUANTITIES}")
+            headers += [f"{q}_{j}" for j in nodes]
+            evaluators.append(lambda obs, vector=vector: vector(obs)[nodes])
     return headers, evaluators
 
 
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--quantities",
         default="qc",
-        help="comma list from " + ",".join(QUANTITIES),
+        help="comma list from " + ",".join(_QUANTITIES),
     )
     p.set_defaults(fn=cmd_distance)
 

@@ -10,21 +10,7 @@ import numpy as np
 from . import graph as graphmod
 from .graph import Graph
 
-__all__ = ["TimeGrid", "GraphSource", "QUANTITIES", "default_grid"]
-
-#: quantity names accepted by distance sweeps, in canonical column order
-QUANTITIES = (
-    "conditional",
-    "qc",
-    "average",
-    "coherence",
-    "gfid",
-    "short",
-    "long",
-    "gamma_s",
-    "gamma_l",
-    "delta",
-)
+__all__ = ["TimeGrid", "GraphSource", "default_grid"]
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from .walks import NodeObservables
 __all__ = [
     "DisconnectedGraphError",
     "DistanceCurve",
-    "AsymptoticsReport",
     "OptimalityReport",
     "conditional_vector",
     "short_vector",
@@ -50,15 +49,9 @@ __all__ = [
     "delta_vector",
     "qc_of",
     "gamma_of",
-    "conditional_distance",
     "qc_distance",
-    "average_distance",
     "distance_curve",
-    "short_asymptote",
-    "long_asymptote",
     "gamma_ratio",
-    "delta",
-    "asymptotics_report",
     "verify_localized_optimality",
 ]
 
@@ -121,27 +114,10 @@ def gamma_of(obs: NodeObservables, which: str) -> float | None:
     return None if denom <= RATIO_FLOOR else qc_of(obs)[0] / denom
 
 
-def _at_node(law, sd: SpectralDecomposition, j: int, t: float) -> float:
-    require_connected(sd)
-    j = walks.check_node(sd, j)
-    return float(law(walks.node_observables(sd, t))[j])
-
-
-def conditional_distance(sd: SpectralDecomposition, j: int, t: float) -> float:
-    """D_QC(t|j) = 1 - F_j(t), the distance conditioned on launch node j."""
-    return _at_node(conditional_vector, sd, j, t)
-
-
 def qc_distance(sd: SpectralDecomposition, t: float) -> tuple[float, int]:
     """(max_j D_QC(t|j), argmax node); ties go to the smallest node index."""
     require_connected(sd)
     return qc_of(walks.node_observables(sd, t))
-
-
-def average_distance(sd: SpectralDecomposition, t: float) -> float:
-    """Mean of D_QC(t|j) over launch nodes; equals the max on regular graphs."""
-    require_connected(sd)
-    return float(np.mean(conditional_vector(walks.node_observables(sd, t))))
 
 
 @dataclass(frozen=True)
@@ -189,9 +165,9 @@ def distance_curve(sd: SpectralDecomposition, times) -> DistanceCurve:
     """Tabulate D_QC(t|j) on a grid, plus the per-time max and mean.
 
     Column i comes from one kernel call, node_observables(sd, times[i]),
-    the same per-time record every pointwise function reads. Curve cells
-    are therefore bitwise identical to conditional_distance at that time,
-    and each grid point costs one propagator pair.
+    the same per-time record every pointwise function reads. Its cells are
+    therefore bitwise identical to conditional_vector of that record, and
+    each grid point costs one propagator pair.
     """
     require_connected(sd)
     times = _check_grid(times)
@@ -208,16 +184,6 @@ def distance_curve(sd: SpectralDecomposition, times) -> DistanceCurve:
     )
 
 
-def short_asymptote(sd: SpectralDecomposition, j: int, t: float) -> float:
-    """Short-time law D^S(t|j) = C_j(t) / 2."""
-    return _at_node(short_vector, sd, j, t)
-
-
-def long_asymptote(sd: SpectralDecomposition, j: int, t: float) -> float:
-    """Long-time law D^L(t|j) = 1 - G_j(t)^2 + C_j(t) / n."""
-    return _at_node(long_vector, sd, j, t)
-
-
 def gamma_ratio(sd: SpectralDecomposition, which: str, t: float) -> float | None:
     """gamma_K(t) = D_QC(t) / D^K_QC(t) for K in {S, L}.
 
@@ -228,43 +194,6 @@ def gamma_ratio(sd: SpectralDecomposition, which: str, t: float) -> float | None
     """
     require_connected(sd)
     return gamma_of(walks.node_observables(sd, t), which)
-
-
-def delta(sd: SpectralDecomposition, j: int, t: float) -> float:
-    """delta_j(t) = G_j(t)^2 - C_j(t) / n; converges to 1/n at long times."""
-    return _at_node(delta_vector, sd, j, t)
-
-
-@dataclass(frozen=True)
-class AsymptoticsReport:
-    """Asymptote values and diagnostics for one (launch node, time) pair.
-
-    ``short``, ``long`` and ``delta`` are node-local; the gamma ratios are
-    graph-level (both sides maximized over nodes) and None when undefined.
-    """
-
-    node: int
-    t: float
-    short: float
-    long: float
-    gamma_s: float | None
-    gamma_l: float | None
-    delta: float
-
-
-def asymptotics_report(sd: SpectralDecomposition, j: int, t: float) -> AsymptoticsReport:
-    require_connected(sd)
-    j = walks.check_node(sd, j)
-    obs = walks.node_observables(sd, t)
-    return AsymptoticsReport(
-        node=j,
-        t=float(t),
-        short=float(short_vector(obs)[j]),
-        long=float(long_vector(obs)[j]),
-        gamma_s=gamma_of(obs, "S"),
-        gamma_l=gamma_of(obs, "L"),
-        delta=float(delta_vector(obs)[j]),
-    )
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,8 @@ __all__ = [
     "graph_from_edges",
     "generate",
     "laplacian",
-    "degree",
     "degree_sequence",
     "max_degree",
-    "average_degree",
     "to_edge_list",
     "parse_edge_list",
     "write_edge_list",
@@ -180,21 +178,11 @@ def degree_sequence(g: Graph) -> np.ndarray:
     return degs
 
 
-def degree(g: Graph, j: int) -> int:
-    if not 0 <= j < g.n:
-        raise ValueError(f"node {j} out of range for n={g.n}")
-    return int(degree_sequence(g)[j])
-
-
 def max_degree(g: Graph) -> tuple[int, int]:
     """(largest degree, node attaining it); ties go to the smallest index."""
     degs = degree_sequence(g)
     j = int(np.argmax(degs))
     return int(degs[j]), j
-
-
-def average_degree(g: Graph) -> float:
-    return 2.0 * len(g.edges) / g.n
 
 
 # --- edge-list text format ------------------------------------------------

@@ -1,6 +1,6 @@
 """Node-local observables of the paired classical and quantum walks.
 
-Every function here conditions on a launch node j: the classical walk
+Every quantity here conditions on a launch node j: the classical walk
 starts from the point mass at j and the quantum walk from the basis state
 |j>. The three scalar summaries are
 
@@ -22,7 +22,8 @@ forms both propagators once and reduces them column by column to the
 vectors F, C and G over all launch nodes. Every distance quantity, curve,
 CLI column and figure preset reads from it, so a time point costs one
 propagator pair however many quantities and nodes are asked for. The
-scalar functions below are node lookups into that record.
+value at one launch node j is entry j of a vector: ``obs.fidelity[j]``, or
+a law of :mod:`qcwalk.distance` applied to the record.
 """
 
 from __future__ import annotations
@@ -33,15 +34,7 @@ import numpy as np
 
 from .spectral import SpectralDecomposition, heat_propagator, unitary_propagator
 
-__all__ = [
-    "NodeObservables",
-    "node_observables",
-    "classical_distribution",
-    "quantum_amplitudes",
-    "localized_fidelity",
-    "coherence",
-    "classical_fidelity",
-]
+__all__ = ["NodeObservables", "node_observables"]
 
 #: how negative a computed probability may be before we call it a bug
 _NEGATIVE_PROBABILITY_TOL = -1e-10
@@ -52,13 +45,6 @@ def check_node(sd: SpectralDecomposition, j: int) -> int:
     if not 0 <= j < sd.n:
         raise ValueError(f"node {j} out of range for n={sd.n}")
     return j
-
-
-def _probabilities(p: np.ndarray) -> np.ndarray:
-    smallest = float(p.min())
-    if smallest < _NEGATIVE_PROBABILITY_TOL:
-        raise ValueError(f"classical distribution has negative entry {smallest:.3e}")
-    return np.clip(p, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -77,11 +63,16 @@ class NodeObservables:
 def node_observables(sd: SpectralDecomposition, t: float) -> NodeObservables:
     """The kernel: F, C and G over all launch nodes from one propagator pair.
 
-    Every entry of exp(L t) is checked and clipped as in
-    :func:`classical_distribution` before the reductions.
+    Every entry of exp(L t) is checked and clipped into [0, 1] before the
+    reductions; an entry more negative than roundoff allows means a corrupted
+    decomposition and raises ValueError.
     """
     t = float(t)
-    p = _probabilities(heat_propagator(sd, t))
+    p = heat_propagator(sd, t)
+    smallest = float(p.min())
+    if smallest < _NEGATIVE_PROBABILITY_TOL:
+        raise ValueError(f"classical distribution has negative entry {smallest:.3e}")
+    p = np.clip(p, 0.0, 1.0)
     amp = np.abs(unitary_propagator(sd, t))
     return NodeObservables(
         fidelity=np.clip((p * amp**2).sum(axis=0), 0.0, 1.0),
@@ -89,41 +80,3 @@ def node_observables(sd: SpectralDecomposition, t: float) -> NodeObservables:
         gfid=np.clip((np.sqrt(p) * amp).sum(axis=0), 0.0, 1.0),
     )
 
-
-def classical_distribution(sd: SpectralDecomposition, j: int, t: float) -> np.ndarray:
-    """Occupation probabilities p_.j(t) of the classical walk started at j.
-
-    Entries are clipped to [0, 1] after checking that no entry is negative
-    beyond roundoff; genuinely negative values indicate a corrupted
-    decomposition and raise.
-    """
-    j = check_node(sd, j)
-    return _probabilities(heat_propagator(sd, float(t))[:, j])
-
-
-def quantum_amplitudes(sd: SpectralDecomposition, j: int, t: float) -> np.ndarray:
-    """Amplitudes a_.j(t) of the quantum walk started at basis state j."""
-    j = check_node(sd, j)
-    return unitary_propagator(sd, float(t))[:, j]
-
-
-def localized_fidelity(sd: SpectralDecomposition, j: int, t: float) -> float:
-    """F_j(t) = sum_k p_kj |a_kj|^2, clamped into [0, 1]."""
-    j = check_node(sd, j)
-    return float(node_observables(sd, t).fidelity[j])
-
-
-def coherence(sd: SpectralDecomposition, j: int, t: float) -> float:
-    """C_j(t) = (sum_k |a_kj|)^2 - 1, clamped to be nonnegative.
-
-    Ranges from 0 (quantum walker still on one node) to n - 1 (flat
-    superposition over all nodes).
-    """
-    j = check_node(sd, j)
-    return float(node_observables(sd, t).coherence[j])
-
-
-def classical_fidelity(sd: SpectralDecomposition, j: int, t: float) -> float:
-    """Bhattacharyya overlap G_j(t) = sum_k sqrt(p_kj) |a_kj|, in [0, 1]."""
-    j = check_node(sd, j)
-    return float(node_observables(sd, t).gfid[j])

@@ -17,11 +17,10 @@ from conftest import ACCEPTANCE_LINES
 from qcwalk import degree_sequence, generate, laplacian
 from qcwalk.checks import run_invariant_checks
 from qcwalk.distance import (
-    conditional_distance,
-    delta,
-    long_asymptote,
+    conditional_vector,
+    delta_vector,
+    long_vector,
     qc_distance,
-    short_asymptote,
     verify_localized_optimality,
 )
 from qcwalk.spectral import (
@@ -31,7 +30,7 @@ from qcwalk.spectral import (
     unitary_propagator,
     uhlmann_fidelity,
 )
-from qcwalk.walks import coherence, classical_fidelity, localized_fidelity
+from qcwalk.walks import node_observables
 
 # node-degree law graphs: the fixed menagerie plus five seeded random graphs
 SHORT_TIME_SET = (
@@ -89,8 +88,9 @@ def test_criterion_02_short_time_degree_law():
     for g in SHORT_TIME_SET:
         sd = sd_of(g)
         degs = degree_sequence(g)
+        cond = conditional_vector(node_observables(sd, t))
         for j in range(g.n):
-            rel = abs(conditional_distance(sd, j, t) / (degs[j] * t) - 1.0)
+            rel = abs(cond[j] / (degs[j] * t) - 1.0)
             worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
     ok = worst <= 0.05 and elapsed < 1.0
@@ -107,8 +107,9 @@ def test_criterion_03_short_time_coherence_equality():
     for label, g in zip(SHORT_TIME_LABELS, SHORT_TIME_SET):
         sd = sd_of(g)
         kappa = second_order_coefficient(g)
+        obs = node_observables(sd, t)
         for j in range(g.n):
-            gap = conditional_distance(sd, j, t) - coherence(sd, j, t) / 2.0
+            gap = conditional_vector(obs)[j] - obs.coherence[j] / 2.0
             rows.append((abs(gap / (-kappa[j] * t * t) - 1.0), label, j, kappa[j]))
     # argmax, unlike max, lands on a nan
     worst, label, j, kappa_j = rows[int(np.argmax([r[0] for r in rows]))]
@@ -135,12 +136,12 @@ def test_criterion_04_long_time_decomposition():
     worst_gap, worst_identity = 0.0, 0.0
     for g in graphs:
         sd = sd_of(g)
-        t = 50.0 / sd.fiedler
+        obs = node_observables(sd, 50.0 / sd.fiedler)
         for j in range(g.n):
-            d = conditional_distance(sd, j, t)
-            worst_gap = max(worst_gap, abs(d - long_asymptote(sd, j, t)))
-            gg = classical_fidelity(sd, j, t)
-            c = coherence(sd, j, t)
+            d = conditional_vector(obs)[j]
+            worst_gap = max(worst_gap, abs(d - long_vector(obs)[j]))
+            gg = obs.gfid[j]
+            c = obs.coherence[j]
             worst_identity = max(worst_identity, abs(g.n * gg * gg - c - 1.0))
     ok = worst_gap <= 1e-2 and worst_identity <= 0.02
     assert report(
@@ -159,7 +160,8 @@ def test_criterion_05_delta_convergence():
             t_inf = 50.0 / sd.fiedler
             for t in (t_inf, 2 * t_inf, 5 * t_inf):
                 _, node = qc_distance(sd, t)
-                worst = max(worst, abs(delta(sd, node, t) - 1.0 / n))
+                obs = node_observables(sd, t)
+                worst = max(worst, abs(delta_vector(obs)[node] - 1.0 / n))
     ok = worst <= 1e-2
     assert report(5, ok, f"worst |delta - 1/n| {worst:.2e} (tol 1e-2), 20 random graphs")
 
@@ -169,7 +171,7 @@ def test_criterion_06_central_node_equivalence():
     fiedler_min = min(sd.fiedler for sd in decs)
     times = np.geomspace(1e-2, round(100.0 / fiedler_min), 400)
     curves = [
-        np.array([conditional_distance(sd, 0, t) for t in times]) for sd in decs
+        np.array([conditional_vector(node_observables(sd, t))[0] for t in times]) for sd in decs
     ]
     worst = max(
         float(np.abs(curves[0] - curves[1]).max()),
@@ -205,13 +207,14 @@ def test_criterion_08_ring_crossover():
         others = [
             sd_of(generate("random_connected", 11, extra=d, seed=seed)) for d in (4, 6, 8)
         ] + [d10]
-        ring_early = conditional_distance(ring, 1, 0.05)
+        ring_early = conditional_vector(node_observables(ring, 0.05))[1]
         smallest = all(
-            ring_early < conditional_distance(sd, 1, 0.05) for sd in others
+            ring_early < conditional_vector(node_observables(sd, 0.05))[1] for sd in others
         )
         times = np.geomspace(0.05, 10.0, 200)
         crosses = any(
-            conditional_distance(ring, 1, t) > conditional_distance(d10, 1, t)
+            conditional_vector(node_observables(ring, t))[1]
+            > conditional_vector(node_observables(d10, t))[1]
             for t in times
         )
         ok_all = ok_all and smallest and crosses
@@ -234,14 +237,13 @@ def test_criterion_09_localized_optimality_oracle():
         for t in t_values:
             p = heat_propagator(sd, t)
             u = unitary_propagator(sd, t)
+            fid = node_observables(sd, t).fidelity
             for j in range(n):
                 oracle = uhlmann_fidelity(
                     DensityMatrix.diagonal(np.clip(p[:, j], 0.0, None)),
                     DensityMatrix.pure(u[:, j]),
                 )
-                worst_reduction = max(
-                    worst_reduction, abs(localized_fidelity(sd, j, t) - oracle)
-                )
+                worst_reduction = max(worst_reduction, abs(fid[j] - oracle))
     elapsed = time.perf_counter() - t0
     ok = worst_margin >= -1e-8 and worst_reduction <= 1e-9 and elapsed < 30.0 and total >= 200
     assert report(

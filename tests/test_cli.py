@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import pytest
 from qcwalk import generate, read_edge_list
 from qcwalk.cli import main
 from qcwalk.config import GraphSource, TimeGrid, default_grid
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args, capsys):
@@ -181,6 +185,15 @@ def test_distance_node_restriction_and_expansion(capsys):
     header, _ = read_csv(stdout)
     assert header == ["t"] + [f"conditional_{j}" for j in range(5)]
 
+    # delta is graph-level without --node and node-level with it
+    for node_flags, want in (([], ["t", "delta", "qc"]), (["--node", "2"], ["t", "delta_2", "qc"])):
+        code, stdout, _ = run(
+            ["distance", "--graph", "star:5", "--steps", "1", "--quantities", "delta,qc"] + node_flags,
+            capsys,
+        )
+        assert code == 0
+        assert read_csv(stdout)[0] == want
+
 
 def test_distance_csv_to_file_deterministic(tmp_path, capsys):
     args = [
@@ -226,6 +239,23 @@ def test_distance_error_exit_codes(tmp_path, capsys):
 
     code, _, stderr = run(["distance", "--edges", str(tmp_path / "missing.edges")], capsys)
     assert code == 1
+
+
+def test_distance_quantity_list_in_help_and_error(monkeypatch, capsys):
+    # wide enough that argparse prints the list on one line
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", "--help"])
+    assert exc.value.code == 0
+    listed = "comma list from conditional,qc,average,coherence,gfid,short,long,gamma_s,gamma_l,delta\n"
+    assert listed in capsys.readouterr().out
+
+    code, stdout, stderr = run(["distance", "--graph", "ring:5", "--quantities", "qc,bogus"], capsys)
+    assert code == 1 and stdout == ""
+    assert stderr == (
+        "qcwalk: error: unknown quantity 'bogus'; choose from ('conditional', 'qc', 'average', "
+        "'coherence', 'gfid', 'short', 'long', 'gamma_s', 'gamma_l', 'delta')\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -412,10 +442,14 @@ def test_distance_plateau_at_huge_time(capsys):
 
 
 def test_installed_entry_point_runs():
+    # the child imports the same source tree as this process, however pytest was started
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qcwalk.cli", "graph", "complete", "3", "--out", "-"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "3"

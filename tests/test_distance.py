@@ -6,21 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from qcwalk import generate, graph_from_edges, laplacian
 from qcwalk.distance import (
-    AsymptoticsReport,
     DisconnectedGraphError,
-    asymptotics_report,
-    average_distance,
-    conditional_distance,
-    delta,
+    conditional_vector,
+    delta_vector,
     distance_curve,
+    gamma_of,
     gamma_ratio,
-    long_asymptote,
+    long_vector,
     qc_distance,
-    short_asymptote,
+    short_vector,
     verify_localized_optimality,
 )
 from qcwalk.spectral import eigendecompose
-from qcwalk.walks import localized_fidelity
+from qcwalk.walks import node_observables
 
 K2 = eigendecompose(laplacian(generate("complete", 2)))
 RING11 = eigendecompose(laplacian(generate("ring", 11)))
@@ -41,27 +39,27 @@ FAMILY = [
 
 
 def test_zero_time_values():
-    assert conditional_distance(K2, 0, 0.0) == 0.0
+    cond = conditional_vector(node_observables(K2, 0.0))
+    assert cond[0] == 0.0
     assert qc_distance(K2, 0.0) == (0.0, 0)
-    assert average_distance(K2, 0.0) == 0.0
+    assert np.mean(cond) == 0.0
 
 
 def test_k2_closed_form_and_slope():
     for t in (0.3, 1.1, 2.4):
         want = (1 - np.exp(-2 * t) * np.cos(2 * t)) / 2
-        assert conditional_distance(K2, 0, t) == pytest.approx(want, abs=1e-12)
+        assert conditional_vector(node_observables(K2, t))[0] == pytest.approx(want, abs=1e-12)
     h = 1e-6
-    assert conditional_distance(K2, 0, h) / h == pytest.approx(1.0, rel=1e-4)
+    assert conditional_vector(node_observables(K2, h))[0] / h == pytest.approx(1.0, rel=1e-4)
 
 
 def test_long_time_plateau():
     for label, g in FAMILY:
         sd = eigendecompose(laplacian(g))
         t = 50.0 / sd.fiedler
+        cond = conditional_vector(node_observables(sd, t))
         for j in range(g.n):
-            assert conditional_distance(sd, j, t) == pytest.approx(
-                1 - 1 / g.n, abs=1e-2
-            ), label
+            assert cond[j] == pytest.approx(1 - 1 / g.n, abs=1e-2), label
 
 
 def test_qc_distance_argmax_is_max_degree_early():
@@ -77,13 +75,14 @@ def test_qc_tie_break_smallest_index():
     assert qc_distance(RING11, 0.0) == (0.0, 0)
     for t in (0.4, 2.0):
         value, node = qc_distance(RING11, t)
-        assert value == pytest.approx(conditional_distance(RING11, 0, t), abs=1e-12)
+        assert value == pytest.approx(conditional_vector(node_observables(RING11, t))[0], abs=1e-12)
 
 
 def test_average_equals_max_on_regular_graphs():
     for t in (0.05, 0.7, 3.0, 20.0):
         value, _ = qc_distance(RING11, t)
-        assert average_distance(RING11, t) == pytest.approx(value, abs=1e-12)
+        mean = np.mean(conditional_vector(node_observables(RING11, t)))
+        assert mean == pytest.approx(value, abs=1e-12)
 
 
 @given(st.floats(0.0, 30.0, allow_nan=False))
@@ -92,7 +91,7 @@ def test_distance_bounds(t):
     value, node = qc_distance(STAR7, t)
     assert 0.0 <= value <= 1.0
     assert 0 <= node < 7
-    assert 0.0 <= average_distance(STAR7, t) <= value + 1e-15
+    assert 0.0 <= np.mean(conditional_vector(node_observables(STAR7, t))) <= value + 1e-15
 
 
 @pytest.mark.parametrize("kind,n", [("ring", 5), ("complete", 20)])
@@ -104,7 +103,7 @@ def test_plateau_holds_at_huge_times(kind, n, t):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         value, _ = qc_distance(sd, t)
-        mean = average_distance(sd, t)
+        mean = np.mean(conditional_vector(node_observables(sd, t)))
     assert abs(value - (1.0 - 1.0 / n)) <= 1e-12
     assert abs(mean - (1.0 - 1.0 / n)) <= 1e-12
 
@@ -116,8 +115,9 @@ def test_curve_matches_pointwise_bitwise():
     times = np.geomspace(1e-2, 20.0, 25)
     curve = distance_curve(STAR7, times)
     for i, t in enumerate(times):
+        cond = conditional_vector(node_observables(STAR7, t))
         for j in range(7):
-            assert curve.conditional[j, i] == conditional_distance(STAR7, j, t)
+            assert curve.conditional[j, i] == cond[j]
     assert np.array_equal(curve.qc, curve.conditional.max(axis=0))
     assert np.array_equal(curve.average, curve.conditional.mean(axis=0))
     qc_vals = [qc_distance(STAR7, t) for t in times]
@@ -160,23 +160,25 @@ def test_curve_grid_validation():
 
 
 def test_asymptotes_at_zero():
-    assert short_asymptote(K2, 0, 0.0) == 0.0
-    assert long_asymptote(K2, 0, 0.0) == pytest.approx(0.0, abs=1e-12)
+    obs = node_observables(K2, 0.0)
+    assert short_vector(obs)[0] == 0.0
+    assert long_vector(obs)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_k2_short_asymptote_closed_form():
     for t in (0.1, 0.8):
-        assert short_asymptote(K2, 0, t) == pytest.approx(abs(np.sin(2 * t)) / 2, abs=1e-12)
-    assert short_asymptote(K2, 0, 0.01) == pytest.approx(0.01, rel=1e-3)
+        short = short_vector(node_observables(K2, t))[0]
+        assert short == pytest.approx(abs(np.sin(2 * t)) / 2, abs=1e-12)
+    assert short_vector(node_observables(K2, 0.01))[0] == pytest.approx(0.01, rel=1e-3)
 
 
 def test_long_asymptote_matches_distance_late():
     for label, g in FAMILY:
         sd = eigendecompose(laplacian(g))
-        t = 50.0 / sd.fiedler
+        obs = node_observables(sd, 50.0 / sd.fiedler)
+        gap = np.abs(conditional_vector(obs) - long_vector(obs))
         for j in range(g.n):
-            gap = abs(conditional_distance(sd, j, t) - long_asymptote(sd, j, t))
-            assert gap <= 1e-2, label
+            assert gap[j] <= 1e-2, label
 
 
 def test_gamma_limits():
@@ -200,24 +202,24 @@ def test_gamma_selector_accepts_aliases():
 
 def test_delta_converges_to_one_over_n():
     t_inf = 50.0 / RING11.fiedler
-    assert delta(RING11, 0, t_inf) == pytest.approx(1 / 11, abs=1e-2)
-    assert delta(RING11, 0, 3 * t_inf) == pytest.approx(1 / 11, abs=1e-2)
+    assert delta_vector(node_observables(RING11, t_inf))[0] == pytest.approx(1 / 11, abs=1e-2)
+    assert delta_vector(node_observables(RING11, 3 * t_inf))[0] == pytest.approx(1 / 11, abs=1e-2)
 
 
 def test_delta_starts_at_one():
-    assert delta(RING11, 0, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert delta_vector(node_observables(RING11, 0.0))[0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_asymptotics_report_fields():
-    rep = asymptotics_report(STAR7, 0, 0.5)
-    assert isinstance(rep, AsymptoticsReport)
-    assert rep.short == short_asymptote(STAR7, 0, 0.5)
-    assert rep.long == long_asymptote(STAR7, 0, 0.5)
-    assert rep.gamma_s == gamma_ratio(STAR7, "S", 0.5)
-    assert rep.gamma_l == gamma_ratio(STAR7, "L", 0.5)
-    assert rep.delta == delta(STAR7, 0, 0.5)
-    zero = asymptotics_report(STAR7, 0, 0.0)
-    assert zero.gamma_s is None and zero.gamma_l is None
+def test_asymptote_laws_and_gammas_read_one_record():
+    obs = node_observables(STAR7, 0.5)
+    c, g, n = obs.coherence[0], obs.gfid[0], obs.n
+    assert short_vector(obs)[0] == c / 2.0
+    assert long_vector(obs)[0] == 1.0 - g * g + c / n
+    assert gamma_of(obs, "S") == gamma_ratio(STAR7, "S", 0.5)
+    assert gamma_of(obs, "L") == gamma_ratio(STAR7, "L", 0.5)
+    assert delta_vector(obs)[0] == g * g - c / n
+    zero = node_observables(STAR7, 0.0)
+    assert gamma_of(zero, "S") is None and gamma_of(zero, "L") is None
 
 
 # --- connectivity guard ----------------------------------------------------------------
@@ -225,19 +227,13 @@ def test_asymptotics_report_fields():
 
 def test_disconnected_graphs_are_refused():
     with pytest.raises(DisconnectedGraphError):
-        conditional_distance(DISCONNECTED, 0, 1.0)
-    with pytest.raises(DisconnectedGraphError):
         qc_distance(DISCONNECTED, 1.0)
-    with pytest.raises(DisconnectedGraphError):
-        average_distance(DISCONNECTED, 1.0)
     with pytest.raises(DisconnectedGraphError):
         distance_curve(DISCONNECTED, [1.0])
     with pytest.raises(DisconnectedGraphError):
-        short_asymptote(DISCONNECTED, 0, 1.0)
-    with pytest.raises(DisconnectedGraphError):
         gamma_ratio(DISCONNECTED, "S", 1.0)
     with pytest.raises(DisconnectedGraphError):
-        delta(DISCONNECTED, 0, 1.0)
+        gamma_ratio(DISCONNECTED, "L", 1.0)
     with pytest.raises(DisconnectedGraphError):
         verify_localized_optimality(DISCONNECTED, 2, [1.0])
 
@@ -274,7 +270,7 @@ def test_optimality_localized_state_margin_zero():
         rho_c = DensityMatrix.diagonal(p @ z)
         rho_q = DensityMatrix((u * z) @ u.conj().T)
         fid = uhlmann_fidelity(rho_c, rho_q)
-        assert fid == pytest.approx(localized_fidelity(sd, j, t), abs=1e-9)
+        assert fid == pytest.approx(node_observables(sd, t).fidelity[j], abs=1e-9)
 
 
 def test_optimality_pure_rows_take_the_scalar_path(monkeypatch):
@@ -295,8 +291,9 @@ def test_optimality_pure_rows_take_the_scalar_path(monkeypatch):
     z = np.array([np.eye(7)[0], np.full(7, 1.0 / 7), np.eye(7)[3]])
     fid = spectral.classical_quantum_fidelity(np.clip(z @ p.T, 0.0, None), (u * z[:, None, :]) @ u.conj().T)
     assert len(calls) == 2
-    assert fid[0] == pytest.approx(localized_fidelity(sd, 0, t), abs=1e-9)
-    assert fid[2] == pytest.approx(localized_fidelity(sd, 3, t), abs=1e-9)
+    localized = node_observables(sd, t).fidelity
+    assert fid[0] == pytest.approx(localized[0], abs=1e-9)
+    assert fid[2] == pytest.approx(localized[3], abs=1e-9)
     assert fid[1] >= min(fid[0], fid[2]) - 1e-8
 
 

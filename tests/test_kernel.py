@@ -3,7 +3,7 @@
 The kernel forms exp(L t) and exp(i L t) from one eigendecomposition; the
 reference here forms them with scipy.linalg.expm from the Laplacian matrix
 and reduces them to F, C and G directly. The derived graph-level quantities
-(qc, gamma_S, gamma_L) and the per-node delta are checked the same way.
+(qc, gamma_S, gamma_L) and the delta vector are checked the same way.
 """
 
 import numpy as np
@@ -11,9 +11,18 @@ import pytest
 from scipy.linalg import expm
 
 from qcwalk import generate, laplacian
-from qcwalk.distance import delta, gamma_ratio, qc_distance
+import qcwalk.walks as walks
+from qcwalk.distance import (
+    conditional_vector,
+    delta_vector,
+    distance_curve,
+    gamma_of,
+    gamma_ratio,
+    qc_distance,
+    qc_of,
+)
 from qcwalk.spectral import eigendecompose
-from qcwalk.walks import classical_fidelity, coherence, localized_fidelity, node_observables
+from qcwalk.walks import node_observables
 
 GRAPHS = [
     ("star(7)", generate("star", 7)),
@@ -58,19 +67,17 @@ def test_kernel_matches_expm(label, g):
         assert_close(gamma_ratio(sd, "S", t), qc / (c / 2.0).max(), f"{label} gamma_S at t={t:.3g}")
         long_max = (1.0 - gf**2 + c / n).max()
         assert_close(gamma_ratio(sd, "L", t), qc / long_max, f"{label} gamma_L at t={t:.3g}")
-        assert_close(
-            [delta(sd, j, t) for j in range(n)], gf**2 - c / n, f"{label} delta at t={t:.3g}"
-        )
+        assert_close(delta_vector(obs), gf**2 - c / n, f"{label} delta at t={t:.3g}")
 
 
 def test_pointwise_functions_are_node_lookups_into_the_kernel():
     sd = eigendecompose(laplacian(generate("wheel", 9)))
     for t in (0.0, 0.37, 4.2):
         obs = node_observables(sd, t)
-        for j in range(sd.n):
-            assert localized_fidelity(sd, j, t) == obs.fidelity[j]
-            assert coherence(sd, j, t) == obs.coherence[j]
-            assert classical_fidelity(sd, j, t) == obs.gfid[j]
+        assert qc_distance(sd, t) == qc_of(obs)
+        assert gamma_ratio(sd, "S", t) == gamma_of(obs, "S")
+        assert gamma_ratio(sd, "L", t) == gamma_of(obs, "L")
+        assert np.array_equal(distance_curve(sd, [t]).conditional[:, 0], conditional_vector(obs))
 
 
 def test_kernel_at_zero_time_is_exact():
@@ -85,3 +92,11 @@ def test_kernel_refuses_negative_time():
     sd = eigendecompose(laplacian(generate("ring", 6)))
     with pytest.raises(ValueError):
         node_observables(sd, -0.5)
+
+
+def test_kernel_refuses_negative_probabilities(monkeypatch):
+    # an entry of exp(L t) below -1e-10 means a corrupted decomposition, not roundoff
+    sd = eigendecompose(laplacian(generate("ring", 6)))
+    monkeypatch.setattr(walks, "heat_propagator", lambda sd, t: np.eye(sd.n) - 1e-6)
+    with pytest.raises(ValueError, match="negative entry"):
+        node_observables(sd, 0.5)
