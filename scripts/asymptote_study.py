@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from qcwalk import GraphSource, default_grid, eigendecompose, laplacian
+from qcwalk import default_grid, eigendecompose, graph_from_spec, laplacian
 from qcwalk.distance import delta_vector, gamma_of, long_vector, qc_of, short_vector
 from qcwalk.walks import node_observables
 
@@ -26,7 +26,7 @@ def main() -> None:
     parser.add_argument("--points", type=int, default=12, help="rows to print")
     args = parser.parse_args()
 
-    g = GraphSource.from_token(args.graph).build(seed=args.seed)
+    g = graph_from_spec(args.graph, seed=args.seed)
     sd = eigendecompose(laplacian(g))
     grid = default_grid(sd.fiedler)
     times = np.geomspace(grid.t_min, grid.t_max, args.points)

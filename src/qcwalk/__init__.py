@@ -17,9 +17,16 @@ The package namespace holds the quick-start names; everything else lives
 in the submodules (graph, spectral, walks, distance, config, checks, cli).
 """
 
-from .config import GraphSource, TimeGrid, default_grid
+from .config import TimeGrid, default_grid
 from .distance import distance_curve, gamma_ratio, qc_distance
-from .graph import degree_sequence, generate, graph_from_edges, laplacian, read_edge_list
+from .graph import (
+    degree_sequence,
+    generate,
+    graph_from_edges,
+    graph_from_spec,
+    laplacian,
+    read_edge_list,
+)
 from .spectral import eigendecompose
 
 __version__ = "0.1.0"

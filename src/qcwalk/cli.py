@@ -26,9 +26,17 @@ import numpy as np
 
 from . import distance as dist
 from .checks import run_invariant_checks, run_optimality_checks
-from .config import GraphSource, TimeGrid, default_grid
+from .config import TimeGrid, default_grid
 from .distance import DisconnectedGraphError
-from .graph import generate, laplacian, max_degree, to_edge_list, write_edge_list
+from .graph import (
+    generate,
+    graph_from_spec,
+    laplacian,
+    max_degree,
+    read_edge_list,
+    to_edge_list,
+    write_edge_list,
+)
 from .spectral import SpectralDecomposition, eigendecompose
 from .walks import check_node, node_observables
 
@@ -124,8 +132,7 @@ def _write_csv(out: str, sd, outputs, node, times) -> list[str]:
 
 
 def cmd_graph(args) -> int:
-    source = GraphSource(kind=args.kind, n=args.n, extra=args.extra)
-    g = source.build(seed=args.seed)
+    g = generate(args.kind, args.n, extra=args.extra, seed=args.seed)
     dmax, _ = max_degree(g)
     fiedler = _fmt(eigendecompose(laplacian(g)).fiedler) if g.n >= 2 else "NA"
     summary = f"nodes={g.n} edges={len(g.edges)} max_degree={dmax} fiedler={fiedler}"
@@ -150,12 +157,6 @@ def _default_edges_name(args) -> str:
 # --- distance ----------------------------------------------------------------
 
 
-def _graph_source(args) -> GraphSource:
-    if args.edges is not None:
-        return GraphSource.from_path(args.edges)
-    return GraphSource.from_token(args.graph)
-
-
 def _resolve_grid(args, fiedler: float) -> TimeGrid:
     t_max = args.tmax
     if t_max is None:
@@ -165,8 +166,10 @@ def _resolve_grid(args, fiedler: float) -> TimeGrid:
 
 
 def cmd_distance(args) -> int:
-    source = _graph_source(args)
-    g = source.build(seed=args.seed)
+    if args.edges is not None:
+        g = read_edge_list(args.edges)
+    else:
+        g = graph_from_spec(args.graph, seed=args.seed)
     sd = eigendecompose(laplacian(g))
     dist.require_connected(sd)
     if args.node is not None:

@@ -42,7 +42,6 @@ from .walks import NodeObservables
 __all__ = [
     "DisconnectedGraphError",
     "DistanceCurve",
-    "OptimalityReport",
     "conditional_vector",
     "short_vector",
     "long_vector",
@@ -196,40 +195,12 @@ def gamma_ratio(sd: SpectralDecomposition, which: str, t: float) -> float | None
     return gamma_of(walks.node_observables(sd, t), which)
 
 
-@dataclass(frozen=True)
-class OptimalityReport:
-    """Margins from the localized-optimality check.
-
-    ``margins[s, i]`` is fidelity(E_C(rho_s), E_Q(rho_s)) minus
-    min_j F_j(t_i) for the s-th sampled diagonal state. Nonnegative margins
-    mean localized states really do attain the fidelity minimum; roundoff
-    as far down as -VIOLATION_TOL is tolerated.
-    """
-
-    margins: np.ndarray
-    t_values: np.ndarray
-
-    def __post_init__(self):
-        for name in ("margins", "t_values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def worst_violation(self) -> float:
-        return float(self.margins.min())
-
-    @property
-    def passed(self) -> bool:
-        return self.worst_violation >= -VIOLATION_TOL
-
-
 def verify_localized_optimality(
     sd: SpectralDecomposition,
     n_samples: int,
     t_values,
     seed: int = 0,
-) -> OptimalityReport:
+) -> np.ndarray:
     """Check that localized starts minimize the classical-quantum fidelity.
 
     Draws ``n_samples`` diagonal initial states with Dirichlet-uniform
@@ -245,6 +216,11 @@ def verify_localized_optimality(
     pair, one stacked eigvalsh to validate the quantum states and one for
     their fidelities (classical_quantum_fidelity), whatever ``n_samples``
     is. Keep n at desk scale (<= 10 or so).
+
+    Returns the margins, shape (n_samples, len(t_values)): entry [s, i] is
+    the s-th sample's fidelity at t_values[i] minus min_j F_j there.
+    Localized starts attain the minimum when every margin is at least
+    -VIOLATION_TOL, the roundoff slack.
     """
     require_connected(sd)
     n_samples = int(n_samples)
@@ -264,4 +240,4 @@ def verify_localized_optimality(
         q = np.clip(z @ p.T, 0.0, None)
         rho_q = (u * z[:, None, :]) @ u.conj().T
         margins[:, i] = classical_quantum_fidelity(q, rho_q) - floor
-    return OptimalityReport(margins=margins, t_values=t_values)
+    return margins

@@ -22,6 +22,7 @@ __all__ = [
     "GENERATOR_KINDS",
     "graph_from_edges",
     "generate",
+    "graph_from_spec",
     "laplacian",
     "degree_sequence",
     "max_degree",
@@ -158,6 +159,19 @@ def generate(kind: str, n: int, extra: int | None = None, seed: int = 0) -> Grap
         pairs += [(1, int(k)) for k in chosen]
 
     return graph_from_edges(n, pairs)
+
+
+def graph_from_spec(token: str, seed: int = 0) -> Graph:
+    """Graph of a 'kind:n' or 'kind:n:extra' spec, e.g. 'random_connected:11:6'; see generate."""
+    parts = token.split(":")
+    if len(parts) not in (2, 3):
+        raise ValueError(f"graph spec {token!r} is not kind:n or kind:n:extra")
+    try:
+        n = int(parts[1])
+        extra = int(parts[2]) if len(parts) == 3 else None
+    except ValueError:
+        raise ValueError(f"graph spec {token!r} has non-integer parameters") from None
+    return generate(parts[0], n, extra=extra, seed=seed)
 
 
 def laplacian(g: Graph) -> Laplacian:

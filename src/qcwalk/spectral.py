@@ -108,11 +108,11 @@ def heat_propagator(sd: SpectralDecomposition, t: float) -> np.ndarray:
     Column j holds the occupation distribution after starting at node j.
     Because the Laplacian is symmetric with zero row sums, the result is
     doubly stochastic for t >= 0. Negative t is rejected: the semigroup
-    does not run backwards.
+    does not run backwards. So is a non-finite t.
     """
     t = float(t)
-    if t < 0:
-        raise ValueError(f"heat propagator needs t >= 0, got {t}")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"heat propagator needs finite t >= 0, got {t}")
     if t == 0.0:
         # exactly the identity, not the identity up to roundoff
         return np.eye(sd.n)
@@ -122,8 +122,10 @@ def heat_propagator(sd: SpectralDecomposition, t: float) -> np.ndarray:
 
 
 def unitary_propagator(sd: SpectralDecomposition, t: float) -> np.ndarray:
-    """exp(i L t): the quantum walk unitary at time t (complex, unitary)."""
+    """exp(i L t): the quantum walk unitary at time t (complex, unitary); any finite t."""
     t = float(t)
+    if not np.isfinite(t):
+        raise ValueError(f"unitary propagator needs finite t, got {t}")
     if t == 0.0:
         return np.eye(sd.n, dtype=complex)
     phases = np.exp(1j * sd.eigenvalues * t)
@@ -218,7 +220,9 @@ def classical_quantum_fidelity(q, rho) -> np.ndarray:
     (S, n, n). Both stacks are validated like DensityMatrix. sqrt(diag(q))
     is elementwise, so each mixed pair costs one eigvalsh of
     sqrt(q_i) rho_ij sqrt(q_j), all S in one stacked call. Rows where either
-    state is pure go through uhlmann_fidelity, like its rank-one shortcut.
+    state is pure take the exact closed form F = sum_k q_k rho_kk instead
+    (<psi|diag(q)|psi> when rho is |psi><psi|, rho_kk when q is e_k), the
+    same rank-one shortcut uhlmann_fidelity takes.
     """
     q = np.asarray(q, dtype=float)
     rho = np.asarray(rho, dtype=complex)
@@ -230,7 +234,6 @@ def classical_quantum_fidelity(q, rho) -> np.ndarray:
     root = np.sqrt(q)
     inner = root[:, :, None] * rho * root[:, None, :]
     vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    fid = np.clip(np.sqrt(vals).sum(axis=1) ** 2, 0.0, 1.0)
-    for s in np.flatnonzero(pure):
-        fid[s] = uhlmann_fidelity(DensityMatrix.diagonal(q[s]), DensityMatrix(rho[s]))
-    return fid
+    mixed = np.sqrt(vals).sum(axis=1) ** 2
+    rank_one = np.einsum("sk,skk->s", q, rho).real
+    return np.clip(np.where(pure, rank_one, mixed), 0.0, 1.0)

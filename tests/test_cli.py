@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcwalk import generate, read_edge_list
+from qcwalk import generate, graph_from_spec, read_edge_list
 from qcwalk.cli import main
-from qcwalk.config import GraphSource, TimeGrid, default_grid
+from qcwalk.config import TimeGrid, default_grid
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -65,15 +65,13 @@ def test_default_grid_spans_relaxation():
     assert grid.t_max == 20.0
 
 
-def test_graph_source_tokens():
-    assert GraphSource.from_token("ring:11").build().n == 11
-    g = GraphSource.from_token("random_connected:11:6").build(seed=3)
+def test_graph_from_spec_tokens():
+    assert graph_from_spec("ring:11").n == 11
+    g = graph_from_spec("random_connected:11:6", seed=3)
     assert g == generate("random_connected", 11, extra=6, seed=3)
     for bad in ("ring", "ring:x", "blob:5", "ring:5:2:9"):
         with pytest.raises(ValueError):
-            GraphSource.from_token(bad)
-    with pytest.raises(ValueError):
-        GraphSource(kind="ring", n=5, path="x.edges")
+            graph_from_spec(bad)
 
 
 # --- graph subcommand ----------------------------------------------------------------
@@ -218,6 +216,21 @@ def test_distance_linear_grid(capsys):
     assert code == 0
     _, rows = read_csv(stdout)
     assert [r[0] for r in rows] == ["0", "0.5", "1"]
+
+
+def test_distance_edges_matches_graph_spec(tmp_path, capsys):
+    # the edge list `graph` writes drives the same sweep as the generator spec it came from
+    edges = tmp_path / "g.edges"
+    assert main(["graph", "random_connected", "11", "6", "--seed", "3", "--out", str(edges)]) == 0
+    capsys.readouterr()
+    flags = ["--steps", "60", "--quantities", "qc,average,gamma_s,gamma_l,delta"]
+    code, from_edges, _ = run(["distance", "--edges", str(edges)] + flags, capsys)
+    assert code == 0
+    code, from_spec, _ = run(
+        ["distance", "--graph", "random_connected:11:6", "--seed", "3"] + flags, capsys
+    )
+    assert code == 0
+    assert from_edges == from_spec
 
 
 def test_distance_error_exit_codes(tmp_path, capsys):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from qcwalk import eigendecompose, generate, laplacian
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -22,6 +24,13 @@ def run_script(name, *args):
 def test_asymptote_study_runs():
     proc = run_script("asymptote_study.py", "--points", "3")
     assert proc.returncode == 0, proc.stderr
+    # the seed reaches the generator: seed 3's graph (fiedler 0.6514) is not seed 0's (0.5090)
+    fiedler = eigendecompose(laplacian(generate("random_connected", 11, extra=6, seed=3))).fiedler
+    proc = run_script(
+        "asymptote_study.py", "--points", "3", "--graph", "random_connected:11:6", "--seed", "3"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"fiedler={fiedler:.4f}" in proc.stdout.splitlines()[0]
 
 
 def test_reproduce_figures_runs(tmp_path):

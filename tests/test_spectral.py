@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from qcwalk import generate, laplacian
+from qcwalk import gamma_ratio, generate, laplacian, qc_distance
+from qcwalk.distance import verify_localized_optimality
 from qcwalk.spectral import (
     DensityMatrix,
     check_density,
@@ -13,6 +14,7 @@ from qcwalk.spectral import (
     unitary_propagator,
     uhlmann_fidelity,
 )
+from qcwalk.walks import node_observables
 
 FAMILY = [
     generate("complete", 5),
@@ -140,8 +142,21 @@ def test_propagators_identity_at_zero():
 
 
 def test_heat_rejects_negative_time():
+    sd = DECS[0]
     with pytest.raises(ValueError):
-        heat_propagator(DECS[0], -0.1)
+        heat_propagator(sd, -0.1)
+    # non-finite times are refused too, by both propagators and every caller
+    for t in (np.nan, np.inf, -np.inf):
+        for call in (
+            lambda: heat_propagator(sd, t),
+            lambda: unitary_propagator(sd, t),
+            lambda: node_observables(sd, t),
+            lambda: qc_distance(sd, t),
+            lambda: gamma_ratio(sd, "S", t),
+            lambda: verify_localized_optimality(sd, 5, [0.5, t]),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                call()
 
 
 def test_k2_closed_forms():
