@@ -29,10 +29,10 @@ from .checks import run_invariant_checks, run_optimality_checks
 from .config import TimeGrid, default_grid
 from .distance import DisconnectedGraphError
 from .graph import (
+    degree_sequence,
     generate,
     graph_from_spec,
     laplacian,
-    max_degree,
     read_edge_list,
     to_edge_list,
     write_edge_list,
@@ -133,7 +133,7 @@ def _write_csv(out: str, sd, outputs, node, times) -> list[str]:
 
 def cmd_graph(args) -> int:
     g = generate(args.kind, args.n, extra=args.extra, seed=args.seed)
-    dmax, _ = max_degree(g)
+    dmax = int(degree_sequence(g).max())
     fiedler = _fmt(eigendecompose(laplacian(g)).fiedler) if g.n >= 2 else "NA"
     summary = f"nodes={g.n} edges={len(g.edges)} max_degree={dmax} fiedler={fiedler}"
     if args.out == "-":

@@ -26,8 +26,6 @@ looked up on the walks module so that a patched kernel reaches every caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import walks
@@ -41,7 +39,6 @@ from .walks import NodeObservables
 
 __all__ = [
     "DisconnectedGraphError",
-    "DistanceCurve",
     "conditional_vector",
     "short_vector",
     "long_vector",
@@ -119,34 +116,6 @@ def qc_distance(sd: SpectralDecomposition, t: float) -> tuple[float, int]:
     return qc_of(walks.node_observables(sd, t))
 
 
-@dataclass(frozen=True)
-class DistanceCurve:
-    """Distance quantities tabulated over a time grid.
-
-    ``conditional[j, i]`` is D_QC(times[i] | j); ``qc``, ``argmax_node``
-    and ``average`` are the per-time maximum, its node, and the node mean,
-    all derived exactly from ``conditional``.
-    """
-
-    times: np.ndarray
-    conditional: np.ndarray
-    qc: np.ndarray
-    argmax_node: np.ndarray
-    average: np.ndarray
-
-    def __post_init__(self):
-        for name in ("times", "conditional", "qc", "argmax_node", "average"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.conditional.shape != (self.conditional.shape[0], self.times.size):
-            raise ValueError("conditional matrix does not match the time grid")
-
-    @property
-    def n(self) -> int:
-        return self.conditional.shape[0]
-
-
 def _check_grid(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -160,27 +129,21 @@ def _check_grid(times) -> np.ndarray:
     return times
 
 
-def distance_curve(sd: SpectralDecomposition, times) -> DistanceCurve:
-    """Tabulate D_QC(t|j) on a grid, plus the per-time max and mean.
+def distance_curve(sd: SpectralDecomposition, times) -> np.ndarray:
+    """D_QC(t|j) on a grid: the (n, len(times)) array with [j, i] = D_QC(times[i] | j).
 
-    Column i comes from one kernel call, node_observables(sd, times[i]),
-    the same per-time record every pointwise function reads. Its cells are
-    therefore bitwise identical to conditional_vector of that record, and
-    each grid point costs one propagator pair.
+    Column i comes from one kernel call, node_observables(sd, times[i]), so
+    its cells are bitwise identical to conditional_vector of that record and
+    each grid point costs one propagator pair. D_QC(t) is curve.max(axis=0),
+    its node curve.argmax(axis=0) (ties go to the smallest index, as in
+    qc_of) and the node average curve.mean(axis=0).
     """
     require_connected(sd)
     times = _check_grid(times)
     cond = np.empty((sd.n, times.size))
     for i, t in enumerate(times):
         cond[:, i] = conditional_vector(walks.node_observables(sd, t))
-    argmax = np.argmax(cond, axis=0)
-    return DistanceCurve(
-        times=times,
-        conditional=cond,
-        qc=cond.max(axis=0),
-        argmax_node=argmax,
-        average=cond.mean(axis=0),
-    )
+    return cond
 
 
 def gamma_ratio(sd: SpectralDecomposition, which: str, t: float) -> float | None:
@@ -215,7 +178,8 @@ def verify_localized_optimality(
     validated and compared as one stack: per time that is one propagator
     pair, one stacked eigvalsh to validate the quantum states and one for
     their fidelities (classical_quantum_fidelity), whatever ``n_samples``
-    is. Keep n at desk scale (<= 10 or so).
+    is. Keep n at desk scale (<= 10 or so). ``t_values`` is checked like
+    distance_curve's grid.
 
     Returns the margins, shape (n_samples, len(t_values)): entry [s, i] is
     the s-th sample's fidelity at t_values[i] minus min_j F_j there.
@@ -226,7 +190,7 @@ def verify_localized_optimality(
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
+    t_values = _check_grid(t_values)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     n = sd.n
 

@@ -25,7 +25,6 @@ __all__ = [
     "graph_from_spec",
     "laplacian",
     "degree_sequence",
-    "max_degree",
     "to_edge_list",
     "parse_edge_list",
     "write_edge_list",
@@ -190,13 +189,6 @@ def degree_sequence(g: Graph) -> np.ndarray:
         degs[u] += 1
         degs[v] += 1
     return degs
-
-
-def max_degree(g: Graph) -> tuple[int, int]:
-    """(largest degree, node attaining it); ties go to the smallest index."""
-    degs = degree_sequence(g)
-    j = int(np.argmax(degs))
-    return int(degs[j]), j
 
 
 # --- edge-list text format ------------------------------------------------

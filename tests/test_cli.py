@@ -87,6 +87,14 @@ def test_graph_writes_file_and_summary(tmp_path, capsys):
     text = out.read_text().splitlines()
     assert text[0] == "5"
     assert len(text) == 11
+    # irregular graphs: the summary reports the largest degree, not node 0's or the smallest
+    for kind, n, summary in (
+        ("path", "4", "nodes=4 edges=3 max_degree=2 "),
+        ("wheel", "9", "nodes=9 edges=16 max_degree=8 "),
+    ):
+        code, stdout, _ = run(["graph", kind, n, "--out", str(tmp_path / f"{kind}.edges")], capsys)
+        assert code == 0
+        assert summary in stdout
 
 
 def test_graph_stdout_mode(capsys):

@@ -115,32 +115,31 @@ def test_plateau_holds_at_huge_times(kind, n, t):
 def test_curve_matches_pointwise_bitwise():
     times = np.geomspace(1e-2, 20.0, 25)
     curve = distance_curve(STAR7, times)
+    assert curve.shape == (7, times.size)
     for i, t in enumerate(times):
         cond = conditional_vector(node_observables(STAR7, t))
         for j in range(7):
-            assert curve.conditional[j, i] == cond[j]
-    assert np.array_equal(curve.qc, curve.conditional.max(axis=0))
-    assert np.array_equal(curve.average, curve.conditional.mean(axis=0))
+            assert curve[j, i] == cond[j]
     qc_vals = [qc_distance(STAR7, t) for t in times]
-    assert np.array_equal(curve.qc, [v for v, _ in qc_vals])
-    assert np.array_equal(curve.argmax_node, [n for _, n in qc_vals])
+    assert np.array_equal(curve.max(axis=0), [v for v, _ in qc_vals])
+    assert np.array_equal(curve.argmax(axis=0), [n for _, n in qc_vals])
 
 
 def test_curve_at_zero_grid():
     curve = distance_curve(K2, [0.0])
-    assert np.array_equal(curve.conditional, np.zeros((2, 1)))
-    assert curve.qc[0] == 0.0
+    assert np.array_equal(curve, np.zeros((2, 1)))
+    assert curve.max(axis=0)[0] == 0.0
 
 
 def test_curve_k5_reaches_plateau():
     curve = distance_curve(eigendecompose(laplacian(generate("complete", 5))), np.geomspace(1e-2, 10, 60))
-    assert abs(curve.qc[-1] - 0.8) <= 1e-3
+    assert abs(curve.max(axis=0)[-1] - 0.8) <= 1e-3
 
 
 def test_curve_values_in_unit_interval():
     curve = distance_curve(RING11, np.geomspace(1e-2, 300, 80))
-    assert curve.conditional.min() >= 0.0
-    assert curve.conditional.max() <= 1.0
+    assert curve.min() >= 0.0
+    assert curve.max() <= 1.0
 
 
 def test_curve_grid_validation():
@@ -347,3 +346,8 @@ def test_optimality_eigensolves_independent_of_sample_count(monkeypatch):
 def test_optimality_input_validation():
     with pytest.raises(ValueError):
         verify_localized_optimality(K2, 0, [1.0])
+    # t_values is checked like distance_curve's grid
+    ring5 = eigendecompose(laplacian(generate("ring", 5)))
+    for t_values in ([], [[0.1, 0.2], [0.3, 0.4]], [0.3, 0.1], [-0.1]):
+        with pytest.raises(ValueError):
+            verify_localized_optimality(ring5, 5, t_values)

@@ -126,12 +126,8 @@ def test_laplacian_is_read_only():
 
 def test_degree_helpers():
     g = G.generate("star", 5)
-    assert G.max_degree(g) == (4, 0)
+    assert G.degree_sequence(g).max() == 4
     assert G.degree_sequence(g).mean() == 2 * 4 / 5
-
-
-def test_max_degree_tie_break_smallest_index():
-    assert G.max_degree(G.generate("ring", 6)) == (2, 0)
 
 
 # --- connectivity and the fiedler value ---------------------------------------

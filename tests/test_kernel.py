@@ -77,7 +77,7 @@ def test_pointwise_functions_are_node_lookups_into_the_kernel():
         assert qc_distance(sd, t) == qc_of(obs)
         assert gamma_ratio(sd, "S", t) == gamma_of(obs, "S")
         assert gamma_ratio(sd, "L", t) == gamma_of(obs, "L")
-        assert np.array_equal(distance_curve(sd, [t]).conditional[:, 0], conditional_vector(obs))
+        assert np.array_equal(distance_curve(sd, [t])[:, 0], conditional_vector(obs))
 
 
 def test_kernel_at_zero_time_is_exact():
