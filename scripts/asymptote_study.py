@@ -11,8 +11,7 @@ once gamma_L settles at 1 and delta reaches 1/n.
 """
 
 import argparse
-
-import numpy as np
+from dataclasses import replace
 
 from qcwalk import default_grid, eigendecompose, graph_from_spec, laplacian
 from qcwalk.distance import delta_vector, gamma_of, long_vector, qc_of, short_vector
@@ -28,8 +27,7 @@ def main() -> None:
 
     g = graph_from_spec(args.graph, seed=args.seed)
     sd = eigendecompose(laplacian(g))
-    grid = default_grid(sd.fiedler)
-    times = np.geomspace(grid.t_min, grid.t_max, args.points)
+    times = replace(default_grid(sd.fiedler), steps=args.points).times()
 
     def fmt(x):
         return "     NA" if x is None else f"{x:7.4f}"

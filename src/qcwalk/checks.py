@@ -148,9 +148,7 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
     return [_result(name, found) for name, found in errs.items()]
 
 
-def run_optimality_checks(
-    n_max: int = 8, samples: int = 200, seed: int = 0
-) -> tuple[list[CheckResult], float]:
+def run_optimality_checks(n_max: int, samples: int, seed: int) -> tuple[list[CheckResult], float]:
     """Localized-optimality sweep over random connected graphs.
 
     Spreads ``samples`` Dirichlet draws across sizes 3..n_max and times

@@ -20,13 +20,14 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import distance as dist
 from .checks import run_invariant_checks, run_optimality_checks
-from .config import TimeGrid, default_grid
+from .config import DEFAULT_STEPS, DEFAULT_T_MIN, TimeGrid, default_grid
 from .distance import DisconnectedGraphError
 from .graph import (
     degree_sequence,
@@ -157,14 +158,6 @@ def _default_edges_name(args) -> str:
 # --- distance ----------------------------------------------------------------
 
 
-def _resolve_grid(args, fiedler: float) -> TimeGrid:
-    t_max = args.tmax
-    if t_max is None:
-        t_max = default_grid(fiedler).t_max if fiedler > 0 else 10.0
-    spacing = "linear" if args.linear else "log"
-    return TimeGrid(t_min=args.tmin, t_max=t_max, steps=args.steps, spacing=spacing)
-
-
 def cmd_distance(args) -> int:
     if args.edges is not None:
         g = read_edge_list(args.edges)
@@ -174,7 +167,11 @@ def cmd_distance(args) -> int:
     dist.require_connected(sd)
     if args.node is not None:
         check_node(sd, args.node)
-    grid = _resolve_grid(args, sd.fiedler if g.n >= 2 else 0.0)
+    t_max = args.tmax
+    if t_max is None:
+        # one node has no fiedler value, so its grid ends at t = 10
+        t_max = default_grid(sd.fiedler).t_max if g.n >= 2 else 10.0
+    grid = TimeGrid(args.tmin, t_max, args.steps, "linear" if args.linear else "log")
     outputs = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
     if not outputs:
         raise ValueError("at least one output quantity is required")
@@ -238,12 +235,7 @@ def cmd_figure(args) -> int:
     manifest = {
         "figure": args.which,
         "seed": args.seed,
-        "grid": {
-            "t_min": grid.t_min,
-            "t_max": grid.t_max,
-            "steps": grid.steps,
-            "spacing": grid.spacing,
-        },
+        "grid": asdict(grid),
         "curves": [],
     }
     for c in curves:
@@ -291,17 +283,6 @@ def cmd_verify(args) -> int:
 # --- wiring ------------------------------------------------------------------
 
 
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tmin", type=float, default=1e-2, help="first grid time")
-    p.add_argument(
-        "--tmax", type=float, default=None, help="last grid time (default: 100/fiedler)"
-    )
-    p.add_argument("--steps", type=int, default=400, help="number of grid points")
-    spacing = p.add_mutually_exclusive_group()
-    spacing.add_argument("--log", action="store_true", help="log spacing (default)")
-    spacing.add_argument("--linear", action="store_true", help="linear spacing")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qcwalk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -318,7 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", help="generator spec kind:n[:extra]")
     src.add_argument("--edges", help="edge-list file path")
-    _add_grid_flags(p)
+    p.add_argument("--tmin", type=float, default=DEFAULT_T_MIN, help="first grid time")
+    p.add_argument(
+        "--tmax", type=float, default=None, help="last grid time (default: 100/fiedler)"
+    )
+    p.add_argument("--steps", type=int, default=DEFAULT_STEPS, help="number of grid points")
+    p.add_argument("--linear", action="store_true", help="linear spacing (default: log)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--node", type=int, default=None, help="restrict node-resolved quantities")
     p.add_argument("--out", default="-", help="CSV path, or - for stdout")

@@ -1,4 +1,4 @@
-"""Run configuration shared by the CLI and the experiment scripts."""
+"""The time grid every curve is sampled on, and check_grid, the one rule every grid obeys."""
 
 from __future__ import annotations
 
@@ -8,6 +8,24 @@ import numpy as np
 
 __all__ = ["TimeGrid", "default_grid"]
 
+#: the default grid's first time and point count (also the CLI's --tmin and --steps)
+DEFAULT_T_MIN = 1e-2
+DEFAULT_STEPS = 400
+
+
+def check_grid(times) -> np.ndarray:
+    """``times`` as a float array; ValueError unless nonempty, 1-d, finite, nonnegative, increasing."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("time grid must be a nonempty 1-d array")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("time grid must be finite")
+    if times[0] < 0:
+        raise ValueError("time grid must be nonnegative")
+    if not np.all(times[1:] > times[:-1]):
+        raise ValueError("time grid must be strictly increasing")
+    return times
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -16,7 +34,7 @@ class TimeGrid:
     ``steps`` counts sample points. Endpoints are included whenever there
     are two or more points; a single-point grid is just [t_min], which is
     how a run at one instant (including t = 0) is requested. Log spacing
-    needs t_min > 0.
+    needs t_min > 0. The points must pass :func:`check_grid`.
     """
 
     t_min: float
@@ -31,12 +49,11 @@ class TimeGrid:
             raise ValueError("grid needs at least one point")
         if not (np.isfinite(self.t_min) and np.isfinite(self.t_max)):
             raise ValueError("t_min and t_max must be finite")
-        if self.t_min < 0:
-            raise ValueError("t_min must be nonnegative")
+        # endpoints first: geomspace warns on opposite signs, linspace overflows on huge ones
+        check_grid((self.t_min, self.t_max)[: self.steps])
         if self.spacing == "log" and self.t_min <= 0 and self.steps > 1:
             raise ValueError("log spacing requires t_min > 0")
-        if self.steps > 1 and not self.t_max > self.t_min:
-            raise ValueError("t_max must exceed t_min")
+        check_grid(self.times())
 
     def times(self) -> np.ndarray:
         if self.steps == 1:
@@ -47,7 +64,7 @@ class TimeGrid:
 
 
 def default_grid(fiedler: float) -> TimeGrid:
-    """Log grid from 1e-2 out to saturation, 400 points.
+    """Log grid from DEFAULT_T_MIN out to saturation, DEFAULT_STEPS points.
 
     The upper end, round(100 / fiedler), reaches well past the classical
     relaxation time 1/fiedler, so curves show the full approach to the
@@ -56,5 +73,4 @@ def default_grid(fiedler: float) -> TimeGrid:
     if fiedler <= 0:
         raise ValueError("default grid needs a positive fiedler value")
     t_max = max(float(round(100.0 / fiedler)), 1.0)
-    return TimeGrid(t_min=1e-2, t_max=t_max, steps=400, spacing="log")
-
+    return TimeGrid(t_min=DEFAULT_T_MIN, t_max=t_max, steps=DEFAULT_STEPS, spacing="log")

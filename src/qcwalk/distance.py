@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import walks
+from .config import check_grid
 from .spectral import (
     SpectralDecomposition,
     classical_quantum_fidelity,
@@ -116,19 +117,6 @@ def qc_distance(sd: SpectralDecomposition, t: float) -> tuple[float, int]:
     return qc_of(walks.node_observables(sd, t))
 
 
-def _check_grid(times) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("time grid must be a nonempty 1-d array")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("time grid must be finite")
-    if times[0] < 0:
-        raise ValueError("time grid must be nonnegative")
-    if times.size > 1 and not np.all(np.diff(times) > 0):
-        raise ValueError("time grid must be strictly increasing")
-    return times
-
-
 def distance_curve(sd: SpectralDecomposition, times) -> np.ndarray:
     """D_QC(t|j) on a grid: the (n, len(times)) array with [j, i] = D_QC(times[i] | j).
 
@@ -139,7 +127,7 @@ def distance_curve(sd: SpectralDecomposition, times) -> np.ndarray:
     qc_of) and the node average curve.mean(axis=0).
     """
     require_connected(sd)
-    times = _check_grid(times)
+    times = check_grid(times)
     cond = np.empty((sd.n, times.size))
     for i, t in enumerate(times):
         cond[:, i] = conditional_vector(walks.node_observables(sd, t))
@@ -190,7 +178,7 @@ def verify_localized_optimality(
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    t_values = _check_grid(t_values)
+    t_values = check_grid(t_values)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     n = sd.n
 

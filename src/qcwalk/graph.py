@@ -123,8 +123,6 @@ def generate(kind: str, n: int, extra: int | None = None, seed: int = 0) -> Grap
         raise ValueError(f"unknown graph kind {kind!r}; choose from {GENERATOR_KINDS}")
     if extra is not None and kind != "random_connected":
         raise ValueError("extra degree target only applies to random_connected")
-    if n < 1:
-        raise ValueError(f"node count must be positive, got {n}")
 
     if kind == "complete":
         pairs = list(itertools.combinations(range(n), 2))

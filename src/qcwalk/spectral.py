@@ -30,9 +30,11 @@ __all__ = [
 #: eigenvalue magnitudes at or below this count as the flat zero mode
 ZERO_MODE_TOL = 1e-9
 
+#: how negative a probability (a state's eigenvalue, an entry of exp(L t)) may be
+NEGATIVITY_TOL = -1e-10
+
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-10
-_NEGATIVITY_TOL = -1e-10
 
 #: a state whose largest eigenvalue exceeds this is treated as pure
 _PURE_THRESHOLD = 1.0 - 1e-12
@@ -151,7 +153,7 @@ def check_density(m: np.ndarray, eigenvalues: np.ndarray | None = None) -> np.nd
         raise ValueError(f"density matrix trace must be 1, got {complex(tr[off].flat[0]):.12g}")
     vals = np.linalg.eigvalsh(m) if eigenvalues is None else np.asarray(eigenvalues)
     smallest = float(vals.min())
-    if smallest < _NEGATIVITY_TOL:
+    if smallest < NEGATIVITY_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
     return vals
 

@@ -32,12 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralDecomposition, heat_propagator, unitary_propagator
+from .spectral import NEGATIVITY_TOL, SpectralDecomposition, heat_propagator, unitary_propagator
 
 __all__ = ["NodeObservables", "node_observables"]
-
-#: how negative a computed probability may be before we call it a bug
-_NEGATIVE_PROBABILITY_TOL = -1e-10
 
 
 def check_node(sd: SpectralDecomposition, j: int) -> int:
@@ -70,7 +67,7 @@ def node_observables(sd: SpectralDecomposition, t: float) -> NodeObservables:
     t = float(t)
     p = heat_propagator(sd, t)
     smallest = float(p.min())
-    if smallest < _NEGATIVE_PROBABILITY_TOL:
+    if smallest < NEGATIVITY_TOL:
         raise ValueError(f"classical distribution has negative entry {smallest:.3e}")
     p = np.clip(p, 0.0, 1.0)
     amp = np.abs(unitary_propagator(sd, t))

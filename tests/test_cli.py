@@ -54,6 +54,10 @@ def test_time_grid_validation():
         TimeGrid(float("nan"), 1.0, 1, "linear")
     with pytest.raises(ValueError):
         TimeGrid(1e-2, float("inf"), 3, "log")
+    # endpoints one ulp apart: the spaced points repeat, so the grid rule refuses them
+    for spacing in ("linear", "log"):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TimeGrid(1.0, 1.0 + 2.2e-16, 3, spacing)
 
 
 def test_default_grid_spans_relaxation():
@@ -292,10 +296,25 @@ def test_distance_non_finite_times_exit_one(grid_flags, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spacing_flags", [[], ["--linear"]])
+def test_distance_degenerate_grid_exits_one(spacing_flags, tmp_path, capsys):
+    # --tmax is one ulp above --tmin, so the three grid points repeat t = 1
+    argv = ["distance", "--graph", "ring:5", "--tmin", "1", "--tmax", "1.0000000000000002"]
+    argv += ["--steps", "3"] + spacing_flags
+    code, stdout, stderr = run(argv, capsys)
+    assert code == 1 and stdout == ""
+    assert stderr == "qcwalk: error: time grid must be strictly increasing\n"
+    out = tmp_path / "curve.csv"
+    assert run(argv + ["--out", str(out)], capsys)[0] == 1
+    assert not out.exists()
+
+
 def test_usage_error_exit_code_is_one():
-    with pytest.raises(SystemExit) as exc:
-        main(["distance"])  # missing required --graph/--edges
-    assert exc.value.code == 1
+    # missing required --graph/--edges; --log is not a flag (log spacing is the default)
+    for argv in (["distance"], ["distance", "--graph", "ring:5", "--log"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
 
 
 # --- figure subcommand ----------------------------------------------------------------
@@ -420,11 +439,15 @@ def test_verify_zero_mode_check_reads_its_own_spectrum(monkeypatch, capsys):
 # --- cost: one propagator pair per grid point ----------------------------------------
 
 
+#: figure preset -> number of curves, each on the preset's 400-point default grid
+_PRESET_CURVES = {"fig1-left": 3, "fig3-left": 6}
+
+
 @pytest.mark.parametrize(
-    "quantities",
-    ["qc,average,gamma_s,gamma_l,delta", "conditional,coherence,gfid,short,long"],
+    "case",
+    ["qc,average,gamma_s,gamma_l,delta", "conditional,coherence,gfid,short,long", *_PRESET_CURVES],
 )
-def test_distance_forms_one_propagator_pair_per_point(monkeypatch, tmp_path, quantities):
+def test_distance_forms_one_propagator_pair_per_point(monkeypatch, tmp_path, case):
     import qcwalk.spectral as spectral
 
     counts = {"heat_propagator": 0, "unitary_propagator": 0}
@@ -441,12 +464,16 @@ def test_distance_forms_one_propagator_pair_per_point(monkeypatch, tmp_path, qua
                 if value is original:
                     monkeypatch.setattr(mod, attr, counted)
 
-    steps = 25
-    out = tmp_path / "sweep.csv"
-    argv = ["distance", "--graph", "random_connected:11:6", "--steps", str(steps)]
-    assert main(argv + ["--quantities", quantities, "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == steps + 1
-    assert counts == {"heat_propagator": steps, "unitary_propagator": steps}
+    if case in _PRESET_CURVES:
+        argv, points = ["figure", case], 400 * _PRESET_CURVES[case]
+    else:
+        argv = ["distance", "--graph", "random_connected:11:6", "--steps", "25", "--quantities", case]
+        points = 25
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    csvs = sorted(out.glob("*.csv")) if out.is_dir() else [out]
+    assert sum(len(p.read_text().splitlines()) - 1 for p in csvs) == points
+    assert counts == {"heat_propagator": points, "unitary_propagator": points}
 
 
 def test_distance_plateau_at_huge_time(capsys):

@@ -202,3 +202,6 @@ def test_edge_list_parse_errors():
         G.parse_edge_list("3\n0 1 2\n")
     with pytest.raises(ValueError):
         G.parse_edge_list("3\n0 x\n")
+    # only whole lines starting with '#' are comments; a trailing '# note' is not
+    with pytest.raises(ValueError, match="line 2: expected 'u v'"):
+        G.parse_edge_list("3\n0 1 # note\n")

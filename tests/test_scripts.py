@@ -1,6 +1,7 @@
-"""Smoke tests: the example scripts run end to end against the package namespace."""
+"""Smoke tests: the example scripts and the README quick start run against the package namespace."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,15 @@ def test_asymptote_study_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert f"fiedler={fiedler:.4f}" in proc.stdout.splitlines()[0]
+    # zero rows is not a grid: refused, not printed as an empty table
+    assert run_script("asymptote_study.py", "--points", "0").returncode != 0
+
+
+def test_readme_quick_start_runs():
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    namespace = {}
+    exec(block, namespace)
+    assert abs(namespace["curve"].max(axis=0)[-1] - (1 - 1 / 11)) <= 1e-12
 
 
 def test_reproduce_figures_runs(tmp_path):
