@@ -9,23 +9,24 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage or configuration error, 2 computation error
 (disconnected graph, eigensolver failure), 3 verification failure. CSV uses
-a mandatory header row, 12-significant-digit floats, and the literal ``NA``
-for undefined values.
+a mandatory header row, 12-significant-digit floats, the literal ``NA`` for
+undefined values, and CRLF line endings. A sweep fills one float row per
+time point and formats it with one ``%`` operation; the whole CSV is
+formatted before it is written, so a sweep that fails writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import distance as dist
+from . import walks
 from .checks import run_invariant_checks, run_optimality_checks
 from .config import DEFAULT_STEPS, DEFAULT_T_MIN, TimeGrid, default_grid
 from .distance import DisconnectedGraphError
@@ -39,7 +40,6 @@ from .graph import (
     write_edge_list,
 )
 from .spectral import SpectralDecomposition, eigendecompose
-from .walks import check_node, node_observables
 
 __all__ = ["main", "entry", "cmd_graph", "cmd_distance", "cmd_figure", "cmd_verify"]
 
@@ -80,52 +80,79 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(value) -> str:
-    """CSV cell: 12 significant digits, NA for undefined."""
-    if value is None:
-        return "NA"
-    value = float(value)
-    if not np.isfinite(value):
-        return "NA"
-    return "%.12g" % value
+def _fmt(value: float) -> str:
+    """CSV cell: 12 significant digits, NA for an undefined (non-finite) value."""
+    return "%.12g" % value if np.isfinite(value) else "NA"
 
 
 def _columns(sd: SpectralDecomposition, outputs, node: int | None):
     """Header names and per-time evaluators for the requested quantities.
 
-    Each evaluator maps one kernel record (``node_observables(sd, t)``) to
-    the cells of the headers it added, in order.
+    Each evaluator is ``(cols, fn)``: ``fn`` maps one kernel record
+    (``node_observables(sd, t)``) to the value of the headers it added, a
+    float, ``None`` (undefined) or a vector, and ``cols`` is the slice of the
+    row it fills; entry 0 of the row is ``t``.
     """
-    nodes = list(range(sd.n)) if node is None else [node]
+    cells = slice(None) if node is None else slice(node, node + 1)
     headers: list[str] = []
     evaluators = []
 
     for q in outputs:
         if q not in _QUANTITIES:
             raise ValueError(f"unknown quantity {q!r}; choose from {tuple(_QUANTITIES)}")
+        if outputs.count(q) > 1:
+            raise ValueError(f"quantity {q!r} given more than once")
         column, vector = _QUANTITIES[q]
+        first = 1 + len(headers)
         if column is not None and (vector is None or node is None):
             headers.append(q)
-            evaluators.append(lambda obs, column=column: [column(obs)])
+            evaluators.append((slice(first, first + 1), column))
         else:
-            headers += [f"{q}_{j}" for j in nodes]
-            evaluators.append(lambda obs, vector=vector: vector(obs)[nodes])
+            headers += [f"{q}_{j}" for j in range(sd.n)[cells]]
+            fn = lambda obs, vector=vector: vector(obs)[cells]
+            evaluators.append((slice(first, 1 + len(headers)), fn))
     return headers, evaluators
+
+
+def _format_row(row) -> str:
+    """One CSV line with its CRLF; a ``None`` entry is undefined.
+
+    The whole row is one ``%`` format. A finite cell prints only digits,
+    signs, ``.`` and ``e``, so an ``n`` in the line means a nan or inf cell
+    (``None`` becomes nan); such a row is formatted again by :func:`_fmt`
+    cell by cell, the one cell rule, which writes those cells as ``NA``.
+    """
+    cells = np.asarray(row, dtype=float).tolist()
+    line = ("%.12g," * len(cells))[:-1] % tuple(cells)
+    if "n" in line:
+        line = ",".join(map(_fmt, cells))
+    return line + "\r\n"
 
 
 def _write_csv(out: str, sd, outputs, node, times) -> list[str]:
     """Write the sweep to ``out`` (``-`` is stdout); return the column headers.
 
-    Each row makes one kernel call, and every column reads from that record.
+    Each row makes one kernel call and fills one preallocated float row, ``t``
+    and then every column read from that record, which :func:`_format_row`
+    turns into one line. Every line is formatted before ``out`` is opened, so
+    a row that raises leaves no file and prints nothing.
     """
     headers, evaluators = _columns(sd, outputs, node)
-    with (nullcontext(sys.stdout) if out == "-" else open(out, "w", newline="")) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + headers)
-        for t in times:
-            t = float(t)
-            obs = node_observables(sd, t)
-            writer.writerow([_fmt(t)] + [_fmt(v) for fn in evaluators for v in fn(obs)])
+    row = np.empty(1 + len(headers))
+    lines = [",".join(["t"] + headers) + "\r\n"]
+    for t in times:
+        t = float(t)
+        row[0] = t
+        obs = walks.node_observables(sd, t)
+        for cols, fn in evaluators:
+            row[cols] = fn(obs)  # an undefined (None) gamma ratio is stored as nan
+        lines.append(_format_row(row))
+    text = "".join(lines)
+    if out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
     return headers
 
 
@@ -166,7 +193,7 @@ def cmd_distance(args) -> int:
     sd = eigendecompose(laplacian(g))
     dist.require_connected(sd)
     if args.node is not None:
-        check_node(sd, args.node)
+        walks.check_node(sd, args.node)
     t_max = args.tmax
     if t_max is None:
         # one node has no fiedler value, so its grid ends at t = 10

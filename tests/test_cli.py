@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -8,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcwalk import generate, graph_from_spec, read_edge_list
-from qcwalk.cli import main
+from qcwalk import eigendecompose, generate, graph_from_spec, laplacian, read_edge_list
+from qcwalk.cli import _QUANTITIES, _format_row, main
 from qcwalk.config import TimeGrid, default_grid
+from qcwalk.walks import node_observables
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -283,6 +285,44 @@ def test_distance_quantity_list_in_help_and_error(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("quantities", ["qc,qc", "conditional,average,conditional"])
+def test_distance_repeated_quantity_exits_one(quantities, tmp_path, capsys):
+    # a repeated column name would make csv.DictReader drop one of the two columns
+    argv = ["distance", "--graph", "ring:5", "--quantities", quantities]
+    code, stdout, stderr = run(argv, capsys)
+    assert code == 1 and stdout == ""
+    repeated = quantities.split(",")[0]
+    assert stderr == f"qcwalk: error: quantity {repeated!r} given more than once\n"
+    out = tmp_path / "curve.csv"
+    assert run(argv + ["--out", str(out)], capsys)[0] == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error, exit_code", [(ValueError, 1), (np.linalg.LinAlgError, 2)])
+def test_distance_failed_sweep_writes_no_csv(error, exit_code, monkeypatch, tmp_path, capsys):
+    import qcwalk.walks as walks
+
+    true_kernel = walks.node_observables
+    calls = []
+
+    def fails_on_third_point(sd, t):
+        calls.append(t)
+        if len(calls) == 3:
+            raise error("kernel failed at the third time point")
+        return true_kernel(sd, t)
+
+    monkeypatch.setattr(walks, "node_observables", fails_on_third_point)
+    argv = ["distance", "--graph", "ring:5", "--steps", "5", "--quantities", "qc,conditional"]
+    out = tmp_path / "f.csv"
+    code, stdout, stderr = run(argv + ["--out", str(out)], capsys)
+    assert code == exit_code and "third time point" in stderr
+    assert stdout == "" and not out.exists()
+    calls.clear()
+    code, stdout, stderr = run(argv + ["--out", "-"], capsys)
+    assert code == exit_code and "third time point" in stderr
+    assert stdout == ""
+
+
 @pytest.mark.parametrize(
     "grid_flags", [["--tmin", "nan", "--steps", "1"], ["--tmax", "inf", "--steps", "3"]]
 )
@@ -315,6 +355,69 @@ def test_usage_error_exit_code_is_one():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
+
+
+# --- CSV bytes: the row formatter against the per-cell writer it replaced ---------------
+
+
+def reference_cell(value) -> str:
+    """The per-cell rule of the replaced writer: 12 significant digits, NA for None or non-finite."""
+    if value is None:
+        return "NA"
+    value = float(value)
+    if not np.isfinite(value):
+        return "NA"
+    return "%.12g" % value
+
+
+def reference_csv(spec, seed, quantities, node=None, tmin=1e-2, steps=400) -> bytes:
+    """``distance`` output from csv.writer with ``reference_cell`` on every cell."""
+    sd = eigendecompose(laplacian(graph_from_spec(spec, seed=seed)))
+    nodes = list(range(sd.n)) if node is None else [node]
+    header, cells_of = ["t"], []
+    for q in quantities.split(","):
+        column, vector = _QUANTITIES[q]
+        if column is not None and (vector is None or node is None):
+            header.append(q)
+            cells_of.append(lambda obs, column=column: [column(obs)])
+        else:
+            header += [f"{q}_{j}" for j in nodes]
+            cells_of.append(lambda obs, vector=vector: vector(obs)[nodes])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for t in TimeGrid(tmin, default_grid(sd.fiedler).t_max, steps).times():
+        obs = node_observables(sd, float(t))
+        writer.writerow([reference_cell(t)] + [reference_cell(v) for cells in cells_of for v in cells(obs)])
+    return buf.getvalue().encode()
+
+
+_NODE_QUANTITIES = "conditional,coherence,gfid,short,long"
+
+
+@pytest.mark.parametrize(
+    "spec, seed, quantities, extra",
+    [
+        *[("random_connected:60:20", seed, _NODE_QUANTITIES, {"steps": 40}) for seed in range(3)],
+        ("random_connected:11:6", 0, "qc,average,gamma_s,gamma_l,delta", {"steps": 60}),
+        ("complete:3", 0, "qc,gamma_s,gamma_l", {"tmin": 0.0, "steps": 1}),  # a row of NA cells
+        ("star:5", 0, "conditional,delta,qc", {"node": 2}),
+    ],
+)
+def test_distance_bytes_match_per_cell_writer(spec, seed, quantities, extra, tmp_path):
+    argv = ["distance", "--graph", spec, "--seed", str(seed), "--quantities", quantities]
+    for key, value in extra.items():
+        argv += [f"--{key}", str(value)]
+    out = tmp_path / "curve.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == reference_csv(spec, seed, quantities, **extra)
+
+
+def test_format_row_cells():
+    row = [-0.0, 1e-300, 1e300, float("nan"), float("inf"), None]
+    assert _format_row(row) == "-0,1e-300,1e+300,NA,NA,NA\r\n"
+    assert _format_row(np.array(row[:3])) == "-0,1e-300,1e+300\r\n"
+    assert _format_row([-np.inf, 0.5]) == "NA,0.5\r\n"
 
 
 # --- figure subcommand ----------------------------------------------------------------
@@ -489,15 +592,32 @@ def test_distance_plateau_at_huge_time(capsys):
 # --- console entry point ----------------------------------------------------------------
 
 
-def test_installed_entry_point_runs():
-    # the child imports the same source tree as this process, however pytest was started
+def child_env() -> dict:
+    """A child process imports the same source tree as this one, however pytest was started."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_installed_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qcwalk.cli", "graph", "complete", "3", "--out", "-"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "3"
+
+
+def test_stdout_csv_bytes_match_file_in_child_process(tmp_path):
+    # --out - goes through the child's text-mode sys.stdout; CRLF must survive it
+    env = child_env()
+    argv = [sys.executable, "-m", "qcwalk.cli", "distance", "--graph", "ring:5", "--steps", "5"]
+    argv += ["--quantities", "qc,average"]
+    out = tmp_path / "curve.csv"
+    to_file = subprocess.run(argv + ["--out", str(out)], capture_output=True, env=env)
+    to_stdout = subprocess.run(argv + ["--out", "-"], capture_output=True, env=env)
+    assert to_file.returncode == 0 and to_stdout.returncode == 0
+    assert to_stdout.stdout == out.read_bytes()
+    assert to_stdout.stdout.count(b"\r\n") == 6
