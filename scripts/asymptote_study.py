@@ -13,8 +13,10 @@ once gamma_L settles at 1 and delta reaches 1/n.
 import argparse
 from dataclasses import replace
 
+import numpy as np
+
 from qcwalk import default_grid, eigendecompose, graph_from_spec, laplacian
-from qcwalk.distance import delta_vector, gamma_of, long_vector, qc_of, short_vector
+from qcwalk.distance import delta_of, gamma_of, long_vector, qc_of, short_vector
 from qcwalk.walks import node_observables
 
 
@@ -29,20 +31,21 @@ def main() -> None:
     sd = eigendecompose(laplacian(g))
     times = replace(default_grid(sd.fiedler), steps=args.points).times()
 
-    def fmt(x):
-        return "     NA" if x is None else f"{x:7.4f}"
+    obs = node_observables(sd, times)
+    columns = (
+        qc_of(obs)[0],
+        short_vector(obs).max(axis=-1),
+        long_vector(obs).max(axis=-1),
+        gamma_of(obs, "S"),
+        gamma_of(obs, "L"),
+        delta_of(obs),
+    )
 
     print(f"graph {args.graph}  n={g.n}  fiedler={sd.fiedler:.4f}  1/n={1 / g.n:.4f}")
     print(f"{'t':>9}  {'D_QC':>7}  {'D^S':>7}  {'D^L':>7}  {'g_S':>7}  {'g_L':>7}  {'delta':>7}")
-    for t in times:
-        obs = node_observables(sd, t)
-        value, node = qc_of(obs)
-        d_s, d_l = short_vector(obs).max(), long_vector(obs).max()
-        print(
-            f"{t:9.3f}  {value:7.4f}  {d_s:7.4f}  {d_l:7.4f}  "
-            f"{fmt(gamma_of(obs, 'S'))}  {fmt(gamma_of(obs, 'L'))}  "
-            f"{delta_vector(obs)[node]:7.4f}"
-        )
+    for t, *row in zip(times, *columns):
+        # an undefined gamma ratio is NaN
+        print(f"{t:9.3f}  " + "  ".join("     NA" if np.isnan(x) else f"{x:7.4f}" for x in row))
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ Subcommands:
 Exit codes: 0 success, 1 usage or configuration error, 2 computation error
 (disconnected graph, eigensolver failure), 3 verification failure. CSV uses
 a mandatory header row, 12-significant-digit floats, the literal ``NA`` for
-undefined values, and CRLF line endings. A sweep fills one float row per
-time point and formats it with one ``%`` operation; the whole CSV is
-formatted before it is written, so a sweep that fails writes nothing.
+undefined values, and CRLF line endings. A sweep makes one kernel call for
+its whole grid, fills one float table (a row per time point) and formats
+each row with one ``%`` operation; every CSV is formatted before any file
+is written, so a sweep that fails writes nothing.
 """
 
 from __future__ import annotations
@@ -52,23 +53,21 @@ FIGURES = ("fig1-left", "fig1-center", "fig1-right", "fig2", "fig3-left", "fig3-
 
 #: every quantity a distance sweep accepts, in canonical column order, as
 #: (graph-level column, vector over launch nodes), both read from one kernel
-#: record; delta has both forms, the graph-level one evaluated at the node
+#: record and taken over its last (node) axis, so a grid record gives a value
+#: per time; delta has both forms, the graph-level one evaluated at the node
 #: realizing D_QC(t) and the node-level one used when --node picks a node.
 #: Laws are looked up on dist at call time, so a patched law reaches every column.
 _QUANTITIES = {
     "conditional": (None, lambda obs: dist.conditional_vector(obs)),
     "qc": (lambda obs: dist.qc_of(obs)[0], None),
-    "average": (lambda obs: np.mean(dist.conditional_vector(obs)), None),
+    "average": (lambda obs: dist.conditional_vector(obs).mean(axis=-1), None),
     "coherence": (None, lambda obs: obs.coherence),
     "gfid": (None, lambda obs: obs.gfid),
     "short": (None, lambda obs: dist.short_vector(obs)),
     "long": (None, lambda obs: dist.long_vector(obs)),
     "gamma_s": (lambda obs: dist.gamma_of(obs, "S"), None),
     "gamma_l": (lambda obs: dist.gamma_of(obs, "L"), None),
-    "delta": (
-        lambda obs: dist.delta_vector(obs)[dist.qc_of(obs)[1]],
-        lambda obs: dist.delta_vector(obs),
-    ),
+    "delta": (lambda obs: dist.delta_of(obs), lambda obs: dist.delta_vector(obs)),
 }
 
 
@@ -86,12 +85,13 @@ def _fmt(value: float) -> str:
 
 
 def _columns(sd: SpectralDecomposition, outputs, node: int | None):
-    """Header names and per-time evaluators for the requested quantities.
+    """Header names and evaluators for the requested quantities.
 
-    Each evaluator is ``(cols, fn)``: ``fn`` maps one kernel record
-    (``node_observables(sd, t)``) to the value of the headers it added, a
-    float, ``None`` (undefined) or a vector, and ``cols`` is the slice of the
-    row it fills; entry 0 of the row is ``t``.
+    Each evaluator is ``(cols, fn)``: ``fn`` maps the grid's kernel record
+    (``node_observables(sd, times)``) to the values of the headers it added,
+    one per time for a column (NaN where undefined) or a row of node values
+    per time, and ``cols`` is the slice of the table's rows it fills; entry 0
+    of a row is ``t``.
     """
     cells = slice(None) if node is None else slice(node, node + 1)
     headers: list[str] = []
@@ -109,7 +109,7 @@ def _columns(sd: SpectralDecomposition, outputs, node: int | None):
             evaluators.append((slice(first, first + 1), column))
         else:
             headers += [f"{q}_{j}" for j in range(sd.n)[cells]]
-            fn = lambda obs, vector=vector: vector(obs)[cells]
+            fn = lambda obs, vector=vector: vector(obs)[..., cells]
             evaluators.append((slice(first, 1 + len(headers)), fn))
     return headers, evaluators
 
@@ -129,31 +129,29 @@ def _format_row(row) -> str:
     return line + "\r\n"
 
 
-def _write_csv(out: str, sd, outputs, node, times) -> list[str]:
-    """Write the sweep to ``out`` (``-`` is stdout); return the column headers.
+def _format_csv(sd, outputs, node, times) -> tuple[list[str], str]:
+    """The sweep's column headers and its CSV text, header line included.
 
-    Each row makes one kernel call and fills one preallocated float row, ``t``
-    and then every column read from that record, which :func:`_format_row`
-    turns into one line. Every line is formatted before ``out`` is opened, so
-    a row that raises leaves no file and prints nothing.
+    One kernel call covers the whole grid. Its values fill one float table,
+    ``t`` and then every column, a row per time point, which
+    :func:`_format_row` turns into lines; nothing is written here.
     """
     headers, evaluators = _columns(sd, outputs, node)
-    row = np.empty(1 + len(headers))
-    lines = [",".join(["t"] + headers) + "\r\n"]
-    for t in times:
-        t = float(t)
-        row[0] = t
-        obs = walks.node_observables(sd, t)
-        for cols, fn in evaluators:
-            row[cols] = fn(obs)  # an undefined (None) gamma ratio is stored as nan
-        lines.append(_format_row(row))
-    text = "".join(lines)
+    obs = walks.node_observables(sd, times)
+    table = np.empty((times.size, 1 + len(headers)))
+    table[:, 0] = times
+    for cols, fn in evaluators:
+        table[:, cols] = np.reshape(fn(obs), (times.size, -1))
+    return headers, "".join([",".join(["t"] + headers) + "\r\n", *map(_format_row, table)])
+
+
+def _write(out: str, text: str) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is ``-``."""
     if out == "-":
         sys.stdout.write(text)
     else:
         with open(out, "w", newline="") as fh:
             fh.write(text)
-    return headers
 
 
 # --- graph ------------------------------------------------------------------
@@ -202,7 +200,7 @@ def cmd_distance(args) -> int:
     outputs = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
     if not outputs:
         raise ValueError("at least one output quantity is required")
-    _write_csv(args.out, sd, outputs, args.node, grid.times())
+    _write(args.out, _format_csv(sd, outputs, args.node, grid.times())[1])
     return EXIT_OK
 
 
@@ -265,9 +263,11 @@ def cmd_figure(args) -> int:
         "grid": asdict(grid),
         "curves": [],
     }
-    for c in curves:
+    # every curve is swept and formatted before any file is written
+    tables = [_format_csv(c["sd"], c["quantities"], c["node"], times) for c in curves]
+    for c, (headers, text) in zip(curves, tables):
         path = out_dir / f"{args.which}_{c['label']}.csv"
-        headers = _write_csv(str(path), c["sd"], c["quantities"], c["node"], times)
+        _write(str(path), text)
         manifest["curves"].append(
             {
                 "file": path.name,

@@ -20,8 +20,10 @@ asymptote's maximum) and delta = G^2 - C/n quantify where each regime
 holds. All operations require a connected graph: the stationary state and
 the long-time laws presuppose a single component.
 
-Every quantity reads F, C and G from one walks.node_observables record per t,
-looked up on the walks module so that a patched kernel reaches every caller.
+Every quantity reads F, C and G from one walks.node_observables record, for
+one time or a whole grid, looked up on the walks module so that a patched
+kernel reaches every caller. The laws below work over the record's last
+(node) axis, so one call covers every time of a grid.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "delta_vector",
     "qc_of",
     "gamma_of",
+    "delta_of",
     "qc_distance",
     "distance_curve",
     "gamma_ratio",
@@ -72,8 +75,8 @@ def require_connected(sd: SpectralDecomposition) -> None:
         )
 
 
-# Laws over all launch nodes at once, read from one kernel record. The pointwise
-# API below applies them to node_observables(sd, t).
+# Laws over all launch nodes at once, read from one kernel record; each works over
+# the last (node) axis, so a grid record gives one value per time.
 
 
 def conditional_vector(obs: NodeObservables) -> np.ndarray:
@@ -92,46 +95,58 @@ def delta_vector(obs: NodeObservables) -> np.ndarray:
     return obs.gfid * obs.gfid - obs.coherence / obs.n
 
 
-def qc_of(obs: NodeObservables) -> tuple[float, int]:
-    """(max_j D_QC(t|j), argmax node); ties go to the smallest node index."""
+def qc_of(obs: NodeObservables):
+    """(max_j D_QC(t|j), argmax node) per time; ties go to the smallest node index."""
     cond = conditional_vector(obs)
-    j = int(np.argmax(cond))
-    return float(cond[j]), j
+    return cond.max(axis=-1), cond.argmax(axis=-1)
 
 
 _ASYMPTOTES = {"s": short_vector, "short": short_vector, "l": long_vector, "long": long_vector}
 
 
-def gamma_of(obs: NodeObservables, which: str) -> float | None:
-    """gamma_K = D_QC / max_j D^K(t|j) for K in {S, L}; None when undefined."""
+def gamma_of(obs: NodeObservables, which: str):
+    """gamma_K = D_QC / max_j D^K(t|j) for K in {S, L}, per time.
+
+    Undefined where the asymptote maximum is at or below RATIO_FLOOR: NaN on
+    a grid, None for a record at one time.
+    """
     asymptote = _ASYMPTOTES.get(str(which).lower())
     if asymptote is None:
         raise ValueError(f"asymptote selector must be 'S' or 'L', got {which!r}")
-    denom = float(asymptote(obs).max())
-    return None if denom <= RATIO_FLOOR else qc_of(obs)[0] / denom
+    denom = asymptote(obs).max(axis=-1)
+    defined = denom > RATIO_FLOOR
+    ratio = np.divide(qc_of(obs)[0], denom, out=np.full(np.shape(denom), np.nan), where=defined)
+    if ratio.ndim:
+        return ratio
+    return float(ratio) if defined else None
+
+
+def delta_of(obs: NodeObservables) -> np.ndarray:
+    """delta = G^2 - C/n at the node realizing D_QC, per time."""
+    node = qc_of(obs)[1]
+    return np.take_along_axis(delta_vector(obs), np.expand_dims(node, -1), axis=-1)[..., 0]
 
 
 def qc_distance(sd: SpectralDecomposition, t: float) -> tuple[float, int]:
     """(max_j D_QC(t|j), argmax node); ties go to the smallest node index."""
     require_connected(sd)
-    return qc_of(walks.node_observables(sd, t))
+    value, node = qc_of(walks.node_observables(sd, float(t)))
+    return float(value), int(node)
 
 
 def distance_curve(sd: SpectralDecomposition, times) -> np.ndarray:
     """D_QC(t|j) on a grid: the (n, len(times)) array with [j, i] = D_QC(times[i] | j).
 
-    Column i comes from one kernel call, node_observables(sd, times[i]), so
-    its cells are bitwise identical to conditional_vector of that record and
-    each grid point costs one propagator pair. D_QC(t) is curve.max(axis=0),
-    its node curve.argmax(axis=0) (ties go to the smallest index, as in
-    qc_of) and the node average curve.mean(axis=0).
+    It is the transpose of conditional_vector of one grid kernel call,
+    node_observables(sd, times), so each grid point costs one propagator
+    pair and column i is bitwise identical to conditional_vector of the
+    one-point record at times[i]. D_QC(t) is curve.max(axis=0), its node
+    curve.argmax(axis=0) (ties go to the smallest index, as in qc_of) and
+    the node average curve.mean(axis=0).
     """
     require_connected(sd)
     times = check_grid(times)
-    cond = np.empty((sd.n, times.size))
-    for i, t in enumerate(times):
-        cond[:, i] = conditional_vector(walks.node_observables(sd, t))
-    return cond
+    return np.ascontiguousarray(conditional_vector(walks.node_observables(sd, times)).T)
 
 
 def gamma_ratio(sd: SpectralDecomposition, which: str, t: float) -> float | None:
@@ -143,7 +158,7 @@ def gamma_ratio(sd: SpectralDecomposition, which: str, t: float) -> float | None
     rather than a 0/0 quotient. Ratios may exceed 1.
     """
     require_connected(sd)
-    return gamma_of(walks.node_observables(sd, t), which)
+    return gamma_of(walks.node_observables(sd, float(t)), which)
 
 
 def verify_localized_optimality(
@@ -162,12 +177,14 @@ def verify_localized_optimality(
 
     and compares the full Uhlmann fidelity of the pair against the smallest
     localized fidelity min_j F_j(t). The full fidelity should never fall
-    below that minimum. All samples at one time are drawn, evolved,
-    validated and compared as one stack: per time that is one propagator
-    pair, one stacked eigvalsh to validate the quantum states and one for
-    their fidelities (classical_quantum_fidelity), whatever ``n_samples``
-    is. Keep n at desk scale (<= 10 or so). ``t_values`` is checked like
-    distance_curve's grid.
+    below that minimum. The times are swept in the kernel's blocks
+    (walks.time_blocks): each block forms one propagator pair per time,
+    reads min_j F_j from the kernel's reduction of that same pair
+    (walks.reduce_propagators), and draws, evolves, validates and compares
+    all samples of all its times as one stack: one stacked eigvalsh to
+    validate the quantum states and one for their fidelities
+    (classical_quantum_fidelity), whatever ``n_samples`` is. Keep n at desk
+    scale (<= 10 or so). ``t_values`` is checked like distance_curve's grid.
 
     Returns the margins, shape (n_samples, len(t_values)): entry [s, i] is
     the s-th sample's fidelity at t_values[i] minus min_j F_j there.
@@ -183,13 +200,14 @@ def verify_localized_optimality(
     n = sd.n
 
     margins = np.empty((n_samples, t_values.size))
-    for i, t in enumerate(t_values):
-        p = heat_propagator(sd, float(t))
-        u = unitary_propagator(sd, float(t))
-        floor = float(walks.node_observables(sd, t).fidelity.min())
-        # one row per sample; batch draws equal n_samples sequential draws
-        z = rng.dirichlet(np.ones(n), size=n_samples)
-        q = np.clip(z @ p.T, 0.0, None)
-        rho_q = (u * z[:, None, :]) @ u.conj().T
-        margins[:, i] = classical_quantum_fidelity(q, rho_q) - floor
+    for b in walks.time_blocks(n, t_values.size):
+        p = heat_propagator(sd, t_values[b])
+        u = unitary_propagator(sd, t_values[b])
+        floor = walks.reduce_propagators(p, u).fidelity.min(axis=-1)
+        # one row per (time, sample); batch draws equal sequential draws, time by time
+        z = rng.dirichlet(np.ones(n), size=(len(p), n_samples))
+        q = np.clip(z @ p.swapaxes(-1, -2), 0.0, None)
+        rho_q = (u[:, None] * z[:, :, None, :]) @ u.conj().swapaxes(-1, -2)[:, None]
+        fid = classical_quantum_fidelity(q.reshape(-1, n), rho_q.reshape(-1, n, n))
+        margins[:, b] = (fid.reshape(len(p), n_samples) - floor[:, None]).T
     return margins

@@ -104,34 +104,42 @@ def eigendecompose(lap: Laplacian) -> SpectralDecomposition:
     return SpectralDecomposition(vals, vecs)
 
 
-def heat_propagator(sd: SpectralDecomposition, t: float) -> np.ndarray:
-    """exp(L t): the classical transition-probability matrix at time t.
+def _refuse(t: np.ndarray, ok: np.ndarray, needs: str) -> None:
+    """ValueError naming the first point of ``t`` where ``ok`` is false."""
+    if not ok.all():
+        raise ValueError(f"{needs}, got {float(t[~ok].flat[0])}")
 
-    Column j holds the occupation distribution after starting at node j.
-    Because the Laplacian is symmetric with zero row sums, the result is
-    doubly stochastic for t >= 0. Negative t is rejected: the semigroup
-    does not run backwards. So is a non-finite t.
+
+def _propagate(sd: SpectralDecomposition, t: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """V diag(factors) V^T for every point of ``t``, exactly the identity where t == 0."""
+    out = (sd.eigenvectors * factors[..., None, :]) @ sd.eigenvectors.T
+    zero = t == 0.0
+    if zero.any():
+        out[zero] = np.eye(sd.n)
+    return out
+
+
+def heat_propagator(sd: SpectralDecomposition, t) -> np.ndarray:
+    """exp(L t): the classical transition-probability matrix, shape np.shape(t) + (n, n).
+
+    ``t`` is one time or a grid; each point gets its own matrix, one stacked
+    product for the lot. Column j holds the occupation distribution after
+    starting at node j. Because the Laplacian is symmetric with zero row sums,
+    the result is doubly stochastic for t >= 0, and exactly the identity at
+    t = 0. Negative t is rejected: the semigroup does not run backwards. So
+    is a non-finite t.
     """
-    t = float(t)
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError(f"heat propagator needs finite t >= 0, got {t}")
-    if t == 0.0:
-        # exactly the identity, not the identity up to roundoff
-        return np.eye(sd.n)
+    t = np.asarray(t, dtype=float)
+    _refuse(t, np.isfinite(t) & (t >= 0), "heat propagator needs finite t >= 0")
     # exp(lambda t) with lambda <= 0 underflows harmlessly to 0 for large t
-    weights = np.exp(sd.eigenvalues * t)
-    return (sd.eigenvectors * weights) @ sd.eigenvectors.T
+    return _propagate(sd, t, np.exp(sd.eigenvalues * t[..., None]))
 
 
-def unitary_propagator(sd: SpectralDecomposition, t: float) -> np.ndarray:
-    """exp(i L t): the quantum walk unitary at time t (complex, unitary); any finite t."""
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError(f"unitary propagator needs finite t, got {t}")
-    if t == 0.0:
-        return np.eye(sd.n, dtype=complex)
-    phases = np.exp(1j * sd.eigenvalues * t)
-    return (sd.eigenvectors * phases) @ sd.eigenvectors.T
+def unitary_propagator(sd: SpectralDecomposition, t) -> np.ndarray:
+    """exp(i L t): the quantum walk unitary, shape np.shape(t) + (n, n); any finite t."""
+    t = np.asarray(t, dtype=float)
+    _refuse(t, np.isfinite(t), "unitary propagator needs finite t")
+    return _propagate(sd, t, np.exp(1j * sd.eigenvalues * t[..., None]))
 
 
 def check_density(m: np.ndarray, eigenvalues: np.ndarray | None = None) -> np.ndarray:

@@ -17,13 +17,18 @@ starts from the point mass at j and the quantum walk from the basis state
 
 Here p_kj is column j of exp(L t) and a_kj is column j of exp(i L t).
 
-:func:`node_observables` is the one numerical kernel: for one time t it
-forms both propagators once and reduces them column by column to the
-vectors F, C and G over all launch nodes. Every distance quantity, curve,
-CLI column and figure preset reads from it, so a time point costs one
-propagator pair however many quantities and nodes are asked for. The
-value at one launch node j is entry j of a vector: ``obs.fidelity[j]``, or
-a law of :mod:`qcwalk.distance` applied to the record.
+:func:`node_observables` is the one numerical kernel: for one time or a
+whole grid it forms the propagator pair of each point once and reduces it
+column by column to the vectors F, C and G over all launch nodes, shape
+``np.shape(t) + (n,)``. A grid is swept in blocks of
+``max(1, BLOCK_ELEMENTS // n**2)`` points, each block one stacked product
+per propagator, so at small n the per-point cost is flops, not call
+overhead; at n >= 64 a block is one point. Every distance quantity,
+curve, CLI column and figure preset reads from it, so a time point costs
+one propagator pair however many quantities and nodes are asked for. The
+value at one launch node j is entry j of the last axis:
+``obs.fidelity[..., j]``, or a law of :mod:`qcwalk.distance` applied to the
+record.
 """
 
 from __future__ import annotations
@@ -34,7 +39,13 @@ import numpy as np
 
 from .spectral import NEGATIVITY_TOL, SpectralDecomposition, heat_propagator, unitary_propagator
 
-__all__ = ["NodeObservables", "node_observables"]
+__all__ = ["NodeObservables", "time_blocks", "reduce_propagators", "node_observables"]
+
+#: element budget B of one stacked propagator block: max(1, B // n**2) time points.
+#: A complex block then stays under 128 KiB, glibc's default mmap threshold, so its
+#: memory is reused from the heap; larger blocks are mapped and page-faulted in anew
+#: for every block, which made the 60-node sweep slower than one point at a time.
+BLOCK_ELEMENTS = 8000
 
 
 def check_node(sd: SpectralDecomposition, j: int) -> int:
@@ -46,7 +57,7 @@ def check_node(sd: SpectralDecomposition, j: int) -> int:
 
 @dataclass(frozen=True)
 class NodeObservables:
-    """F_j(t), C_j(t) and G_j(t) at one time t; entry j belongs to launch node j."""
+    """F_j(t), C_j(t) and G_j(t), shape np.shape(t) + (n,); the last axis is the launch node j."""
 
     fidelity: np.ndarray  # clamped into [0, 1]
     coherence: np.ndarray  # clamped to be nonnegative
@@ -54,26 +65,47 @@ class NodeObservables:
 
     @property
     def n(self) -> int:
-        return self.fidelity.size
+        return self.fidelity.shape[-1]
 
 
-def node_observables(sd: SpectralDecomposition, t: float) -> NodeObservables:
-    """The kernel: F, C and G over all launch nodes from one propagator pair.
+def time_blocks(n: int, count: int) -> list[slice]:
+    """The blocks of a ``count``-point grid, ``max(1, BLOCK_ELEMENTS // n**2)`` points each."""
+    size = max(1, BLOCK_ELEMENTS // (n * n))
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
+def reduce_propagators(p: np.ndarray, u: np.ndarray) -> NodeObservables:
+    """The reduction step: F, C and G from stacks of exp(L t) and exp(i L t), column by column.
 
     Every entry of exp(L t) is checked and clipped into [0, 1] before the
     reductions; an entry more negative than roundoff allows means a corrupted
-    decomposition and raises ValueError.
+    decomposition and raises ValueError naming the first such point's minimum.
     """
-    t = float(t)
-    p = heat_propagator(sd, t)
-    smallest = float(p.min())
-    if smallest < NEGATIVITY_TOL:
-        raise ValueError(f"classical distribution has negative entry {smallest:.3e}")
+    smallest = p.min(axis=(-2, -1))
+    bad = smallest < NEGATIVITY_TOL
+    if bad.any():
+        raise ValueError(f"classical distribution has negative entry {float(smallest[bad].flat[0]):.3e}")
     p = np.clip(p, 0.0, 1.0)
-    amp = np.abs(unitary_propagator(sd, t))
+    amp = np.abs(u)
     return NodeObservables(
-        fidelity=np.clip((p * amp**2).sum(axis=0), 0.0, 1.0),
-        coherence=np.maximum(amp.sum(axis=0) ** 2 - 1.0, 0.0),
-        gfid=np.clip((np.sqrt(p) * amp).sum(axis=0), 0.0, 1.0),
+        fidelity=np.clip((p * amp**2).sum(axis=-2), 0.0, 1.0),
+        coherence=np.maximum(amp.sum(axis=-2) ** 2 - 1.0, 0.0),
+        gfid=np.clip((np.sqrt(p) * amp).sum(axis=-2), 0.0, 1.0),
     )
 
+
+def node_observables(sd: SpectralDecomposition, t) -> NodeObservables:
+    """The kernel: F, C and G over all launch nodes at one time or on a grid.
+
+    The result has shape ``np.shape(t) + (n,)``; a single time is the
+    one-point case of the same sweep. Each block of :func:`time_blocks`
+    forms one stacked propagator pair and passes it to
+    :func:`reduce_propagators`.
+    """
+    times = np.asarray(t, dtype=float)
+    flat = times.reshape(-1)
+    out = np.empty((3, flat.size, sd.n))
+    for b in time_blocks(sd.n, flat.size):
+        obs = reduce_propagators(heat_propagator(sd, flat[b]), unitary_propagator(sd, flat[b]))
+        out[0, b], out[1, b], out[2, b] = obs.fidelity, obs.coherence, obs.gfid
+    return NodeObservables(*out.reshape((3,) + times.shape + (sd.n,)))

@@ -302,24 +302,26 @@ def test_distance_repeated_quantity_exits_one(quantities, tmp_path, capsys):
 def test_distance_failed_sweep_writes_no_csv(error, exit_code, monkeypatch, tmp_path, capsys):
     import qcwalk.walks as walks
 
-    true_kernel = walks.node_observables
-    calls = []
+    true_heat = walks.heat_propagator
+    blocks = []
 
-    def fails_on_third_point(sd, t):
-        calls.append(t)
-        if len(calls) == 3:
-            raise error("kernel failed at the third time point")
-        return true_kernel(sd, t)
+    def fails_on_second_block(sd, t):
+        blocks.append(t)
+        if len(blocks) == 2:
+            raise error("kernel failed in the second block")
+        return true_heat(sd, t)
 
-    monkeypatch.setattr(walks, "node_observables", fails_on_third_point)
-    argv = ["distance", "--graph", "ring:5", "--steps", "5", "--quantities", "qc,conditional"]
+    monkeypatch.setattr(walks, "heat_propagator", fails_on_second_block)
+    # one point more than ring:5's block of BLOCK_ELEMENTS // 25 points: the sweep fails partway
+    steps = str(walks.BLOCK_ELEMENTS // 25 + 1)
+    argv = ["distance", "--graph", "ring:5", "--steps", steps, "--quantities", "qc,conditional"]
     out = tmp_path / "f.csv"
     code, stdout, stderr = run(argv + ["--out", str(out)], capsys)
-    assert code == exit_code and "third time point" in stderr
+    assert code == exit_code and "second block" in stderr
     assert stdout == "" and not out.exists()
-    calls.clear()
+    blocks.clear()
     code, stdout, stderr = run(argv + ["--out", "-"], capsys)
-    assert code == exit_code and "third time point" in stderr
+    assert code == exit_code and "second block" in stderr
     assert stdout == ""
 
 
@@ -435,6 +437,26 @@ def test_fig1_left_files_and_plateaus(tmp_path, capsys):
         assert float(rows[-1]["qc"]) == pytest.approx(want, abs=1e-3)
 
 
+def test_failed_figure_writes_no_csv_and_no_manifest(monkeypatch, tmp_path, capsys):
+    import qcwalk.walks as walks
+
+    true_kernel = walks.node_observables
+    calls = []
+
+    def fails_on_last_curve(sd, t):
+        calls.append(sd.n)
+        if sd.n == 20:  # complete_20, the last of fig1-left's three curves
+            raise ValueError("kernel failed on the last curve")
+        return true_kernel(sd, t)
+
+    monkeypatch.setattr(walks, "node_observables", fails_on_last_curve)
+    code, stdout, stderr = run(["figure", "fig1-left", "--out", str(tmp_path)], capsys)
+    assert calls == [5, 10, 20]
+    assert code == 1 and "last curve" in stderr
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fig1_center_curves_identical(tmp_path, capsys):
     code, _, _ = run(["figure", "fig1-center", "--out", str(tmp_path)], capsys)
     assert code == 0
@@ -546,37 +568,67 @@ def test_verify_zero_mode_check_reads_its_own_spectrum(monkeypatch, capsys):
 _PRESET_CURVES = {"fig1-left": 3, "fig3-left": 6}
 
 
-@pytest.mark.parametrize(
-    "case",
-    ["qc,average,gamma_s,gamma_l,delta", "conditional,coherence,gfid,short,long", *_PRESET_CURVES],
-)
-def test_distance_forms_one_propagator_pair_per_point(monkeypatch, tmp_path, case):
+def count_propagators(monkeypatch) -> dict[str, list[int]]:
+    """Wrap both propagators; per name, the number of matrices each call forms (its block length)."""
     import qcwalk.spectral as spectral
 
-    counts = {"heat_propagator": 0, "unitary_propagator": 0}
-    for name in counts:
+    blocks = {"heat_propagator": [], "unitary_propagator": []}
+    for name in blocks:
         original = getattr(spectral, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+        def counted(sd, t, _name=name, _original=original):
+            blocks[_name].append(np.size(t))
+            return _original(sd, t)
 
         # every qcwalk namespace that holds the propagator gets the counter
         for mod in [m for key, m in sys.modules.items() if key.startswith("qcwalk")]:
             for attr, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counted)
+    return blocks
 
-    if case in _PRESET_CURVES:
-        argv, points = ["figure", case], 400 * _PRESET_CURVES[case]
-    else:
-        argv = ["distance", "--graph", "random_connected:11:6", "--steps", "25", "--quantities", case]
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "qc,average,gamma_s,gamma_l,delta",
+        "conditional,coherence,gfid,short,long",
+        *_PRESET_CURVES,
+        "distance_curve",
+        "verify_localized_optimality",
+        "ring:128",
+    ],
+)
+def test_distance_forms_one_propagator_pair_per_point(monkeypatch, tmp_path, case):
+    from qcwalk.distance import distance_curve, verify_localized_optimality
+
+    sd = eigendecompose(laplacian(generate("random_connected", 11, extra=6, seed=0)))
+    blocks = count_propagators(monkeypatch)
+    if case == "distance_curve":
         points = 25
-    out = tmp_path / "out"
-    assert main(argv + ["--out", str(out)]) == 0
-    csvs = sorted(out.glob("*.csv")) if out.is_dir() else [out]
-    assert sum(len(p.read_text().splitlines()) - 1 for p in csvs) == points
-    assert counts == {"heat_propagator": points, "unitary_propagator": points}
+        assert distance_curve(sd, np.geomspace(1e-2, 1e2, points)).shape == (11, points)
+    elif case == "verify_localized_optimality":
+        # the optimality floor reads the reduction of the sweep's own pair: 4 + 4 matrices
+        points = 4
+        assert verify_localized_optimality(sd, 10, [0.1, 0.5, 1.0, 3.0]).shape == (10, points)
+    else:
+        if case in _PRESET_CURVES:
+            argv, points = ["figure", case], 400 * _PRESET_CURVES[case]
+        elif case == "ring:128":
+            argv = ["distance", "--graph", case, "--steps", "5", "--quantities", "qc,conditional"]
+            points = 5
+        else:
+            argv = ["distance", "--graph", "random_connected:11:6", "--steps", "25", "--quantities", case]
+            points = 25
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        csvs = sorted(out.glob("*.csv")) if out.is_dir() else [out]
+        assert sum(len(p.read_text().splitlines()) - 1 for p in csvs) == points
+    matrices = {name: sum(sizes) for name, sizes in blocks.items()}
+    assert matrices == {"heat_propagator": points, "unitary_propagator": points}
+    if case == "ring:128":
+        # at n >= 64 a block holds one point, so every call forms one matrix
+        assert blocks == {"heat_propagator": [1] * points, "unitary_propagator": [1] * points}
 
 
 def test_distance_plateau_at_huge_time(capsys):

@@ -19,7 +19,7 @@ from qcwalk.distance import (
     verify_localized_optimality,
 )
 from qcwalk.spectral import eigendecompose
-from qcwalk.walks import node_observables
+from qcwalk.walks import node_observables, time_blocks
 
 K2 = eigendecompose(laplacian(generate("complete", 2)))
 RING11 = eigendecompose(laplacian(generate("ring", 11)))
@@ -339,8 +339,10 @@ def test_optimality_eigensolves_independent_of_sample_count(monkeypatch):
         margins = verify_localized_optimality(sd, n_samples, t_values, seed=4)
         assert margins.shape == (n_samples, 4)
         seen.append(dict(counts))
-    # two stacked eigvalsh per time point, whatever the sample count, and no DensityMatrix
-    assert seen[0] == seen[1] == {"eigh": 0, "eigvalsh": 2 * len(t_values), "builds": 0}
+    # two stacked eigvalsh per block of times (the four times are one block at n = 8),
+    # whatever the sample count, and no DensityMatrix
+    assert len(time_blocks(sd.n, len(t_values))) == 1
+    assert seen[0] == seen[1] == {"eigh": 0, "eigvalsh": 2, "builds": 0}
 
 
 def test_optimality_input_validation():

@@ -1,9 +1,11 @@
-"""The per-time kernel walks.node_observables against an independent route.
+"""The kernel walks.node_observables against an independent route, and its grid form.
 
 The kernel forms exp(L t) and exp(i L t) from one eigendecomposition; the
 reference here forms them with scipy.linalg.expm from the Laplacian matrix
 and reduces them to F, C and G directly. The derived graph-level quantities
-(qc, gamma_S, gamma_L) and the delta vector are checked the same way.
+(qc, gamma_S, gamma_L) and the delta vector are checked the same way. A grid
+call sweeps its times in blocks of stacked products; it must agree bitwise
+with one-point calls and keep every check a one-point call makes.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from scipy.linalg import expm
 
 from qcwalk import generate, laplacian
+from qcwalk.cli import main
 import qcwalk.walks as walks
 from qcwalk.distance import (
     conditional_vector,
@@ -21,8 +24,8 @@ from qcwalk.distance import (
     qc_distance,
     qc_of,
 )
-from qcwalk.spectral import eigendecompose
-from qcwalk.walks import node_observables
+from qcwalk.spectral import eigendecompose, heat_propagator, unitary_propagator
+from qcwalk.walks import node_observables, time_blocks
 
 GRAPHS = [
     ("star(7)", generate("star", 7)),
@@ -100,3 +103,111 @@ def test_kernel_refuses_negative_probabilities(monkeypatch):
     monkeypatch.setattr(walks, "heat_propagator", lambda sd, t: np.eye(sd.n) - 1e-6)
     with pytest.raises(ValueError, match="negative entry"):
         node_observables(sd, 0.5)
+
+
+# --- the grid kernel: blocks of stacked products ------------------------------------------
+
+GRID_GRAPHS = {
+    1: generate("complete", 1),
+    5: generate("random_connected", 5, extra=3, seed=0),
+    11: generate("random_connected", 11, extra=6, seed=0),
+    60: generate("random_connected", 60, extra=20, seed=0),
+    130: generate("ring", 130),
+}
+
+
+#: grid lengths around the block length b; at n = 130 a block is one point, so b - 1 is empty
+GRID_LENGTHS = {
+    "block-1": lambda b: b - 1,
+    "block": lambda b: b,
+    "block+1": lambda b: b + 1,
+    "2*block+1": lambda b: 2 * b + 1,
+}
+
+
+def block_length(n: int) -> int:
+    return max(1, walks.BLOCK_ELEMENTS // (n * n))
+
+
+@pytest.mark.parametrize("n", sorted(GRID_GRAPHS))
+@pytest.mark.parametrize("length", GRID_LENGTHS)
+def test_grid_call_is_bitwise_one_point_calls(n, length):
+    sd = eigendecompose(laplacian(GRID_GRAPHS[n]))
+    block = block_length(n)
+    count = GRID_LENGTHS[length](block)
+    sizes = [len(range(count)[b]) for b in time_blocks(n, count)]
+    assert sizes == [block] * (count // block) + [count % block] * (count % block > 0)
+    times = np.geomspace(1e-3, 1e3, count)
+    grid = node_observables(sd, times)
+    assert grid.fidelity.shape == grid.coherence.shape == grid.gfid.shape == (count, n)
+    # every block's first and last point, and every 13th point between (n = 1 has 16001)
+    edges = set(range(0, count, block)) | set(range(block - 1, count, block)) | {count - 1}
+    for i in sorted((edges | set(range(0, count, 13))) & set(range(count))):
+        one = node_observables(sd, times[i])
+        assert one.fidelity.shape == (n,)
+        for field in ("fidelity", "coherence", "gfid"):
+            assert np.array_equal(getattr(grid, field)[i], getattr(one, field)), (field, i)
+
+
+def test_grid_starting_at_zero_reads_exact_identity(tmp_path):
+    # two blocks on ring:5; the t = 0 row shares its stacked product with the rest of its block
+    steps = block_length(5) + 1
+    out = tmp_path / "curve.csv"
+    argv = ["distance", "--graph", "ring:5", "--tmin", "0", "--tmax", "5", "--linear"]
+    argv += ["--steps", str(steps), "--quantities", "conditional,coherence,gfid", "--out", str(out)]
+    assert main(argv) == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 1 + steps
+    assert rows[1] == "0," + ",".join(["0"] * 10 + ["1"] * 5)
+    sd = eigendecompose(laplacian(generate("ring", 5)))
+    grid = node_observables(sd, np.linspace(0.0, 5.0, steps))
+    assert np.array_equal(grid.fidelity[0], np.ones(5))
+    assert np.array_equal(grid.coherence[0], np.zeros(5))
+    assert np.array_equal(grid.gfid[0], np.ones(5))
+    assert np.array_equal(heat_propagator(sd, [0.0, 1.0])[0], np.eye(5))
+    assert np.array_equal(unitary_propagator(sd, [0.0, 1.0])[0], np.eye(5, dtype=complex))
+
+
+def test_negativity_in_second_block_raises_like_one_point(monkeypatch):
+    sd = eigendecompose(laplacian(generate("ring", 11)))
+    block = block_length(11)
+    times = np.linspace(0.1, 10.0, 2 * block + 1)
+    first_bad = times[block + 3]
+    true_heat = walks.heat_propagator
+    calls = []
+
+    def corrupted(sd, t):
+        # from first_bad on, every entry sinks below -1e-10, by more at later t
+        calls.append(np.size(t))
+        t = np.asarray(t)
+        return true_heat(sd, t) - np.where(t >= first_bad, t, 0.0)[..., None, None]
+
+    monkeypatch.setattr(walks, "heat_propagator", corrupted)
+    with pytest.raises(ValueError, match="negative entry") as one:
+        node_observables(sd, first_bad)
+    calls.clear()
+    with pytest.raises(ValueError) as grid:
+        node_observables(sd, times)
+    assert calls == [block, block]
+    assert str(grid.value) == str(one.value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+def test_bad_time_inside_grid_raises_todays_message(bad):
+    sd = eigendecompose(laplacian(generate("random_connected", 11, extra=6, seed=0)))
+    block = block_length(11)
+    times = np.linspace(0.1, 10.0, 2 * block + 1)
+    times[block + 2] = bad
+    heat_message = f"heat propagator needs finite t >= 0, got {bad}"
+    for call in (node_observables, heat_propagator):
+        for t in (bad, times):
+            with pytest.raises(ValueError) as exc:
+                call(sd, t)
+            assert str(exc.value) == heat_message
+    if np.isfinite(bad):
+        assert unitary_propagator(sd, times).shape == (times.size, 11, 11)
+    else:
+        for t in (bad, times):
+            with pytest.raises(ValueError) as exc:
+                unitary_propagator(sd, t)
+            assert str(exc.value) == f"unitary propagator needs finite t, got {bad}"
