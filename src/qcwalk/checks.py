@@ -102,48 +102,54 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
         vals = np.linalg.eigvalsh(lap.matrix)
         add("zero mode first, spectrum nonpositive", label, max(np.abs(vals).min(), vals.max()))
 
-        for t in t_samples:
+        # each group of sampled times is one grid: one propagator call per group
+        p = heat_propagator(sd, t_samples)
+        u = unitary_propagator(sd, t_samples)
+        rows, cols = np.abs(p.sum(axis=-1) - 1.0), np.abs(p.sum(axis=-2) - 1.0)
+        stoch = np.maximum(cols.max(axis=-1), rows.max(axis=-1))
+        bounds = np.maximum(np.maximum(-p.min(axis=(-2, -1)), p.max(axis=(-2, -1)) - 1.0), 0.0)
+        unitarity = np.abs(u @ u.conj().swapaxes(-1, -2) - eye).max(axis=(-2, -1))
+        for i, t in enumerate(t_samples):
             where = f"{label} t={t:.3f}"
-            p = heat_propagator(sd, t)
-            u = unitary_propagator(sd, t)
-            stoch = max(np.abs(p.sum(axis=0) - 1.0).max(), np.abs(p.sum(axis=1) - 1.0).max())
-            add("heat propagator doubly stochastic", where, stoch)
-            add("heat propagator entries in [0, 1]", where, max(-p.min(), p.max() - 1.0, 0.0))
-            add("unitary propagator unitary", where, np.abs(u @ u.conj().T - eye).max())
+            add("heat propagator doubly stochastic", where, stoch[i])
+            add("heat propagator entries in [0, 1]", where, bounds[i])
+            add("unitary propagator unitary", where, unitarity[i])
 
-        for _ in range(3):
-            t1, t2 = rng.uniform(0.0, 5.0, size=2)
-            lhs = heat_propagator(sd, t1) @ heat_propagator(sd, t2)
-            add(
-                "heat propagator semigroup",
-                f"{label} t1={t1:.3f} t2={t2:.3f}",
-                np.abs(lhs - heat_propagator(sd, t1 + t2)).max(),
-            )
-            t = rng.uniform(0.0, 5.0)
-            prod = unitary_propagator(sd, t) @ unitary_propagator(sd, -t)
-            add("unitary propagator group inverse", f"{label} t={t:.3f}", np.abs(prod - eye).max())
+        # three rounds of (t1, t2, t): one (3, 3) batch equals the draws taken round by round
+        t1, t2, t = rng.uniform(0.0, 5.0, size=(3, 3)).T
+        p = heat_propagator(sd, np.stack([t1, t2, t1 + t2]))
+        semigroup = np.abs(p[0] @ p[1] - p[2]).max(axis=(-2, -1))
+        u = unitary_propagator(sd, np.stack([t, -t]))
+        inverse = np.abs(u[0] @ u[1] - eye).max(axis=(-2, -1))
+        for i in range(3):
+            where = f"{label} t1={t1[i]:.3f} t2={t2[i]:.3f}"
+            add("heat propagator semigroup", where, semigroup[i])
+            add("unitary propagator group inverse", f"{label} t={t[i]:.3f}", inverse[i])
 
         # the oracle is built by hand from the propagators, independent of the kernel
-        for t in (0.3, 1.7):
-            p = heat_propagator(sd, t)
-            u = unitary_propagator(sd, t)
-            direct = walks.node_observables(sd, t).fidelity
+        oracle_times = (0.3, 1.7)
+        p = heat_propagator(sd, oracle_times)
+        u = unitary_propagator(sd, oracle_times)
+        direct = walks.node_observables(sd, oracle_times).fidelity
+        for i, t in enumerate(oracle_times):
             for j in (0, sd.n - 1):
                 oracle = uhlmann_fidelity(
-                    DensityMatrix.diagonal(np.clip(p[:, j], 0.0, None)),
-                    DensityMatrix.pure(u[:, j]),
+                    DensityMatrix.diagonal(np.clip(p[i, :, j], 0.0, None)),
+                    DensityMatrix.pure(u[i, :, j]),
                 )
                 where = f"{label} j={j} t={t}"
-                add("localized fidelity matches Uhlmann oracle", where, abs(direct[j] - oracle))
+                add("localized fidelity matches Uhlmann oracle", where, abs(direct[i, j] - oracle))
 
         t_inf = 50.0 / sd.fiedler
         value, _ = qc_distance(sd, t_inf)
         add("long-time plateau 1 - 1/n", f"{label} t={t_inf:.1f}", abs(value - (1.0 - 1.0 / sd.n)))
 
         if label in ("complete(5)", "ring(6)"):
-            for t in (0.2, 1.0, 4.0):
-                fid = walks.node_observables(sd, t).fidelity
-                add("regular graphs are node equivalent", f"{label} t={t}", fid.max() - fid.min())
+            regular_times = (0.2, 1.0, 4.0)
+            fid = walks.node_observables(sd, regular_times).fidelity
+            spread = fid.max(axis=-1) - fid.min(axis=-1)
+            for t, err in zip(regular_times, spread):
+                add("regular graphs are node equivalent", f"{label} t={t}", err)
 
     return [_result(name, found) for name, found in errs.items()]
 

@@ -146,9 +146,11 @@ def check_density(m: np.ndarray, eigenvalues: np.ndarray | None = None) -> np.nd
     """Validate a density matrix, or a stack (..., n, n) of them; return the eigenvalues.
 
     Every member must be square, Hermitian, of unit trace and positive
-    semidefinite, within the tolerances DensityMatrix uses. The eigenvalues
-    come from one (stacked) eigvalsh unless the caller already knows them:
-    a diagonal state's eigenvalues are its diagonal.
+    semidefinite, within the tolerances DensityMatrix uses. Hermiticity and
+    trace are checked on every member; positivity is read from the
+    eigenvalues, one (stacked) eigvalsh unless the caller already knows
+    them, shape m.shape[:-1] in any order: a diagonal state's eigenvalues
+    are its diagonal, and U diag(z) U^dag with U unitary has spectrum z.
     """
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -159,7 +161,12 @@ def check_density(m: np.ndarray, eigenvalues: np.ndarray | None = None) -> np.nd
     off = np.abs(tr - 1.0) > _TRACE_TOL
     if off.any():
         raise ValueError(f"density matrix trace must be 1, got {complex(tr[off].flat[0]):.12g}")
-    vals = np.linalg.eigvalsh(m) if eigenvalues is None else np.asarray(eigenvalues)
+    if eigenvalues is None:
+        vals = np.linalg.eigvalsh(m)
+    else:
+        vals = np.asarray(eigenvalues)
+        if vals.shape != m.shape[:-1]:
+            raise ValueError(f"need eigenvalues of shape {m.shape[:-1]}, got {vals.shape}")
     smallest = float(vals.min())
     if smallest < NEGATIVITY_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
@@ -223,24 +230,28 @@ def uhlmann_fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     return float(np.clip(np.sqrt(vals).sum() ** 2, 0.0, 1.0))
 
 
-def classical_quantum_fidelity(q, rho) -> np.ndarray:
+def classical_quantum_fidelity(q, rho, rho_eigenvalues=None) -> np.ndarray:
     """Uhlmann fidelity of diag(q[s]) and rho[s] for a stack of S state pairs.
 
     ``q`` is (S, n), one classical (diagonal) state per row; ``rho`` is
-    (S, n, n). Both stacks are validated like DensityMatrix. sqrt(diag(q))
-    is elementwise, so each mixed pair costs one eigvalsh of
-    sqrt(q_i) rho_ij sqrt(q_j), all S in one stacked call. Rows where either
-    state is pure take the exact closed form F = sum_k q_k rho_kk instead
-    (<psi|diag(q)|psi> when rho is |psi><psi|, rho_kk when q is e_k), the
-    same rank-one shortcut uhlmann_fidelity takes.
+    (S, n, n). Both stacks are validated like DensityMatrix (check_density).
+    A caller that built rho[s] with a known spectrum, such as
+    U diag(z) U^dag with U unitary, passes it as ``rho_eigenvalues`` (S, n),
+    in any order, and rho costs no eigensolve to validate; Hermiticity and
+    trace are still checked on every member. sqrt(diag(q)) is elementwise,
+    so each mixed pair costs one eigvalsh of sqrt(q_i) rho_ij sqrt(q_j), all
+    S in one stacked call. Rows where either state is pure (largest
+    eigenvalue above 1 - 1e-12) take the exact closed form
+    F = sum_k q_k rho_kk instead (<psi|diag(q)|psi> when rho is |psi><psi|,
+    rho_kk when q is e_k), the same rank-one shortcut uhlmann_fidelity takes.
     """
     q = np.asarray(q, dtype=float)
     rho = np.asarray(rho, dtype=complex)
     if q.ndim != 2 or rho.shape != q.shape + q.shape[-1:]:
         raise ValueError("need q of shape (S, n) and rho of shape (S, n, n)")
     check_density(q[:, :, None] * np.eye(q.shape[1]), eigenvalues=q)
-    rho_vals = check_density(rho)
-    pure = (q.max(axis=1) > _PURE_THRESHOLD) | (rho_vals[:, -1] > _PURE_THRESHOLD)
+    rho_vals = check_density(rho, eigenvalues=rho_eigenvalues)
+    pure = (q.max(axis=1) > _PURE_THRESHOLD) | (rho_vals.max(axis=1) > _PURE_THRESHOLD)
     root = np.sqrt(q)
     inner = root[:, :, None] * rho * root[:, None, :]
     vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)

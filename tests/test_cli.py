@@ -521,6 +521,54 @@ def test_verify_refuses_large_n(monkeypatch, capsys):
         assert stdout == ""
 
 
+def test_verify_stdout_independent_of_block_size(monkeypatch, capsys):
+    import qcwalk.walks as walks
+
+    outputs = set()
+    for block_elements in (1, 8000, 10**6):
+        monkeypatch.setattr(walks, "BLOCK_ELEMENTS", block_elements)
+        code, stdout, _ = run(["verify", "--samples", "400"], capsys)
+        assert code == 0
+        outputs.add(stdout)
+    assert len(outputs) == 1
+
+
+def test_invariant_checks_form_each_group_of_times_as_one_grid(monkeypatch):
+    import qcwalk.checks as checks
+    import qcwalk.spectral as spectral
+    import qcwalk.walks as walks
+
+    # per graph (one eigendecompose each) and propagator, the points of each call in order
+    calls: list[dict[str, list[int]]] = []
+
+    def decompose(lap):
+        calls.append({"heat_propagator": [], "unitary_propagator": []})
+        return spectral.eigendecompose(lap)
+
+    monkeypatch.setattr(checks, "eigendecompose", decompose)
+    for name in ("heat_propagator", "unitary_propagator"):
+
+        def counted(sd, t, _name=name, _original=getattr(spectral, name)):
+            calls[-1][_name].append(np.size(t))
+            return _original(sd, t)
+
+        for mod in (checks, walks):
+            monkeypatch.setattr(mod, name, counted)
+    results = checks.run_invariant_checks(seed=0)
+    assert all(r.passed for r in results)
+    # checks: 4 sampled times, semigroup t1, t2, t1 + t2 (3 rounds) or group inverse t, -t,
+    # the 2 oracle times; kernel: the oracle grid, the plateau, and 3 times on regular graphs
+    labels = [label for label, _ in checks.check_family(0)]
+    regular = {"complete(5)": [3], "ring(6)": [3]}
+    assert calls == [
+        {
+            "heat_propagator": [4, 9, 2, 2, 1] + regular.get(label, []),
+            "unitary_propagator": [4, 6, 2, 2, 1] + regular.get(label, []),
+        }
+        for label in labels
+    ]
+
+
 def test_verify_detects_tampered_fidelity(monkeypatch, capsys):
     import dataclasses
 

@@ -18,7 +18,8 @@ from qcwalk.distance import (
     short_vector,
     verify_localized_optimality,
 )
-from qcwalk.spectral import eigendecompose
+from qcwalk import walks
+from qcwalk.spectral import eigendecompose, unitary_propagator
 from qcwalk.walks import node_observables, time_blocks
 
 K2 = eigendecompose(laplacian(generate("complete", 2)))
@@ -312,15 +313,16 @@ def test_batched_dirichlet_draws_equal_sequential_draws(size):
         assert batch.bit_generator.state == seq.bit_generator.state
 
 
-def test_optimality_eigensolves_independent_of_sample_count(monkeypatch):
+def test_optimality_decomposes_one_matrix_per_sample_and_time(monkeypatch):
     from qcwalk.spectral import DensityMatrix
 
-    counts = {"eigh": 0, "eigvalsh": 0, "builds": 0}
+    counts = {"eigh": 0, "eigvalsh": 0, "matrices": 0, "builds": 0}
     for name in ("eigh", "eigvalsh"):
 
-        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
             counts[_name] += 1
-            return _original(*args, **kwargs)
+            counts["matrices"] += int(np.prod(np.shape(a)[:-2]))
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     true_post_init = DensityMatrix.__post_init__
@@ -332,17 +334,62 @@ def test_optimality_eigensolves_independent_of_sample_count(monkeypatch):
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
     sd = eigendecompose(laplacian(generate("random_connected", 8, extra=3, seed=4)))
     t_values = [0.1, 0.5, 1.0, 3.0]
-    seen = []
+    # the four times are one block at n = 8; its rows are chunked by the same budget
+    assert len(time_blocks(sd.n, len(t_values))) == 1
     for n_samples in (5, 50):
         for key in counts:
             counts[key] = 0
         margins = verify_localized_optimality(sd, n_samples, t_values, seed=4)
         assert margins.shape == (n_samples, 4)
-        seen.append(dict(counts))
-    # two stacked eigvalsh per block of times (the four times are one block at n = 8),
-    # whatever the sample count, and no DensityMatrix
-    assert len(time_blocks(sd.n, len(t_values))) == 1
-    assert seen[0] == seen[1] == {"eigh": 0, "eigvalsh": 2, "builds": 0}
+        # the quantum states' spectrum is their Dirichlet weights: only the fidelities
+        # take an eigvalsh, one matrix per sample and time, one call per chunk
+        chunks = len(time_blocks(sd.n, n_samples * len(t_values)))
+        assert counts == {
+            "eigh": 0,
+            "eigvalsh": chunks,
+            "matrices": n_samples * len(t_values),
+            "builds": 0,
+        }
+    assert chunks == 2
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [generate("star", 7), generate("ring", 11), generate("random_connected", 10, extra=3, seed=10)],
+)
+def test_built_states_have_their_weights_as_spectrum(graph):
+    # the sweep supplies z as the spectrum of U diag(z) U^dag; an eigensolve agrees
+    sd = eigendecompose(laplacian(graph))
+    u = unitary_propagator(sd, [0.1, 0.5, 1.0, 3.0])
+    z = np.random.Generator(np.random.PCG64(3)).dirichlet(np.ones(sd.n), size=(4, 40))
+    rho = (u[:, None] * z[:, :, None, :]) @ u.conj().swapaxes(-1, -2)[:, None]
+    assert np.abs(np.linalg.eigvalsh(rho) - np.sort(z, axis=-1)).max() <= 1e-13
+
+
+def test_optimality_refuses_a_drifting_unitary_before_any_fidelity(monkeypatch):
+    import qcwalk.distance as distance
+
+    def drifting(sd, t):
+        return unitary_propagator(sd, t) * (1 + 1e-8)
+
+    monkeypatch.setattr(distance, "unitary_propagator", drifting)
+    monkeypatch.setattr(
+        distance,
+        "classical_quantum_fidelity",
+        lambda *args, **kwargs: pytest.fail("a fidelity was computed past the drift guard"),
+    )
+    with pytest.raises(ValueError, match=r"drifts from unitarity by .* at t=0.1"):
+        verify_localized_optimality(STAR7, 5, [0.1, 0.5, 1.0, 3.0])
+
+
+@pytest.mark.parametrize("block_elements", [1, 8000, 10**6])
+def test_optimality_margins_independent_of_block_size(monkeypatch, block_elements):
+    # one block, several chunks at the default budget; a block and a chunk per row at 1
+    sd = eigendecompose(laplacian(generate("random_connected", 10, extra=3, seed=1)))
+    t_values = np.geomspace(0.05, 5.0, 9)
+    reference = verify_localized_optimality(sd, 30, t_values, seed=6)
+    monkeypatch.setattr(walks, "BLOCK_ELEMENTS", block_elements)
+    assert np.array_equal(verify_localized_optimality(sd, 30, t_values, seed=6), reference)
 
 
 def test_optimality_input_validation():

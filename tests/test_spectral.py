@@ -308,8 +308,39 @@ def test_stacked_validation_refuses_a_later_member(fault):
         q_bad = np.array([np.diagonal(m).real for m in stack])
         with pytest.raises(ValueError):
             classical_quantum_fidelity(q_bad, stack[[0, 0, 0]])
+    # a supplied spectrum skips only the eigensolve: every fault is still refused
+    spectrum = np.diagonal(stack, axis1=-2, axis2=-1).real
+    with pytest.raises(ValueError):
+        check_density(stack, eigenvalues=spectrum)
+    with pytest.raises(ValueError):
+        classical_quantum_fidelity(q_good, stack, rho_eigenvalues=spectrum)
+    check_density(stack[:2], eigenvalues=spectrum[:2])
+    # and a negative entry of the supplied spectrum is refused on its own
+    negative = spectrum[:2].copy()
+    negative[1, 0] = -1e-9
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        check_density(stack[:2], eigenvalues=negative)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        classical_quantum_fidelity(q_good[:2], stack[:2], rho_eigenvalues=negative)
+
+
+def test_supplied_spectrum_gives_bitwise_equal_fidelities():
+    # states built as U diag(z) U^dag, as the optimality sweep builds them, with basis
+    # weights among the Dirichlet draws so the pure closed form is covered too
+    rng = np.random.Generator(np.random.PCG64(23))
+    for sd in DECS:
+        for t in (0.1, 1.0, 3.0):
+            p, u = heat_propagator(sd, t), unitary_propagator(sd, t)
+            z = np.vstack([rng.dirichlet(np.ones(sd.n), size=30), np.eye(sd.n)[[0, -1]]])
+            q = np.clip(z @ p.T, 0.0, None)
+            rho = (u * z[:, None, :]) @ u.conj().T
+            computed = classical_quantum_fidelity(q, rho)
+            assert np.array_equal(classical_quantum_fidelity(q, rho, rho_eigenvalues=z), computed)
 
 
 def test_batched_fidelity_refuses_mismatched_shapes():
     with pytest.raises(ValueError):
         classical_quantum_fidelity(np.full((2, 3), 1.0 / 3), np.array([np.eye(2) / 2] * 2))
+    q, rho = np.full((2, 3), 1.0 / 3), np.array([np.eye(3) / 3] * 2)
+    with pytest.raises(ValueError, match="eigenvalues of shape"):
+        classical_quantum_fidelity(q, rho, rho_eigenvalues=q[:, :2])
