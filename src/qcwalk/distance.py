@@ -33,7 +33,6 @@ import numpy as np
 from . import walks
 from .config import check_grid
 from .spectral import (
-    NEGATIVITY_TOL,
     SpectralDecomposition,
     classical_quantum_fidelity,
     heat_propagator,
@@ -179,19 +178,16 @@ def verify_localized_optimality(
     and compares the full Uhlmann fidelity of the pair against the smallest
     localized fidelity min_j F_j(t). The full fidelity should never fall
     below that minimum. The times are swept in the kernel's blocks
-    (walks.time_blocks): each block forms one propagator pair per time and
+    (walks.time_blocks): each block forms one propagator pair per time,
     reads min_j F_j from the kernel's reduction of that same pair
-    (walks.reduce_propagators). Each U(t) must be unitary to within
-    ||U U^dag - I||_F <= -NEGATIVITY_TOL, else ValueError names the drift.
-    Then, by Ostrowski's theorem, U diag(z) U^dag has eigenvalues z_k theta_k
-    with |theta_k - 1| <= 1e-10, so z is its spectrum and the states are
-    validated without an eigensolve. The block's draws are made at once,
-    then its (time, sample) rows are built, validated and compared in chunks
-    of walks.time_blocks(n, rows), which bounds memory by the kernel's
-    element budget: one stacked eigvalsh per chunk gives the fidelities
-    (classical_quantum_fidelity), one decomposition per sample and time.
-    The margins do not depend on the block or chunk sizes. Keep n at desk
-    scale (<= 10 or so). ``t_values`` is checked like distance_curve's grid.
+    (walks.reduce_propagators) and makes all its Dirichlet draws at once.
+    Its samples are then compared in chunks, one classical_quantum_fidelity
+    call each on the chunk's (q, U, z), which validates every input and
+    raises ValueError if a U(t) drifts from unitarity. A chunk holds at most
+    walks.BLOCK_ELEMENTS complex entries of its quantum states, which bounds
+    memory whatever ``n_samples`` is; the margins do not depend on the block
+    or chunk sizes. Keep n at desk scale (<= 10 or so). ``t_values`` is
+    checked like distance_curve's grid.
 
     Returns the margins, shape (n_samples, len(t_values)): entry [s, i] is
     the s-th sample's fidelity at t_values[i] minus min_j F_j there.
@@ -207,26 +203,13 @@ def verify_localized_optimality(
     n = sd.n
 
     margins = np.empty((n_samples, t_values.size))
-    for b in walks.time_blocks(n, t_values.size):
+    for b in walks.time_blocks(n * n, t_values.size):
         p = heat_propagator(sd, t_values[b])
         u = unitary_propagator(sd, t_values[b])
-        drift = np.linalg.norm(u @ u.conj().swapaxes(-1, -2) - np.eye(n), axis=(-2, -1))
-        bad = drift > -NEGATIVITY_TOL
-        if bad.any():
-            raise ValueError(
-                f"unitary propagator drifts from unitarity by {float(drift[bad][0]):.3e} "
-                f"at t={float(t_values[b][bad][0])}"
-            )
         floor = walks.reduce_propagators(p, u).fidelity.min(axis=-1)
-        # one row per (time, sample); batch draws equal sequential draws, time by time
+        # batch draws equal sequential draws, time by time
         z = rng.dirichlet(np.ones(n), size=(len(p), n_samples))
-        q = np.clip(z @ p.swapaxes(-1, -2), 0.0, None).reshape(-1, n)
-        z = z.reshape(-1, n)
-        row_time = np.arange(len(p)).repeat(n_samples)
-        fid = np.empty(len(z))
-        for c in walks.time_blocks(n, len(z)):
-            uc = u[row_time[c]]
-            rho_q = (uc * z[c, None, :]) @ uc.conj().swapaxes(-1, -2)
-            fid[c] = classical_quantum_fidelity(q[c], rho_q, rho_eigenvalues=z[c])
-        margins[:, b] = (fid.reshape(len(p), n_samples) - floor[:, None]).T
+        q = np.clip(z @ p.swapaxes(-1, -2), 0.0, None)
+        for c in walks.time_blocks(len(p) * n * n, n_samples):
+            margins[c, b] = (classical_quantum_fidelity(q[:, c], u, z[:, c]) - floor[:, None]).T
     return margins

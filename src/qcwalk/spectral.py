@@ -142,34 +142,31 @@ def unitary_propagator(sd: SpectralDecomposition, t) -> np.ndarray:
     return _propagate(sd, t, np.exp(1j * sd.eigenvalues * t[..., None]))
 
 
-def check_density(m: np.ndarray, eigenvalues: np.ndarray | None = None) -> np.ndarray:
+def _check_weights(total: np.ndarray, weights: np.ndarray) -> None:
+    """The trace and positivity rule of a state, read from its trace and eigenvalues."""
+    off = ~(np.abs(total - 1.0) <= _TRACE_TOL)
+    if off.any():
+        raise ValueError(f"density matrix trace must be 1, got {complex(total[off].flat[0]):.12g}")
+    smallest = float(weights.min())
+    if not smallest >= NEGATIVITY_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
+
+
+def check_density(m: np.ndarray) -> np.ndarray:
     """Validate a density matrix, or a stack (..., n, n) of them; return the eigenvalues.
 
     Every member must be square, Hermitian, of unit trace and positive
-    semidefinite, within the tolerances DensityMatrix uses. Hermiticity and
-    trace are checked on every member; positivity is read from the
-    eigenvalues, one (stacked) eigvalsh unless the caller already knows
-    them, shape m.shape[:-1] in any order: a diagonal state's eigenvalues
-    are its diagonal, and U diag(z) U^dag with U unitary has spectrum z.
+    semidefinite, within the tolerances DensityMatrix uses; positivity is
+    read from one (stacked) eigvalsh. A non-finite trace or eigenvalue is
+    refused as well.
     """
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("density matrix must be square")
     if np.abs(m - np.swapaxes(m, -1, -2).conj()).max() > _HERMITICITY_TOL:
         raise ValueError("density matrix must be Hermitian")
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    off = np.abs(tr - 1.0) > _TRACE_TOL
-    if off.any():
-        raise ValueError(f"density matrix trace must be 1, got {complex(tr[off].flat[0]):.12g}")
-    if eigenvalues is None:
-        vals = np.linalg.eigvalsh(m)
-    else:
-        vals = np.asarray(eigenvalues)
-        if vals.shape != m.shape[:-1]:
-            raise ValueError(f"need eigenvalues of shape {m.shape[:-1]}, got {vals.shape}")
-    smallest = float(vals.min())
-    if smallest < NEGATIVITY_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
+    vals = np.linalg.eigvalsh(m)
+    _check_weights(np.trace(m, axis1=-2, axis2=-1), vals)
     return vals
 
 
@@ -230,31 +227,38 @@ def uhlmann_fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     return float(np.clip(np.sqrt(vals).sum() ** 2, 0.0, 1.0))
 
 
-def classical_quantum_fidelity(q, rho, rho_eigenvalues=None) -> np.ndarray:
-    """Uhlmann fidelity of diag(q[s]) and rho[s] for a stack of S state pairs.
+def classical_quantum_fidelity(q, u, z) -> np.ndarray:
+    """Uhlmann fidelity of diag(q[i, s]) and u[i] diag(z[i, s]) u[i]^dag, shape (T, S).
 
-    ``q`` is (S, n), one classical (diagonal) state per row; ``rho`` is
-    (S, n, n). Both stacks are validated like DensityMatrix (check_density).
-    A caller that built rho[s] with a known spectrum, such as
-    U diag(z) U^dag with U unitary, passes it as ``rho_eigenvalues`` (S, n),
-    in any order, and rho costs no eigensolve to validate; Hermiticity and
-    trace are still checked on every member. sqrt(diag(q)) is elementwise,
-    so each mixed pair costs one eigvalsh of sqrt(q_i) rho_ij sqrt(q_j), all
-    S in one stacked call. Rows where either state is pure (largest
-    eigenvalue above 1 - 1e-12) take the exact closed form
-    F = sum_k q_k rho_kk instead (<psi|diag(q)|psi> when rho is |psi><psi|,
-    rho_kk when q is e_k), the same rank-one shortcut uhlmann_fidelity takes.
+    ``q`` and ``z`` are (T, S, n) weights and ``u`` is (T, n, n): T unitaries,
+    each evolving S launches. The inputs that define the states are
+    validated, so a state that is not a density matrix never forms: every
+    row of q and z must be a probability vector (check_density's trace and
+    negativity rule and messages), and each u[i] unitary to within
+    ||u u^dag - I||_F <= -NEGATIVITY_TOL, else ValueError names the drift and
+    the index i. sqrt(diag(q)) is elementwise, so each mixed pair costs one
+    eigvalsh of sqrt(q_k) rho_kl sqrt(q_l), all T * S in one stacked call.
+    Pairs where either state is pure (largest weight above 1 - 1e-12) take
+    the closed form F = sum_k q_k rho_kk, the rank-one shortcut
+    uhlmann_fidelity takes.
     """
     q = np.asarray(q, dtype=float)
-    rho = np.asarray(rho, dtype=complex)
-    if q.ndim != 2 or rho.shape != q.shape + q.shape[-1:]:
-        raise ValueError("need q of shape (S, n) and rho of shape (S, n, n)")
-    check_density(q[:, :, None] * np.eye(q.shape[1]), eigenvalues=q)
-    rho_vals = check_density(rho, eigenvalues=rho_eigenvalues)
-    pure = (q.max(axis=1) > _PURE_THRESHOLD) | (rho_vals.max(axis=1) > _PURE_THRESHOLD)
+    u = np.asarray(u, dtype=complex)
+    z = np.asarray(z, dtype=float)
+    if q.ndim != 3 or z.shape != q.shape or u.shape != q.shape[:1] + q.shape[-1:] * 2:
+        raise ValueError("need q and z of shape (T, S, n) and u of shape (T, n, n)")
+    _check_weights(q.sum(axis=-1), q)
+    _check_weights(z.sum(axis=-1), z)
+    u_dag = u.conj().swapaxes(-1, -2)
+    drift = np.linalg.norm(u @ u_dag - np.eye(q.shape[-1]), axis=(-2, -1))
+    bad = np.flatnonzero(~(drift <= -NEGATIVITY_TOL))
+    if bad.size:
+        raise ValueError(f"u[{bad[0]}] drifts from unitarity by {drift[bad[0]]:.3e}")
+    rho = (u[:, None] * z[:, :, None, :]) @ u_dag[:, None]
+    pure = (q.max(axis=-1) > _PURE_THRESHOLD) | (z.max(axis=-1) > _PURE_THRESHOLD)
     root = np.sqrt(q)
-    inner = root[:, :, None] * rho * root[:, None, :]
+    inner = root[..., :, None] * rho * root[..., None, :]
     vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    mixed = np.sqrt(vals).sum(axis=1) ** 2
-    rank_one = np.einsum("sk,skk->s", q, rho).real
+    mixed = np.sqrt(vals).sum(axis=-1) ** 2
+    rank_one = np.einsum("tsk,tskk->ts", q, rho).real
     return np.clip(np.where(pure, rank_one, mixed), 0.0, 1.0)

@@ -68,9 +68,13 @@ class NodeObservables:
         return self.fidelity.shape[-1]
 
 
-def time_blocks(n: int, count: int) -> list[slice]:
-    """The blocks of a ``count``-point grid, ``max(1, BLOCK_ELEMENTS // n**2)`` points each."""
-    size = max(1, BLOCK_ELEMENTS // (n * n))
+def time_blocks(elements: int, count: int) -> list[slice]:
+    """Slices over ``count`` items, ``max(1, BLOCK_ELEMENTS // elements)`` items each.
+
+    ``elements`` is the entry count of one item, ``n * n`` for the propagator
+    of one grid point, so a block holds at most BLOCK_ELEMENTS entries.
+    """
+    size = max(1, BLOCK_ELEMENTS // elements)
     return [slice(start, start + size) for start in range(0, count, size)]
 
 
@@ -105,7 +109,7 @@ def node_observables(sd: SpectralDecomposition, t) -> NodeObservables:
     times = np.asarray(t, dtype=float)
     flat = times.reshape(-1)
     out = np.empty((3, flat.size, sd.n))
-    for b in time_blocks(sd.n, flat.size):
+    for b in time_blocks(sd.n * sd.n, flat.size):
         obs = reduce_propagators(heat_propagator(sd, flat[b]), unitary_propagator(sd, flat[b]))
         out[0, b], out[1, b], out[2, b] = obs.fidelity, obs.coherence, obs.gfid
     return NodeObservables(*out.reshape((3,) + times.shape + (sd.n,)))

@@ -135,7 +135,7 @@ def test_grid_call_is_bitwise_one_point_calls(n, length):
     sd = eigendecompose(laplacian(GRID_GRAPHS[n]))
     block = block_length(n)
     count = GRID_LENGTHS[length](block)
-    sizes = [len(range(count)[b]) for b in time_blocks(n, count)]
+    sizes = [len(range(count)[b]) for b in time_blocks(n * n, count)]
     assert sizes == [block] * (count // block) + [count % block] * (count % block > 0)
     times = np.geomspace(1e-3, 1e3, count)
     grid = node_observables(sd, times)

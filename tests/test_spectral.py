@@ -192,10 +192,14 @@ def test_first_order_expansion(sd):
 # --- density matrices and fidelity ----------------------------------------------
 
 
+def random_unitary(rng, n: int) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
 def random_density(rng, n: int) -> DensityMatrix:
     evals = rng.dirichlet(np.ones(n))
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, _ = np.linalg.qr(z)
+    q = random_unitary(rng, n)
     return DensityMatrix((q * evals) @ q.conj().T)
 
 
@@ -208,6 +212,12 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(ValueError):
         DensityMatrix(np.ones((2, 3)))
+
+
+def test_non_finite_density_matrices_are_refused():
+    for m in (np.diag([np.nan, 1.0]), np.array([[0.5, np.nan], [np.nan, 0.5]])):
+        with pytest.raises(ValueError):
+            DensityMatrix(m)
 
 
 def test_density_matrix_constructors():
@@ -270,14 +280,17 @@ def test_fidelity_symmetric_and_matches_sqrtm_oracle():
 def test_batched_fidelity_matches_scalar_uhlmann():
     rng = np.random.Generator(np.random.PCG64(17))
     for n in (2, 3, 5, 8):
-        q = rng.dirichlet(np.ones(n), size=20)
-        rho = np.array([random_density(rng, n).matrix for _ in range(20)])
-        batched = classical_quantum_fidelity(q, rho)
+        u = np.array([random_unitary(rng, n) for _ in range(3)])
+        q = rng.dirichlet(np.ones(n), size=(3, 20))
+        z = rng.dirichlet(np.ones(n), size=(3, 20))
+        batched = classical_quantum_fidelity(q, u, z)
         scalar = [
-            uhlmann_fidelity(DensityMatrix.diagonal(qs), DensityMatrix(rs)) for qs, rs in zip(q, rho)
+            uhlmann_fidelity(DensityMatrix.diagonal(qs), DensityMatrix((ui * zs) @ ui.conj().T))
+            for ui, q_row, z_row in zip(u, q, z)
+            for qs, zs in zip(q_row, z_row)
         ]
-        assert batched.shape == (20,)
-        assert np.abs(batched - scalar).max() <= 1e-12
+        assert batched.shape == (3, 20)
+        assert np.abs(batched.ravel() - scalar).max() <= 1e-12
 
 
 def _faulty_stack(fault: str) -> np.ndarray:
@@ -292,6 +305,21 @@ def _faulty_stack(fault: str) -> np.ndarray:
     return stack
 
 
+def _fidelity_inputs():
+    # T = 3 unitaries, S = 2 launches each, n = 3: every state valid
+    rng = np.random.Generator(np.random.PCG64(29))
+    u = np.array([random_unitary(rng, 3) for _ in range(3)])
+    return rng.dirichlet(np.ones(3), size=(3, 2)), u, rng.dirichlet(np.ones(3), size=(3, 2))
+
+
+# per check_density fault, the fault of the fidelity's inputs (q, u, z) in member 2
+_FIDELITY_FAULTS = {
+    "hermiticity": ("u", "drifts from unitarity by"),
+    "trace": ("z", "trace must be 1"),
+    "negativity": ("q", "negative eigenvalue"),
+}
+
+
 @pytest.mark.parametrize("fault", ["hermiticity", "trace", "negativity"])
 def test_stacked_validation_refuses_a_later_member(fault):
     stack = _faulty_stack(fault)
@@ -300,47 +328,56 @@ def test_stacked_validation_refuses_a_later_member(fault):
     with pytest.raises(ValueError):
         check_density(stack)
     check_density(stack[:2])
-    # both sides of the batched fidelity are validated
-    q_good = np.full((3, 3), 1.0 / 3)
-    with pytest.raises(ValueError):
-        classical_quantum_fidelity(q_good, stack)
-    if fault != "hermiticity":  # a diagonal state is Hermitian by construction
-        q_bad = np.array([np.diagonal(m).real for m in stack])
-        with pytest.raises(ValueError):
-            classical_quantum_fidelity(q_bad, stack[[0, 0, 0]])
-    # a supplied spectrum skips only the eigensolve: every fault is still refused
-    spectrum = np.diagonal(stack, axis1=-2, axis2=-1).real
-    with pytest.raises(ValueError):
-        check_density(stack, eigenvalues=spectrum)
-    with pytest.raises(ValueError):
-        classical_quantum_fidelity(q_good, stack, rho_eigenvalues=spectrum)
-    check_density(stack[:2], eigenvalues=spectrum[:2])
-    # and a negative entry of the supplied spectrum is refused on its own
-    negative = spectrum[:2].copy()
-    negative[1, 0] = -1e-9
-    with pytest.raises(ValueError, match="negative eigenvalue"):
-        check_density(stack[:2], eigenvalues=negative)
-    with pytest.raises(ValueError, match="negative eigenvalue"):
-        classical_quantum_fidelity(q_good[:2], stack[:2], rho_eigenvalues=negative)
+    # every input of the batched fidelity is validated, member by member
+    q, u, z = _fidelity_inputs()
+    classical_quantum_fidelity(q, u, z)
+    which, message = _FIDELITY_FAULTS[fault]
+    if which == "u":
+        u[2] *= 1 + 1e-8
+    elif which == "z":
+        z[2, 1] *= 1.5
+    else:
+        q[2, 1] = [1.2, -0.3, 0.1]
+    with pytest.raises(ValueError, match=message):
+        classical_quantum_fidelity(q, u, z)
+    classical_quantum_fidelity(q[:2], u[:2], z[:2])
 
 
-def test_supplied_spectrum_gives_bitwise_equal_fidelities():
-    # states built as U diag(z) U^dag, as the optimality sweep builds them, with basis
-    # weights among the Dirichlet draws so the pure closed form is covered too
-    rng = np.random.Generator(np.random.PCG64(23))
-    for sd in DECS:
-        for t in (0.1, 1.0, 3.0):
-            p, u = heat_propagator(sd, t), unitary_propagator(sd, t)
-            z = np.vstack([rng.dirichlet(np.ones(sd.n), size=30), np.eye(sd.n)[[0, -1]]])
-            q = np.clip(z @ p.T, 0.0, None)
-            rho = (u * z[:, None, :]) @ u.conj().T
-            computed = classical_quantum_fidelity(q, rho)
-            assert np.array_equal(classical_quantum_fidelity(q, rho, rho_eigenvalues=z), computed)
+_NON_STATES = {
+    # rho = diag(1.2, -0.2, 0): Hermitian, unit trace, not positive semidefinite
+    "negative z": ("z", [1.2, -0.2, 0.0], "negative eigenvalue -2.000e-01"),
+    "off-trace z": ("z", [0.5, 0.3, 0.3], "trace must be 1"),
+    "negative q": ("q", [1.2, -0.2, 0.0], "negative eigenvalue -2.000e-01"),
+    "off-trace q": ("q", [0.5, 0.3, 0.1], "trace must be 1"),
+    "non-finite z": ("z", [np.nan, 0.5, 0.5], "trace must be 1"),
+    "non-unitary u": ("u", np.diag([1.0, 1.0, 1.0 + 1e-8]), r"u\[2\] drifts from unitarity by"),
+    "non-finite u": ("u", np.diag([1.0, 1.0, np.nan]), r"u\[2\] drifts from unitarity by nan"),
+}
+
+
+@pytest.mark.parametrize("case", _NON_STATES)
+def test_non_states_are_refused_before_any_eigensolve(monkeypatch, case):
+    # the fidelity takes only (q, u, z), so a state that is not a density matrix cannot
+    # reach it: a bad weight vector or unitary in a later member is refused up front
+    q, u, z = _fidelity_inputs()
+    u[2] = np.eye(3)
+    which, value, message = _NON_STATES[case]
+    if which == "u":
+        u[2] = value
+    else:
+        {"q": q, "z": z}[which][2, 1] = value
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: pytest.fail("eigvalsh ran"))
+    with pytest.raises(ValueError, match=message):
+        classical_quantum_fidelity(q, u, z)
 
 
 def test_batched_fidelity_refuses_mismatched_shapes():
-    with pytest.raises(ValueError):
-        classical_quantum_fidelity(np.full((2, 3), 1.0 / 3), np.array([np.eye(2) / 2] * 2))
-    q, rho = np.full((2, 3), 1.0 / 3), np.array([np.eye(3) / 3] * 2)
-    with pytest.raises(ValueError, match="eigenvalues of shape"):
-        classical_quantum_fidelity(q, rho, rho_eigenvalues=q[:, :2])
+    q, u, z = _fidelity_inputs()
+    for args in (
+        (q[0], u, z),  # q not (T, S, n)
+        (q, u, z[:, :, :2]),  # z of another n
+        (q, u[:2], z),  # a unitary short of T
+        (q, u[:, :2, :2], z),  # unitaries of another n
+    ):
+        with pytest.raises(ValueError, match="need q and z of shape"):
+            classical_quantum_fidelity(*args)
