@@ -14,11 +14,16 @@ undefined values, and CRLF line endings. A sweep makes one kernel call for
 its whole grid, fills one float table (a row per time point) and formats
 each row with one ``%`` operation; every CSV is formatted before any file
 is written, so a sweep that fails writes nothing.
+
+The parser is built on the first :func:`main` call and reused by every later
+call in the process; :func:`main` dispatches to ``cmd_<command>``, looked up
+in this module by name at call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -29,7 +34,7 @@ import numpy as np
 from . import distance as dist
 from . import walks
 from .checks import run_invariant_checks, run_optimality_checks
-from .config import DEFAULT_STEPS, DEFAULT_T_MIN, TimeGrid, default_grid
+from .config import DEFAULT_STEPS, DEFAULT_T_MIN, TimeGrid, default_grid, default_t_max
 from .distance import DisconnectedGraphError
 from .graph import (
     degree_sequence,
@@ -195,7 +200,7 @@ def cmd_distance(args) -> int:
     t_max = args.tmax
     if t_max is None:
         # one node has no fiedler value, so its grid ends at t = 10
-        t_max = default_grid(sd.fiedler).t_max if g.n >= 2 else 10.0
+        t_max = default_t_max(sd.fiedler) if g.n >= 2 else 10.0
     grid = TimeGrid(args.tmin, t_max, args.steps, "linear" if args.linear else "log")
     outputs = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
     if not outputs:
@@ -310,7 +315,9 @@ def cmd_verify(args) -> int:
 # --- wiring ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call; every later call returns the same object."""
     parser = _Parser(prog="qcwalk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -320,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("extra", type=int, nargs="?", default=None, help="degree target for random_connected")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="edge-list path, or - for stdout")
-    p.set_defaults(fn=cmd_graph)
 
     p = sub.add_parser("distance", help="sweep distance quantities, emit CSV")
     src = p.add_mutually_exclusive_group(required=True)
@@ -340,29 +346,27 @@ def build_parser() -> argparse.ArgumentParser:
         default="qc",
         help="comma list from " + ",".join(_QUANTITIES),
     )
-    p.set_defaults(fn=cmd_distance)
 
     p = sub.add_parser("figure", help="emit the CSVs behind one preset figure")
     p.add_argument("which", choices=FIGURES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=8, help="panel size for fig1-center/right")
     p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(fn=cmd_figure)
 
     p = sub.add_parser("verify", help="run invariant and optimality checks")
     p.add_argument("--n-max", type=int, default=8, help="largest random graph size (<= 10)")
     p.add_argument("--samples", type=int, default=200, help="diagonal states to sample")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at call time, so a replaced cmd_* (patched or traced) is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return command(args)
     except (DisconnectedGraphError, np.linalg.LinAlgError) as exc:
         print(f"qcwalk: computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

@@ -34,6 +34,13 @@ __all__ = [
 GENERATOR_KINDS = ("complete", "ring", "path", "star", "wheel", "random_connected")
 
 
+def _check_node_count(n: int) -> int:
+    """The node-count rule of every graph: ``n`` if positive, else ValueError."""
+    if n < 1:
+        raise ValueError(f"node count must be positive, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on nodes 0..n-1.
@@ -47,8 +54,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"node count must be positive, got {self.n}")
+        _check_node_count(self.n)
         prev = None
         for e in self.edges:
             u, v = e
@@ -89,9 +95,8 @@ def graph_from_edges(n: int, edges) -> Graph:
     (repeats are an error rather than being merged silently, so noisy
     inputs fail loudly).
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"node count must be positive, got {n}")
+    # checked before the edges, so an edge list with n = 0 names the count, not an endpoint
+    n = _check_node_count(int(n))
     seen: set[tuple[int, int]] = set()
     for e in edges:
         u, v = (int(x) for x in e)

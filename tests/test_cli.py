@@ -1,24 +1,31 @@
+import argparse
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qcwalk import eigendecompose, generate, graph_from_spec, laplacian, read_edge_list
+import qcwalk.cli as cli
 from qcwalk.cli import _QUANTITIES, _format_row, main
-from qcwalk.config import TimeGrid, default_grid
+from qcwalk.config import TimeGrid, default_grid, default_t_max
 from qcwalk.walks import node_observables
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args, capsys):
-    code = main(args)
+    """(exit code, stdout, stderr) of one main call; a usage error or --help exits."""
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -60,6 +67,21 @@ def test_time_grid_validation():
     for spacing in ("linear", "log"):
         with pytest.raises(ValueError, match="strictly increasing"):
             TimeGrid(1.0, 1.0 + 2.2e-16, 3, spacing)
+
+
+def test_time_grid_forms_its_points_once():
+    grid = default_grid(0.5)
+    points = grid.times()
+    assert points is grid.times() and points.size == 400
+    with pytest.raises(ValueError):
+        points[0] = 0.0  # read-only
+    # the figure manifest's grid block holds the four fields, not the points
+    assert asdict(grid) == {"t_min": 1e-2, "t_max": 200.0, "steps": 400, "spacing": "log"}
+    # replace builds a new grid, which forms its own points
+    fewer = replace(grid, steps=3)
+    assert fewer == TimeGrid(1e-2, 200.0, 3)
+    assert np.array_equal(fewer.times(), np.geomspace(1e-2, 200.0, 3))
+    assert grid.times() is points
 
 
 def test_default_grid_spans_relaxation():
@@ -136,6 +158,16 @@ def test_distance_zero_grid_row(capsys):
     header, rows = read_csv(stdout)
     assert header == ["t", "qc"]
     assert rows == [["0", "0"]]
+
+
+def test_distance_op_forms_one_grid(monkeypatch, tmp_path):
+    fiedler = eigendecompose(laplacian(graph_from_spec("random_connected:11:6", seed=2))).fiedler
+    calls = []
+    geomspace = np.geomspace
+    monkeypatch.setattr(np, "geomspace", lambda *a, **k: calls.append(a) or geomspace(*a, **k))
+    argv = ["distance", "--graph", "random_connected:11:6", "--seed", "2"]
+    assert main(argv + ["--quantities", "qc,gamma_s", "--out", str(tmp_path / "c.csv")]) == 0
+    assert calls == [(1e-2, default_t_max(fiedler), 400)]
 
 
 def test_distance_k5_plateau(capsys):
@@ -357,6 +389,72 @@ def test_usage_error_exit_code_is_one():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
+
+
+# --- the parser: built once per process, commands looked up by name -------------------
+
+
+#: one call of every command, a usage error and a help text; paths are relative
+_PARSER_CALLS = [
+    ["graph", "ring", "5", "--out", "r.edges"],
+    ["distance", "--edges", "r.edges", "--steps", "20", "--quantities", "qc,conditional", "--out", "d.csv"],
+    ["distance", "--graph", "ring:5", "--steps", "5", "--out", "-"],
+    ["figure", "fig1-left", "--out", "figs"],
+    ["verify", "--n-max", "3", "--samples", "4"],
+    ["distance", "--graph", "ring:5", "--log"],
+    ["distance", "--help"],
+]
+
+
+def run_parser_calls(directory, fresh, monkeypatch, capsys):
+    """Every call of _PARSER_CALLS in ``directory``; ``fresh`` builds a parser for each call."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    results = []
+    for argv in _PARSER_CALLS:
+        if fresh:
+            cli.build_parser.cache_clear()
+        results.append(run(argv, capsys))
+    files = sorted(p for p in directory.rglob("*") if p.is_file())
+    return results, {str(p.relative_to(directory)): p.read_bytes() for p in files}
+
+
+def test_parser_is_built_once_and_matches_a_fresh_parser(monkeypatch, tmp_path, capsys):
+    init = argparse.ArgumentParser.__init__
+    built = []
+    monkeypatch.setattr(cli._Parser, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    cli.build_parser.cache_clear()
+    cached = run_parser_calls(tmp_path / "cached", False, monkeypatch, capsys)
+    assert len(built) == 5  # the root parser and its four subcommands, once
+    fresh = run_parser_calls(tmp_path / "fresh", True, monkeypatch, capsys)
+    assert len(built) == 5 + 5 * len(_PARSER_CALLS)
+    assert [code for code, _, _ in cached[0]] == [0, 0, 0, 0, 0, 1, 0]
+    assert len(cached[1]) == 6  # r.edges, d.csv, three figure CSVs and the manifest
+    # stdout, stderr, exit codes and files, byte for byte
+    assert cached == fresh
+
+
+def test_import_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import qcwalk.cli\n"
+        "print(len(built), qcwalk.cli.build_parser.cache_info().currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0\n"
+
+
+def test_command_patched_after_the_first_call_is_the_one_that_runs(monkeypatch, capsys):
+    argv = ["distance", "--graph", "ring:5", "--steps", "2"]
+    assert run(argv, capsys)[0] == 0  # the parser exists from here on
+    seen = []
+    monkeypatch.setattr(cli, "cmd_distance", lambda args: seen.append(args.graph) or 7)
+    assert run(argv, capsys) == (7, "", "")
+    assert seen == ["ring:5"]
 
 
 # --- CSV bytes: the row formatter against the per-cell writer it replaced ---------------

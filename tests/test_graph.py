@@ -47,6 +47,24 @@ def test_graph_from_edges_rejects_bad_input():
         G.graph_from_edges(0, [])
 
 
+def test_node_count_rule_names_the_count(tmp_path, capsys):
+    from qcwalk.cli import main
+
+    message = "node count must be positive, got 0"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        G.graph_from_edges(0, [])
+    # the count is checked before the edges, so the endpoint is not what gets named
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        G.graph_from_edges(0, [(0, 1)])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        G.Graph(0, ())
+    edges = tmp_path / "empty.edges"
+    edges.write_text("0\n0 1\n")
+    assert main(["distance", "--edges", str(edges)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"qcwalk: error: {message}\n"
+
+
 def test_generators_basic_shapes():
     assert len(G.generate("complete", 5).edges) == 10
     assert len(G.generate("ring", 11).edges) == 11

@@ -1,0 +1,83 @@
+"""The kernel against closed forms evaluated in mpmath, with no eigensolver.
+
+The complete graph K_n has Laplacian spectrum 0 and -n (n - 1 times), so
+from launch node j both propagator columns are exact:
+
+    p_jj = 1/n + (1 - 1/n) e^{-nt},     p_kj = (1 - e^{-nt}) / n,
+    a_jj = 1/n + (1 - 1/n) e^{-int},    a_kj = (1 - e^{-int}) / n    (k != j).
+
+F, C, 1 - G, D_QC(t|0) = 1 - F and gamma_S(t|0) = D_QC(t|0) / (C / 2) at
+launch node 0 follow from these at 50 digits.
+
+The kernel's phases e^{iλt} carry an error of order t · eps · max|λ|, with
+max|λ| = n (the phase horizon). A quantity q moves by |dq/dφ| per radian of
+the phase φ = nt, so its relative error is held to
+
+    1e-12 + 10 · t · eps · n · max(1, |dq/dφ| / |q|).
+
+The last factor is 1 except near a revival (nt close to a multiple of 2π),
+where C, and so gamma_S, is small and a phase error is large next to it.
+Only t >= 1e-2 is checked: at shorter times 1 - F, C and 1 - G cancel in the
+kernel's arithmetic.
+"""
+
+import mpmath
+import numpy as np
+import pytest
+
+from qcwalk import eigendecompose, generate, laplacian
+from qcwalk.distance import conditional_vector, short_vector
+from qcwalk.walks import node_observables
+
+TIMES = np.geomspace(1e-2, 1e4, 13)
+EPS = np.finfo(float).eps
+
+
+def complete_graph_oracle(n, t, phase) -> dict:
+    """F, C, 1 - G, D_QC and gamma_S of K_n at launch node 0, with e^{-i phase} for e^{-int}."""
+    heat, wave = mpmath.exp(-n * t), mpmath.expj(-phase)
+    p_jj, p_kj = 1 / n + (1 - 1 / n) * heat, (1 - heat) / n
+    a_jj, a_kj = abs(1 / n + (1 - 1 / n) * wave), abs(1 - wave) / n
+    fidelity = p_jj * a_jj**2 + (n - 1) * p_kj * a_kj**2
+    coherence = (a_jj + (n - 1) * a_kj) ** 2 - 1
+    gfid = mpmath.sqrt(p_jj) * a_jj + (n - 1) * mpmath.sqrt(p_kj) * a_kj
+    return {
+        "F": fidelity,
+        "C": coherence,
+        "1 - G": 1 - gfid,
+        "D_QC": 1 - fidelity,
+        "gamma_S": (1 - fidelity) / (coherence / 2),
+    }
+
+
+def exact_and_condition(n: int, t: float) -> dict[str, tuple[float, float]]:
+    """Per quantity, its exact value and max(1, |dq/dφ| / |q|) at the phase φ = nt.
+
+    The slope is a central difference with step 1e-20, exact to about 1e-20
+    relative at 50 digits.
+    """
+    with mpmath.workdps(50):
+        n_, t_, step = mpmath.mpf(n), mpmath.mpf(t), mpmath.mpf("1e-20")
+        exact, ahead, behind = (complete_graph_oracle(n_, t_, n_ * t_ + d) for d in (0, step, -step))
+        return {
+            name: (float(value), max(1.0, float(abs((ahead[name] - behind[name]) / (2 * step * value)))))
+            for name, value in exact.items()
+        }
+
+
+@pytest.mark.parametrize("n", [3, 5, 50, 200])
+def test_complete_graph_matches_closed_form(n):
+    obs = node_observables(eigendecompose(laplacian(generate("complete", n))), TIMES)
+    distance, short = conditional_vector(obs)[:, 0], short_vector(obs)[:, 0]
+    kernel = {
+        "F": obs.fidelity[:, 0],
+        "C": obs.coherence[:, 0],
+        "1 - G": 1.0 - obs.gfid[:, 0],
+        "D_QC": distance,
+        "gamma_S": distance / short,
+    }
+    for i, t in enumerate(TIMES):
+        for name, (exact, condition) in exact_and_condition(n, t).items():
+            error = abs(kernel[name][i] - exact) / abs(exact)
+            bound = 1e-12 + 10 * t * EPS * n * condition
+            assert error <= bound, f"{name} of K_{n} at t={t:.3g}: relative error {error:.2e} > {bound:.2e}"

@@ -11,14 +11,18 @@ from qcwalk import eigendecompose, generate, laplacian
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def child_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_script(name, *args):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
 
 
@@ -47,3 +51,26 @@ def test_reproduce_figures_runs(tmp_path):
     proc = run_script("reproduce_figures.py", "--which", "fig1-left", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "fig1-left_manifest.json").is_file()
+
+
+def test_reproduce_figures_in_one_process_matches_one_process_per_preset(tmp_path):
+    from qcwalk.cli import FIGURES
+
+    # one process per preset, started together; each builds its own parser
+    separate = tmp_path / "separate"
+    argv = [sys.executable, "-m", "qcwalk.cli", "figure"]
+    procs = [
+        subprocess.Popen(argv + [which, "--out", str(separate)], stdout=subprocess.DEVNULL, env=child_env())
+        for which in FIGURES
+    ]
+    # the script runs every preset through one process's cached parser
+    together = tmp_path / "together"
+    proc = run_script("reproduce_figures.py", "--which", "all", "--out", str(together))
+    assert [p.wait(timeout=60) for p in procs] == [0] * len(FIGURES)
+    assert proc.returncode == 0, proc.stderr
+
+    names = sorted(p.name for p in separate.iterdir())
+    assert len(names) == 32  # 26 curves of the six presets, and six manifests
+    assert sorted(p.name for p in together.iterdir()) == names
+    for name in names:
+        assert (together / name).read_bytes() == (separate / name).read_bytes(), name
