@@ -18,7 +18,7 @@ in the submodules (graph, spectral, walks, distance, config, checks, cli).
 """
 
 from .config import TimeGrid, default_grid
-from .distance import distance_curve, gamma_ratio, qc_distance
+from .distance import distance_curve, qc_distance
 from .graph import (
     degree_sequence,
     generate,

@@ -8,9 +8,9 @@ Subcommands:
 * ``verify``   invariant spot checks and the localized-optimality sweep
 
 Exit codes: 0 success, 1 usage or configuration error, 2 computation error
-(disconnected graph, eigensolver failure), 3 verification failure. CSV uses
-a mandatory header row, 12-significant-digit floats, the literal ``NA`` for
-undefined values, and CRLF line endings. A sweep makes one kernel call for
+(disconnected graph, eigensolver failure, memory exhausted), 3 verification
+failure. CSV uses a mandatory header row, 12-significant-digit floats, the
+literal ``NA`` for undefined values, and CRLF line endings. A sweep makes one kernel call for
 its whole grid, fills one float table (a row per time point) and formats
 each row with one ``%`` operation; every CSV is formatted before any file
 is written, so a sweep that fails writes nothing.
@@ -367,8 +367,8 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except (DisconnectedGraphError, np.linalg.LinAlgError) as exc:
-        print(f"qcwalk: computation error: {exc}", file=sys.stderr)
+    except (DisconnectedGraphError, np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"qcwalk: computation error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_COMPUTE
     except (ValueError, OSError) as exc:
         print(f"qcwalk: error: {exc}", file=sys.stderr)

@@ -51,7 +51,6 @@ __all__ = [
     "delta_of",
     "qc_distance",
     "distance_curve",
-    "gamma_ratio",
     "verify_localized_optimality",
 ]
 
@@ -101,24 +100,22 @@ def qc_of(obs: NodeObservables):
     return cond.max(axis=-1), cond.argmax(axis=-1)
 
 
-_ASYMPTOTES = {"s": short_vector, "short": short_vector, "l": long_vector, "long": long_vector}
+_ASYMPTOTES = {"S": short_vector, "L": long_vector}
 
 
 def gamma_of(obs: NodeObservables, which: str):
-    """gamma_K = D_QC / max_j D^K(t|j) for K in {S, L}, per time.
+    """gamma_K = D_QC / max_j D^K(t|j) for K in {S, L}, per time; ratios may exceed 1.
 
-    Undefined where the asymptote maximum is at or below RATIO_FLOOR: NaN on
-    a grid, None for a record at one time.
+    Undefined, and NaN, where the asymptote maximum is at or below
+    RATIO_FLOOR (e.g. at t = 0, where both distances vanish), for a record
+    at one time and on a grid alike.
     """
-    asymptote = _ASYMPTOTES.get(str(which).lower())
+    asymptote = _ASYMPTOTES.get(which)
     if asymptote is None:
         raise ValueError(f"asymptote selector must be 'S' or 'L', got {which!r}")
     denom = asymptote(obs).max(axis=-1)
-    defined = denom > RATIO_FLOOR
-    ratio = np.divide(qc_of(obs)[0], denom, out=np.full(np.shape(denom), np.nan), where=defined)
-    if ratio.ndim:
-        return ratio
-    return float(ratio) if defined else None
+    out = np.full(np.shape(denom), np.nan)
+    return np.divide(qc_of(obs)[0], denom, out=out, where=denom > RATIO_FLOOR)[()]
 
 
 def delta_of(obs: NodeObservables) -> np.ndarray:
@@ -147,18 +144,6 @@ def distance_curve(sd: SpectralDecomposition, times) -> np.ndarray:
     require_connected(sd)
     times = check_grid(times)
     return np.ascontiguousarray(conditional_vector(walks.node_observables(sd, times)).T)
-
-
-def gamma_ratio(sd: SpectralDecomposition, which: str, t: float) -> float | None:
-    """gamma_K(t) = D_QC(t) / D^K_QC(t) for K in {S, L}.
-
-    Both numerator and denominator are maximized over launch nodes. When
-    the asymptote maximum vanishes (below RATIO_FLOOR, e.g. at t = 0 where
-    both distances are 0) the ratio is undefined and None is returned
-    rather than a 0/0 quotient. Ratios may exceed 1.
-    """
-    require_connected(sd)
-    return gamma_of(walks.node_observables(sd, float(t)), which)
 
 
 def verify_localized_optimality(

@@ -34,13 +34,6 @@ __all__ = [
 GENERATOR_KINDS = ("complete", "ring", "path", "star", "wheel", "random_connected")
 
 
-def _check_node_count(n: int) -> int:
-    """The node-count rule of every graph: ``n`` if positive, else ValueError."""
-    if n < 1:
-        raise ValueError(f"node count must be positive, got {n}")
-    return n
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on nodes 0..n-1.
@@ -48,20 +41,31 @@ class Graph:
     Edges are canonical: sorted tuples (u, v) with u < v, no duplicates.
     Build instances through :func:`graph_from_edges`, :func:`generate`, or
     :func:`read_edge_list` rather than the raw constructor.
+
+    This is the one rule of every graph, checked in one pass: the node count
+    first, so an edge list with n = 0 names the count, not an endpoint; then
+    for each edge an endpoint in range, no self-loop, no repeat of the edge
+    before it, and canonical increasing order.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        _check_node_count(self.n)
-        prev = None
+        n = self.n
+        if n < 1:
+            raise ValueError(f"node count must be positive, got {n}")
+        prev = (-1, -1)
         for e in self.edges:
             u, v = e
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge {e} is not canonical for n={self.n}")
-            if prev is not None and e <= prev:
-                raise ValueError(f"edges out of order or duplicated at {e}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
+            if u == v:
+                raise ValueError(f"self-loop ({u}, {v}) is not allowed")
+            if e == prev:
+                raise ValueError(f"duplicate edge ({u}, {v})")
+            if u > v or e < prev:
+                raise ValueError(f"edge {e} is not canonical for n={n}")
             prev = e
 
 
@@ -83,32 +87,17 @@ class Laplacian:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
 
 def graph_from_edges(n: int, edges) -> Graph:
-    """Validate an edge list and return the canonical Graph.
+    """The canonical Graph of an edge list in any order and orientation.
 
-    Rejects out-of-range endpoints, self-loops, and repeated edges
-    (repeats are an error rather than being merged silently, so noisy
-    inputs fail loudly).
+    Each edge's endpoints are ordered and the edges sorted; Graph then
+    rejects out-of-range endpoints, self-loops, and repeated edges (repeats
+    are an error rather than being merged silently, so noisy inputs fail
+    loudly), naming the offending edge as its canonical pair (u, v), u < v.
     """
-    # checked before the edges, so an edge list with n = 0 names the count, not an endpoint
-    n = _check_node_count(int(n))
-    seen: set[tuple[int, int]] = set()
-    for e in edges:
-        u, v = (int(x) for x in e)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
-        if u == v:
-            raise ValueError(f"self-loop ({u}, {v}) is not allowed")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ValueError(f"duplicate edge ({u}, {v})")
-        seen.add(key)
-    return Graph(n, tuple(sorted(seen)))
+    pairs = ((int(a), int(b)) for a, b in edges)
+    return Graph(int(n), tuple(sorted((u, v) if u < v else (v, u) for u, v in pairs)))
 
 
 def generate(kind: str, n: int, extra: int | None = None, seed: int = 0) -> Graph:

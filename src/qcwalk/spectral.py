@@ -19,7 +19,6 @@ from .graph import Laplacian
 __all__ = [
     "SpectralDecomposition",
     "DensityMatrix",
-    "check_density",
     "eigendecompose",
     "heat_propagator",
     "unitary_propagator",
@@ -80,8 +79,7 @@ class SpectralDecomposition:
         """Magnitude of the first nonzero eigenvalue (0.0 if disconnected)."""
         if self.n < 2:
             raise ValueError("fiedler value needs at least two nodes")
-        mag = abs(float(self.eigenvalues[1]))
-        return mag if mag > ZERO_MODE_TOL else 0.0
+        return abs(float(self.eigenvalues[1])) if self.is_connected else 0.0
 
 
 def eigendecompose(lap: Laplacian) -> SpectralDecomposition:
@@ -110,6 +108,18 @@ def _refuse(t: np.ndarray, ok: np.ndarray, needs: str) -> None:
         raise ValueError(f"{needs}, got {float(t[~ok].flat[0])}")
 
 
+def _phases(sd: SpectralDecomposition, t: np.ndarray, needs: str) -> np.ndarray:
+    """lambda t for every point of ``t`` and eigenvalue lambda, shape np.shape(t) + (n,).
+
+    A point whose phase t max|lambda| overflows is refused, before any
+    factor is exponentiated.
+    """
+    with np.errstate(over="ignore"):
+        phases = sd.eigenvalues * t[..., None]
+    _refuse(t, np.isfinite(phases).all(axis=-1), f"{needs} needs a finite phase t * max|lambda|")
+    return phases
+
+
 def _propagate(sd: SpectralDecomposition, t: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """V diag(factors) V^T for every point of ``t``, exactly the identity where t == 0."""
     out = (sd.eigenvectors * factors[..., None, :]) @ sd.eigenvectors.T
@@ -127,19 +137,22 @@ def heat_propagator(sd: SpectralDecomposition, t) -> np.ndarray:
     starting at node j. Because the Laplacian is symmetric with zero row sums,
     the result is doubly stochastic for t >= 0, and exactly the identity at
     t = 0. Negative t is rejected: the semigroup does not run backwards. So
-    is a non-finite t.
+    is a non-finite t, and one whose phase t max|lambda| overflows.
     """
     t = np.asarray(t, dtype=float)
     _refuse(t, np.isfinite(t) & (t >= 0), "heat propagator needs finite t >= 0")
     # exp(lambda t) with lambda <= 0 underflows harmlessly to 0 for large t
-    return _propagate(sd, t, np.exp(sd.eigenvalues * t[..., None]))
+    return _propagate(sd, t, np.exp(_phases(sd, t, "heat propagator")))
 
 
 def unitary_propagator(sd: SpectralDecomposition, t) -> np.ndarray:
-    """exp(i L t): the quantum walk unitary, shape np.shape(t) + (n, n); any finite t."""
+    """exp(i L t): the quantum walk unitary, shape np.shape(t) + (n, n).
+
+    Any finite t whose phase t max|lambda| is finite; others are refused.
+    """
     t = np.asarray(t, dtype=float)
     _refuse(t, np.isfinite(t), "unitary propagator needs finite t")
-    return _propagate(sd, t, np.exp(1j * sd.eigenvalues * t[..., None]))
+    return _propagate(sd, t, np.exp(1j * _phases(sd, t, "unitary propagator")))
 
 
 def _check_weights(total: np.ndarray, weights: np.ndarray) -> None:
@@ -152,35 +165,23 @@ def _check_weights(total: np.ndarray, weights: np.ndarray) -> None:
         raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
 
 
-def check_density(m: np.ndarray) -> np.ndarray:
-    """Validate a density matrix, or a stack (..., n, n) of them; return the eigenvalues.
-
-    Every member must be square, Hermitian, of unit trace and positive
-    semidefinite, within the tolerances DensityMatrix uses; positivity is
-    read from one (stacked) eigvalsh. A non-finite trace or eigenvalue is
-    refused as well.
-    """
-    m = np.asarray(m)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError("density matrix must be square")
-    if np.abs(m - np.swapaxes(m, -1, -2).conj()).max() > _HERMITICITY_TOL:
-        raise ValueError("density matrix must be Hermitian")
-    vals = np.linalg.eigvalsh(m)
-    _check_weights(np.trace(m, axis1=-2, axis2=-1), vals)
-    return vals
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density matrix: Hermitian, unit trace, positive semidefinite."""
+    """Validated density matrix: square, Hermitian, unit trace, positive semidefinite.
+
+    Positivity is read from one eigvalsh; a non-finite trace or eigenvalue
+    is refused as well.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2:
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
-        check_density(m)
+        if np.abs(m - m.conj().T).max() > _HERMITICITY_TOL:
+            raise ValueError("density matrix must be Hermitian")
+        _check_weights(np.trace(m), np.linalg.eigvalsh(m))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -233,7 +234,7 @@ def classical_quantum_fidelity(q, u, z) -> np.ndarray:
     ``q`` and ``z`` are (T, S, n) weights and ``u`` is (T, n, n): T unitaries,
     each evolving S launches. The inputs that define the states are
     validated, so a state that is not a density matrix never forms: every
-    row of q and z must be a probability vector (check_density's trace and
+    row of q and z must be a probability vector (DensityMatrix's trace and
     negativity rule and messages), and each u[i] unitary to within
     ||u u^dag - I||_F <= -NEGATIVITY_TOL, else ValueError names the drift and
     the index i. sqrt(diag(q)) is elementwise, so each mixed pair costs one

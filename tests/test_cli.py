@@ -370,6 +370,62 @@ def test_distance_non_finite_times_exit_one(grid_flags, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "grid_flags, first",
+    [
+        (["--graph", "complete:200", "--steps", "1", "--tmin", "1e306"], "1e+306"),
+        (["--graph", "ring:5", "--linear", "--tmin", "0", "--tmax", "1e308", "--steps", "2"], "1e+308"),
+    ],
+)
+def test_distance_phase_overflow_exits_one(grid_flags, first, tmp_path, capsys):
+    # t is finite but t * max|lambda| is not: refused with one line, no numpy warning, no NA row
+    argv = ["distance", "--quantities", "qc"] + grid_flags
+    code, stdout, stderr = run(argv, capsys)
+    assert code == 1 and stdout == ""
+    assert stderr == f"qcwalk: error: heat propagator needs a finite phase t * max|lambda|, got {first}\n"
+    out = tmp_path / "curve.csv"
+    assert run(argv + ["--out", str(out)], capsys)[0] == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "error, reported",
+    [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"), "Unable to allocate 7.28 TiB for an array"),
+        (MemoryError(), "out of memory"),
+    ],
+)
+def test_memory_exhaustion_is_a_computation_error(error, reported, monkeypatch, tmp_path, capsys):
+    # an edge list naming a million nodes asks laplacian for an n x n dense matrix; the
+    # patched laplacian raises as numpy would, without allocating anything
+    def out_of_memory(g):
+        raise error
+
+    monkeypatch.setattr(cli, "laplacian", out_of_memory)
+    edges = tmp_path / "huge.edges"
+    edges.write_text("1000000\n0 1\n")
+    code, stdout, stderr = run(["distance", "--edges", str(edges)], capsys)
+    assert code == 2 and stdout == ""
+    assert stderr == f"qcwalk: computation error: {reported}\n"
+
+
+@pytest.mark.parametrize(
+    "text, fault",
+    [
+        ("3\n0 1\n1 3\n", "edge (1, 3) has an endpoint outside [0, 3)"),
+        ("3\n0 1\n2 2\n", "self-loop (2, 2) is not allowed"),
+        ("3\n0 1\n1 2\n1 0\n", "duplicate edge (0, 1)"),
+    ],
+    ids=["out_of_range", "self_loop", "repeated"],
+)
+def test_distance_bad_edge_list_exits_one(text, fault, tmp_path, capsys):
+    edges = tmp_path / "bad.edges"
+    edges.write_text(text)
+    code, stdout, stderr = run(["distance", "--edges", str(edges)], capsys)
+    assert code == 1 and stdout == ""
+    assert stderr == f"qcwalk: error: {fault}\n"
+
+
 @pytest.mark.parametrize("spacing_flags", [[], ["--linear"]])
 def test_distance_degenerate_grid_exits_one(spacing_flags, tmp_path, capsys):
     # --tmax is one ulp above --tmin, so the three grid points repeat t = 1

@@ -12,9 +12,9 @@ from qcwalk.distance import (
     delta_vector,
     distance_curve,
     gamma_of,
-    gamma_ratio,
     long_vector,
     qc_distance,
+    qc_of,
     short_vector,
     verify_localized_optimality,
 )
@@ -183,22 +183,22 @@ def test_long_asymptote_matches_distance_late():
 
 
 def test_gamma_limits():
-    assert gamma_ratio(RING11, "S", 1e-3) == pytest.approx(1.0, abs=0.01)
+    assert gamma_of(node_observables(RING11, 1e-3), "S") == pytest.approx(1.0, abs=0.01)
     t_inf = 50.0 / RING11.fiedler
-    assert gamma_ratio(RING11, "L", t_inf) == pytest.approx(1.0, abs=1e-3)
+    assert gamma_of(node_observables(RING11, t_inf), "L") == pytest.approx(1.0, abs=1e-3)
 
 
 def test_gamma_undefined_at_zero():
-    assert gamma_ratio(RING11, "S", 0.0) is None
-    assert gamma_ratio(RING11, "L", 0.0) is None
+    # NaN at one time as on a grid: undefined has one spelling
+    assert np.isnan(gamma_of(node_observables(RING11, 0.0), "S"))
+    assert np.isnan(gamma_of(node_observables(RING11, 0.0), "L"))
 
 
-def test_gamma_selector_accepts_aliases():
-    t = 0.5
-    assert gamma_ratio(RING11, "short", t) == gamma_ratio(RING11, "S", t)
-    assert gamma_ratio(RING11, "long", t) == gamma_ratio(RING11, "L", t)
-    with pytest.raises(ValueError):
-        gamma_ratio(RING11, "X", t)
+def test_gamma_selector_is_s_or_l():
+    obs = node_observables(RING11, 0.5)
+    for which in ("short", "long", "s", "l", "X"):
+        with pytest.raises(ValueError, match="asymptote selector must be 'S' or 'L'"):
+            gamma_of(obs, which)
 
 
 def test_delta_converges_to_one_over_n():
@@ -216,11 +216,11 @@ def test_asymptote_laws_and_gammas_read_one_record():
     c, g, n = obs.coherence[0], obs.gfid[0], obs.n
     assert short_vector(obs)[0] == c / 2.0
     assert long_vector(obs)[0] == 1.0 - g * g + c / n
-    assert gamma_of(obs, "S") == gamma_ratio(STAR7, "S", 0.5)
-    assert gamma_of(obs, "L") == gamma_ratio(STAR7, "L", 0.5)
+    assert gamma_of(obs, "S") == qc_of(obs)[0] / short_vector(obs).max()
+    assert gamma_of(obs, "L") == qc_of(obs)[0] / long_vector(obs).max()
     assert delta_vector(obs)[0] == g * g - c / n
     zero = node_observables(STAR7, 0.0)
-    assert gamma_of(zero, "S") is None and gamma_of(zero, "L") is None
+    assert np.isnan(gamma_of(zero, "S")) and np.isnan(gamma_of(zero, "L"))
 
 
 # --- connectivity guard ----------------------------------------------------------------
@@ -231,10 +231,6 @@ def test_disconnected_graphs_are_refused():
         qc_distance(DISCONNECTED, 1.0)
     with pytest.raises(DisconnectedGraphError):
         distance_curve(DISCONNECTED, [1.0])
-    with pytest.raises(DisconnectedGraphError):
-        gamma_ratio(DISCONNECTED, "S", 1.0)
-    with pytest.raises(DisconnectedGraphError):
-        gamma_ratio(DISCONNECTED, "L", 1.0)
     with pytest.raises(DisconnectedGraphError):
         verify_localized_optimality(DISCONNECTED, 2, [1.0])
 

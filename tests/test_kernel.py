@@ -20,7 +20,6 @@ from qcwalk.distance import (
     delta_vector,
     distance_curve,
     gamma_of,
-    gamma_ratio,
     qc_distance,
     qc_of,
 )
@@ -67,9 +66,9 @@ def test_kernel_matches_expm(label, g):
 
         qc = (1.0 - f).max()
         assert_close(qc_distance(sd, t)[0], qc, f"{label} qc at t={t:.3g}")
-        assert_close(gamma_ratio(sd, "S", t), qc / (c / 2.0).max(), f"{label} gamma_S at t={t:.3g}")
+        assert_close(gamma_of(obs, "S"), qc / (c / 2.0).max(), f"{label} gamma_S at t={t:.3g}")
         long_max = (1.0 - gf**2 + c / n).max()
-        assert_close(gamma_ratio(sd, "L", t), qc / long_max, f"{label} gamma_L at t={t:.3g}")
+        assert_close(gamma_of(obs, "L"), qc / long_max, f"{label} gamma_L at t={t:.3g}")
         assert_close(delta_vector(obs), gf**2 - c / n, f"{label} delta at t={t:.3g}")
 
 
@@ -78,8 +77,9 @@ def test_pointwise_functions_are_node_lookups_into_the_kernel():
     for t in (0.0, 0.37, 4.2):
         obs = node_observables(sd, t)
         assert qc_distance(sd, t) == qc_of(obs)
-        assert gamma_ratio(sd, "S", t) == gamma_of(obs, "S")
-        assert gamma_ratio(sd, "L", t) == gamma_of(obs, "L")
+        # NaN at t = 0 on both sides: a one-time record and a one-point grid agree
+        for which in ("S", "L"):
+            np.testing.assert_array_equal(gamma_of(node_observables(sd, [t]), which), [gamma_of(obs, which)])
         assert np.array_equal(distance_curve(sd, [t])[:, 0], conditional_vector(obs))
 
 

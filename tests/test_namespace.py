@@ -1,6 +1,8 @@
-"""Every public name a qcwalk module lists in ``__all__`` exists, once."""
+"""Every public name a qcwalk module lists in ``__all__`` exists, once, and every import is read."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -52,3 +54,23 @@ def test_traced_modules_import_with_all(name):
 @pytest.mark.parametrize("attr", COUNTED_SPECTRAL_NAMES)
 def test_counted_spectral_names_stay_public(attr):
     assert attr in importlib.import_module("qcwalk.spectral").__all__
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qcwalk"
+
+
+# the package's __init__ imports names to re-export them, so it is left out
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_module_imports_a_name_it_never_reads(path):
+    # a deletion that leaves its imports behind fails here
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert not imported - read, f"{path.name} imports {sorted(imported - read)} and never reads them"

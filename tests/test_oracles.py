@@ -7,7 +7,10 @@ from launch node j both propagator columns are exact:
     a_jj = 1/n + (1 - 1/n) e^{-int},    a_kj = (1 - e^{-int}) / n    (k != j).
 
 F, C, 1 - G, D_QC(t|0) = 1 - F and gamma_S(t|0) = D_QC(t|0) / (C / 2) at
-launch node 0 follow from these at 50 digits.
+launch node 0 follow from these at 50 digits. The hub, node 0, of star(n)
+and of wheel(n) sees only the eigenvalues 0 and -n too (its component in
+every other eigenvector vanishes), so its propagator columns are exactly
+K_n's and the same oracle checks them.
 
 The kernel's phases e^{iλt} carry an error of order t · eps · max|λ|, with
 max|λ| = n (the phase horizon). A quantity q moves by |dq/dφ| per radian of
@@ -65,9 +68,15 @@ def exact_and_condition(n: int, t: float) -> dict[str, tuple[float, float]]:
         }
 
 
-@pytest.mark.parametrize("n", [3, 5, 50, 200])
-def test_complete_graph_matches_closed_form(n):
-    obs = node_observables(eigendecompose(laplacian(generate("complete", n))), TIMES)
+# the complete graph's cases keep their bare-n ids
+CASES = [pytest.param("complete", n, id=str(n)) for n in (3, 5, 50, 200)] + [
+    pytest.param(kind, n, id=f"{kind}-{n}") for kind in ("star", "wheel") for n in (5, 8, 50, 200)
+]
+
+
+@pytest.mark.parametrize("kind, n", CASES)
+def test_complete_graph_matches_closed_form(kind, n):
+    obs = node_observables(eigendecompose(laplacian(generate(kind, n))), TIMES)
     distance, short = conditional_vector(obs)[:, 0], short_vector(obs)[:, 0]
     kernel = {
         "F": obs.fidelity[:, 0],
@@ -80,4 +89,4 @@ def test_complete_graph_matches_closed_form(n):
         for name, (exact, condition) in exact_and_condition(n, t).items():
             error = abs(kernel[name][i] - exact) / abs(exact)
             bound = 1e-12 + 10 * t * EPS * n * condition
-            assert error <= bound, f"{name} of K_{n} at t={t:.3g}: relative error {error:.2e} > {bound:.2e}"
+            assert error <= bound, f"{name} of {kind}({n}) at t={t:.3g}: relative error {error:.2e} > {bound:.2e}"

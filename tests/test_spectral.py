@@ -3,11 +3,10 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from qcwalk import gamma_ratio, generate, laplacian, qc_distance
-from qcwalk.distance import verify_localized_optimality
+from qcwalk import generate, laplacian, qc_distance
+from qcwalk.distance import gamma_of, verify_localized_optimality
 from qcwalk.spectral import (
     DensityMatrix,
-    check_density,
     classical_quantum_fidelity,
     eigendecompose,
     heat_propagator,
@@ -152,11 +151,26 @@ def test_heat_rejects_negative_time():
             lambda: unitary_propagator(sd, t),
             lambda: node_observables(sd, t),
             lambda: qc_distance(sd, t),
-            lambda: gamma_ratio(sd, "S", t),
+            lambda: gamma_of(node_observables(sd, t), "S"),
             lambda: verify_localized_optimality(sd, 5, [0.5, t]),
         ):
             with pytest.raises(ValueError, match="finite"):
                 call()
+
+
+@pytest.mark.parametrize(
+    "propagator, name", [(heat_propagator, "heat"), (unitary_propagator, "unitary")]
+)
+def test_propagators_refuse_an_overflowing_phase(propagator, name):
+    # K_200's max|lambda| is 200, so t = 1e306 is finite but its phase 2e308 is not
+    sd = eigendecompose(laplacian(generate("complete", 200)))
+    message = rf"^{name} propagator needs a finite phase t \* max\|lambda\|, got 1e\+306$"
+    with pytest.raises(ValueError, match=message):
+        propagator(sd, 1e306)
+    # on a grid the first such point is named
+    with pytest.raises(ValueError, match=message):
+        propagator(sd, [1.0, 1e306, 1e307])
+    assert np.isfinite(propagator(sd, 1e305)).all()
 
 
 def test_k2_closed_forms():
@@ -312,7 +326,7 @@ def _fidelity_inputs():
     return rng.dirichlet(np.ones(3), size=(3, 2)), u, rng.dirichlet(np.ones(3), size=(3, 2))
 
 
-# per check_density fault, the fault of the fidelity's inputs (q, u, z) in member 2
+# per DensityMatrix fault, the fault of the fidelity's inputs (q, u, z) in member 2
 _FIDELITY_FAULTS = {
     "hermiticity": ("u", "drifts from unitarity by"),
     "trace": ("z", "trace must be 1"),
@@ -325,9 +339,8 @@ def test_stacked_validation_refuses_a_later_member(fault):
     stack = _faulty_stack(fault)
     with pytest.raises(ValueError):
         DensityMatrix(stack[2])
-    with pytest.raises(ValueError):
-        check_density(stack)
-    check_density(stack[:2])
+    for member in stack[:2]:
+        DensityMatrix(member)
     # every input of the batched fidelity is validated, member by member
     q, u, z = _fidelity_inputs()
     classical_quantum_fidelity(q, u, z)
