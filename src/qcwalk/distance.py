@@ -191,7 +191,7 @@ def verify_localized_optimality(
     for b in walks.time_blocks(n * n, t_values.size):
         p = heat_propagator(sd, t_values[b])
         u = unitary_propagator(sd, t_values[b])
-        floor = walks.reduce_propagators(p, u).fidelity.min(axis=-1)
+        floor = walks.reduce_propagators(p, u.real, u.imag).fidelity.min(axis=-1)
         # batch draws equal sequential draws, time by time
         z = rng.dirichlet(np.ones(n), size=(len(p), n_samples))
         q = np.clip(z @ p.swapaxes(-1, -2), 0.0, None)

@@ -15,6 +15,7 @@ from qcwalk import eigendecompose, generate, graph_from_spec, laplacian, read_ed
 import qcwalk.cli as cli
 from qcwalk.cli import _QUANTITIES, _format_row, main
 from qcwalk.config import TimeGrid, default_grid, default_t_max
+from qcwalk.spectral import PAIR_PRODUCT_MAX_N
 from qcwalk.walks import node_observables
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -334,16 +335,16 @@ def test_distance_repeated_quantity_exits_one(quantities, tmp_path, capsys):
 def test_distance_failed_sweep_writes_no_csv(error, exit_code, monkeypatch, tmp_path, capsys):
     import qcwalk.walks as walks
 
-    true_heat = walks.heat_propagator
+    true_block = walks.real_propagators
     blocks = []
 
-    def fails_on_second_block(sd, t):
+    def fails_on_second_block(sd, t, out=None):
         blocks.append(t)
         if len(blocks) == 2:
             raise error("kernel failed in the second block")
-        return true_heat(sd, t)
+        return true_block(sd, t, out)
 
-    monkeypatch.setattr(walks, "heat_propagator", fails_on_second_block)
+    monkeypatch.setattr(walks, "real_propagators", fails_on_second_block)
     # one point more than ring:5's block of BLOCK_ELEMENTS // 25 points: the sweep fails partway
     steps = str(walks.BLOCK_ELEMENTS // 25 + 1)
     argv = ["distance", "--graph", "ring:5", "--steps", steps, "--quantities", "qc,conditional"]
@@ -687,37 +688,58 @@ def test_verify_stdout_independent_of_block_size(monkeypatch, capsys):
     assert len(outputs) == 1
 
 
+@pytest.mark.parametrize("n", [PAIR_PRODUCT_MAX_N, PAIR_PRODUCT_MAX_N + 1])
+def test_distance_csv_independent_of_block_size(n, monkeypatch, tmp_path, capsys):
+    # one n on each side of the route cutoff; the grid starts at t = 0
+    import qcwalk.walks as walks
+
+    argv = ["distance", "--graph", f"random_connected:{n}:{n // 2}", "--tmin", "0", "--tmax", "20"]
+    argv += ["--linear", "--steps", "41", "--quantities", "qc,average,gamma_s,gamma_l,delta,conditional,gfid"]
+    outputs = set()
+    for block_elements in (1, 8000, 10**6):
+        monkeypatch.setattr(walks, "BLOCK_ELEMENTS", block_elements)
+        out = tmp_path / f"{block_elements}.csv"
+        code, _, _ = run(argv + ["--out", str(out)], capsys)
+        assert code == 0
+        outputs.add(out.read_bytes())
+    assert len(outputs) == 1
+
+
 def test_invariant_checks_form_each_group_of_times_as_one_grid(monkeypatch):
     import qcwalk.checks as checks
     import qcwalk.spectral as spectral
     import qcwalk.walks as walks
 
     # per graph (one eigendecompose each) and propagator, the points of each call in order
+    names = ("heat_propagator", "unitary_propagator", "real_propagators")
     calls: list[dict[str, list[int]]] = []
 
     def decompose(lap):
-        calls.append({"heat_propagator": [], "unitary_propagator": []})
+        calls.append({name: [] for name in names})
         return spectral.eigendecompose(lap)
 
     monkeypatch.setattr(checks, "eigendecompose", decompose)
-    for name in ("heat_propagator", "unitary_propagator"):
+    for name in names:
 
-        def counted(sd, t, _name=name, _original=getattr(spectral, name)):
+        def counted(sd, t, *out, _name=name, _original=getattr(spectral, name)):
             calls[-1][_name].append(np.size(t))
-            return _original(sd, t)
+            return _original(sd, t, *out)
 
         for mod in (checks, walks):
-            monkeypatch.setattr(mod, name, counted)
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted)
     results = checks.run_invariant_checks(seed=0)
     assert all(r.passed for r in results)
     # checks: 4 sampled times, semigroup t1, t2, t1 + t2 (3 rounds) or group inverse t, -t,
-    # the 2 oracle times; kernel: the oracle grid, the plateau, and 3 times on regular graphs
+    # the 2 oracle times; kernel (its pair as one call): the oracle grid, the plateau,
+    # and 3 times on regular graphs
     labels = [label for label, _ in checks.check_family(0)]
     regular = {"complete(5)": [3], "ring(6)": [3]}
     assert calls == [
         {
-            "heat_propagator": [4, 9, 2, 2, 1] + regular.get(label, []),
-            "unitary_propagator": [4, 6, 2, 2, 1] + regular.get(label, []),
+            "heat_propagator": [4, 9, 2],
+            "unitary_propagator": [4, 6, 2],
+            "real_propagators": [2, 1] + regular.get(label, []),
         }
         for label in labels
     ]
@@ -770,17 +792,26 @@ def test_verify_zero_mode_check_reads_its_own_spectrum(monkeypatch, capsys):
 _PRESET_CURVES = {"fig1-left": 3, "fig3-left": 6}
 
 
+#: propagator function -> the matrices one of its points forms
+_FORMS = {
+    "heat_propagator": ("heat",),
+    "unitary_propagator": ("unitary",),
+    "real_propagators": ("heat", "unitary"),
+}
+
+
 def count_propagators(monkeypatch) -> dict[str, list[int]]:
-    """Wrap both propagators; per name, the number of matrices each call forms (its block length)."""
+    """Wrap every propagator function; per matrix kind, the number each call forms (its block length)."""
     import qcwalk.spectral as spectral
 
-    blocks = {"heat_propagator": [], "unitary_propagator": []}
-    for name in blocks:
+    blocks = {"heat": [], "unitary": []}
+    for name, forms in _FORMS.items():
         original = getattr(spectral, name)
 
-        def counted(sd, t, _name=name, _original=original):
-            blocks[_name].append(np.size(t))
-            return _original(sd, t)
+        def counted(sd, t, *out, _forms=forms, _original=original):
+            for kind in _forms:
+                blocks[kind].append(np.size(t))
+            return _original(sd, t, *out)
 
         # every qcwalk namespace that holds the propagator gets the counter
         for mod in [m for key, m in sys.modules.items() if key.startswith("qcwalk")]:
@@ -827,10 +858,10 @@ def test_distance_forms_one_propagator_pair_per_point(monkeypatch, tmp_path, cas
         csvs = sorted(out.glob("*.csv")) if out.is_dir() else [out]
         assert sum(len(p.read_text().splitlines()) - 1 for p in csvs) == points
     matrices = {name: sum(sizes) for name, sizes in blocks.items()}
-    assert matrices == {"heat_propagator": points, "unitary_propagator": points}
+    assert matrices == {"heat": points, "unitary": points}
     if case == "ring:128":
         # at n >= 64 a block holds one point, so every call forms one matrix
-        assert blocks == {"heat_propagator": [1] * points, "unitary_propagator": [1] * points}
+        assert blocks == {"heat": [1] * points, "unitary": [1] * points}
 
 
 def test_distance_plateau_at_huge_time(capsys):

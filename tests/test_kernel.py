@@ -1,8 +1,10 @@
 """The kernel walks.node_observables against an independent route, and its grid form.
 
-The kernel forms exp(L t) and exp(i L t) from one eigendecomposition; the
-reference here forms them with scipy.linalg.expm from the Laplacian matrix
-and reduces them to F, C and G directly. The derived graph-level quantities
+The kernel forms exp(L t) and exp(i L t) from one eigendecomposition, by one
+GEMM per block at n <= PAIR_PRODUCT_MAX_N and by stacked products above;
+the reference here forms them with scipy.linalg.expm from the Laplacian
+matrix and reduces them to F, C and G directly. Graphs on both sides of
+the cutoff are checked. The derived graph-level quantities
 (qc, gamma_S, gamma_L) and the delta vector are checked the same way. A grid
 call sweeps its times in blocks of stacked products; it must agree bitwise
 with one-point calls and keep every check a one-point call makes.
@@ -23,7 +25,13 @@ from qcwalk.distance import (
     qc_distance,
     qc_of,
 )
-from qcwalk.spectral import eigendecompose, heat_propagator, unitary_propagator
+from qcwalk.spectral import (
+    PAIR_PRODUCT_MAX_N as CUT,
+    eigendecompose,
+    heat_propagator,
+    real_propagators,
+    unitary_propagator,
+)
 from qcwalk.walks import node_observables, time_blocks
 
 GRAPHS = [
@@ -31,6 +39,9 @@ GRAPHS = [
     ("wheel(9)", generate("wheel", 9)),
     ("ring(11)", generate("ring", 11)),
     ("random_connected(11,6)", generate("random_connected", 11, extra=6, seed=0)),
+    # the largest n of the GEMM route, and one well above it
+    (f"random_connected({CUT},10)", generate("random_connected", CUT, extra=10, seed=0)),
+    ("random_connected(60,20)", generate("random_connected", 60, extra=20, seed=0)),
 ]
 TIMES = np.geomspace(1e-2, 1e2, 25)
 REL_TOL = 1e-10
@@ -84,11 +95,38 @@ def test_pointwise_functions_are_node_lookups_into_the_kernel():
 
 
 def test_kernel_at_zero_time_is_exact():
-    sd = eigendecompose(laplacian(generate("ring", 6)))
-    obs = node_observables(sd, 0.0)
-    assert np.array_equal(obs.fidelity, np.ones(6))
-    assert np.array_equal(obs.coherence, np.zeros(6))
-    assert np.array_equal(obs.gfid, np.ones(6))
+    # ring(6), then an n on each side of the route cutoff
+    for n in (6, CUT, CUT + 1, 60):
+        sd = eigendecompose(laplacian(generate("ring", n)))
+        obs = node_observables(sd, 0.0)
+        assert np.array_equal(obs.fidelity, np.ones(n))
+        assert np.array_equal(obs.coherence, np.zeros(n))
+        assert np.array_equal(obs.gfid, np.ones(n))
+        # the t = 0 point shares its block's product with t = 1
+        p, re, im = real_propagators(sd, [0.0, 1.0])
+        assert np.array_equal(p[0], np.eye(n))
+        assert np.array_equal(re[0], np.eye(n))
+        assert np.array_equal(im[0], np.zeros((n, n)))
+
+
+@pytest.mark.parametrize("n", [5, CUT, CUT + 1, 60])
+def test_real_propagators_are_the_propagator_pair(n):
+    sd = eigendecompose(laplacian(generate("random_connected", n, extra=n // 2, seed=0)))
+    t = np.geomspace(1e-2, 1e2, 9)
+    p, re, im = real_propagators(sd, t)
+    assert p.shape == re.shape == im.shape == (9, n, n)
+    u = unitary_propagator(sd, t)
+    assert np.abs(p - heat_propagator(sd, t)).max() <= 1e-12
+    assert np.abs(re - u.real).max() <= 1e-12
+    assert np.abs(im - u.imag).max() <= 1e-12
+    # written into a caller's buffer, the result is views of it with the same bits
+    out = np.empty((3, 9, n, n))
+    got = real_propagators(sd, t, out)
+    assert all(np.shares_memory(x, out) for x in got)
+    assert np.array_equal(out, np.stack([p, re, im]))
+    for bad in (np.empty((3, 8, n, n)), np.empty((3, 9, n, n), dtype=np.float32), out.transpose(0, 1, 3, 2)):
+        with pytest.raises(ValueError, match="out must be a C-contiguous float array"):
+            real_propagators(sd, t, bad)
 
 
 def test_kernel_refuses_negative_time():
@@ -100,7 +138,13 @@ def test_kernel_refuses_negative_time():
 def test_kernel_refuses_negative_probabilities(monkeypatch):
     # an entry of exp(L t) below -1e-10 means a corrupted decomposition, not roundoff
     sd = eigendecompose(laplacian(generate("ring", 6)))
-    monkeypatch.setattr(walks, "heat_propagator", lambda sd, t: np.eye(sd.n) - 1e-6)
+    true_block = walks.real_propagators
+
+    def corrupted(sd, t, out=None):
+        _, re, im = true_block(sd, t, out)
+        return np.eye(sd.n) - 1e-6, re, im
+
+    monkeypatch.setattr(walks, "real_propagators", corrupted)
     with pytest.raises(ValueError, match="negative entry"):
         node_observables(sd, 0.5)
 
@@ -166,6 +210,7 @@ def test_grid_starting_at_zero_reads_exact_identity(tmp_path):
     assert np.array_equal(grid.gfid[0], np.ones(5))
     assert np.array_equal(heat_propagator(sd, [0.0, 1.0])[0], np.eye(5))
     assert np.array_equal(unitary_propagator(sd, [0.0, 1.0])[0], np.eye(5, dtype=complex))
+    assert np.array_equal(np.stack(real_propagators(sd, [0.0, 1.0]))[:, 0], [np.eye(5), np.eye(5), np.zeros((5, 5))])
 
 
 def test_negativity_in_second_block_raises_like_one_point(monkeypatch):
@@ -173,16 +218,17 @@ def test_negativity_in_second_block_raises_like_one_point(monkeypatch):
     block = block_length(11)
     times = np.linspace(0.1, 10.0, 2 * block + 1)
     first_bad = times[block + 3]
-    true_heat = walks.heat_propagator
+    true_block = walks.real_propagators
     calls = []
 
-    def corrupted(sd, t):
-        # from first_bad on, every entry sinks below -1e-10, by more at later t
+    def corrupted(sd, t, out=None):
+        # from first_bad on, every entry of exp(L t) sinks below -1e-10, by more at later t
         calls.append(np.size(t))
         t = np.asarray(t)
-        return true_heat(sd, t) - np.where(t >= first_bad, t, 0.0)[..., None, None]
+        p, re, im = true_block(sd, t, out)
+        return p - np.where(t >= first_bad, t, 0.0)[..., None, None], re, im
 
-    monkeypatch.setattr(walks, "heat_propagator", corrupted)
+    monkeypatch.setattr(walks, "real_propagators", corrupted)
     with pytest.raises(ValueError, match="negative entry") as one:
         node_observables(sd, first_bad)
     calls.clear()
@@ -199,7 +245,7 @@ def test_bad_time_inside_grid_raises_todays_message(bad):
     times = np.linspace(0.1, 10.0, 2 * block + 1)
     times[block + 2] = bad
     heat_message = f"heat propagator needs finite t >= 0, got {bad}"
-    for call in (node_observables, heat_propagator):
+    for call in (node_observables, heat_propagator, real_propagators):
         for t in (bad, times):
             with pytest.raises(ValueError) as exc:
                 call(sd, t)

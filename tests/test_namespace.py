@@ -25,6 +25,7 @@ def test_all_names_exist_once(name):
     [
         ("spectral", "heat_propagator"),
         ("spectral", "unitary_propagator"),
+        ("spectral", "real_propagators"),
         ("walks", "time_blocks"),
         ("walks", "reduce_propagators"),
         ("walks", "node_observables"),

@@ -10,6 +10,7 @@ from qcwalk.spectral import (
     classical_quantum_fidelity,
     eigendecompose,
     heat_propagator,
+    real_propagators,
     unitary_propagator,
     uhlmann_fidelity,
 )
@@ -149,6 +150,7 @@ def test_heat_rejects_negative_time():
         for call in (
             lambda: heat_propagator(sd, t),
             lambda: unitary_propagator(sd, t),
+            lambda: real_propagators(sd, t),
             lambda: node_observables(sd, t),
             lambda: qc_distance(sd, t),
             lambda: gamma_of(node_observables(sd, t), "S"),
@@ -159,7 +161,8 @@ def test_heat_rejects_negative_time():
 
 
 @pytest.mark.parametrize(
-    "propagator, name", [(heat_propagator, "heat"), (unitary_propagator, "unitary")]
+    "propagator, name",
+    [(heat_propagator, "heat"), (unitary_propagator, "unitary"), (real_propagators, "heat")],
 )
 def test_propagators_refuse_an_overflowing_phase(propagator, name):
     # K_200's max|lambda| is 200, so t = 1e306 is finite but its phase 2e308 is not
@@ -226,6 +229,13 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(ValueError):
         DensityMatrix(np.ones((2, 3)))
+
+
+def test_empty_density_matrix_is_refused():
+    # refused by its own rule, before the Hermiticity test reduces over no entries
+    for m in (np.zeros((0, 0)), np.zeros((0, 0), dtype=complex)):
+        with pytest.raises(ValueError, match="^density matrix must not be empty$"):
+            DensityMatrix(m)
 
 
 def test_non_finite_density_matrices_are_refused():
