@@ -84,9 +84,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+#: the % format of a CSV cell holding a finite value and of one holding an undefined
+#: (non-finite) value: NA, then %.0s, which consumes the value and prints nothing
+_CELL, _NA_CELL = "%.12g", "NA%.0s"
+
+
 def _fmt(value: float) -> str:
     """CSV cell: 12 significant digits, NA for an undefined (non-finite) value."""
-    return "%.12g" % value if np.isfinite(value) else "NA"
+    return (_CELL if np.isfinite(value) else _NA_CELL) % value
 
 
 def _columns(sd: SpectralDecomposition, outputs, node: int | None):
@@ -119,27 +124,13 @@ def _columns(sd: SpectralDecomposition, outputs, node: int | None):
     return headers, evaluators
 
 
-def _format_row(row) -> str:
-    """One CSV line with its CRLF; a ``None`` entry is undefined.
-
-    The whole row is one ``%`` format. A finite cell prints only digits,
-    signs, ``.`` and ``e``, so an ``n`` in the line means a nan or inf cell
-    (``None`` becomes nan); such a row is formatted again by :func:`_fmt`
-    cell by cell, the one cell rule, which writes those cells as ``NA``.
-    """
-    cells = np.asarray(row, dtype=float).tolist()
-    line = ("%.12g," * len(cells))[:-1] % tuple(cells)
-    if "n" in line:
-        line = ",".join(map(_fmt, cells))
-    return line + "\r\n"
-
-
 def _format_csv(sd, outputs, node, times) -> tuple[list[str], str]:
     """The sweep's column headers and its CSV text, header line included.
 
     One kernel call covers the whole grid. Its values fill one float table,
-    ``t`` and then every column, a row per time point, which
-    :func:`_format_row` turns into lines; nothing is written here.
+    ``t`` and then every column, a row per time point, and the whole table is
+    one ``%`` format: each line's template has :func:`_fmt`'s cell formats,
+    so a row with a non-finite cell prints NA there; nothing is written here.
     """
     headers, evaluators = _columns(sd, outputs, node)
     obs = walks.node_observables(sd, times)
@@ -147,7 +138,12 @@ def _format_csv(sd, outputs, node, times) -> tuple[list[str], str]:
     table[:, 0] = times
     for cols, fn in evaluators:
         table[:, cols] = np.reshape(fn(obs), (times.size, -1))
-    return headers, "".join([",".join(["t"] + headers) + "\r\n", *map(_format_row, table)])
+    finite = np.isfinite(table)
+    lines = [",".join([_CELL] * table.shape[1]) + "\r\n"] * times.size
+    for i in np.flatnonzero(~finite.all(axis=1)):
+        lines[i] = ",".join(np.where(finite[i], _CELL, _NA_CELL).tolist()) + "\r\n"
+    text = "".join(lines) % tuple(table.ravel().tolist())
+    return headers, ",".join(["t"] + headers) + "\r\n" + text
 
 
 def _write(out: str, text: str) -> None:

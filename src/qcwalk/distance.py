@@ -136,10 +136,13 @@ def distance_curve(sd: SpectralDecomposition, times) -> np.ndarray:
 
     It is the transpose of conditional_vector of one grid kernel call,
     node_observables(sd, times), so each grid point costs one propagator
-    pair and column i is bitwise identical to conditional_vector of the
-    one-point record at times[i]. D_QC(t) is curve.max(axis=0), its node
-    curve.argmax(axis=0) (ties go to the smallest index, as in qc_of) and
-    the node average curve.mean(axis=0).
+    pair. Column i is conditional_vector of the one-point record at
+    times[i]: bitwise, except at the few n between 17 and 31 where the
+    GEMM's rounding depends on the block's row count (see
+    spectral.real_propagators), where the two agree to about 1e-14.
+    D_QC(t) is curve.max(axis=0), its node curve.argmax(axis=0) (ties go
+    to the smallest index, as in qc_of) and the node average
+    curve.mean(axis=0).
     """
     require_connected(sd)
     times = check_grid(times)
@@ -165,7 +168,8 @@ def verify_localized_optimality(
     below that minimum. The times are swept in the kernel's blocks
     (walks.time_blocks): each block forms one propagator pair per time,
     reads min_j F_j from the kernel's reduction of that same pair
-    (walks.reduce_propagators) and makes all its Dirichlet draws at once.
+    (walks.reduce_propagators, on a stacked copy, as it overwrites its
+    input) and makes all its Dirichlet draws at once.
     Its samples are then compared in chunks, one classical_quantum_fidelity
     call each on the chunk's (q, U, z), which validates every input and
     raises ValueError if a U(t) drifts from unitarity. A chunk holds at most
@@ -191,7 +195,7 @@ def verify_localized_optimality(
     for b in walks.time_blocks(n * n, t_values.size):
         p = heat_propagator(sd, t_values[b])
         u = unitary_propagator(sd, t_values[b])
-        floor = walks.reduce_propagators(p, u.real, u.imag).fidelity.min(axis=-1)
+        floor = walks.reduce_propagators(np.stack([p, u.real, u.imag])).fidelity.min(axis=-1)
         # batch draws equal sequential draws, time by time
         z = rng.dirichlet(np.ones(n), size=(len(p), n_samples))
         q = np.clip(z @ p.swapaxes(-1, -2), 0.0, None)

@@ -24,12 +24,17 @@ column by column to the vectors F, C and G over all launch nodes, shape
 ``max(1, BLOCK_ELEMENTS // n**2)`` points. Each block's pair is formed in
 real arithmetic, as exp(L t), Re exp(i L t) and Im exp(i L t), by
 :func:`qcwalk.spectral.real_propagators` (one GEMM at small n, one
-stacked product per matrix above), and reduced with |a|^2 = re^2 + im^2.
-So at small n the per-point cost is flops, not call overhead; at n >= 64
-a block is one point. Every distance quantity,
-curve, CLI column and figure preset reads from it, so a time point costs
-one propagator pair however many quantities and nodes are asked for. The
-value at one launch node j is entry j of the last axis:
+stacked product per matrix above) into one work buffer that every block of
+the call reuses. :func:`reduce_propagators` then reduces it in that buffer:
+|a|^2 = re^2 + im^2, and p |a|^2, |a| and sqrt(p) |a| overwrite the three
+stacks before BLAS column sums write F, C and G into the result. So a
+block allocates no array of n**2 entries per point, and at small n the
+per-point cost is flops, not call overhead; from n = 91 on a block is one
+point. A point's values do not depend on the blocks, except in the last
+bits at some n between 17 and 31 (see real_propagators). Every distance
+quantity, curve, CLI column and figure preset reads from it, so a time
+point costs one propagator pair however many quantities and nodes are
+asked for. The value at one launch node j is entry j of the last axis:
 ``obs.fidelity[..., j]``, or a law of :mod:`qcwalk.distance` applied to the
 record.
 """
@@ -45,10 +50,12 @@ from .spectral import NEGATIVITY_TOL, SpectralDecomposition, real_propagators
 __all__ = ["NodeObservables", "time_blocks", "reduce_propagators", "node_observables"]
 
 #: element budget B of one propagator block: max(1, B // n**2) time points, so each of
-#: its three real matrix stacks holds at most B entries. node_observables writes every
-#: block into one buffer per call: a fresh 3 * B-entry array per block lies above glibc's
-#: default 128 KiB mmap threshold and was page-faulted in anew for most blocks.
-BLOCK_ELEMENTS = 8000
+#: its three real matrix stacks holds at most B entries. A kernel call forms and reduces
+#: every block in one work buffer, so no fresh block-sized array has to stay under glibc's
+#: 128 KiB mmap threshold. Of 8000, 16384, 24576 and 32768, 16384 ran the kernel fastest on
+#: 40 points at n = 60 and within 0.14 ms of the fastest on 400 points at n = 11, with
+#: 0.4 MB less peak RSS than 24576 (the table in the README's "Cost" paragraph).
+BLOCK_ELEMENTS = 16384
 
 
 def check_node(sd: SpectralDecomposition, j: int) -> int:
@@ -81,29 +88,43 @@ def time_blocks(elements: int, count: int) -> list[slice]:
     return [slice(start, start + size) for start in range(0, count, size)]
 
 
-def reduce_propagators(p: np.ndarray, re: np.ndarray, im: np.ndarray) -> NodeObservables:
-    """The reduction step: F, C and G from stacks of exp(L t) and exp(i L t), column by column.
+def reduce_propagators(props: np.ndarray, out: np.ndarray | None = None) -> NodeObservables:
+    """The reduction step: F, C and G from a stack of exp(L t) and exp(i L t), column by column.
 
-    ``re`` and ``im`` are the real and imaginary parts of exp(i L t), so
-    |a|^2 = re^2 + im^2 and |a| its square root, all in real arithmetic.
-    Every entry of exp(L t) is checked and clipped into [0, 1] before the
-    reductions; an entry more negative than roundoff allows means a corrupted
-    decomposition and raises ValueError naming the first such point's minimum.
+    ``props`` is a float array of shape ``(3,) + shape + (n, n)`` holding
+    exp(L t), Re exp(i L t) and Im exp(i L t), the layout real_propagators
+    writes. It is the reduction's work space and is overwritten, so the
+    reduction allocates no array of its size. Every entry of exp(L t) is
+    checked and clipped into [0, 1] first; an entry more negative than
+    roundoff allows means a corrupted decomposition and raises ValueError
+    naming the first such point's minimum. Then |a|^2 = re^2 + im^2 and |a|
+    its square root, all in real arithmetic, and the three stacks become
+    p |a|^2, |a| and sqrt(p) |a|, whose column sums give F, C and G.
+    ``out``, of shape ``(3,) + shape + (n,)``, receives F, C and G if
+    given; the result is views of it.
     """
+    p, re, im = props
     smallest = p.min(axis=(-2, -1))
     bad = smallest < NEGATIVITY_TOL
     if bad.any():
         raise ValueError(f"classical distribution has negative entry {float(smallest[bad].flat[0]):.3e}")
-    p = np.clip(p, 0.0, 1.0)
-    amp2 = re * re + im * im
-    amp = np.sqrt(amp2)
+    np.clip(p, 0.0, 1.0, out=p)
+    re *= re
+    im *= im
+    re += im  # |a|^2
+    np.sqrt(p, out=im)
+    p *= re  # p |a|^2
+    np.sqrt(re, out=re)  # |a|
+    im *= re  # sqrt(p) |a|
     # column sums as stacked vector-matrix products (BLAS), not strided reductions
-    ones = np.ones(p.shape[-1])
-    return NodeObservables(
-        fidelity=np.clip(ones @ (p * amp2), 0.0, 1.0),
-        coherence=np.maximum((ones @ amp) ** 2 - 1.0, 0.0),
-        gfid=np.clip(ones @ (np.sqrt(p) * amp), 0.0, 1.0),
-    )
+    out = np.matmul(np.ones(p.shape[-1]), props, out=out)
+    fidelity, coherence, gfid = out
+    np.clip(fidelity, 0.0, 1.0, out=fidelity)
+    np.square(coherence, out=coherence)
+    coherence -= 1.0
+    np.maximum(coherence, 0.0, out=coherence)
+    np.clip(gfid, 0.0, 1.0, out=gfid)
+    return NodeObservables(fidelity, coherence, gfid)
 
 
 def node_observables(sd: SpectralDecomposition, t) -> NodeObservables:
@@ -111,8 +132,9 @@ def node_observables(sd: SpectralDecomposition, t) -> NodeObservables:
 
     The result has shape ``np.shape(t) + (n,)``; a single time is the
     one-point case of the same sweep. Each block of :func:`time_blocks`
-    forms its propagator pair with real_propagators, into one buffer
-    reused by every block, and passes it to :func:`reduce_propagators`.
+    forms its propagator pair with real_propagators into one work buffer,
+    reused by every block, and :func:`reduce_propagators` reduces it there,
+    writing the block's F, C and G straight into the result.
     """
     times = np.asarray(t, dtype=float)
     flat = times.reshape(-1)
@@ -123,6 +145,6 @@ def node_observables(sd: SpectralDecomposition, t) -> NodeObservables:
     for b in blocks:
         block = flat[b]
         props = work[: 3 * block.size * n * n].reshape(3, block.size, n, n)
-        obs = reduce_propagators(*real_propagators(sd, block, props))
-        out[0, b], out[1, b], out[2, b] = obs.fidelity, obs.coherence, obs.gfid
+        real_propagators(sd, block, props)
+        reduce_propagators(props, out[:, b])
     return NodeObservables(*out.reshape((3,) + times.shape + (n,)))

@@ -13,10 +13,10 @@ import pytest
 
 from qcwalk import eigendecompose, generate, graph_from_spec, laplacian, read_edge_list
 import qcwalk.cli as cli
-from qcwalk.cli import _QUANTITIES, _format_row, main
+from qcwalk.cli import _QUANTITIES, _fmt, main
 from qcwalk.config import TimeGrid, default_grid, default_t_max
 from qcwalk.spectral import PAIR_PRODUCT_MAX_N
-from qcwalk.walks import node_observables
+from qcwalk.walks import node_observables, time_blocks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -570,11 +570,10 @@ def test_distance_bytes_match_per_cell_writer(spec, seed, quantities, extra, tmp
     assert out.read_bytes() == reference_csv(spec, seed, quantities, **extra)
 
 
-def test_format_row_cells():
-    row = [-0.0, 1e-300, 1e300, float("nan"), float("inf"), None]
-    assert _format_row(row) == "-0,1e-300,1e+300,NA,NA,NA\r\n"
-    assert _format_row(np.array(row[:3])) == "-0,1e-300,1e+300\r\n"
-    assert _format_row([-np.inf, 0.5]) == "NA,0.5\r\n"
+def test_fmt_cells():
+    # the cell rule, whose two formats make every line template of a CSV
+    row = [-0.0, 1e-300, 1e300, float("nan"), float("inf"), -np.inf, np.float64(0.5)]
+    assert [_fmt(value) for value in row] == ["-0", "1e-300", "1e+300", "NA", "NA", "NA", "0.5"]
 
 
 # --- figure subcommand ----------------------------------------------------------------
@@ -688,9 +687,10 @@ def test_verify_stdout_independent_of_block_size(monkeypatch, capsys):
     assert len(outputs) == 1
 
 
-@pytest.mark.parametrize("n", [PAIR_PRODUCT_MAX_N, PAIR_PRODUCT_MAX_N + 1])
+@pytest.mark.parametrize("n", [11, PAIR_PRODUCT_MAX_N, PAIR_PRODUCT_MAX_N + 1, 60])
 def test_distance_csv_independent_of_block_size(n, monkeypatch, tmp_path, capsys):
-    # one n on each side of the route cutoff; the grid starts at t = 0
+    # the two distance workloads' sizes and one n on each side of the route cutoff;
+    # the grid starts at t = 0
     import qcwalk.walks as walks
 
     argv = ["distance", "--graph", f"random_connected:{n}:{n // 2}", "--tmin", "0", "--tmax", "20"]
@@ -860,8 +860,9 @@ def test_distance_forms_one_propagator_pair_per_point(monkeypatch, tmp_path, cas
     matrices = {name: sum(sizes) for name, sizes in blocks.items()}
     assert matrices == {"heat": points, "unitary": points}
     if case == "ring:128":
-        # at n >= 64 a block holds one point, so every call forms one matrix
-        assert blocks == {"heat": [1] * points, "unitary": [1] * points}
+        # every call forms one block of the budget's split, a point or a few at n = 128
+        sizes = [len(range(points)[b]) for b in time_blocks(128 * 128, points)]
+        assert blocks == {"heat": sizes, "unitary": sizes}
 
 
 def test_distance_plateau_at_huge_time(capsys):

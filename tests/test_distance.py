@@ -330,9 +330,11 @@ def test_optimality_decomposes_one_matrix_per_sample_and_time(monkeypatch):
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
     sd = eigendecompose(laplacian(generate("random_connected", 8, extra=3, seed=4)))
     t_values = [0.1, 0.5, 1.0, 3.0]
-    # the four times are one block at n = 8; its samples are chunked by the same budget
+    # the four times are one block at n = 8; its samples are chunked by the same budget,
+    # and the larger sample count is one more than a chunk holds
     assert len(time_blocks(sd.n * sd.n, len(t_values))) == 1
-    for n_samples in (5, 50):
+    chunk = walks.BLOCK_ELEMENTS // (len(t_values) * sd.n * sd.n)
+    for n_samples in (5, chunk + 1):
         for key in counts:
             counts[key] = 0
         margins = verify_localized_optimality(sd, n_samples, t_values, seed=4)

@@ -141,8 +141,10 @@ def test_kernel_refuses_negative_probabilities(monkeypatch):
     true_block = walks.real_propagators
 
     def corrupted(sd, t, out=None):
-        _, re, im = true_block(sd, t, out)
-        return np.eye(sd.n) - 1e-6, re, im
+        # the kernel reduces the buffer real_propagators wrote, so the corruption goes there
+        p, re, im = true_block(sd, t, out)
+        p[...] = np.eye(sd.n) - 1e-6
+        return p, re, im
 
     monkeypatch.setattr(walks, "real_propagators", corrupted)
     with pytest.raises(ValueError, match="negative entry"):
@@ -226,7 +228,8 @@ def test_negativity_in_second_block_raises_like_one_point(monkeypatch):
         calls.append(np.size(t))
         t = np.asarray(t)
         p, re, im = true_block(sd, t, out)
-        return p - np.where(t >= first_bad, t, 0.0)[..., None, None], re, im
+        p -= np.where(t >= first_bad, t, 0.0)[..., None, None]
+        return p, re, im
 
     monkeypatch.setattr(walks, "real_propagators", corrupted)
     with pytest.raises(ValueError, match="negative entry") as one:
@@ -257,3 +260,81 @@ def test_bad_time_inside_grid_raises_todays_message(bad):
             with pytest.raises(ValueError) as exc:
                 unitary_propagator(sd, t)
             assert str(exc.value) == f"unitary propagator needs finite t, got {bad}"
+
+
+# --- the in-place reduction -----------------------------------------------------------------
+
+
+def out_of_place_reduction(p, re, im):
+    """F, C and G by the reduction's formulas, each step into a fresh array."""
+    p = np.clip(p, 0.0, 1.0)
+    amp2 = re * re + im * im
+    amp = np.sqrt(amp2)
+    ones = np.ones(p.shape[-1])
+    return (
+        np.clip(ones @ (p * amp2), 0.0, 1.0),
+        np.maximum((ones @ amp) ** 2 - 1.0, 0.0),
+        np.clip(ones @ (np.sqrt(p) * amp), 0.0, 1.0),
+    )
+
+
+@pytest.mark.parametrize("n", [5, 11, CUT + 1, 60])
+def test_in_place_reduction_is_bitwise_the_out_of_place_one(n):
+    sd = eigendecompose(laplacian(generate("random_connected", n, extra=n // 2, seed=0)))
+    # three blocks, the first starting at t = 0
+    times = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 2 * block_length(n))])
+    obs = node_observables(sd, times)
+    blocks = time_blocks(n * n, times.size)
+    assert len(blocks) == 3
+    for b in blocks:
+        props = np.stack(real_propagators(sd, times[b]))
+        want = out_of_place_reduction(*props)
+        got = walks.reduce_propagators(props)
+        for field, ref in zip(("fidelity", "coherence", "gfid"), want):
+            assert np.array_equal(getattr(obs, field)[b], ref), (field, b)
+            assert np.array_equal(getattr(got, field), ref), (field, b)
+
+
+def test_kernel_allocates_no_reduction_temporaries():
+    # the traced peak of a 400-point sweep at n = 11 is the work buffer, the result, and a
+    # slack for each block's phases and factor rows (4 * block * n floats) and 16 KiB more;
+    # the reduction's own arrays are block * n * n floats each and would not fit in it
+    import tracemalloc
+
+    n, sd = 11, eigendecompose(laplacian(GRID_GRAPHS[11]))
+    times = np.geomspace(1e-2, 1e2, 400)
+    block = min(block_length(n), times.size)
+    assert block < times.size
+    node_observables(sd, times)  # the cached pair products are built outside the trace
+    tracemalloc.start()
+    try:
+        node_observables(sd, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    work, result = 3 * block * n * n * 8, 3 * times.size * n * 8
+    slack = 4 * block * n * 8 + 16 * 1024
+    assert peak <= work + result + slack, (peak, work, result, slack)
+
+
+def test_optimality_margins_read_the_reduction_of_an_untouched_pair(monkeypatch):
+    # the sweep hands the reduction a stack of its own: the heat and unitary matrices its
+    # samples read stay as formed, and the margins are those of the out-of-place formulas
+    import qcwalk.distance as distance
+
+    sd = eigendecompose(laplacian(generate("random_connected", 10, extra=3, seed=1)))
+    t_values = np.geomspace(0.05, 5.0, 9)
+    formed = []
+    for name in ("heat_propagator", "unitary_propagator"):
+
+        def kept(sd, t, _original=getattr(distance, name)):
+            matrix = _original(sd, t)
+            formed.append((matrix, matrix.copy()))
+            return matrix
+
+        monkeypatch.setattr(distance, name, kept)
+    margins = distance.verify_localized_optimality(sd, 30, t_values, seed=6)
+    assert formed and all(np.array_equal(matrix, copy) for matrix, copy in formed)
+    reference = lambda props: walks.NodeObservables(*out_of_place_reduction(*props))
+    monkeypatch.setattr(walks, "reduce_propagators", reference)
+    assert np.array_equal(distance.verify_localized_optimality(sd, 30, t_values, seed=6), margins)
