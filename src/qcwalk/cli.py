@@ -311,6 +311,13 @@ def cmd_verify(args) -> int:
 # --- wiring ------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """The ``--seed`` of every subcommand: a nonnegative integer in decimal digits, else a usage error (exit 1)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call; every later call returns the same object."""
@@ -321,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", help="complete|ring|path|star|wheel|random_connected")
     p.add_argument("n", type=int, help="number of nodes")
     p.add_argument("extra", type=int, nargs="?", default=None, help="degree target for random_connected")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="edge-list path, or - for stdout")
 
     p = sub.add_parser("distance", help="sweep distance quantities, emit CSV")
@@ -334,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--steps", type=int, default=DEFAULT_STEPS, help="number of grid points")
     p.add_argument("--linear", action="store_true", help="linear spacing (default: log)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--node", type=int, default=None, help="restrict node-resolved quantities")
     p.add_argument("--out", default="-", help="CSV path, or - for stdout")
     p.add_argument(
@@ -345,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="emit the CSVs behind one preset figure")
     p.add_argument("which", choices=FIGURES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--n", type=int, default=8, help="panel size for fig1-center/right")
     p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("verify", help="run invariant and optimality checks")
     p.add_argument("--n-max", type=int, default=8, help="largest random graph size (<= 10)")
     p.add_argument("--samples", type=int, default=200, help="diagonal states to sample")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     return parser
 

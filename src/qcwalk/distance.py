@@ -23,7 +23,9 @@ the long-time laws presuppose a single component.
 Every quantity reads F, C and G from one walks.node_observables record, for
 one time or a whole grid, looked up on the walks module so that a patched
 kernel reaches every caller. The laws below work over the record's last
-(node) axis, so one call covers every time of a grid.
+(node) axis, so one call covers every time of a grid. The optimality sweep
+forms its pairs with spectral.real_propagators, as the kernel does, and
+takes min_j F_j from walks.reduce_propagators of those same pairs.
 """
 
 from __future__ import annotations
@@ -32,12 +34,7 @@ import numpy as np
 
 from . import walks
 from .config import check_grid
-from .spectral import (
-    SpectralDecomposition,
-    classical_quantum_fidelity,
-    heat_propagator,
-    unitary_propagator,
-)
+from .spectral import SpectralDecomposition, classical_quantum_fidelity, real_propagators
 from .walks import NodeObservables
 
 __all__ = [
@@ -166,10 +163,11 @@ def verify_localized_optimality(
     and compares the full Uhlmann fidelity of the pair against the smallest
     localized fidelity min_j F_j(t). The full fidelity should never fall
     below that minimum. The times are swept in the kernel's blocks
-    (walks.time_blocks): each block forms one propagator pair per time,
-    reads min_j F_j from the kernel's reduction of that same pair
-    (walks.reduce_propagators, on a stacked copy, as it overwrites its
-    input) and makes all its Dirichlet draws at once.
+    (walks.time_blocks): each block forms its pairs with one
+    real_propagators call and makes all its Dirichlet draws at once. Its
+    classical states P(t) z and unitaries U = Re + i Im are formed first;
+    then walks.reduce_propagators reduces the same buffer in place, so
+    min_j F_j is the kernel's own F bit for bit.
     Its samples are then compared in chunks, one classical_quantum_fidelity
     call each on the chunk's (q, U, z), which validates every input and
     raises ValueError if a U(t) drifts from unitarity. A chunk holds at most
@@ -193,12 +191,14 @@ def verify_localized_optimality(
 
     margins = np.empty((n_samples, t_values.size))
     for b in walks.time_blocks(n * n, t_values.size):
-        p = heat_propagator(sd, t_values[b])
-        u = unitary_propagator(sd, t_values[b])
-        floor = walks.reduce_propagators(np.stack([p, u.real, u.imag])).fidelity.min(axis=-1)
+        props = real_propagators(sd, t_values[b])
+        p, re, im = props
+        u = re + 1j * im
         # batch draws equal sequential draws, time by time
         z = rng.dirichlet(np.ones(n), size=(len(p), n_samples))
         q = np.clip(z @ p.swapaxes(-1, -2), 0.0, None)
+        # the reduction overwrites the pair, so it runs once q and u are formed
+        floor = walks.reduce_propagators(props).fidelity.min(axis=-1)
         for c in walks.time_blocks(len(p) * n * n, n_samples):
             margins[c, b] = (classical_quantum_fidelity(q[:, c], u, z[:, c]) - floor[:, None]).T
     return margins

@@ -7,9 +7,10 @@ the decomposition once and reusing it across a whole time grid is what
 keeps long curves cheap, so every walk-level routine accepts a
 SpectralDecomposition rather than a raw matrix.
 
-The kernel reads the pair as three real matrices, exp(L t), Re exp(i L t)
-and Im exp(i L t), from :func:`real_propagators`; the complex
-:func:`unitary_propagator` serves the checks and the optimality sweep.
+:func:`real_propagators` is the one place the spectrum is exponentiated:
+it forms the pair as three real matrices, exp(L t), Re exp(i L t) and
+Im exp(i L t), for the kernel, the optimality sweep and the invariant
+checks alike; a caller that needs the complex unitary forms re + 1j * im.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ __all__ = [
     "SpectralDecomposition",
     "DensityMatrix",
     "eigendecompose",
-    "heat_propagator",
-    "unitary_propagator",
     "real_propagators",
     "uhlmann_fidelity",
     "classical_quantum_fidelity",
@@ -126,83 +125,36 @@ def _refuse(t: np.ndarray, ok: np.ndarray, needs: str) -> None:
         raise ValueError(f"{needs}, got {float(t[~ok].flat[0])}")
 
 
-def _phases(sd: SpectralDecomposition, t: np.ndarray, needs: str) -> np.ndarray:
-    """lambda t for every point of ``t`` and eigenvalue lambda, shape np.shape(t) + (n,).
+def real_propagators(sd: SpectralDecomposition, t, out=None) -> np.ndarray:
+    """exp(L t), Re exp(i L t) and Im exp(i L t), stacked: a real array of shape (3,) + np.shape(t) + (n, n).
 
-    A point whose phase t max|lambda| overflows is refused, before any
-    factor is exponentiated.
+    The propagator pair of the kernel, the optimality sweep and the
+    invariant checks; ``p, re, im = real_propagators(sd, t)`` unpacks it.
+    ``t`` is one time or a grid, each point with its own three matrices.
+    Column j of exp(L t) is the occupation distribution after starting at
+    node j, doubly stochastic because L is symmetric with zero row sums.
+    Negative t is refused (the semigroup does not run backwards), and so is
+    a non-finite t and one whose phase t max|lambda| overflows; the message
+    names the first such point. The phases lambda t are evaluated once for
+    all three. At n <= PAIR_PRODUCT_MAX_N the block is one GEMM,
+    [exp(lambda t); cos(lambda t); sin(lambda t)] times sd.pair_products;
+    above it, one stacked product V diag(f) V^T per matrix. The route
+    depends on n alone. A point's values then do not depend on how a grid
+    is split into calls, except where OpenBLAS's GEMM rounds a row
+    differently with the number of rows: on 200-point grids that was so at
+    n = 17, 19, 21-23, 25-27 and 29-31, by up to about 1e-14 in F, C or G.
+    Where t == 0 the three are exactly I, I and 0.
+
+    ``out``, if given, is a C-contiguous float array of that shape which
+    receives the stack (a caller sweeping blocks reuses one) and is returned.
     """
-    with np.errstate(over="ignore"):
-        phases = sd.eigenvalues * t[..., None]
-    _refuse(t, np.isfinite(phases).all(axis=-1), f"{needs} needs a finite phase t * max|lambda|")
-    return phases
-
-
-def _propagate(sd: SpectralDecomposition, t: np.ndarray, factors: np.ndarray, out=None) -> np.ndarray:
-    """V diag(f) V^T for every row f of ``factors``, exactly the identity where t == 0.
-
-    ``factors`` has shape ``[k,] np.shape(t) + (n,)``: one stacked product
-    per leading index, written into ``out`` if given.
-    """
-    out = np.matmul(sd.eigenvectors * factors[..., None, :], sd.eigenvectors.T, out=out)
-    zero = t == 0.0
-    if zero.any():
-        out[..., zero, :, :] = np.eye(sd.n)
-    return out
-
-
-def _heat_phases(sd: SpectralDecomposition, t) -> tuple[np.ndarray, np.ndarray]:
-    """``t`` as a float array and its phases, refused as the heat propagator refuses them."""
     t = np.asarray(t, dtype=float)
     _refuse(t, np.isfinite(t) & (t >= 0), "heat propagator needs finite t >= 0")
-    return t, _phases(sd, t, "heat propagator")
-
-
-def heat_propagator(sd: SpectralDecomposition, t) -> np.ndarray:
-    """exp(L t): the classical transition-probability matrix, shape np.shape(t) + (n, n).
-
-    ``t`` is one time or a grid; each point gets its own matrix, one stacked
-    product for the lot. Column j holds the occupation distribution after
-    starting at node j. Because the Laplacian is symmetric with zero row sums,
-    the result is doubly stochastic for t >= 0, and exactly the identity at
-    t = 0. Negative t is rejected: the semigroup does not run backwards. So
-    is a non-finite t, and one whose phase t max|lambda| overflows.
-    """
-    t, phases = _heat_phases(sd, t)
-    # exp(lambda t) with lambda <= 0 underflows harmlessly to 0 for large t
-    return _propagate(sd, t, np.exp(phases))
-
-
-def unitary_propagator(sd: SpectralDecomposition, t) -> np.ndarray:
-    """exp(i L t): the quantum walk unitary, shape np.shape(t) + (n, n).
-
-    Any finite t whose phase t max|lambda| is finite; others are refused.
-    """
-    t = np.asarray(t, dtype=float)
-    _refuse(t, np.isfinite(t), "unitary propagator needs finite t")
-    return _propagate(sd, t, np.exp(1j * _phases(sd, t, "unitary propagator")))
-
-
-def real_propagators(sd: SpectralDecomposition, t, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(L t), Re exp(i L t) and Im exp(i L t): three real arrays of shape np.shape(t) + (n, n).
-
-    The kernel's form of the propagator pair. ``t`` is refused as
-    heat_propagator refuses it, with its messages, and the phases lambda t
-    are evaluated once for all three. At n <= PAIR_PRODUCT_MAX_N the block
-    is one GEMM, [exp(lambda t); cos(lambda t); sin(lambda t)] times
-    sd.pair_products; above it, one stacked product V diag(f) V^T per
-    matrix. The route depends on n alone. A point's values then do not
-    depend on how a grid is split into calls, except where OpenBLAS's GEMM
-    rounds a row differently with the number of rows: on 200-point grids that
-    was so at n = 17, 19, 21-23, 25-27 and 29-31, by up to about 1e-14 in F,
-    C or G. Where t == 0 the three are exactly I, I and 0.
-
-    ``out``, if given, is a C-contiguous float array of shape
-    ``(3,) + np.shape(t) + (n, n)`` that receives the three (a caller
-    sweeping blocks reuses one); the result is views of it.
-    """
-    t, phases = _heat_phases(sd, t)
+    with np.errstate(over="ignore"):
+        phases = sd.eigenvalues * t[..., None]
+    _refuse(t, np.isfinite(phases).all(axis=-1), "heat propagator needs a finite phase t * max|lambda|")
     factors = np.empty((3,) + phases.shape)
+    # exp(lambda t) with lambda <= 0 underflows harmlessly to 0 for large t
     np.exp(phases, out=factors[0])
     np.cos(phases, out=factors[1])
     np.sin(phases, out=factors[2])
@@ -214,13 +166,12 @@ def real_propagators(sd: SpectralDecomposition, t, out=None) -> tuple[np.ndarray
     if n <= PAIR_PRODUCT_MAX_N:
         np.matmul(factors.reshape(-1, n), sd.pair_products, out=out.reshape(-1, n * n))
     else:
-        _propagate(sd, t, factors, out)
+        np.matmul(sd.eigenvectors * factors[..., None, :], sd.eigenvectors.T, out=out)
     zero = t == 0.0
     if zero.any():
         out[:2, zero] = np.eye(n)
         out[2, zero] = 0.0
-    p, re, im = out
-    return p, re, im
+    return out
 
 
 def _check_weights(total: np.ndarray, weights: np.ndarray) -> None:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, propagator_pair
 from qcwalk import degree_sequence, generate, laplacian
 from qcwalk.checks import run_invariant_checks
 from qcwalk.distance import (
@@ -23,13 +23,7 @@ from qcwalk.distance import (
     qc_distance,
     verify_localized_optimality,
 )
-from qcwalk.spectral import (
-    DensityMatrix,
-    eigendecompose,
-    heat_propagator,
-    unitary_propagator,
-    uhlmann_fidelity,
-)
+from qcwalk.spectral import DensityMatrix, eigendecompose, uhlmann_fidelity
 from qcwalk.walks import node_observables
 
 # node-degree law graphs: the fixed menagerie plus five seeded random graphs
@@ -235,8 +229,7 @@ def test_criterion_09_localized_optimality_oracle():
         worst_margin = min(worst_margin, float(margins.min()))
         total += margins.size
         for t in t_values:
-            p = heat_propagator(sd, t)
-            u = unitary_propagator(sd, t)
+            p, u = propagator_pair(sd, t)
             fid = node_observables(sd, t).fidelity
             for j in range(n):
                 oracle = uhlmann_fidelity(

@@ -448,6 +448,27 @@ def test_usage_error_exit_code_is_one():
         assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "random_connected", "6", "3", "--out", "-"],
+        ["distance", "--graph", "ring:5"],
+        ["distance", "--graph", "random_connected:6:3"],
+        ["figure", "fig2"],
+        ["verify", "--n-max", "3", "--samples", "4"],
+    ],
+    ids=["graph", "distance-ring", "distance-random", "figure", "verify"],
+)
+@pytest.mark.parametrize("seed", ["-1", "-2", "x"])
+def test_seed_must_be_a_nonnegative_integer(argv, seed, monkeypatch, tmp_path, capsys):
+    # one rule for every subcommand, whether or not its graph reads the seed
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run(argv + ["--seed", seed], capsys)
+    assert code == 1 and stdout == ""
+    assert stderr.endswith(f": error: argument --seed: must be a nonnegative integer, got {seed!r}\n")
+    assert not any(tmp_path.iterdir())
+
+
 # --- the parser: built once per process, commands looked up by name -------------------
 
 
@@ -710,39 +731,63 @@ def test_invariant_checks_form_each_group_of_times_as_one_grid(monkeypatch):
     import qcwalk.spectral as spectral
     import qcwalk.walks as walks
 
-    # per graph (one eigendecompose each) and propagator, the points of each call in order
-    names = ("heat_propagator", "unitary_propagator", "real_propagators")
+    # per graph (one eigendecompose each) and caller, the points of each real_propagators call
     calls: list[dict[str, list[int]]] = []
 
     def decompose(lap):
-        calls.append({name: [] for name in names})
+        calls.append({"checks": [], "walks": []})
         return spectral.eigendecompose(lap)
 
     monkeypatch.setattr(checks, "eigendecompose", decompose)
-    for name in names:
+    for caller, mod in (("checks", checks), ("walks", walks)):
 
-        def counted(sd, t, *out, _name=name, _original=getattr(spectral, name)):
-            calls[-1][_name].append(np.size(t))
-            return _original(sd, t, *out)
+        def counted(sd, t, *out, _caller=caller):
+            calls[-1][_caller].append(np.size(t))
+            return spectral.real_propagators(sd, t, *out)
 
-        for mod in (checks, walks):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, counted)
+        monkeypatch.setattr(mod, "real_propagators", counted)
     results = checks.run_invariant_checks(seed=0)
     assert all(r.passed for r in results)
-    # checks: 4 sampled times, semigroup t1, t2, t1 + t2 (3 rounds) or group inverse t, -t,
-    # the 2 oracle times; kernel (its pair as one call): the oracle grid, the plateau,
-    # and 3 times on regular graphs
+    # checks, one pair per group: 4 sampled times, the semigroup and group law's t1, t2,
+    # t1 + t2 (3 rounds), the 2 oracle times; kernel: the oracle grid, the plateau, and
+    # 3 times on regular graphs
     labels = [label for label, _ in checks.check_family(0)]
     regular = {"complete(5)": [3], "ring(6)": [3]}
-    assert calls == [
-        {
-            "heat_propagator": [4, 9, 2],
-            "unitary_propagator": [4, 6, 2],
-            "real_propagators": [2, 1] + regular.get(label, []),
-        }
-        for label in labels
-    ]
+    assert calls == [{"checks": [4, 9, 2], "walks": [2, 1] + regular.get(label, [])} for label in labels]
+
+
+def test_verify_checks_the_route_the_cli_runs(monkeypatch, capsys):
+    # every caller reads real_propagators; here its exp(i L t) is Re scaled by 1 + 1e-6 and
+    # each column put back to unit norm, so the oracle's pure states stay states but U is
+    # not unitary
+    import qcwalk.spectral as spectral
+
+    original = spectral.real_propagators
+
+    def skewed(sd, t, out=None):
+        props = original(sd, t, out)
+        _, re, im = props
+        re *= 1 + 1e-6
+        norm = np.sqrt((re * re + im * im).sum(axis=-2, keepdims=True))
+        re /= norm
+        im /= norm
+        return props
+
+    for mod in [m for key, m in sys.modules.items() if key.startswith("qcwalk")]:
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, skewed)
+    argv = ["verify", "--n-max", "4", "--samples", "16"]
+    # the optimality sweep runs first and refuses the drifting unitary
+    code, stdout, stderr = run(argv, capsys)
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("qcwalk: error: u[0] drifts from unitarity by ")
+    # without it, the invariant checks fail the unitary lines, and only those
+    monkeypatch.setattr(cli, "run_optimality_checks", lambda **kwargs: ([], 0.0))
+    code, stdout, _ = run(argv, capsys)
+    assert code == 3
+    failed = [line.split(":")[0] for line in stdout.splitlines() if line.startswith("[FAIL]")]
+    assert failed == ["[FAIL] unitary propagator unitary", "[FAIL] unitary propagator group law"]
 
 
 def test_verify_detects_tampered_fidelity(monkeypatch, capsys):
@@ -792,32 +837,24 @@ def test_verify_zero_mode_check_reads_its_own_spectrum(monkeypatch, capsys):
 _PRESET_CURVES = {"fig1-left": 3, "fig3-left": 6}
 
 
-#: propagator function -> the matrices one of its points forms
-_FORMS = {
-    "heat_propagator": ("heat",),
-    "unitary_propagator": ("unitary",),
-    "real_propagators": ("heat", "unitary"),
-}
-
-
 def count_propagators(monkeypatch) -> dict[str, list[int]]:
-    """Wrap every propagator function; per matrix kind, the number each call forms (its block length)."""
+    """Wrap real_propagators; per matrix kind, the number each call forms (its block length)."""
     import qcwalk.spectral as spectral
 
     blocks = {"heat": [], "unitary": []}
-    for name, forms in _FORMS.items():
-        original = getattr(spectral, name)
+    original = spectral.real_propagators
 
-        def counted(sd, t, *out, _forms=forms, _original=original):
-            for kind in _forms:
-                blocks[kind].append(np.size(t))
-            return _original(sd, t, *out)
+    def counted(sd, t, *out):
+        # one heat and one unitary matrix per point
+        for sizes in blocks.values():
+            sizes.append(np.size(t))
+        return original(sd, t, *out)
 
-        # every qcwalk namespace that holds the propagator gets the counter
-        for mod in [m for key, m in sys.modules.items() if key.startswith("qcwalk")]:
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
+    # every qcwalk namespace that holds the propagator gets the counter
+    for mod in [m for key, m in sys.modules.items() if key.startswith("qcwalk")]:
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, counted)
     return blocks
 
 
@@ -841,7 +878,7 @@ def test_distance_forms_one_propagator_pair_per_point(monkeypatch, tmp_path, cas
         points = 25
         assert distance_curve(sd, np.geomspace(1e-2, 1e2, points)).shape == (11, points)
     elif case == "verify_localized_optimality":
-        # the optimality floor reads the reduction of the sweep's own pair: 4 + 4 matrices
+        # the optimality floor is the reduction of the sweep's own pair: one pair per point
         points = 4
         assert verify_localized_optimality(sd, 10, [0.1, 0.5, 1.0, 3.0]).shape == (10, points)
     else:

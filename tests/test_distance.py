@@ -19,7 +19,8 @@ from qcwalk.distance import (
     verify_localized_optimality,
 )
 from qcwalk import walks
-from qcwalk.spectral import eigendecompose, unitary_propagator
+from conftest import propagator_pair
+from qcwalk.spectral import eigendecompose
 from qcwalk.walks import node_observables, time_blocks
 
 K2 = eigendecompose(laplacian(generate("complete", 2)))
@@ -256,12 +257,11 @@ def test_optimality_k2_uniform_state():
 def test_optimality_localized_state_margin_zero():
     # z = indicator of node j: both channel outputs reduce to the localized
     # pair, so the full fidelity must equal F_j and the margin vanish
-    from qcwalk.spectral import DensityMatrix, heat_propagator, unitary_propagator, uhlmann_fidelity
+    from qcwalk.spectral import DensityMatrix, uhlmann_fidelity
 
     sd = STAR7
     t = 0.9
-    p = heat_propagator(sd, t)
-    u = unitary_propagator(sd, t)
+    p, u = propagator_pair(sd, t)
     for j in (0, 3):
         z = np.eye(7)[j]
         rho_c = DensityMatrix.diagonal(p @ z)
@@ -284,7 +284,7 @@ def test_optimality_pure_rows_take_the_closed_form(monkeypatch):
 
     monkeypatch.setattr(spectral, "uhlmann_fidelity", counted)
     sd, t = STAR7, 0.9
-    p, u = spectral.heat_propagator(sd, t), spectral.unitary_propagator(sd, t)
+    p, u = propagator_pair(sd, t)
     z = np.array([np.eye(7)[0], np.full(7, 1.0 / 7), np.eye(7)[3]])
     q, rho = np.clip(z @ p.T, 0.0, None), (u * z[:, None, :]) @ u.conj().T
     fid = spectral.classical_quantum_fidelity(q[None], u[None], z[None])[0]
@@ -358,7 +358,7 @@ def test_optimality_decomposes_one_matrix_per_sample_and_time(monkeypatch):
 def test_built_states_have_their_weights_as_spectrum(graph):
     # the fidelity reads z as the spectrum of U diag(z) U^dag; an eigensolve agrees
     sd = eigendecompose(laplacian(graph))
-    u = unitary_propagator(sd, [0.1, 0.5, 1.0, 3.0])
+    u = propagator_pair(sd, [0.1, 0.5, 1.0, 3.0])[1]
     z = np.random.Generator(np.random.PCG64(3)).dirichlet(np.ones(sd.n), size=(4, 40))
     rho = (u[:, None] * z[:, :, None, :]) @ u.conj().swapaxes(-1, -2)[:, None]
     assert np.abs(np.linalg.eigvalsh(rho) - np.sort(z, axis=-1)).max() <= 1e-13
@@ -367,10 +367,13 @@ def test_built_states_have_their_weights_as_spectrum(graph):
 def test_optimality_refuses_a_drifting_unitary_before_any_fidelity(monkeypatch):
     import qcwalk.distance as distance
 
-    def drifting(sd, t):
-        return unitary_propagator(sd, t) * (1 + 1e-8)
+    def drifting(sd, t, _original=distance.real_propagators):
+        # exp(i L t) scaled by 1 + 1e-8; exp(L t) as formed
+        props = _original(sd, t)
+        props[1:] *= 1 + 1e-8
+        return props
 
-    monkeypatch.setattr(distance, "unitary_propagator", drifting)
+    monkeypatch.setattr(distance, "real_propagators", drifting)
     monkeypatch.setattr(
         np.linalg,
         "eigvalsh",

@@ -25,13 +25,7 @@ from qcwalk.distance import (
     qc_distance,
     qc_of,
 )
-from qcwalk.spectral import (
-    PAIR_PRODUCT_MAX_N as CUT,
-    eigendecompose,
-    heat_propagator,
-    real_propagators,
-    unitary_propagator,
-)
+from qcwalk.spectral import PAIR_PRODUCT_MAX_N as CUT, eigendecompose, real_propagators
 from qcwalk.walks import node_observables, time_blocks
 
 GRAPHS = [
@@ -45,6 +39,7 @@ GRAPHS = [
 ]
 TIMES = np.geomspace(1e-2, 1e2, 25)
 REL_TOL = 1e-10
+EPS = np.finfo(float).eps
 
 
 def expm_observables(lap: np.ndarray, t: float):
@@ -111,19 +106,21 @@ def test_kernel_at_zero_time_is_exact():
 
 @pytest.mark.parametrize("n", [5, CUT, CUT + 1, 60])
 def test_real_propagators_are_the_propagator_pair(n):
-    sd = eigendecompose(laplacian(generate("random_connected", n, extra=n // 2, seed=0)))
+    lap = laplacian(generate("random_connected", n, extra=n // 2, seed=0))
+    sd = eigendecompose(lap)
     t = np.geomspace(1e-2, 1e2, 9)
-    p, re, im = real_propagators(sd, t)
-    assert p.shape == re.shape == im.shape == (9, n, n)
-    u = unitary_propagator(sd, t)
-    assert np.abs(p - heat_propagator(sd, t)).max() <= 1e-12
-    assert np.abs(re - u.real).max() <= 1e-12
-    assert np.abs(im - u.imag).max() <= 1e-12
-    # written into a caller's buffer, the result is views of it with the same bits
+    props = real_propagators(sd, t)
+    assert props.shape == (3, 9, n, n)
+    # against expm, within the phase error of order t eps max|lambda|
+    bound = 1e-12 + 10 * t * EPS * np.abs(sd.eigenvalues).max()
+    for i, ti in enumerate(t):
+        u = expm(1j * lap.matrix * ti)
+        for got, want in zip(props[:, i], (expm(lap.matrix * ti), u.real, u.imag)):
+            assert np.abs(got - want).max() <= bound[i], ti
+    # written into a caller's buffer, the result is that buffer with the same bits
     out = np.empty((3, 9, n, n))
-    got = real_propagators(sd, t, out)
-    assert all(np.shares_memory(x, out) for x in got)
-    assert np.array_equal(out, np.stack([p, re, im]))
+    assert real_propagators(sd, t, out) is out
+    assert np.array_equal(out, props)
     for bad in (np.empty((3, 8, n, n)), np.empty((3, 9, n, n), dtype=np.float32), out.transpose(0, 1, 3, 2)):
         with pytest.raises(ValueError, match="out must be a C-contiguous float array"):
             real_propagators(sd, t, bad)
@@ -210,9 +207,7 @@ def test_grid_starting_at_zero_reads_exact_identity(tmp_path):
     assert np.array_equal(grid.fidelity[0], np.ones(5))
     assert np.array_equal(grid.coherence[0], np.zeros(5))
     assert np.array_equal(grid.gfid[0], np.ones(5))
-    assert np.array_equal(heat_propagator(sd, [0.0, 1.0])[0], np.eye(5))
-    assert np.array_equal(unitary_propagator(sd, [0.0, 1.0])[0], np.eye(5, dtype=complex))
-    assert np.array_equal(np.stack(real_propagators(sd, [0.0, 1.0]))[:, 0], [np.eye(5), np.eye(5), np.zeros((5, 5))])
+    assert np.array_equal(real_propagators(sd, [0.0, 1.0])[:, 0], [np.eye(5), np.eye(5), np.zeros((5, 5))])
 
 
 def test_negativity_in_second_block_raises_like_one_point(monkeypatch):
@@ -248,18 +243,11 @@ def test_bad_time_inside_grid_raises_todays_message(bad):
     times = np.linspace(0.1, 10.0, 2 * block + 1)
     times[block + 2] = bad
     heat_message = f"heat propagator needs finite t >= 0, got {bad}"
-    for call in (node_observables, heat_propagator, real_propagators):
+    for call in (node_observables, real_propagators):
         for t in (bad, times):
             with pytest.raises(ValueError) as exc:
                 call(sd, t)
             assert str(exc.value) == heat_message
-    if np.isfinite(bad):
-        assert unitary_propagator(sd, times).shape == (times.size, 11, 11)
-    else:
-        for t in (bad, times):
-            with pytest.raises(ValueError) as exc:
-                unitary_propagator(sd, t)
-            assert str(exc.value) == f"unitary propagator needs finite t, got {bad}"
 
 
 # --- the in-place reduction -----------------------------------------------------------------
@@ -287,7 +275,7 @@ def test_in_place_reduction_is_bitwise_the_out_of_place_one(n):
     blocks = time_blocks(n * n, times.size)
     assert len(blocks) == 3
     for b in blocks:
-        props = np.stack(real_propagators(sd, times[b]))
+        props = real_propagators(sd, times[b])
         want = out_of_place_reduction(*props)
         got = walks.reduce_propagators(props)
         for field, ref in zip(("fidelity", "coherence", "gfid"), want):
@@ -318,23 +306,49 @@ def test_kernel_allocates_no_reduction_temporaries():
 
 
 def test_optimality_margins_read_the_reduction_of_an_untouched_pair(monkeypatch):
-    # the sweep hands the reduction a stack of its own: the heat and unitary matrices its
-    # samples read stay as formed, and the margins are those of the out-of-place formulas
+    # the sweep reduces its pair in place, but only after its samples' states are formed:
+    # the unitaries they read are the pair as formed, and the margins are those of the
+    # out-of-place formulas, which leave the pair untouched
     import qcwalk.distance as distance
 
     sd = eigendecompose(laplacian(generate("random_connected", 10, extra=3, seed=1)))
     t_values = np.geomspace(0.05, 5.0, 9)
-    formed = []
-    for name in ("heat_propagator", "unitary_propagator"):
+    formed, read = [], []
 
-        def kept(sd, t, _original=getattr(distance, name)):
-            matrix = _original(sd, t)
-            formed.append((matrix, matrix.copy()))
-            return matrix
+    def kept(sd, t, _original=distance.real_propagators):
+        props = _original(sd, t)
+        formed.append(props.copy())
+        return props
 
-        monkeypatch.setattr(distance, name, kept)
+    def fidelity(q, u, z, _original=distance.classical_quantum_fidelity):
+        read.append(u)
+        return _original(q, u, z)
+
+    monkeypatch.setattr(distance, "real_propagators", kept)
+    monkeypatch.setattr(distance, "classical_quantum_fidelity", fidelity)
     margins = distance.verify_localized_optimality(sd, 30, t_values, seed=6)
-    assert formed and all(np.array_equal(matrix, copy) for matrix, copy in formed)
+    assert len(formed) == 1 and read
+    assert all(np.array_equal(u, formed[0][1] + 1j * formed[0][2]) for u in read)
     reference = lambda props: walks.NodeObservables(*out_of_place_reduction(*props))
     monkeypatch.setattr(walks, "reduce_propagators", reference)
     assert np.array_equal(distance.verify_localized_optimality(sd, 30, t_values, seed=6), margins)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_optimality_floor_is_the_kernels_fidelity(n, monkeypatch):
+    # on verify's graphs and times, the F the sweep reduces is the kernel's, bit for bit
+    import qcwalk.distance as distance
+
+    sd = eigendecompose(laplacian(generate("random_connected", n, extra=min(n - 1, 3), seed=n)))
+    t_values = (0.1, 0.5, 1.0, 3.0)
+    kernel = node_observables(sd, t_values).fidelity
+    reduced = []
+
+    def recorded(props, _original=walks.reduce_propagators):
+        obs = _original(props)
+        reduced.append(obs.fidelity.copy())
+        return obs
+
+    monkeypatch.setattr(walks, "reduce_propagators", recorded)
+    distance.verify_localized_optimality(sd, 5, t_values, seed=n)
+    assert np.array_equal(np.concatenate(reduced), kernel)

@@ -23,8 +23,6 @@ def test_all_names_exist_once(name):
 @pytest.mark.parametrize(
     "name, attr",
     [
-        ("spectral", "heat_propagator"),
-        ("spectral", "unitary_propagator"),
         ("spectral", "real_propagators"),
         ("walks", "time_blocks"),
         ("walks", "reduce_propagators"),
@@ -39,8 +37,6 @@ def test_grid_kernel_steps_are_public(name, attr):
 # The benchmark's per-layer metrics count calls to these spectral names.
 COUNTED_SPECTRAL_NAMES = (
     "eigendecompose",
-    "heat_propagator",
-    "unitary_propagator",
     "uhlmann_fidelity",
     "DensityMatrix",
 )

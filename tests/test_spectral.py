@@ -3,15 +3,14 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from conftest import propagator_pair
 from qcwalk import generate, laplacian, qc_distance
 from qcwalk.distance import gamma_of, verify_localized_optimality
 from qcwalk.spectral import (
     DensityMatrix,
     classical_quantum_fidelity,
     eigendecompose,
-    heat_propagator,
     real_propagators,
-    unitary_propagator,
     uhlmann_fidelity,
 )
 from qcwalk.walks import node_observables
@@ -106,7 +105,7 @@ def test_connectivity_via_spectrum():
 @given(family_members, times)
 @settings(max_examples=60, deadline=None)
 def test_heat_propagator_doubly_stochastic(sd, t):
-    p = heat_propagator(sd, t)
+    p = real_propagators(sd, t)[0]
     assert np.abs(p.sum(axis=0) - 1).max() <= 1e-10
     assert np.abs(p.sum(axis=1) - 1).max() <= 1e-10
     assert p.min() >= -1e-10
@@ -116,40 +115,38 @@ def test_heat_propagator_doubly_stochastic(sd, t):
 @given(family_members, times)
 @settings(max_examples=60, deadline=None)
 def test_unitary_propagator_unitary(sd, t):
-    u = unitary_propagator(sd, t)
+    u = propagator_pair(sd, t)[1]
     assert np.abs(u @ u.conj().T - np.eye(sd.n)).max() <= 1e-10
 
 
 @given(family_members, st.floats(0.0, 5.0), st.floats(0.0, 5.0))
 @settings(max_examples=40, deadline=None)
 def test_heat_semigroup(sd, t1, t2):
-    lhs = heat_propagator(sd, t1) @ heat_propagator(sd, t2)
-    assert np.abs(lhs - heat_propagator(sd, t1 + t2)).max() <= 1e-8
+    p = real_propagators(sd, [t1, t2, t1 + t2])[0]
+    assert np.abs(p[0] @ p[1] - p[2]).max() <= 1e-8
 
 
-@given(family_members, st.floats(-5.0, 5.0))
+@given(family_members, st.floats(0.0, 5.0), st.floats(0.0, 5.0))
 @settings(max_examples=40, deadline=None)
-def test_unitary_group_inverse(sd, t):
-    prod = unitary_propagator(sd, t) @ unitary_propagator(sd, -t)
-    assert np.abs(prod - np.eye(sd.n)).max() <= 1e-8
-    assert np.abs(unitary_propagator(sd, -t) - unitary_propagator(sd, t).conj().T).max() <= 1e-12
+def test_unitary_group_law(sd, t1, t2):
+    u = propagator_pair(sd, [t1, t2, t1 + t2])[1]
+    assert np.abs(u[0] @ u[1] - u[2]).max() <= 1e-8
+    # L is real symmetric, so U = U^T and U(-t) = conj(U(t)) = U(t)^dag: no separate inverse
+    assert np.abs(u - u.swapaxes(-1, -2)).max() <= 1e-12
 
 
 def test_propagators_identity_at_zero():
     sd = DECS[0]
-    assert np.array_equal(heat_propagator(sd, 0.0), np.eye(sd.n))
-    assert np.array_equal(unitary_propagator(sd, 0.0), np.eye(sd.n, dtype=complex))
+    assert np.array_equal(real_propagators(sd, 0.0), [np.eye(sd.n), np.eye(sd.n), np.zeros((sd.n, sd.n))])
 
 
 def test_heat_rejects_negative_time():
     sd = DECS[0]
     with pytest.raises(ValueError):
-        heat_propagator(sd, -0.1)
-    # non-finite times are refused too, by both propagators and every caller
+        real_propagators(sd, -0.1)
+    # non-finite times are refused too, by the propagators and every caller
     for t in (np.nan, np.inf, -np.inf):
         for call in (
-            lambda: heat_propagator(sd, t),
-            lambda: unitary_propagator(sd, t),
             lambda: real_propagators(sd, t),
             lambda: node_observables(sd, t),
             lambda: qc_distance(sd, t),
@@ -160,10 +157,7 @@ def test_heat_rejects_negative_time():
                 call()
 
 
-@pytest.mark.parametrize(
-    "propagator, name",
-    [(heat_propagator, "heat"), (unitary_propagator, "unitary"), (real_propagators, "heat")],
-)
+@pytest.mark.parametrize("propagator, name", [(real_propagators, "heat")])
 def test_propagators_refuse_an_overflowing_phase(propagator, name):
     # K_200's max|lambda| is 200, so t = 1e306 is finite but its phase 2e308 is not
     sd = eigendecompose(laplacian(generate("complete", 200)))
@@ -179,10 +173,9 @@ def test_propagators_refuse_an_overflowing_phase(propagator, name):
 def test_k2_closed_forms():
     sd = eigendecompose(laplacian(generate("complete", 2)))
     for t in (0.1, 0.7, 2.3):
-        p = heat_propagator(sd, t)
+        p, u = propagator_pair(sd, t)
         e = np.exp(-2 * t)
         assert np.allclose(p, [[(1 + e) / 2, (1 - e) / 2], [(1 - e) / 2, (1 + e) / 2]], atol=1e-12)
-        u = unitary_propagator(sd, t)
         ph = np.exp(-2j * t)
         assert abs(u[0, 0] - (1 + ph) / 2) <= 1e-12
         assert abs(u[1, 0] - (1 - ph) / 2) <= 1e-12
@@ -193,7 +186,7 @@ def test_complete_graph_diagonal_decay():
     for n in (3, 5, 8):
         sd = eigendecompose(laplacian(generate("complete", n)))
         for t in (0.2, 1.0):
-            p = heat_propagator(sd, t)
+            p = real_propagators(sd, t)[0]
             want = 1 / n + (1 - 1 / n) * np.exp(-n * t)
             assert np.abs(np.diag(p) - want).max() <= 1e-12
 
@@ -203,7 +196,7 @@ def test_first_order_expansion(sd):
     t = 1e-3
     lap = (sd.eigenvectors * sd.eigenvalues) @ sd.eigenvectors.T
     bound = 2 * t**2 * np.abs(sd.eigenvalues).max() ** 2
-    assert np.abs(heat_propagator(sd, t) - np.eye(sd.n) - t * lap).max() <= bound
+    assert np.abs(real_propagators(sd, t)[0] - np.eye(sd.n) - t * lap).max() <= bound
 
 
 # --- density matrices and fidelity ----------------------------------------------

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import propagator_pair
 from qcwalk import degree_sequence, generate, laplacian
-from qcwalk.spectral import (
-    DensityMatrix,
-    eigendecompose,
-    heat_propagator,
-    uhlmann_fidelity,
-    unitary_propagator,
-)
+from qcwalk.spectral import DensityMatrix, eigendecompose, uhlmann_fidelity
 from qcwalk.walks import check_node, node_observables
 
 FAMILY = [
@@ -36,7 +31,7 @@ def test_classical_distribution_is_probability(pair, t):
     # the kernel clips these columns into [0, 1] and raises below -1e-10
     g, sd = pair
     node_observables(sd, t)
-    p = heat_propagator(sd, t)
+    p = propagator_pair(sd, t)[0]
     for j in (0, g.n - 1):
         assert p[:, j].min() >= -1e-10
         assert abs(p[:, j].sum() - 1.0) <= 1e-10
@@ -46,14 +41,15 @@ def test_classical_distribution_is_probability(pair, t):
 @settings(max_examples=60, deadline=None)
 def test_quantum_amplitudes_unit_norm(pair, t):
     g, sd = pair
-    a = unitary_propagator(sd, t)[:, g.n // 2]
+    a = propagator_pair(sd, t)[1][:, g.n // 2]
     assert abs(np.vdot(a, a).real - 1.0) <= 1e-10
 
 
 def test_start_conditions():
     sd = DECS[0]
-    assert np.array_equal(heat_propagator(sd, 0.0)[:, 2], np.eye(5)[2])
-    assert np.array_equal(unitary_propagator(sd, 0.0)[:, 2], np.eye(5, dtype=complex)[2])
+    p, u = propagator_pair(sd, 0.0)
+    assert np.array_equal(p[:, 2], np.eye(5)[2])
+    assert np.array_equal(u[:, 2], np.eye(5, dtype=complex)[2])
     obs = node_observables(sd, 0.0)
     assert obs.fidelity[2] == 1.0
     assert obs.coherence[2] == 0.0
@@ -67,13 +63,13 @@ def test_node_and_time_validation():
     with pytest.raises(ValueError):
         check_node(sd, -1)
     with pytest.raises(ValueError):
-        heat_propagator(sd, -0.5)
+        propagator_pair(sd, -0.5)
 
 
 def test_k2_closed_forms():
     for t in (0.05, 0.6, 1.3, 2.9):
         e = np.exp(-2 * t)
-        p = heat_propagator(K2, t)[:, 0]
+        p = propagator_pair(K2, t)[0][:, 0]
         assert np.allclose(p, [(1 + e) / 2, (1 - e) / 2], atol=1e-12)
 
         obs = node_observables(K2, t)
@@ -89,7 +85,7 @@ def test_k2_closed_forms():
 
 
 def test_k2_perfect_state_transfer():
-    a = unitary_propagator(K2, np.pi / 2)[:, 0]
+    a = propagator_pair(K2, np.pi / 2)[1][:, 0]
     assert abs(a[0]) <= 1e-12
     assert abs(abs(a[1]) - 1.0) <= 1e-12
 
@@ -97,7 +93,7 @@ def test_k2_perfect_state_transfer():
 def test_k3_return_probability():
     sd = eigendecompose(laplacian(generate("complete", 3)))
     for t in (0.3, 1.1):
-        a = unitary_propagator(sd, t)[:, 0]
+        a = propagator_pair(sd, t)[1][:, 0]
         want = abs(1 / 3 + (2 / 3) * np.exp(-3j * t)) ** 2
         assert abs(a[0]) ** 2 == pytest.approx(want, abs=1e-12)
 
@@ -108,7 +104,7 @@ def test_k3_return_probability():
 @pytest.mark.parametrize("g,sd", list(zip(FAMILY, DECS)))
 def test_distribution_flattens(g, sd):
     t = 50.0 / sd.fiedler
-    p = heat_propagator(sd, t)[:, 0]
+    p = propagator_pair(sd, t)[0][:, 0]
     assert np.abs(p - 1.0 / g.n).max() <= 1e-10
 
 
@@ -146,7 +142,7 @@ def test_long_time_sqrtn_identity(g, sd):
     # sqrt(n) G_j(t) approaches the amplitude l1 norm once p is flat
     t = 50.0 / sd.fiedler
     obs = node_observables(sd, t)
-    u = unitary_propagator(sd, t)
+    u = propagator_pair(sd, t)[1]
     for j in (0, g.n - 1):
         lhs = np.sqrt(g.n) * obs.gfid[j]
         rhs = np.abs(u[:, j]).sum()
@@ -173,7 +169,7 @@ def test_localized_fidelity_matches_uhlmann(seed):
     sd = eigendecompose(laplacian(g))
     for t in (0.1, 0.8, 2.5):
         fid = node_observables(sd, t).fidelity
-        p, u = heat_propagator(sd, t), unitary_propagator(sd, t)
+        p, u = propagator_pair(sd, t)
         for j in range(g.n):
             oracle = uhlmann_fidelity(
                 DensityMatrix.diagonal(np.clip(p[:, j], 0.0, 1.0)), DensityMatrix.pure(u[:, j])
