@@ -6,10 +6,17 @@ stationary values) on a small fixed family of graphs and reports the worst
 error found against the property's tolerance. The checks are deterministic
 given the seed. They are spot checks for field use; the test suite covers
 the same ground more thoroughly.
+
+The optimality sweep's graph sizes are independent (each seeds its graph and
+its draws with ``seed + n``), so they run in one process per usable CPU, this
+one and ``os.fork``ed children; the output does not depend on their number.
+Without ``os.sched_getaffinity`` (outside Linux) every size runs here.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +26,7 @@ from .distance import VIOLATION_TOL, qc_distance, verify_localized_optimality
 from .graph import Graph, generate, laplacian
 from .spectral import DensityMatrix, eigendecompose, real_propagators, uhlmann_fidelity
 
-__all__ = ["CheckResult", "run_invariant_checks", "run_optimality_checks", "check_family"]
+__all__ = ["CheckResult", "WorkerLostError", "run_invariant_checks", "run_optimality_checks", "check_family"]
 
 
 @dataclass(frozen=True)
@@ -27,6 +34,10 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+class WorkerLostError(RuntimeError):
+    """A forked worker of the optimality sweep ended without sending its outcomes."""
 
 
 def check_family(seed: int = 0) -> list[tuple[str, Graph]]:
@@ -150,11 +161,97 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
     return [_result(name, found) for name, found in errs.items()]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (Linux); 1 where the platform cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _refused(exc: BaseException) -> bool:
+    """A refused state or unitary: any ValueError but numpy's LinAlgError (a computation error)."""
+    return isinstance(exc, ValueError) and not isinstance(exc, np.linalg.LinAlgError)
+
+
+def _sweep_sizes(sizes, per_size: int, t_values, seed: int) -> dict:
+    """Per size, ascending: (worst margin, sample count), or the exception its sweep raised.
+
+    A refusal (see _refused) is that size's outcome and the sweep goes on;
+    any other exception ends the sweep at its size, as it would end a
+    serial loop.
+    """
+    outcomes = {}
+    for n in sorted(sizes):
+        try:
+            g = generate("random_connected", n, extra=min(n - 1, 3), seed=seed + n)
+            sd = eigendecompose(laplacian(g))
+            margins = verify_localized_optimality(sd, per_size, t_values, seed=seed + n)
+            outcomes[n] = (float(margins.min()), margins.size)
+        except Exception as exc:  # handed to the caller, which reports or re-raises it
+            outcomes[n] = exc
+            if not _refused(exc):
+                break
+    return outcomes
+
+
+def _in_workers(shares, sweep) -> dict:
+    """The merged outcomes of sweep(share) over all shares.
+
+    The first share runs in this process, each other one in a forked child
+    that pickles its outcomes through a pipe and always leaves through
+    os._exit. Every child is read and reaped before this returns or raises;
+    one that exits without its outcomes raises WorkerLostError.
+    """
+    children = []  # (pid, read end of its pipe, share)
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as fh:
+                        pickle.dump(sweep(share), fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((pid, read_fd, share))
+        outcomes = sweep(shares[0])
+    finally:
+        replies = []
+        for pid, read_fd, share in children:
+            with open(read_fd, "rb") as fh:
+                data = fh.read()
+            replies.append((share, data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    for share, data, code in replies:
+        if code != 0:
+            status = f"exit status {code}" if code > 0 else f"signal {-code}"
+            sizes = ", ".join(map(str, sorted(share)))
+            raise WorkerLostError(
+                f"optimality sweep worker for sizes {sizes} ended without a result ({status})"
+            )
+        # the bytes come from this function's own child, so they are safe to unpickle
+        outcomes.update(pickle.loads(data))
+    return outcomes
+
+
 def run_optimality_checks(n_max: int, samples: int, seed: int) -> tuple[list[CheckResult], float]:
     """Localized-optimality sweep over random connected graphs.
 
     Spreads ``samples`` Dirichlet draws across sizes 3..n_max and times
-    {0.1, 0.5, 1, 3}; returns per-size results plus the worst margin seen.
+    {0.1, 0.5, 1, 3}; returns per-size results, in ascending size, plus the
+    worst margin seen. The sizes are dealt round-robin, largest first, to
+    one process per usable CPU (at most one per size). A size whose sweep
+    refuses its input (a ValueError other than numpy's LinAlgError) is a
+    failed result; any other exception is re-raised, that of the smallest
+    size if several raise, as a serial loop over the sizes would.
     """
     if n_max > 10:
         raise ValueError("n_max above 10 is not supported (dense fidelity cost)")
@@ -165,21 +262,28 @@ def run_optimality_checks(n_max: int, samples: int, seed: int) -> tuple[list[Che
     sizes = list(range(3, n_max + 1))
     t_values = (0.1, 0.5, 1.0, 3.0)
     per_size = int(np.ceil(samples / (len(sizes) * len(t_values))))
+    workers = min(_usable_cpus(), len(sizes))
+    shares = [sizes[::-1][w::workers] for w in range(workers)]
+    outcomes = _in_workers(shares, lambda share: _sweep_sizes(share, per_size, t_values, seed))
+    raised = [n for n, o in outcomes.items() if isinstance(o, Exception) and not _refused(o)]
+    if raised:
+        raise outcomes[min(raised)]
     results = []
     worst = np.inf
     for n in sizes:
-        g = generate("random_connected", n, extra=min(n - 1, 3), seed=seed + n)
-        sd = eigendecompose(laplacian(g))
-        margins = verify_localized_optimality(sd, per_size, t_values, seed=seed + n)
-        size_worst = float(margins.min())
+        name = f"localized optimality on random_connected({n})"
+        if isinstance(outcomes[n], Exception):
+            results.append(CheckResult(name=name, passed=False, detail=f"refused: {outcomes[n]}"))
+            continue
+        size_worst, count = outcomes[n]
         worst = min(worst, size_worst)
         results.append(
             CheckResult(
-                name=f"localized optimality on random_connected({n})",
+                name=name,
                 passed=size_worst >= -VIOLATION_TOL,
                 detail=(
                     f"worst margin {size_worst:.3e} over "
-                    f"{margins.size} samples (floor {-VIOLATION_TOL:.0e})"
+                    f"{count} samples (floor {-VIOLATION_TOL:.0e})"
                 ),
             )
         )

@@ -8,9 +8,10 @@ Subcommands:
 * ``verify``   invariant spot checks and the localized-optimality sweep
 
 Exit codes: 0 success, 1 usage or configuration error, 2 computation error
-(disconnected graph, eigensolver failure, memory exhausted), 3 verification
-failure. CSV uses a mandatory header row, 12-significant-digit floats, the
-literal ``NA`` for undefined values, and CRLF line endings. A sweep makes one kernel call for
+(disconnected graph, eigensolver failure, memory exhausted, a ``verify``
+worker process lost), 3 verification failure. CSV uses a mandatory header
+row, 12-significant-digit floats, the literal ``NA`` for undefined values,
+and CRLF line endings. A sweep makes one kernel call for
 its whole grid, fills one float table (a row per time point) and formats
 each row with one ``%`` operation; every CSV is formatted before any file
 is written, so a sweep that fails writes nothing.
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import distance as dist
 from . import walks
-from .checks import run_invariant_checks, run_optimality_checks
+from .checks import WorkerLostError, run_invariant_checks, run_optimality_checks
 from .config import DEFAULT_STEPS, DEFAULT_T_MIN, TimeGrid, default_grid, default_t_max
 from .distance import DisconnectedGraphError
 from .graph import (
@@ -370,7 +371,7 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except (DisconnectedGraphError, np.linalg.LinAlgError, MemoryError) as exc:
+    except (DisconnectedGraphError, np.linalg.LinAlgError, MemoryError, WorkerLostError) as exc:
         print(f"qcwalk: computation error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_COMPUTE
     except (ValueError, OSError) as exc:

@@ -778,10 +778,20 @@ def test_verify_checks_the_route_the_cli_runs(monkeypatch, capsys):
             if value is original:
                 monkeypatch.setattr(mod, attr, skewed)
     argv = ["verify", "--n-max", "4", "--samples", "16"]
-    # the optimality sweep runs first and refuses the drifting unitary
+    # the optimality sweep refuses the drifting unitary at every size: a failed check, not a
+    # usage error
     code, stdout, stderr = run(argv, capsys)
-    assert code == 1 and stdout == ""
-    assert stderr.startswith("qcwalk: error: u[0] drifts from unitarity by ")
+    assert code == 3 and stderr == "4 check(s) failed\n"
+    failed = [line for line in stdout.splitlines() if line.startswith("[FAIL]")]
+    assert [line.split(":")[0] for line in failed] == [
+        "[FAIL] unitary propagator unitary",
+        "[FAIL] unitary propagator group law",
+        "[FAIL] localized optimality on random_connected(3)",
+        "[FAIL] localized optimality on random_connected(4)",
+    ]
+    for n, line in zip((3, 4), failed[2:]):
+        prefix = f"[FAIL] localized optimality on random_connected({n}): refused: u[0] drifts from unitarity by "
+        assert line.startswith(prefix)
     # without it, the invariant checks fail the unitary lines, and only those
     monkeypatch.setattr(cli, "run_optimality_checks", lambda **kwargs: ([], 0.0))
     code, stdout, _ = run(argv, capsys)
@@ -828,6 +838,102 @@ def test_verify_zero_mode_check_reads_its_own_spectrum(monkeypatch, capsys):
     (line,) = [line for line in stdout.splitlines() if "zero mode" in line]
     assert line.startswith("[FAIL] zero mode first, spectrum nonpositive: worst error 1.000e-06")
     assert line.endswith("at path(4)")
+
+
+# --- verify: the optimality sweep's sizes in worker processes -------------------------
+
+
+def set_usable_cpus(monkeypatch, count: int) -> None:
+    """os.sched_getaffinity reports ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seed", ["0", "1301"])
+def test_verify_stdout_independent_of_cpu_count(seed, monkeypatch, capsys):
+    forks = []
+    true_fork = os.fork
+
+    def counted_fork():
+        pid = true_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    outputs = set()
+    for count in (1, 2, 3):
+        forks.clear()
+        set_usable_cpus(monkeypatch, count)
+        code, stdout, stderr = run(["verify", "--n-max", "10", "--samples", "400", "--seed", seed], capsys)
+        assert (code, stderr) == (0, "")
+        assert len(forks) == count - 1
+        assert_no_child_left()
+        outputs.add(stdout)
+    assert len(outputs) == 1
+
+
+def test_verify_forks_nothing_on_one_cpu_or_without_affinity(monkeypatch, capsys):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("verify forked"))
+    set_usable_cpus(monkeypatch, 1)
+    one_cpu = run(["verify", "--n-max", "5", "--samples", "24"], capsys)
+    # a platform with no os.sched_getaffinity runs every size in process too
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert run(["verify", "--n-max", "5", "--samples", "24"], capsys) == one_cpu
+    assert one_cpu[0] == 0
+
+
+@pytest.mark.parametrize(
+    "failures, code, stderr",
+    [
+        # 3 is refused, so it fails its check and the sweep goes on; on two CPUs 5 raises in
+        # the child, 8 in this process
+        ({3: ValueError, 5: OSError, 8: np.linalg.LinAlgError}, 1, "qcwalk: error: size 5 failed"),
+        ({4: np.linalg.LinAlgError, 7: OSError}, 2, "qcwalk: computation error: size 4 failed"),
+    ],
+    ids=["child-smallest", "parent-smallest"],
+)
+def test_verify_reraises_the_smallest_failing_size(failures, code, stderr, monkeypatch, capsys):
+    import qcwalk.checks as checks
+
+    true_sweep = checks.verify_localized_optimality
+
+    def failing(sd, *args, **kwargs):
+        if sd.n in failures:
+            raise failures[sd.n](f"size {sd.n} failed")
+        return true_sweep(sd, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "verify_localized_optimality", failing)
+    for count in (1, 2, 3):
+        set_usable_cpus(monkeypatch, count)
+        assert run(["verify", "--n-max", "8", "--samples", "48"], capsys) == (code, "", stderr + "\n")
+        assert_no_child_left()
+
+
+def test_verify_reports_a_lost_worker(monkeypatch, capsys):
+    import qcwalk.checks as checks
+
+    parent = os.getpid()
+    true_sweep = checks.verify_localized_optimality
+
+    def dying(sd, *args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(9)
+        return true_sweep(sd, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "verify_localized_optimality", dying)
+    set_usable_cpus(monkeypatch, 2)
+    # sizes 4 and 3: 4 runs in this process, 3 in the child
+    code, stdout, stderr = run(["verify", "--n-max", "4", "--samples", "16"], capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        "qcwalk: computation error: optimality sweep worker for sizes 3 ended without a result (exit status 9)\n"
+    )
+    assert_no_child_left()
 
 
 # --- cost: one propagator pair per grid point ----------------------------------------
@@ -931,6 +1037,23 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "3"
+
+
+def test_importing_the_cli_loads_no_module_beyond_its_dependencies():
+    # the benchmark's setup_s times this import: a worker pool module (multiprocessing,
+    # concurrent.futures) or any other new import would add to it
+    code = (
+        "import sys; import numpy, argparse, json, dataclasses, pathlib, functools, itertools; "
+        "before = set(sys.modules); import qcwalk.cli; "
+        "print(*sorted(set(sys.modules) - before)); "
+        "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    added, pools = proc.stdout.splitlines()
+    assert "qcwalk.cli" in added.split()
+    assert [m for m in added.split() if m not in ("__future__", "qcwalk") and not m.startswith("qcwalk.")] == []
+    assert pools == "False False"
 
 
 def test_stdout_csv_bytes_match_file_in_child_process(tmp_path):

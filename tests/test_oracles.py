@@ -25,7 +25,8 @@ kernel's arithmetic.
 
 ring(n) is circulant, so its propagator columns are Fourier sums over
 λ_m = -2 + 2 cos(2πm/n); its cases take the same bound with max|λ| for n,
-and the factor 1.
+and the factor 1. path(n) diagonalizes in the cosine basis, with
+λ_m = -2 + 2 cos(πm/n), and takes the same bound as the ring.
 """
 
 import mpmath
@@ -146,3 +147,56 @@ def test_ring_matches_closed_form(n):
         for name, values in kernel.items():
             error = abs(values[i] - exact[name]) / abs(exact[name])
             assert error <= bound, f"{name} of ring({n}) at t={t:.3g}: relative error {error:.2e} > {bound:.2e}"
+
+
+def path_oracle(n: int, times) -> list[dict[str, float]]:
+    """F, C, 1 - G and D_QC of path(n) at launch node 0, one dict per time, at 50 digits.
+
+    The eigenvectors are the cosine basis v_m(k) = c_m cos(πm(k + 1/2)/n),
+    with c_0² = 1/n and c_m² = 2/n above, for λ_m = -2 + 2 cos(πm/n), so
+
+        p_k0 = sum_m e^{λ_m t} v_m(k) v_m(0),    a_k0 = sum_m e^{iλ_m t} v_m(k) v_m(0),
+
+    and every cosine is cos(πr/(2n)) for r = m(2k + 1) mod 4n, so 4n cosines
+    make the whole table. A p_k0 below the sum's roundoff is read as 0, as
+    in ring_oracle.
+    """
+    with mpmath.workdps(50):
+        cosines = [mpmath.cos(mpmath.pi * r / (2 * n)) for r in range(4 * n)]
+        spectrum = [-2 + 2 * cosines[2 * m] for m in range(n)]
+        weights = [mpmath.mpf(1 if m == 0 else 2) / n * cosines[m] for m in range(n)]
+        rows = [[weights[m] * cosines[m * (2 * k + 1) % (4 * n)] for m in range(n)] for k in range(n)]
+        values = []
+        for t in times:
+            phases = [lam * mpmath.mpf(t) for lam in spectrum]
+            heat = [mpmath.exp(x) for x in phases]
+            wave_re, wave_im = [mpmath.cos(x) for x in phases], [mpmath.sin(x) for x in phases]
+            fidelity = l1 = gfid = 0
+            for row in rows:
+                p = max(mpmath.fdot(heat, row), 0)
+                a = mpmath.hypot(mpmath.fdot(wave_re, row), mpmath.fdot(wave_im, row))
+                fidelity += p * a**2
+                l1 += a
+                gfid += mpmath.sqrt(p) * a
+            exact = {"F": fidelity, "C": l1**2 - 1, "1 - G": 1 - gfid, "D_QC": 1 - fidelity}
+            values.append({name: float(value) for name, value in exact.items()})
+        return values
+
+
+@pytest.mark.parametrize("n", [11, 64])
+def test_path_matches_closed_form(n):
+    # 1 - G is inside the bound at both sizes (its worst use of it, 0.7, is path(64) at
+    # t = 100); by path(100) it is not, for the ring's reason
+    obs = node_observables(eigendecompose(laplacian(generate("path", n))), RING_TIMES)
+    kernel = {
+        "F": obs.fidelity[:, 0],
+        "C": obs.coherence[:, 0],
+        "1 - G": 1.0 - obs.gfid[:, 0],
+        "D_QC": conditional_vector(obs)[:, 0],
+    }
+    max_lambda = 2 + 2 * np.cos(np.pi / n)
+    for i, (t, exact) in enumerate(zip(RING_TIMES, path_oracle(n, RING_TIMES))):
+        bound = 1e-12 + 10 * t * EPS * max_lambda
+        for name, values in kernel.items():
+            error = abs(values[i] - exact[name]) / abs(exact[name])
+            assert error <= bound, f"{name} of path({n}) at t={t:.3g}: relative error {error:.2e} > {bound:.2e}"
