@@ -103,7 +103,7 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
             np.abs((vecs * sd.eigenvalues) @ vecs.T - lap.matrix).max(),
         )
         add("eigenvectors orthonormal", label, np.abs(vecs.T @ vecs - eye).max())
-        # read eigvalsh's own spectrum: eigendecompose pins a connected graph's zero mode to 0.0
+        # read eigvalsh's own spectrum: eigendecompose sets the zero cluster to 0.0
         vals = np.linalg.eigvalsh(lap.matrix)
         add("zero mode first, spectrum nonpositive", label, max(np.abs(vals).min(), vals.max()))
 
@@ -140,11 +140,16 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
         direct = walks.node_observables(sd, oracle_times).fidelity
         for i, t in enumerate(oracle_times):
             for j in (0, sd.n - 1):
-                oracle = uhlmann_fidelity(
-                    DensityMatrix.diagonal(np.clip(p[i, :, j], 0.0, None)),
-                    DensityMatrix.pure(u[i, :, j]),
-                )
                 where = f"{label} j={j} t={t}"
+                try:
+                    oracle = uhlmann_fidelity(
+                        DensityMatrix.diagonal(np.clip(p[i, :, j], 0.0, None)),
+                        DensityMatrix.pure(u[i, :, j]),
+                    )
+                except ValueError as exc:  # a refused state fails the check, as in the sweep
+                    if not _refused(exc):
+                        raise
+                    oracle, where = np.inf, f"{where} (refused: {exc})"
                 add("localized fidelity matches Uhlmann oracle", where, abs(direct[i, j] - oracle))
 
         t_inf = 50.0 / sd.fiedler

@@ -5,7 +5,8 @@ Laplacian: the classical (heat) semigroup exp(L t) and the quantum unitary
 exp(i L t) differ only in how the eigenvalues are exponentiated. Computing
 the decomposition once and reusing it across a whole time grid is what
 keeps long curves cheap, so every walk-level routine accepts a
-SpectralDecomposition rather than a raw matrix.
+SpectralDecomposition rather than a raw matrix; connectivity and the
+Fiedler value read the eigenvalue clusters :func:`eigendecompose` merges.
 
 :func:`real_propagators` is the one place the spectrum is exponentiated:
 it forms the pair as three real matrices, exp(L t), Re exp(i L t) and
@@ -31,9 +32,6 @@ __all__ = [
     "classical_quantum_fidelity",
 ]
 
-#: eigenvalue magnitudes at or below this count as the flat zero mode
-ZERO_MODE_TOL = 1e-9
-
 #: how negative a probability (a state's eigenvalue, an entry of exp(L t)) may be
 NEGATIVITY_TOL = -1e-10
 
@@ -50,18 +48,14 @@ _PURE_THRESHOLD = 1.0 - 1e-12
 PAIR_PRODUCT_MAX_N = 32
 
 
-def _is_connected(eigenvalues: np.ndarray) -> bool:
-    # sorted by modulus: a repeated zero eigenvalue means more than one component
-    return eigenvalues.size == 1 or abs(eigenvalues[1]) > ZERO_MODE_TOL
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigensystem of a graph Laplacian, sorted by eigenvalue magnitude.
 
-    ``eigenvalues[0]`` is the zero mode (the flat vector for connected
-    graphs); ``eigenvalues[1]`` is the algebraic connectivity up to sign.
-    Columns of ``eigenvectors`` hold the matching orthonormal eigenvectors.
+    ``eigenvalues[0]`` is the zero mode, exactly 0.0 (the flat vector for
+    connected graphs); ``eigenvalues[1]`` is the algebraic connectivity up
+    to sign, exactly 0.0 when the graph is disconnected. Columns of
+    ``eigenvectors`` hold the matching orthonormal eigenvectors.
     """
 
     eigenvalues: np.ndarray
@@ -83,7 +77,8 @@ class SpectralDecomposition:
 
     @property
     def is_connected(self) -> bool:
-        return _is_connected(self.eigenvalues)
+        # eigendecompose sets the whole zero cluster to 0.0: a second zero is a second component
+        return self.n == 1 or self.eigenvalues[1] != 0.0
 
     @functools.cached_property
     def pair_products(self) -> np.ndarray:
@@ -96,27 +91,30 @@ class SpectralDecomposition:
         """Magnitude of the first nonzero eigenvalue (0.0 if disconnected)."""
         if self.n < 2:
             raise ValueError("fiedler value needs at least two nodes")
-        return abs(float(self.eigenvalues[1])) if self.is_connected else 0.0
+        return abs(float(self.eigenvalues[1]))
 
 
 def eigendecompose(lap: Laplacian) -> SpectralDecomposition:
     """Symmetric eigendecomposition sorted by |eigenvalue|, zero mode first.
 
-    numpy's eigh already returns ascending eigenvalues, but the Laplacian
-    here is negative semidefinite, so ascending order puts the zero mode
-    last; the stable argsort by modulus pins it at index 0 instead.
-
-    A connected graph's zero mode is then pinned to eigenvalue 0.0 and the
-    flat vector 1/sqrt(n): eigh's roundoff (|lambda_0| up to ~1e-14) makes
-    exp(lambda_0 t) drift from 1 at large t and corrupts the plateau.
+    eigh spreads an exactly repeated eigenvalue, and the phases e^{i lambda t}
+    of one eigenspace then drift apart by t times the spread. So neighbours of
+    eigh's ascending eigenvalues at most n * eps * max|lambda| apart (the scale
+    of its backward error) form a cluster, set to its mean. The cluster of the
+    largest eigenvalue is the zero mode, set to 0.0 so exp(lambda_0 t) stays 1
+    at large t; if it has one member (a connected graph) its vector is the
+    flat 1/sqrt(n). The stable argsort by modulus puts that cluster first.
     """
     vals, vecs = np.linalg.eigh(lap.matrix)
-    order = np.argsort(np.abs(vals), kind="stable")
-    vals, vecs = vals[order], vecs[:, order]
-    if _is_connected(vals):
-        vals[0] = 0.0
-        vecs[:, 0] = 1.0 / np.sqrt(vals.size)
-    return SpectralDecomposition(vals, vecs)
+    tol = vals.size * np.finfo(float).eps * np.abs(vals).max()
+    cluster = np.concatenate(([0], np.cumsum(np.diff(vals) > tol)))
+    size = np.bincount(cluster)
+    merged = (np.bincount(cluster, vals) / size)[cluster]
+    merged[cluster == cluster[-1]] = 0.0
+    if size[-1] == 1:
+        vecs[:, -1] = 1.0 / np.sqrt(vals.size)
+    order = np.argsort(np.abs(merged), kind="stable")
+    return SpectralDecomposition(merged[order], vecs[:, order])
 
 
 def _refuse(t: np.ndarray, ok: np.ndarray, needs: str) -> None:

@@ -756,10 +756,12 @@ def test_invariant_checks_form_each_group_of_times_as_one_grid(monkeypatch):
     assert calls == [{"checks": [4, 9, 2], "walks": [2, 1] + regular.get(label, [])} for label in labels]
 
 
-def test_verify_checks_the_route_the_cli_runs(monkeypatch, capsys):
-    # every caller reads real_propagators; here its exp(i L t) is Re scaled by 1 + 1e-6 and
-    # each column put back to unit norm, so the oracle's pure states stay states but U is
-    # not unitary
+def skew_the_route(monkeypatch, renormalise: bool) -> None:
+    """Every qcwalk reference to real_propagators gets its Re scaled by 1 + 1e-6.
+
+    With ``renormalise`` each column is put back to unit norm, so the
+    oracle's pure states stay states but U is not unitary.
+    """
     import qcwalk.spectral as spectral
 
     original = spectral.real_propagators
@@ -768,15 +770,21 @@ def test_verify_checks_the_route_the_cli_runs(monkeypatch, capsys):
         props = original(sd, t, out)
         _, re, im = props
         re *= 1 + 1e-6
-        norm = np.sqrt((re * re + im * im).sum(axis=-2, keepdims=True))
-        re /= norm
-        im /= norm
+        if renormalise:
+            norm = np.sqrt((re * re + im * im).sum(axis=-2, keepdims=True))
+            re /= norm
+            im /= norm
         return props
 
     for mod in [m for key, m in sys.modules.items() if key.startswith("qcwalk")]:
         for attr, value in list(vars(mod).items()):
             if value is original:
                 monkeypatch.setattr(mod, attr, skewed)
+
+
+def test_verify_checks_the_route_the_cli_runs(monkeypatch, capsys):
+    # every caller reads real_propagators, so a skewed exp(i L t) reaches every check
+    skew_the_route(monkeypatch, renormalise=True)
     argv = ["verify", "--n-max", "4", "--samples", "16"]
     # the optimality sweep refuses the drifting unitary at every size: a failed check, not a
     # usage error
@@ -798,6 +806,30 @@ def test_verify_checks_the_route_the_cli_runs(monkeypatch, capsys):
     assert code == 3
     failed = [line.split(":")[0] for line in stdout.splitlines() if line.startswith("[FAIL]")]
     assert failed == ["[FAIL] unitary propagator unitary", "[FAIL] unitary propagator group law"]
+
+
+def test_verify_reports_a_refused_oracle_state_as_a_failed_check(monkeypatch, capsys):
+    # not renormalised, the oracle's pure states have trace 1 + 4e-7, which DensityMatrix
+    # refuses; that is the oracle check failing, not bad usage
+    skew_the_route(monkeypatch, renormalise=False)
+    code, stdout, stderr = run(["verify", "--n-max", "4", "--samples", "16"], capsys)
+    assert code == 3 and stderr == "5 check(s) failed\n"
+    lines = stdout.splitlines()
+    # every check still reports its line
+    assert len(lines) == 13 + 2 + 1
+    (oracle,) = [line for line in lines if "Uhlmann oracle" in line]
+    assert oracle.startswith(
+        "[FAIL] localized fidelity matches Uhlmann oracle: worst error inf (tolerance 1e-09) at complete(5) j=0 t=0.3"
+        " (refused: density matrix trace must be 1, got 1.00000040801"
+    )
+    failed = [line.split(":")[0] for line in lines if line.startswith("[FAIL]")]
+    assert failed == [
+        "[FAIL] unitary propagator unitary",
+        "[FAIL] unitary propagator group law",
+        "[FAIL] localized fidelity matches Uhlmann oracle",
+        "[FAIL] localized optimality on random_connected(3)",
+        "[FAIL] localized optimality on random_connected(4)",
+    ]
 
 
 def test_verify_detects_tampered_fidelity(monkeypatch, capsys):

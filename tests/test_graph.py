@@ -171,7 +171,8 @@ def test_fiedler_known_values():
     # circulant formula: 2(1 - cos(2 pi / n))
     want = 2.0 * (1.0 - math.cos(2.0 * math.pi / 11.0))
     assert spectrum(G.generate("ring", 11)).fiedler == pytest.approx(want, abs=1e-9)
-    # path formula 2(1 - cos(pi / n)): ~1.1e-4 at n = 300, still far above ZERO_MODE_TOL
+    # path formula 2(1 - cos(pi / n)): ~1.1e-4 at n = 300, far from the zero cluster (eigendecompose
+    # merges neighbours within n * eps * max|lambda|, ~2.7e-13 here)
     sd = spectrum(G.generate("path", 300))
     assert sd.is_connected
     assert sd.fiedler == pytest.approx(2.0 * (1.0 - math.cos(math.pi / 300.0)), rel=1e-6)

@@ -71,3 +71,41 @@ def test_no_module_imports_a_name_it_never_reads(path):
     }
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert not imported - read, f"{path.name} imports {sorted(imported - read)} and never reads them"
+
+
+def _module_level_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level by def, class or assignment (not by import)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Every bare name loaded and every attribute taken in a module."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)) or isinstance(node, ast.Attribute)
+    }
+
+
+PACKAGE = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+PACKAGE_READS = set().union(*(_names_read(tree) for tree in PACKAGE.values()))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE), ids=str)
+def test_every_module_level_name_is_public_or_read(path):
+    # a deletion that leaves a constant or helper behind, defined but read nowhere, fails here
+    module = f"qcwalk.{path.removesuffix('.py')}".removesuffix(".__init__")
+    public = set(getattr(importlib.import_module(module), "__all__", ()))
+    unread = {
+        name
+        for name in _module_level_names(PACKAGE[path]) - public - PACKAGE_READS
+        if not (name.startswith("__") and name.endswith("__"))
+    }
+    assert not unread, f"{path} defines {sorted(unread)}, which no module of the package reads"

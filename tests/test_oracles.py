@@ -27,6 +27,11 @@ ring(n) is circulant, so its propagator columns are Fourier sums over
 λ_m = -2 + 2 cos(2πm/n); its cases take the same bound with max|λ| for n,
 and the factor 1. path(n) diagonalizes in the cosine basis, with
 λ_m = -2 + 2 cos(πm/n), and takes the same bound as the ring.
+
+Every node of K_n has node 0's closed form, so the graph-level min_j and
+max_j are checked against it too, and the leaves of star(n), which read its
+(n - 2)-fold eigenvalue -1, have a closed form of their own; both take the
+plain bound, factor 1.
 """
 
 import mpmath
@@ -200,3 +205,60 @@ def test_path_matches_closed_form(n):
         for name, values in kernel.items():
             error = abs(values[i] - exact[name]) / abs(exact[name])
             assert error <= bound, f"{name} of path({n}) at t={t:.3g}: relative error {error:.2e} > {bound:.2e}"
+
+
+@pytest.mark.parametrize("n", [3, 5, 50, 200])
+def test_complete_graph_maxima_match_closed_form(n):
+    # every node of K_n has node 0's closed form, so each time's min_j and max_j meet it
+    # too: the graph-level maxima, read where eigh spreads the (n - 1)-fold eigenvalue -n
+    obs = node_observables(eigendecompose(laplacian(generate("complete", n))), TIMES)
+    kernel = {"F": obs.fidelity, "C": obs.coherence, "1 - G": 1.0 - obs.gfid, "D_QC": conditional_vector(obs)}
+    for i, t in enumerate(TIMES):
+        bound = 1e-12 + 10 * t * EPS * n
+        exact = exact_and_condition(n, t)
+        for name, values in kernel.items():
+            for extreme in (values[i].min(), values[i].max()):
+                error = abs(extreme - exact[name][0]) / abs(exact[name][0])
+                assert error <= bound, f"{name} over K_{n} at t={t:.3g}: relative error {error:.2e} > {bound:.2e}"
+
+
+def star_leaf_oracle(n: int, t: float) -> dict[str, float]:
+    """F, C, 1 - G and D_QC of star(n) at a leaf, at 50 digits.
+
+    The spectrum is 0, -1 (n - 2 times) and -n. With w = e^{-nt} and o = e^{-t}
+    (e^{-int} and e^{-it} for the unitary), column j of a leaf j is
+
+        self: 1/n + w/(n(n-1)) + o(1 - 1/(n-1)),    hub: (1 - w)/n,
+        each of the n - 2 other leaves: 1/n + w/(n(n-1)) - o/(n-1).
+    """
+    with mpmath.workdps(50):
+        n_, t_ = mpmath.mpf(n), mpmath.mpf(t)
+
+        def column(w, o):
+            return (
+                1 / n_ + w / (n_ * (n_ - 1)) + o * (1 - 1 / (n_ - 1)),
+                (1 - w) / n_,
+                1 / n_ + w / (n_ * (n_ - 1)) - o / (n_ - 1),
+            )
+
+        p = column(mpmath.exp(-n_ * t_), mpmath.exp(-t_))
+        a = [abs(x) for x in column(mpmath.expj(-n_ * t_), mpmath.expj(-t_))]
+        count = (1, 1, n - 2)
+        fidelity = sum(c * pk * ak**2 for c, pk, ak in zip(count, p, a))
+        l1 = sum(c * ak for c, ak in zip(count, a))
+        gfid = sum(c * mpmath.sqrt(pk) * ak for c, pk, ak in zip(count, p, a))
+        exact = {"F": fidelity, "C": l1**2 - 1, "1 - G": 1 - gfid, "D_QC": 1 - fidelity}
+        return {name: float(value) for name, value in exact.items()}
+
+
+@pytest.mark.parametrize("n", [5, 8, 50, 200])
+def test_star_leaves_match_closed_form(n):
+    # the leaves read the (n - 2)-fold eigenvalue -1, which no other oracle reaches
+    obs = node_observables(eigendecompose(laplacian(generate("star", n))), TIMES)
+    kernel = {"F": obs.fidelity, "C": obs.coherence, "1 - G": 1.0 - obs.gfid, "D_QC": conditional_vector(obs)}
+    for i, t in enumerate(TIMES):
+        bound = 1e-12 + 10 * t * EPS * n
+        exact = star_leaf_oracle(n, t)
+        for name, values in kernel.items():
+            error = np.abs(values[i, 1:] - exact[name]).max() / abs(exact[name])
+            assert error <= bound, f"{name} at the leaves of star({n}) at t={t:.3g}: relative error {error:.2e} > {bound:.2e}"

@@ -70,10 +70,35 @@ def test_zero_mode_left_alone_for_disconnected_graphs():
 
     lap = laplacian(graph_from_edges(4, [(0, 1), (2, 3)]))
     sd = eigendecompose(lap)
-    # two zero modes: neither is the flat vector, and both stay as eigh found them
+    # two zero modes set to 0.0: neither vector is the flat one, and both stay as eigh found them
     rebuilt = (sd.eigenvectors * sd.eigenvalues) @ sd.eigenvectors.T
     assert np.abs(rebuilt - lap.matrix).max() <= 1e-12
     assert np.abs(sd.eigenvectors.T @ sd.eigenvectors - np.eye(4)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("split, merged", [(0.5, True), (2.0, False)])
+def test_eigenvalue_clusters_merge_within_tolerance(monkeypatch, split, merged):
+    # eigh is made to return K_4's eigenbasis with its triple eigenvalue -4 spread out,
+    # neighbours split * tol apart for the rule's tol = n * eps * max|lambda|
+    _, vecs = np.linalg.eigh(laplacian(generate("complete", 4)).matrix)
+    gap = split * 4 * np.finfo(float).eps * 4
+    spread = np.array([-4.0 - gap, -4.0, -4.0 + gap, 1e-16])
+    monkeypatch.setattr(np.linalg, "eigh", lambda matrix: (spread.copy(), vecs.copy()))
+    sd = eigendecompose(laplacian(generate("complete", 4)))
+    want = [0.0, -4.0, -4.0, -4.0] if merged else [0.0, -4.0 + gap, -4.0, -4.0 - gap]
+    assert sd.eigenvalues.tolist() == want
+    assert np.all(sd.eigenvectors[:, 0] == 0.5)
+
+
+def test_disconnected_zero_cluster_is_exactly_zero():
+    from qcwalk import graph_from_edges
+
+    # eigh puts one of the two zeros at about -4e-17 here
+    sd = eigendecompose(laplacian(graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])))
+    assert sd.eigenvalues[:2].tolist() == [0.0, 0.0]
+    assert np.all(sd.eigenvalues[2:] != 0.0)
+    assert not sd.is_connected
+    assert sd.fiedler == 0.0
 
 
 def test_known_spectra():
