@@ -7,10 +7,13 @@ error found against the property's tolerance. The checks are deterministic
 given the seed. They are spot checks for field use; the test suite covers
 the same ground more thoroughly.
 
-The optimality sweep's graph sizes are independent (each seeds its graph and
-its draws with ``seed + n``), so they run in one process per usable CPU, this
-one and ``os.fork``ed children; the output does not depend on their number.
-Without ``os.sched_getaffinity`` (outside Linux) every size runs here.
+:func:`run_checks` runs every check of ``qcwalk verify``. Its units, the
+invariant checks and the optimality sweep's graph sizes, are independent
+(each size seeds its graph and its draws with ``seed + n``), so they run in
+one process per usable CPU, this one and ``os.fork``ed children; the
+invariant checks always run here. The output does not depend on the number
+of processes. Without ``os.sched_getaffinity`` (outside Linux) every unit
+runs here.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import numpy as np
 from . import walks
 from .distance import VIOLATION_TOL, qc_distance, verify_localized_optimality
 from .graph import Graph, generate, laplacian
-from .spectral import DensityMatrix, eigendecompose, real_propagators, uhlmann_fidelity
+from .spectral import eigendecompose, real_propagators
 
-__all__ = ["CheckResult", "WorkerLostError", "run_invariant_checks", "run_optimality_checks", "check_family"]
+__all__ = ["CheckResult", "WorkerLostError", "run_checks", "run_invariant_checks", "check_family"]
 
 
 @dataclass(frozen=True)
@@ -133,24 +136,18 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
             add("heat propagator semigroup", where, semigroup[i])
             add("unitary propagator group law", where, group[i])
 
-        # the oracle is built by hand from the propagators, independent of the kernel's reduction
-        oracle_times = (0.3, 1.7)
+        # the oracle is Uhlmann's fidelity of diag(p) and the pure |psi> = U e_j, in the closed
+        # form <psi|diag(p)|psi> (Jozsa 1994), summed in complex arithmetic from the columns:
+        # independent of the kernel's real reduction
+        oracle_times, nodes = (0.3, 1.7), [0, sd.n - 1]
         p, re, im = real_propagators(sd, oracle_times)
-        u = re + 1j * im
-        direct = walks.node_observables(sd, oracle_times).fidelity
+        psi = (re + 1j * im)[..., nodes]
+        oracle = (psi.conj() * np.maximum(p[..., nodes], 0.0) * psi).sum(axis=-2).real
+        direct = walks.node_observables(sd, oracle_times).fidelity[..., nodes]
         for i, t in enumerate(oracle_times):
-            for j in (0, sd.n - 1):
-                where = f"{label} j={j} t={t}"
-                try:
-                    oracle = uhlmann_fidelity(
-                        DensityMatrix.diagonal(np.clip(p[i, :, j], 0.0, None)),
-                        DensityMatrix.pure(u[i, :, j]),
-                    )
-                except ValueError as exc:  # a refused state fails the check, as in the sweep
-                    if not _refused(exc):
-                        raise
-                    oracle, where = np.inf, f"{where} (refused: {exc})"
-                add("localized fidelity matches Uhlmann oracle", where, abs(direct[i, j] - oracle))
+            for k, j in enumerate(nodes):
+                err = abs(direct[i, k] - oracle[i, k])
+                add("localized fidelity matches Uhlmann oracle", f"{label} j={j} t={t}", err)
 
         t_inf = 50.0 / sd.fiedler
         value, _ = qc_distance(sd, t_inf)
@@ -178,15 +175,27 @@ def _refused(exc: BaseException) -> bool:
     return isinstance(exc, ValueError) and not isinstance(exc, np.linalg.LinAlgError)
 
 
-def _sweep_sizes(sizes, per_size: int, t_values, seed: int) -> dict:
-    """Per size, ascending: (worst margin, sample count), or the exception its sweep raised.
+#: the unit of run_checks' deal that runs the invariant checks; every other unit is a graph size
+_INVARIANTS = "invariants"
 
-    A refusal (see _refused) is that size's outcome and the sweep goes on;
-    any other exception ends the sweep at its size, as it would end a
-    serial loop.
+
+def _run_share(share, per_size: int, t_values, seed: int) -> dict:
+    """Per unit of ``share``: its outcome, or the exception it raised.
+
+    The invariant checks' outcome is their results, a size's is (worst
+    margin, sample count). The invariant checks run first, and their
+    exception does not end the share, since a size's exception takes
+    precedence. The sizes run ascending. A refusal (see _refused) is that
+    size's outcome and the sweep goes on; any other exception ends the
+    sweep at its size, as it would end a serial loop.
     """
     outcomes = {}
-    for n in sorted(sizes):
+    if _INVARIANTS in share:
+        try:
+            outcomes[_INVARIANTS] = run_invariant_checks(seed)
+        except Exception as exc:  # handed to the caller, which re-raises it
+            outcomes[_INVARIANTS] = exc
+    for n in sorted(unit for unit in share if unit != _INVARIANTS):
         try:
             g = generate("random_connected", n, extra=min(n - 1, 3), seed=seed + n)
             sd = eigendecompose(laplacian(g))
@@ -247,16 +256,21 @@ def _in_workers(shares, sweep) -> dict:
     return outcomes
 
 
-def run_optimality_checks(n_max: int, samples: int, seed: int) -> tuple[list[CheckResult], float]:
-    """Localized-optimality sweep over random connected graphs.
+def run_checks(n_max: int, samples: int, seed: int) -> tuple[list[CheckResult], float | None]:
+    """Every check of ``qcwalk verify``: the invariant checks, then the localized-optimality sweep.
 
-    Spreads ``samples`` Dirichlet draws across sizes 3..n_max and times
-    {0.1, 0.5, 1, 3}; returns per-size results, in ascending size, plus the
-    worst margin seen. The sizes are dealt round-robin, largest first, to
-    one process per usable CPU (at most one per size). A size whose sweep
-    refuses its input (a ValueError other than numpy's LinAlgError) is a
-    failed result; any other exception is re-raised, that of the smallest
-    size if several raise, as a serial loop over the sizes would.
+    The sweep spreads ``samples`` Dirichlet draws across random connected
+    graphs of sizes 3..n_max and times {0.1, 0.5, 1, 3}. Returns the
+    invariant results, then one result per size in ascending size, and the
+    worst margin seen, None if no size gave one. The units, the invariant
+    checks and then the sizes from the largest, are dealt round-robin to
+    one process per usable CPU (at most one per unit), so the invariant
+    checks always run in this process. ``n_max`` and ``samples`` are
+    validated before any unit runs. A size whose sweep refuses its input
+    (a ValueError other than numpy's LinAlgError) is a failed result. Any
+    other exception is re-raised in the order of a serial run of the sweep
+    and then the invariant checks: that of the smallest size if several
+    raise, else that of the invariant checks.
     """
     if n_max > 10:
         raise ValueError("n_max above 10 is not supported (dense fidelity cost)")
@@ -267,21 +281,25 @@ def run_optimality_checks(n_max: int, samples: int, seed: int) -> tuple[list[Che
     sizes = list(range(3, n_max + 1))
     t_values = (0.1, 0.5, 1.0, 3.0)
     per_size = int(np.ceil(samples / (len(sizes) * len(t_values))))
-    workers = min(_usable_cpus(), len(sizes))
-    shares = [sizes[::-1][w::workers] for w in range(workers)]
-    outcomes = _in_workers(shares, lambda share: _sweep_sizes(share, per_size, t_values, seed))
+    units = [_INVARIANTS] + sizes[::-1]
+    workers = min(_usable_cpus(), len(units))
+    shares = [units[w::workers] for w in range(workers)]
+    outcomes = _in_workers(shares, lambda share: _run_share(share, per_size, t_values, seed))
+    invariants = outcomes.pop(_INVARIANTS)
     raised = [n for n, o in outcomes.items() if isinstance(o, Exception) and not _refused(o)]
     if raised:
         raise outcomes[min(raised)]
-    results = []
-    worst = np.inf
+    if isinstance(invariants, Exception):
+        raise invariants
+    results = list(invariants)
+    margins = []
     for n in sizes:
         name = f"localized optimality on random_connected({n})"
         if isinstance(outcomes[n], Exception):
             results.append(CheckResult(name=name, passed=False, detail=f"refused: {outcomes[n]}"))
             continue
         size_worst, count = outcomes[n]
-        worst = min(worst, size_worst)
+        margins.append(size_worst)
         results.append(
             CheckResult(
                 name=name,
@@ -292,4 +310,4 @@ def run_optimality_checks(n_max: int, samples: int, seed: int) -> tuple[list[Che
                 ),
             )
         )
-    return results, float(worst)
+    return results, min(margins, default=None)

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import distance as dist
 from . import walks
-from .checks import WorkerLostError, run_invariant_checks, run_optimality_checks
+from .checks import WorkerLostError, run_checks
 from .config import DEFAULT_STEPS, DEFAULT_T_MIN, TimeGrid, default_grid, default_t_max
 from .distance import DisconnectedGraphError
 from .graph import (
@@ -291,17 +291,16 @@ def cmd_figure(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the optimality sweep validates --n-max, so it runs first and fails fast
-    opt_results, worst = run_optimality_checks(
-        n_max=args.n_max, samples=args.samples, seed=args.seed
-    )
-    results = run_invariant_checks(seed=args.seed) + opt_results
+    # run_checks validates --n-max and --samples before any check runs, and runs the
+    # invariant checks in this process beside the sweep's forked workers
+    results, worst = run_checks(n_max=args.n_max, samples=args.samples, seed=args.seed)
     failures = 0
     for r in results:
         tag = "ok " if r.passed else "FAIL"
         print(f"[{tag}] {r.name}: {r.detail}")
         failures += 0 if r.passed else 1
-    print(f"worst optimality margin: {worst:.3e}")
+    margin = "NA" if worst is None else f"{worst:.3e}"  # NA when every size was refused
+    print(f"worst optimality margin: {margin}")
     if failures:
         print(f"{failures} check(s) failed", file=sys.stderr)
         return EXIT_VERIFY

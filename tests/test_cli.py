@@ -680,8 +680,8 @@ def test_verify_refuses_large_n(monkeypatch, capsys):
     assert "n_max" in stderr
     # both bounds of 3..10 are refused before any check runs or prints
     monkeypatch.setattr(
-        "qcwalk.cli.run_invariant_checks",
-        lambda **kwargs: pytest.fail("invariant checks ran before --n-max was validated"),
+        "qcwalk.checks.run_invariant_checks",
+        lambda *args: pytest.fail("invariant checks ran before --n-max was validated"),
     )
     for n_max in ("11", "2"):
         code, stdout, stderr = run(["verify", "--n-max", n_max], capsys)
@@ -756,6 +756,33 @@ def test_invariant_checks_form_each_group_of_times_as_one_grid(monkeypatch):
     assert calls == [{"checks": [4, 9, 2], "walks": [2, 1] + regular.get(label, [])} for label in labels]
 
 
+def test_invariant_checks_solve_each_family_graph_once(monkeypatch):
+    import qcwalk.checks as checks
+    from qcwalk.spectral import DensityMatrix
+
+    counts = {"eigh": 0, "eigvalsh": 0, "matrices": 0, "builds": 0}
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            counts["matrices"] += int(np.prod(np.shape(a)[:-2]))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    true_post_init = DensityMatrix.__post_init__
+
+    def counted_post_init(self):
+        counts["builds"] += 1
+        true_post_init(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
+    assert all(r.passed for r in checks.run_invariant_checks(seed=0))
+    # per family graph, eigendecompose's eigh and the zero-mode check's own eigvalsh; the
+    # oracle is a closed form and builds no state
+    graphs = len(checks.check_family(0))
+    assert counts == {"eigh": graphs, "eigvalsh": graphs, "matrices": 2 * graphs, "builds": 0}
+
+
 def skew_the_route(monkeypatch, renormalise: bool) -> None:
     """Every qcwalk reference to real_propagators gets its Re scaled by 1 + 1e-6.
 
@@ -800,36 +827,35 @@ def test_verify_checks_the_route_the_cli_runs(monkeypatch, capsys):
     for n, line in zip((3, 4), failed[2:]):
         prefix = f"[FAIL] localized optimality on random_connected({n}): refused: u[0] drifts from unitarity by "
         assert line.startswith(prefix)
-    # without it, the invariant checks fail the unitary lines, and only those
-    monkeypatch.setattr(cli, "run_optimality_checks", lambda **kwargs: ([], 0.0))
+    # with the sweep out of the way (every size passes with margin 0), the invariant checks
+    # fail the unitary lines, and only those
+    import qcwalk.checks as checks
+
+    monkeypatch.setattr(checks, "verify_localized_optimality", lambda sd, samples, t, seed: np.zeros((1, 1)))
     code, stdout, _ = run(argv, capsys)
     assert code == 3
     failed = [line.split(":")[0] for line in stdout.splitlines() if line.startswith("[FAIL]")]
     assert failed == ["[FAIL] unitary propagator unitary", "[FAIL] unitary propagator group law"]
 
 
-def test_verify_reports_a_refused_oracle_state_as_a_failed_check(monkeypatch, capsys):
-    # not renormalised, the oracle's pure states have trace 1 + 4e-7, which DensityMatrix
-    # refuses; that is the oracle check failing, not bad usage
+def test_verify_reports_an_unnormalised_route_as_failed_checks(monkeypatch, capsys):
+    # not renormalised, each column of U has norm 1 + 4e-7: the unitary lines fail and the
+    # sweep refuses every size, so no size gives a margin. The oracle reads the same skewed
+    # columns as the kernel, so it agrees with it and passes.
     skew_the_route(monkeypatch, renormalise=False)
     code, stdout, stderr = run(["verify", "--n-max", "4", "--samples", "16"], capsys)
-    assert code == 3 and stderr == "5 check(s) failed\n"
+    assert code == 3 and stderr == "4 check(s) failed\n"
     lines = stdout.splitlines()
     # every check still reports its line
     assert len(lines) == 13 + 2 + 1
-    (oracle,) = [line for line in lines if "Uhlmann oracle" in line]
-    assert oracle.startswith(
-        "[FAIL] localized fidelity matches Uhlmann oracle: worst error inf (tolerance 1e-09) at complete(5) j=0 t=0.3"
-        " (refused: density matrix trace must be 1, got 1.00000040801"
-    )
     failed = [line.split(":")[0] for line in lines if line.startswith("[FAIL]")]
     assert failed == [
         "[FAIL] unitary propagator unitary",
         "[FAIL] unitary propagator group law",
-        "[FAIL] localized fidelity matches Uhlmann oracle",
         "[FAIL] localized optimality on random_connected(3)",
         "[FAIL] localized optimality on random_connected(4)",
     ]
+    assert lines[-1] == "worst optimality margin: NA"
 
 
 def test_verify_detects_tampered_fidelity(monkeypatch, capsys):
@@ -922,10 +948,11 @@ def test_verify_forks_nothing_on_one_cpu_or_without_affinity(monkeypatch, capsys
 @pytest.mark.parametrize(
     "failures, code, stderr",
     [
-        # 3 is refused, so it fails its check and the sweep goes on; on two CPUs 5 raises in
-        # the child, 8 in this process
-        ({3: ValueError, 5: OSError, 8: np.linalg.LinAlgError}, 1, "qcwalk: error: size 5 failed"),
-        ({4: np.linalg.LinAlgError, 7: OSError}, 2, "qcwalk: computation error: size 4 failed"),
+        # on two CPUs this process runs the invariant checks and 7, 5, 3, the child 8, 6, 4;
+        # 3 is refused, so it fails its check and the sweep goes on, 4 raises in the child and
+        # 7 here
+        ({3: ValueError, 4: OSError, 7: np.linalg.LinAlgError}, 1, "qcwalk: error: size 4 failed"),
+        ({5: np.linalg.LinAlgError, 8: OSError}, 2, "qcwalk: computation error: size 5 failed"),
     ],
     ids=["child-smallest", "parent-smallest"],
 )
@@ -946,6 +973,40 @@ def test_verify_reraises_the_smallest_failing_size(failures, code, stderr, monke
         assert_no_child_left()
 
 
+@pytest.mark.parametrize(
+    "failures, code, stderr",
+    [
+        ({}, 2, "qcwalk: computation error: complete(5) failed"),
+        # a size's exception wins, raised in the child (4) or in this process (3) on two CPUs
+        ({4: OSError}, 1, "qcwalk: error: size 4 failed"),
+        ({3: OSError}, 1, "qcwalk: error: size 3 failed"),
+    ],
+    ids=["invariants-alone", "child-size", "parent-size"],
+)
+def test_verify_reraises_an_invariant_check_exception_after_the_sizes(failures, code, stderr, monkeypatch, capsys):
+    import qcwalk.checks as checks
+
+    true_decompose, true_sweep = checks.eigendecompose, checks.verify_localized_optimality
+
+    def failing_decompose(lap):
+        # n = 5 is a family graph (complete(5), the first), never a size of --n-max 4
+        if len(lap.matrix) == 5:
+            raise np.linalg.LinAlgError("complete(5) failed")
+        return true_decompose(lap)
+
+    def failing_sweep(sd, *args, **kwargs):
+        if sd.n in failures:
+            raise failures[sd.n](f"size {sd.n} failed")
+        return true_sweep(sd, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "eigendecompose", failing_decompose)
+    monkeypatch.setattr(checks, "verify_localized_optimality", failing_sweep)
+    for count in (1, 2, 3):
+        set_usable_cpus(monkeypatch, count)
+        assert run(["verify", "--n-max", "4", "--samples", "16"], capsys) == (code, "", stderr + "\n")
+        assert_no_child_left()
+
+
 def test_verify_reports_a_lost_worker(monkeypatch, capsys):
     import qcwalk.checks as checks
 
@@ -959,11 +1020,11 @@ def test_verify_reports_a_lost_worker(monkeypatch, capsys):
 
     monkeypatch.setattr(checks, "verify_localized_optimality", dying)
     set_usable_cpus(monkeypatch, 2)
-    # sizes 4 and 3: 4 runs in this process, 3 in the child
+    # the invariant checks and 3 run in this process, 4 in the child
     code, stdout, stderr = run(["verify", "--n-max", "4", "--samples", "16"], capsys)
     assert (code, stdout) == (2, "")
     assert stderr == (
-        "qcwalk: computation error: optimality sweep worker for sizes 3 ended without a result (exit status 9)\n"
+        "qcwalk: computation error: optimality sweep worker for sizes 4 ended without a result (exit status 9)\n"
     )
     assert_no_child_left()
 
