@@ -12,6 +12,10 @@ Fiedler value read the eigenvalue clusters :func:`eigendecompose` merges.
 it forms the pair as three real matrices, exp(L t), Re exp(i L t) and
 Im exp(i L t), for the kernel, the optimality sweep and the invariant
 checks alike; a caller that needs the complex unitary forms re + 1j * im.
+
+:func:`classical_quantum_fidelity` is the library's one Uhlmann fidelity,
+that of the optimality sweep: it validates the weights and unitaries that
+define the states and never builds a density matrix.
 """
 
 from __future__ import annotations
@@ -25,17 +29,14 @@ from .graph import Laplacian
 
 __all__ = [
     "SpectralDecomposition",
-    "DensityMatrix",
     "eigendecompose",
     "real_propagators",
-    "uhlmann_fidelity",
     "classical_quantum_fidelity",
 ]
 
 #: how negative a probability (a state's eigenvalue, an entry of exp(L t)) may be
 NEGATIVITY_TOL = -1e-10
 
-_HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-10
 
 #: a state whose largest eigenvalue exceeds this is treated as pure
@@ -182,85 +183,20 @@ def _check_weights(total: np.ndarray, weights: np.ndarray) -> None:
         raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Validated density matrix: square, Hermitian, unit trace, positive semidefinite.
-
-    Positivity is read from one eigvalsh; a non-finite trace or eigenvalue
-    is refused as well.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        if m.size == 0:
-            raise ValueError("density matrix must not be empty")
-        if np.abs(m - m.conj().T).max() > _HERMITICITY_TOL:
-            raise ValueError("density matrix must be Hermitian")
-        _check_weights(np.trace(m), np.linalg.eigvalsh(m))
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def diagonal(cls, p) -> "DensityMatrix":
-        """Classical state: probabilities on the diagonal, no coherences."""
-        p = np.asarray(p, dtype=float)
-        return cls(np.diag(p).astype(complex))
-
-    @classmethod
-    def pure(cls, psi) -> "DensityMatrix":
-        """Rank-one projector |psi><psi| from a normalized state vector."""
-        psi = np.asarray(psi, dtype=complex)
-        return cls(np.outer(psi, psi.conj()))
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(m)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def uhlmann_fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
-    """Fidelity [tr sqrt(sqrt(rho1) rho2 sqrt(rho1))]^2, clamped to [0, 1].
-
-    Shortcut for rank-one inputs: if either state is pure |psi><psi| the
-    fidelity collapses to <psi| rho |psi>, which is both faster and better
-    conditioned than the nested square roots.
-    """
-    if rho1.n != rho2.n:
-        raise ValueError("density matrices must have equal dimension")
-    for pure, other in ((rho1, rho2), (rho2, rho1)):
-        vals, vecs = np.linalg.eigh(pure.matrix)
-        if vals[-1] > _PURE_THRESHOLD:
-            psi = vecs[:, -1]
-            return float(np.clip((psi.conj() @ other.matrix @ psi).real, 0.0, 1.0))
-    root = _psd_sqrt(rho1.matrix)
-    inner = root @ rho2.matrix @ root
-    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    return float(np.clip(np.sqrt(vals).sum() ** 2, 0.0, 1.0))
-
-
 def classical_quantum_fidelity(q, u, z) -> np.ndarray:
     """Uhlmann fidelity of diag(q[i, s]) and u[i] diag(z[i, s]) u[i]^dag, shape (T, S).
 
     ``q`` and ``z`` are (T, S, n) weights and ``u`` is (T, n, n): T unitaries,
     each evolving S launches. The inputs that define the states are
     validated, so a state that is not a density matrix never forms: every
-    row of q and z must be a probability vector (DensityMatrix's trace and
-    negativity rule and messages), and each u[i] unitary to within
+    row of q and z must be a probability vector (trace 1 within 1e-10, no
+    weight below NEGATIVITY_TOL), and each u[i] unitary to within
     ||u u^dag - I||_F <= -NEGATIVITY_TOL, else ValueError names the drift and
     the index i. sqrt(diag(q)) is elementwise, so each mixed pair costs one
     eigvalsh of sqrt(q_k) rho_kl sqrt(q_l), all T * S in one stacked call.
     Pairs where either state is pure (largest weight above 1 - 1e-12) take
-    the closed form F = sum_k q_k rho_kk, the rank-one shortcut
-    uhlmann_fidelity takes.
+    the closed form F = sum_k q_k rho_kk, which is <psi|diag(q)|psi> when
+    rho = |psi><psi| (Jozsa, J. Mod. Opt. 41, 1994).
     """
     q = np.asarray(q, dtype=float)
     u = np.asarray(u, dtype=complex)

@@ -4,9 +4,19 @@ The acceptance tests register one line per criterion in ACCEPTANCE_LINES;
 the terminal-summary hook below prints them after the run so the criterion
 verdicts are visible without -s. propagator_pair reads the pair as most
 tests want it, with the unitary complex.
+
+DensityMatrix and uhlmann_fidelity are the tests' independent fidelity
+oracle: the general Uhlmann fidelity by nested matrix square roots, which
+no qcwalk process runs (the library's classical_quantum_fidelity and the
+kernel's closed form are what it checks). count_eigensolves counts the
+eigensolver calls and matrices a block of code makes.
 """
 
-from qcwalk.spectral import real_propagators
+from dataclasses import dataclass
+
+import numpy as np
+
+from qcwalk.spectral import _PURE_THRESHOLD, _check_weights, real_propagators
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -23,3 +33,91 @@ def propagator_pair(sd, t):
     """exp(L t) and the complex exp(i L t), both read from spectral.real_propagators."""
     p, re, im = real_propagators(sd, t)
     return p, re + 1j * im
+
+
+def count_eigensolves(monkeypatch) -> dict[str, int]:
+    """Patch np.linalg.eigh and eigvalsh to count into the returned dict.
+
+    ``eigh`` and ``eigvalsh`` count calls, ``matrices`` the matrices of all
+    of them (a stacked call counts its stack size); reset the entries to
+    count afresh.
+    """
+    counts = {"eigh": 0, "eigvalsh": 0, "matrices": 0}
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            counts["matrices"] += int(np.prod(np.shape(a)[:-2]))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+_HERMITICITY_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """Validated density matrix: square, Hermitian, unit trace, positive semidefinite.
+
+    Positivity is read from one eigvalsh; a non-finite trace or eigenvalue
+    is refused as well. The trace and negativity messages are those of
+    spectral.classical_quantum_fidelity.
+    """
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = np.array(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("density matrix must be square")
+        if m.size == 0:
+            raise ValueError("density matrix must not be empty")
+        if np.abs(m - m.conj().T).max() > _HERMITICITY_TOL:
+            raise ValueError("density matrix must be Hermitian")
+        _check_weights(np.trace(m), np.linalg.eigvalsh(m))
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
+
+    @classmethod
+    def diagonal(cls, p) -> "DensityMatrix":
+        """Classical state: probabilities on the diagonal, no coherences."""
+        p = np.asarray(p, dtype=float)
+        return cls(np.diag(p).astype(complex))
+
+    @classmethod
+    def pure(cls, psi) -> "DensityMatrix":
+        """Rank-one projector |psi><psi| from a normalized state vector."""
+        psi = np.asarray(psi, dtype=complex)
+        return cls(np.outer(psi, psi.conj()))
+
+
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(m)
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+def uhlmann_fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
+    """Fidelity [tr sqrt(sqrt(rho1) rho2 sqrt(rho1))]^2, clamped to [0, 1].
+
+    Shortcut for rank-one inputs: if either state is pure |psi><psi| the
+    fidelity collapses to <psi| rho |psi>, which is both faster and better
+    conditioned than the nested square roots.
+    """
+    if rho1.n != rho2.n:
+        raise ValueError("density matrices must have equal dimension")
+    for pure, other in ((rho1, rho2), (rho2, rho1)):
+        vals, vecs = np.linalg.eigh(pure.matrix)
+        if vals[-1] > _PURE_THRESHOLD:
+            psi = vecs[:, -1]
+            return float(np.clip((psi.conj() @ other.matrix @ psi).real, 0.0, 1.0))
+    root = _psd_sqrt(rho1.matrix)
+    inner = root @ rho2.matrix @ root
+    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
+    return float(np.clip(np.sqrt(vals).sum() ** 2, 0.0, 1.0))

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES, propagator_pair
+from conftest import ACCEPTANCE_LINES, DensityMatrix, propagator_pair, uhlmann_fidelity
 from qcwalk import degree_sequence, generate, laplacian
 from qcwalk.checks import run_invariant_checks
 from qcwalk.distance import (
@@ -23,7 +23,7 @@ from qcwalk.distance import (
     qc_distance,
     verify_localized_optimality,
 )
-from qcwalk.spectral import DensityMatrix, eigendecompose, uhlmann_fidelity
+from qcwalk.spectral import eigendecompose
 from qcwalk.walks import node_observables
 
 # node-degree law graphs: the fixed menagerie plus five seeded random graphs

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import count_eigensolves
 from qcwalk import eigendecompose, generate, graph_from_spec, laplacian, read_edge_list
 import qcwalk.cli as cli
 from qcwalk.cli import _QUANTITIES, _fmt, main
@@ -758,29 +759,13 @@ def test_invariant_checks_form_each_group_of_times_as_one_grid(monkeypatch):
 
 def test_invariant_checks_solve_each_family_graph_once(monkeypatch):
     import qcwalk.checks as checks
-    from qcwalk.spectral import DensityMatrix
 
-    counts = {"eigh": 0, "eigvalsh": 0, "matrices": 0, "builds": 0}
-    for name in ("eigh", "eigvalsh"):
-
-        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            counts[_name] += 1
-            counts["matrices"] += int(np.prod(np.shape(a)[:-2]))
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    true_post_init = DensityMatrix.__post_init__
-
-    def counted_post_init(self):
-        counts["builds"] += 1
-        true_post_init(self)
-
-    monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
+    counts = count_eigensolves(monkeypatch)
     assert all(r.passed for r in checks.run_invariant_checks(seed=0))
     # per family graph, eigendecompose's eigh and the zero-mode check's own eigvalsh; the
-    # oracle is a closed form and builds no state
+    # oracle is a closed form and takes no eigensolve
     graphs = len(checks.check_family(0))
-    assert counts == {"eigh": graphs, "eigvalsh": graphs, "matrices": 2 * graphs, "builds": 0}
+    assert counts == {"eigh": graphs, "eigvalsh": graphs, "matrices": 2 * graphs}
 
 
 def skew_the_route(monkeypatch, renormalise: bool) -> None:

@@ -19,8 +19,8 @@ from qcwalk.distance import (
     verify_localized_optimality,
 )
 from qcwalk import walks
-from conftest import propagator_pair
-from qcwalk.spectral import eigendecompose
+from conftest import DensityMatrix, count_eigensolves, propagator_pair, uhlmann_fidelity
+from qcwalk.spectral import classical_quantum_fidelity, eigendecompose
 from qcwalk.walks import node_observables, time_blocks
 
 K2 = eigendecompose(laplacian(generate("complete", 2)))
@@ -257,8 +257,6 @@ def test_optimality_k2_uniform_state():
 def test_optimality_localized_state_margin_zero():
     # z = indicator of node j: both channel outputs reduce to the localized
     # pair, so the full fidelity must equal F_j and the margin vanish
-    from qcwalk.spectral import DensityMatrix, uhlmann_fidelity
-
     sd = STAR7
     t = 0.9
     p, u = propagator_pair(sd, t)
@@ -270,27 +268,16 @@ def test_optimality_localized_state_margin_zero():
         assert fid == pytest.approx(node_observables(sd, t).fidelity[j], abs=1e-9)
 
 
-def test_optimality_pure_rows_take_the_closed_form(monkeypatch):
-    # z = e_j rows reduce to the localized pair: they take F = sum_k q_k rho_kk, not
-    # uhlmann_fidelity, and give F_j(t); the mixed row between them takes the stacked eigvalsh
-    import qcwalk.spectral as spectral
-
-    calls = []
-    true_uhlmann = spectral.uhlmann_fidelity
-
-    def counted(rho1, rho2):
-        calls.append(1)
-        return true_uhlmann(rho1, rho2)
-
-    monkeypatch.setattr(spectral, "uhlmann_fidelity", counted)
+def test_optimality_pure_rows_take_the_closed_form():
+    # z = e_j rows reduce to the localized pair: they take F = sum_k q_k rho_kk and give
+    # F_j(t); the mixed row between them takes the stacked eigvalsh
     sd, t = STAR7, 0.9
     p, u = propagator_pair(sd, t)
     z = np.array([np.eye(7)[0], np.full(7, 1.0 / 7), np.eye(7)[3]])
     q, rho = np.clip(z @ p.T, 0.0, None), (u * z[:, None, :]) @ u.conj().T
-    fid = spectral.classical_quantum_fidelity(q[None], u[None], z[None])[0]
-    assert len(calls) == 0
+    fid = classical_quantum_fidelity(q[None], u[None], z[None])[0]
     for s in (0, 2):
-        oracle = true_uhlmann(spectral.DensityMatrix.diagonal(q[s]), spectral.DensityMatrix(rho[s]))
+        oracle = uhlmann_fidelity(DensityMatrix.diagonal(q[s]), DensityMatrix(rho[s]))
         assert fid[s] == pytest.approx(oracle, abs=1e-12)
     localized = node_observables(sd, t).fidelity
     assert fid[0] == pytest.approx(localized[0], abs=1e-9)
@@ -310,24 +297,7 @@ def test_batched_dirichlet_draws_equal_sequential_draws(size):
 
 
 def test_optimality_decomposes_one_matrix_per_sample_and_time(monkeypatch):
-    from qcwalk.spectral import DensityMatrix
-
-    counts = {"eigh": 0, "eigvalsh": 0, "matrices": 0, "builds": 0}
-    for name in ("eigh", "eigvalsh"):
-
-        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            counts[_name] += 1
-            counts["matrices"] += int(np.prod(np.shape(a)[:-2]))
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    true_post_init = DensityMatrix.__post_init__
-
-    def counted_post_init(self):
-        counts["builds"] += 1
-        true_post_init(self)
-
-    monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
+    counts = count_eigensolves(monkeypatch)
     sd = eigendecompose(laplacian(generate("random_connected", 8, extra=3, seed=4)))
     t_values = [0.1, 0.5, 1.0, 3.0]
     # the four times are one block at n = 8; its samples are chunked by the same budget,
@@ -342,12 +312,7 @@ def test_optimality_decomposes_one_matrix_per_sample_and_time(monkeypatch):
         # the states are validated from their weights and unitaries: only the fidelities
         # take an eigvalsh, one matrix per sample and time, one call per chunk
         chunks = len(time_blocks(len(t_values) * sd.n * sd.n, n_samples))
-        assert counts == {
-            "eigh": 0,
-            "eigvalsh": chunks,
-            "matrices": n_samples * len(t_values),
-            "builds": 0,
-        }
+        assert counts == {"eigh": 0, "eigvalsh": chunks, "matrices": n_samples * len(t_values)}
     assert chunks == 2
 
 

@@ -26,12 +26,19 @@ kernel's arithmetic.
 ring(n) is circulant, so its propagator columns are Fourier sums over
 λ_m = -2 + 2 cos(2πm/n); its cases take the same bound with max|λ| for n,
 and the factor 1. path(n) diagonalizes in the cosine basis, with
-λ_m = -2 + 2 cos(πm/n), and takes the same bound as the ring.
+λ_m = -2 + 2 cos(πm/n), and takes the same bound as the ring. ring(n) is
+vertex-transitive, so its node-0 case already is its min_j and max_j; the
+path's graph-level min_j F, max_j C and max_j D_QC are read over the
+closed form at every launch node.
 
 Every node of K_n has node 0's closed form, so the graph-level min_j and
 max_j are checked against it too, and the leaves of star(n), which read its
 (n - 2)-fold eigenvalue -1, have a closed form of their own; both take the
 plain bound, factor 1.
+
+wheel(9), rim included, and random_connected:11:6 have no closed form:
+mpmath.expm forms both propagators at 50 digits from the integer Laplacian,
+and every node takes the plain bound with max|λ| read from the spectrum.
 """
 
 import mpmath
@@ -154,22 +161,25 @@ def test_ring_matches_closed_form(n):
             assert error <= bound, f"{name} of ring({n}) at t={t:.3g}: relative error {error:.2e} > {bound:.2e}"
 
 
-def path_oracle(n: int, times) -> list[dict[str, float]]:
-    """F, C, 1 - G and D_QC of path(n) at launch node 0, one dict per time, at 50 digits.
+def path_oracle(n: int, times, launch: int = 0) -> list[dict[str, float]]:
+    """F, C, 1 - G and D_QC of path(n) at node ``launch``, one dict per time, at 50 digits.
 
     The eigenvectors are the cosine basis v_m(k) = c_m cos(πm(k + 1/2)/n),
     with c_0² = 1/n and c_m² = 2/n above, for λ_m = -2 + 2 cos(πm/n), so
+    from launch node j
 
-        p_k0 = sum_m e^{λ_m t} v_m(k) v_m(0),    a_k0 = sum_m e^{iλ_m t} v_m(k) v_m(0),
+        p_kj = sum_m e^{λ_m t} v_m(k) v_m(j),    a_kj = sum_m e^{iλ_m t} v_m(k) v_m(j),
 
     and every cosine is cos(πr/(2n)) for r = m(2k + 1) mod 4n, so 4n cosines
-    make the whole table. A p_k0 below the sum's roundoff is read as 0, as
+    make the whole table. A p_kj below the sum's roundoff is read as 0, as
     in ring_oracle.
     """
     with mpmath.workdps(50):
         cosines = [mpmath.cos(mpmath.pi * r / (2 * n)) for r in range(4 * n)]
         spectrum = [-2 + 2 * cosines[2 * m] for m in range(n)]
-        weights = [mpmath.mpf(1 if m == 0 else 2) / n * cosines[m] for m in range(n)]
+        weights = [
+            mpmath.mpf(1 if m == 0 else 2) / n * cosines[m * (2 * launch + 1) % (4 * n)] for m in range(n)
+        ]
         rows = [[weights[m] * cosines[m * (2 * k + 1) % (4 * n)] for m in range(n)] for k in range(n)]
         values = []
         for t in times:
@@ -205,6 +215,30 @@ def test_path_matches_closed_form(n):
         for name, values in kernel.items():
             error = abs(values[i] - exact[name]) / abs(exact[name])
             assert error <= bound, f"{name} of path({n}) at t={t:.3g}: relative error {error:.2e} > {bound:.2e}"
+
+
+@pytest.mark.parametrize("n", [11, 32])
+def test_path_extremes_match_closed_form(n):
+    # the graph-level min_j F, max_j C and max_j D_QC, read over every launch node's closed
+    # form; path(64) would take the oracle 4 s
+    obs = node_observables(eigendecompose(laplacian(generate("path", n))), RING_TIMES)
+    kernel = {
+        "F": obs.fidelity.min(axis=1),
+        "C": obs.coherence.max(axis=1),
+        "D_QC": conditional_vector(obs).max(axis=1),
+    }
+    columns = [path_oracle(n, RING_TIMES, launch) for launch in range(n)]
+    max_lambda = 2 + 2 * np.cos(np.pi / n)
+    for i, t in enumerate(RING_TIMES):
+        exact = {
+            "F": min(column[i]["F"] for column in columns),
+            "C": max(column[i]["C"] for column in columns),
+            "D_QC": max(column[i]["D_QC"] for column in columns),
+        }
+        bound = 1e-12 + 10 * t * EPS * max_lambda
+        for name, values in kernel.items():
+            error = abs(values[i] - exact[name]) / abs(exact[name])
+            assert error <= bound, f"{name} over path({n}) at t={t:.3g}: relative error {error:.2e} > {bound:.2e}"
 
 
 @pytest.mark.parametrize("n", [3, 5, 50, 200])
@@ -262,3 +296,48 @@ def test_star_leaves_match_closed_form(n):
         for name, values in kernel.items():
             error = np.abs(values[i, 1:] - exact[name]).max() / abs(exact[name])
             assert error <= bound, f"{name} at the leaves of star({n}) at t={t:.3g}: relative error {error:.2e} > {bound:.2e}"
+
+
+def expm_oracle(g, t: float) -> dict[str, list[float]]:
+    """F, C and 1 - G of graph ``g`` at every launch node, from mpmath.expm at 50 digits.
+
+    For graphs with no closed form: exp(L t) and exp(i L t) come from
+    mpmath's Taylor series with scaling and squaring on the integer
+    Laplacian, with no eigensolver. A p_kj below the 50-digit roundoff is
+    read as 0, as in ring_oracle.
+    """
+    with mpmath.workdps(50):
+        lap = mpmath.matrix(laplacian(g).matrix.tolist())
+        t_ = mpmath.mpf(t)
+        heat, wave = mpmath.expm(lap * t_), mpmath.expm(lap * mpmath.mpc(0, t_))
+        values = {"F": [], "C": [], "1 - G": []}
+        for j in range(g.n):
+            p = [max(heat[k, j], 0) for k in range(g.n)]
+            a = [abs(wave[k, j]) for k in range(g.n)]
+            values["F"].append(float(mpmath.fsum(pk * ak**2 for pk, ak in zip(p, a))))
+            values["C"].append(float(mpmath.fsum(a) ** 2 - 1))
+            values["1 - G"].append(float(1 - mpmath.fsum(mpmath.sqrt(pk) * ak for pk, ak in zip(p, a))))
+        return values
+
+
+EXPM_TIMES = (0.01, 1.0, 100.0)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        pytest.param(generate("wheel", 9), id="wheel-9"),
+        pytest.param(generate("random_connected", 11, extra=6, seed=0), id="random_connected-11-6"),
+    ],
+)
+def test_graphs_without_closed_form_match_expm(graph):
+    # every node, so the wheel's rim too, against exponentials formed with no eigensolver
+    sd = eigendecompose(laplacian(graph))
+    obs = node_observables(sd, EXPM_TIMES)
+    kernel = {"F": obs.fidelity, "C": obs.coherence, "1 - G": 1.0 - obs.gfid}
+    max_lambda = np.abs(sd.eigenvalues).max()
+    for i, t in enumerate(EXPM_TIMES):
+        bound = 1e-12 + 10 * t * EPS * max_lambda
+        for name, exact in expm_oracle(graph, t).items():
+            error = (np.abs(kernel[name][i] - exact) / np.abs(exact)).max()
+            assert error <= bound, f"{name} at t={t:.3g}: relative error {error:.2e} > {bound:.2e}"

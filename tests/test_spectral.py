@@ -3,16 +3,10 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import propagator_pair
+from conftest import DensityMatrix, propagator_pair, uhlmann_fidelity
 from qcwalk import generate, laplacian, qc_distance
 from qcwalk.distance import gamma_of, verify_localized_optimality
-from qcwalk.spectral import (
-    DensityMatrix,
-    classical_quantum_fidelity,
-    eigendecompose,
-    real_propagators,
-    uhlmann_fidelity,
-)
+from qcwalk.spectral import classical_quantum_fidelity, eigendecompose, real_propagators
 from qcwalk.walks import node_observables
 
 FAMILY = [

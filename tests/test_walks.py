@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import propagator_pair
+from conftest import DensityMatrix, propagator_pair, uhlmann_fidelity
 from qcwalk import degree_sequence, generate, laplacian
-from qcwalk.spectral import DensityMatrix, eigendecompose, uhlmann_fidelity
+from qcwalk.spectral import eigendecompose
 from qcwalk.walks import check_node, node_observables
 
 FAMILY = [
