@@ -27,11 +27,13 @@ def main() -> None:
     parser.add_argument("--points", type=int, default=12, help="rows to print")
     args = parser.parse_args()
 
-    g = graph_from_spec(args.graph, seed=args.seed)
-    sd = eigendecompose(laplacian(g))
-    times = replace(default_grid(sd.fiedler), steps=args.points).times()
-
-    obs = node_observables(sd, times)
+    try:
+        g = graph_from_spec(args.graph, seed=args.seed)
+        sd = eigendecompose(laplacian(g))
+        times = replace(default_grid(sd.fiedler), steps=args.points).times()
+        obs = node_observables(sd, times)
+    except ValueError as exc:  # a bad spec, seed or row count: exit 2, no traceback
+        parser.error(str(exc))
     columns = (
         qc_of(obs)[0],
         short_vector(obs).max(axis=-1),

@@ -11,8 +11,10 @@ the same ground more thoroughly.
 invariant checks and the optimality sweep's graph sizes, are independent
 (each size seeds its graph and its draws with ``seed + n``), so they run in
 one process per usable CPU, this one and ``os.fork``ed children; the
-invariant checks always run here. The output does not depend on the number
-of processes. Without ``os.sched_getaffinity`` (outside Linux) every unit
+invariant checks always run here. Every unit is reported by one rule: a
+refusal fails each of its checks, and any other exception is re-raised, the
+first in report order. The output does not depend on the number of
+processes. Without ``os.sched_getaffinity`` (outside Linux) every unit
 runs here.
 """
 
@@ -175,41 +177,44 @@ def _refused(exc: BaseException) -> bool:
     return isinstance(exc, ValueError) and not isinstance(exc, np.linalg.LinAlgError)
 
 
-#: the unit of run_checks' deal that runs the invariant checks; every other unit is a graph size
-_INVARIANTS = "invariants"
+def _optimality_unit(n: int, per_size: int, t_values, seed: int):
+    """The unit of run_checks' deal that sweeps the random connected graph of size n."""
+    name = f"localized optimality on random_connected({n})"
+
+    def sweep() -> tuple[list[CheckResult], float]:
+        g = generate("random_connected", n, extra=min(n - 1, 3), seed=seed + n)
+        sd = eigendecompose(laplacian(g))
+        margins = verify_localized_optimality(sd, per_size, t_values, seed=seed + n)
+        worst = float(margins.min())
+        detail = f"worst margin {worst:.3e} over {margins.size} samples (floor {-VIOLATION_TOL:.0e})"
+        return [CheckResult(name=name, passed=worst >= -VIOLATION_TOL, detail=detail)], worst
+
+    return n, [name], sweep
 
 
-def _run_share(share, per_size: int, t_values, seed: int) -> dict:
-    """Per unit of ``share``: its outcome, or the exception it raised.
+def _run_share(share) -> dict:
+    """Per unit of ``share``, keyed as the unit: its (results, margin), or the exception it raised.
 
-    The invariant checks' outcome is their results, a size's is (worst
-    margin, sample count). The invariant checks run first, and their
-    exception does not end the share, since a size's exception takes
-    precedence. The sizes run ascending. A refusal (see _refused) is that
-    size's outcome and the sweep goes on; any other exception ends the
-    sweep at its size, as it would end a serial loop.
+    The units run in report order. A refusal (see _refused) fails every
+    check of its unit, since none was established over the whole family,
+    and the share goes on; any other exception ends the share at its unit,
+    as it would end a serial run.
     """
     outcomes = {}
-    if _INVARIANTS in share:
+    for key, names, thunk in sorted(share):
         try:
-            outcomes[_INVARIANTS] = run_invariant_checks(seed)
-        except Exception as exc:  # handed to the caller, which re-raises it
-            outcomes[_INVARIANTS] = exc
-    for n in sorted(unit for unit in share if unit != _INVARIANTS):
-        try:
-            g = generate("random_connected", n, extra=min(n - 1, 3), seed=seed + n)
-            sd = eigendecompose(laplacian(g))
-            margins = verify_localized_optimality(sd, per_size, t_values, seed=seed + n)
-            outcomes[n] = (float(margins.min()), margins.size)
-        except Exception as exc:  # handed to the caller, which reports or re-raises it
-            outcomes[n] = exc
+            outcomes[key] = thunk()
+        except Exception as exc:  # a refusal is reported here, any other is re-raised by the caller
             if not _refused(exc):
+                outcomes[key] = exc
                 break
+            refused = [CheckResult(name=name, passed=False, detail=f"refused: {exc}") for name in names]
+            outcomes[key] = (refused, None)
     return outcomes
 
 
-def _in_workers(shares, sweep) -> dict:
-    """The merged outcomes of sweep(share) over all shares.
+def _in_workers(shares) -> dict:
+    """The merged outcomes of _run_share over all shares.
 
     The first share runs in this process, each other one in a forked child
     that pickles its outcomes through a pipe and always leaves through
@@ -231,13 +236,13 @@ def _in_workers(shares, sweep) -> dict:
                 try:
                     os.close(read_fd)
                     with open(write_fd, "wb") as fh:
-                        pickle.dump(sweep(share), fh)
+                        pickle.dump(_run_share(share), fh)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write_fd)
             children.append((pid, read_fd, share))
-        outcomes = sweep(shares[0])
+        outcomes = _run_share(shares[0])
     finally:
         replies = []
         for pid, read_fd, share in children:
@@ -247,7 +252,8 @@ def _in_workers(shares, sweep) -> dict:
     for share, data, code in replies:
         if code != 0:
             status = f"exit status {code}" if code > 0 else f"signal {-code}"
-            sizes = ", ".join(map(str, sorted(share)))
+            # the invariant unit always runs in this process, so a child's units are sizes
+            sizes = ", ".join(str(key) for key, _, _ in sorted(share))
             raise WorkerLostError(
                 f"optimality sweep worker for sizes {sizes} ended without a result ({status})"
             )
@@ -260,17 +266,18 @@ def run_checks(n_max: int, samples: int, seed: int) -> tuple[list[CheckResult], 
     """Every check of ``qcwalk verify``: the invariant checks, then the localized-optimality sweep.
 
     The sweep spreads ``samples`` Dirichlet draws across random connected
-    graphs of sizes 3..n_max and times {0.1, 0.5, 1, 3}. Returns the
-    invariant results, then one result per size in ascending size, and the
-    worst margin seen, None if no size gave one. The units, the invariant
-    checks and then the sizes from the largest, are dealt round-robin to
-    one process per usable CPU (at most one per unit), so the invariant
-    checks always run in this process. ``n_max`` and ``samples`` are
-    validated before any unit runs. A size whose sweep refuses its input
-    (a ValueError other than numpy's LinAlgError) is a failed result. Any
-    other exception is re-raised in the order of a serial run of the sweep
-    and then the invariant checks: that of the smallest size if several
-    raise, else that of the invariant checks.
+    graphs of sizes 3..n_max and times {0.1, 0.5, 1, 3}. ``n_max`` and
+    ``samples`` are validated before any unit runs. The units, in report
+    order, are the invariant checks and then one per size, ascending; each
+    is a (key in report order, names of its checks, thunk) whose thunk
+    returns its results and its margin, None for the invariant checks.
+    Dealt round-robin from the invariant checks and then the largest size,
+    they run in one process per usable CPU (at most one per unit), so the
+    invariant checks always run in this process. Returns the results in
+    report order and the worst margin, None if no size gave one. A unit
+    that refuses its input (a ValueError other than numpy's LinAlgError)
+    fails each of its checks; any other exception is re-raised, the first
+    in report order if several units raise, as a serial run would raise it.
     """
     if n_max > 10:
         raise ValueError("n_max above 10 is not supported (dense fidelity cost)")
@@ -278,36 +285,21 @@ def run_checks(n_max: int, samples: int, seed: int) -> tuple[list[CheckResult], 
         raise ValueError("need n_max >= 3")
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
-    sizes = list(range(3, n_max + 1))
+    sizes = range(3, n_max + 1)
     t_values = (0.1, 0.5, 1.0, 3.0)
     per_size = int(np.ceil(samples / (len(sizes) * len(t_values))))
-    units = [_INVARIANTS] + sizes[::-1]
+    # keyed 0, the invariant unit comes before every size in report order
+    units = [(0, list(_TOLERANCES), lambda: (run_invariant_checks(seed), None))]
+    units += [_optimality_unit(n, per_size, t_values, seed) for n in reversed(sizes)]
     workers = min(_usable_cpus(), len(units))
-    shares = [units[w::workers] for w in range(workers)]
-    outcomes = _in_workers(shares, lambda share: _run_share(share, per_size, t_values, seed))
-    invariants = outcomes.pop(_INVARIANTS)
-    raised = [n for n, o in outcomes.items() if isinstance(o, Exception) and not _refused(o)]
-    if raised:
-        raise outcomes[min(raised)]
-    if isinstance(invariants, Exception):
-        raise invariants
-    results = list(invariants)
-    margins = []
-    for n in sizes:
-        name = f"localized optimality on random_connected({n})"
-        if isinstance(outcomes[n], Exception):
-            results.append(CheckResult(name=name, passed=False, detail=f"refused: {outcomes[n]}"))
-            continue
-        size_worst, count = outcomes[n]
-        margins.append(size_worst)
-        results.append(
-            CheckResult(
-                name=name,
-                passed=size_worst >= -VIOLATION_TOL,
-                detail=(
-                    f"worst margin {size_worst:.3e} over "
-                    f"{count} samples (floor {-VIOLATION_TOL:.0e})"
-                ),
-            )
-        )
+    outcomes = _in_workers([units[w::workers] for w in range(workers)])
+    results, margins = [], []
+    # a unit missing from outcomes comes after an exception of its share, so it is never reached
+    for key in sorted(outcomes):
+        if isinstance(outcomes[key], Exception):
+            raise outcomes[key]
+        unit_results, margin = outcomes[key]
+        results += unit_results
+        if margin is not None:
+            margins.append(margin)
     return results, min(margins, default=None)

@@ -292,7 +292,8 @@ def cmd_figure(args) -> int:
 
 def cmd_verify(args) -> int:
     # run_checks validates --n-max and --samples before any check runs, and runs the
-    # invariant checks in this process beside the sweep's forked workers
+    # invariant checks in this process beside the sweep's forked workers; a refused unit
+    # comes back as failed results, any other exception of a unit is raised here
     results, worst = run_checks(n_max=args.n_max, samples=args.samples, seed=args.seed)
     failures = 0
     for r in results:

@@ -177,7 +177,7 @@ def _check_weights(total: np.ndarray, weights: np.ndarray) -> None:
     """The trace and positivity rule of a state, read from its trace and eigenvalues."""
     off = ~(np.abs(total - 1.0) <= _TRACE_TOL)
     if off.any():
-        raise ValueError(f"density matrix trace must be 1, got {complex(total[off].flat[0]):.12g}")
+        raise ValueError(f"density matrix trace must be 1, got {total[off].flat[0].item():.12g}")
     smallest = float(weights.min())
     if not smallest >= NEGATIVITY_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")

@@ -768,30 +768,39 @@ def test_invariant_checks_solve_each_family_graph_once(monkeypatch):
     assert counts == {"eigh": graphs, "eigvalsh": graphs, "matrices": 2 * graphs}
 
 
+def alter_the_route(monkeypatch, alter) -> None:
+    """Every qcwalk reference to real_propagators calls ``alter`` on the (3, ..., n, n) stack it returns."""
+    import qcwalk.spectral as spectral
+
+    original = spectral.real_propagators
+
+    def altered(sd, t, out=None):
+        props = original(sd, t, out)
+        alter(props)
+        return props
+
+    for mod in [m for key, m in sys.modules.items() if key.startswith("qcwalk")]:
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, altered)
+
+
 def skew_the_route(monkeypatch, renormalise: bool) -> None:
     """Every qcwalk reference to real_propagators gets its Re scaled by 1 + 1e-6.
 
     With ``renormalise`` each column is put back to unit norm, so the
     oracle's pure states stay states but U is not unitary.
     """
-    import qcwalk.spectral as spectral
 
-    original = spectral.real_propagators
-
-    def skewed(sd, t, out=None):
-        props = original(sd, t, out)
+    def skew(props):
         _, re, im = props
         re *= 1 + 1e-6
         if renormalise:
             norm = np.sqrt((re * re + im * im).sum(axis=-2, keepdims=True))
             re /= norm
             im /= norm
-        return props
 
-    for mod in [m for key, m in sys.modules.items() if key.startswith("qcwalk")]:
-        for attr, value in list(vars(mod).items()):
-            if value is original:
-                monkeypatch.setattr(mod, attr, skewed)
+    alter_the_route(monkeypatch, skew)
 
 
 def test_verify_checks_the_route_the_cli_runs(monkeypatch, capsys):
@@ -962,13 +971,14 @@ def test_verify_reraises_the_smallest_failing_size(failures, code, stderr, monke
     "failures, code, stderr",
     [
         ({}, 2, "qcwalk: computation error: complete(5) failed"),
-        # a size's exception wins, raised in the child (4) or in this process (3) on two CPUs
-        ({4: OSError}, 1, "qcwalk: error: size 4 failed"),
-        ({3: OSError}, 1, "qcwalk: error: size 3 failed"),
+        # the invariant checks come first in report order, so their exception wins over a
+        # size's, raised in the child (4) or in this process (3) on two CPUs
+        ({4: OSError}, 2, "qcwalk: computation error: complete(5) failed"),
+        ({3: OSError}, 2, "qcwalk: computation error: complete(5) failed"),
     ],
     ids=["invariants-alone", "child-size", "parent-size"],
 )
-def test_verify_reraises_an_invariant_check_exception_after_the_sizes(failures, code, stderr, monkeypatch, capsys):
+def test_verify_reraises_the_first_exception_in_report_order(failures, code, stderr, monkeypatch, capsys):
     import qcwalk.checks as checks
 
     true_decompose, true_sweep = checks.eigendecompose, checks.verify_localized_optimality
@@ -990,6 +1000,32 @@ def test_verify_reraises_an_invariant_check_exception_after_the_sizes(failures, 
         set_usable_cpus(monkeypatch, count)
         assert run(["verify", "--n-max", "4", "--samples", "16"], capsys) == (code, "", stderr + "\n")
         assert_no_child_left()
+
+
+def test_verify_reports_a_refused_unit_as_failed_checks(monkeypatch, capsys):
+    # exp(L t) shifted by -0.01 and clipped at -1e-9: the kernel refuses the negative entries
+    # inside the invariant checks, and the sweep refuses each size, so every check of every
+    # unit fails on its own line, in process and in the forked workers alike
+    import qcwalk.checks as checks
+
+    def negative(props):
+        np.maximum(props[0] - 0.01, -1e-9, out=props[0])
+
+    alter_the_route(monkeypatch, negative)
+    outputs = set()
+    for count in (1, 2, 3):
+        set_usable_cpus(monkeypatch, count)
+        code, stdout, stderr = run(["verify", "--n-max", "4", "--samples", "16"], capsys)
+        assert (code, stderr) == (3, "15 check(s) failed\n")
+        assert_no_child_left()
+        outputs.add(stdout)
+    (stdout,) = outputs
+    refusal = "refused: classical distribution has negative entry -1.000e-09"
+    assert stdout.splitlines() == [f"[FAIL] {name}: {refusal}" for name in checks._TOLERANCES] + [
+        "[FAIL] localized optimality on random_connected(3): refused: density matrix trace must be 1, got 0.97",
+        f"[FAIL] localized optimality on random_connected(4): {refusal}",
+        "worst optimality margin: NA",
+    ]
 
 
 def test_verify_reports_a_lost_worker(monkeypatch, capsys):

@@ -36,8 +36,17 @@ def test_asymptote_study_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert f"fiedler={fiedler:.4f}" in proc.stdout.splitlines()[0]
-    # zero rows is not a grid: refused, not printed as an empty table
-    assert run_script("asymptote_study.py", "--points", "0").returncode != 0
+    # zero rows is not a grid: refused, not printed as an empty table. Bad input is a usage
+    # error: exit 2 and one line naming the fault, no traceback
+    for args, fault in (
+        (["--points", "0"], "grid needs at least one point"),
+        (["--graph", "foo"], "graph spec 'foo' is not kind:n or kind:n:extra"),
+        (["--graph", "random_connected:11:6", "--seed", "-1"], "expected non-negative integer"),
+    ):
+        proc = run_script("asymptote_study.py", *args)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1] == f"asymptote_study.py: error: {fault}"
 
 
 def test_readme_quick_start_runs():

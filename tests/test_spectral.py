@@ -383,7 +383,8 @@ _NON_STATES = {
     "negative z": ("z", [1.2, -0.2, 0.0], "negative eigenvalue -2.000e-01"),
     "off-trace z": ("z", [0.5, 0.3, 0.3], "trace must be 1"),
     "negative q": ("q", [1.2, -0.2, 0.0], "negative eigenvalue -2.000e-01"),
-    "off-trace q": ("q", [0.5, 0.3, 0.1], "trace must be 1"),
+    # a real trace prints as a real number
+    "off-trace q": ("q", [0.5, 0.3, 0.1], "trace must be 1, got 0.9$"),
     "non-finite z": ("z", [np.nan, 0.5, 0.5], "trace must be 1"),
     "non-unitary u": ("u", np.diag([1.0, 1.0, 1.0 + 1e-8]), r"u\[2\] drifts from unitarity by"),
     "non-finite u": ("u", np.diag([1.0, 1.0, np.nan]), r"u\[2\] drifts from unitarity by nan"),
