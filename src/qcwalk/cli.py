@@ -10,11 +10,13 @@ Subcommands:
 Exit codes: 0 success, 1 usage or configuration error, 2 computation error
 (disconnected graph, eigensolver failure, memory exhausted, a ``verify``
 worker process lost), 3 verification failure. CSV uses a mandatory header
-row, 12-significant-digit floats, the literal ``NA`` for undefined values,
-and CRLF line endings. A sweep makes one kernel call for
-its whole grid, fills one float table (a row per time point) and formats
-each row with one ``%`` operation; every CSV is formatted before any file
-is written, so a sweep that fails writes nothing.
+row, 12-significant-digit floats (``%.12g``), the literal ``NA`` for undefined
+values, and CRLF line endings. A sweep makes one kernel call for its whole
+grid, fills one float table (a row per time point) and formats the whole
+table in numpy: a cell in positional form is built from its exact 12-digit
+mantissa, and every other cell (exponent form, 0, NA, a near rounding tie) is
+formatted by ``%`` itself, so the bytes are ``%``'s. Every CSV is formatted
+before any file is written, so a sweep that fails writes nothing.
 
 The parser is built on the first :func:`main` call and reused by every later
 call in the process; :func:`main` dispatches to ``cmd_<command>``, looked up
@@ -85,14 +87,125 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-#: the % format of a CSV cell holding a finite value and of one holding an undefined
-#: (non-finite) value: NA, then %.0s, which consumes the value and prints nothing
-_CELL, _NA_CELL = "%.12g", "NA%.0s"
+#: the % format of a CSV cell holding a finite value; an undefined (non-finite) one is NA
+_CELL = "%.12g"
+
+# A cell is built from 4-byte words, looked up as uint32; NUL bytes stand for nothing,
+# and one bytes.translate deletes them. For each 4-digit group g = 0000-9999,
+# _DIGIT_WORDS holds g in full, without its leading zeros, without its trailing zeros,
+# and without its leading zeros but a lone 0 kept; then, for g = 000-999, "." and the
+# 3 digits in full, and without trailing zeros (without the "." as well for 000).
+_FULL, _NO_LEAD, _NO_TRAIL, _NO_LEAD_BUT_0 = 0, 10_000, 20_000, 30_000
+_POINT_FULL, _POINT_NO_TRAIL = 40_000, 41_000
 
 
-def _fmt(value: float) -> str:
-    """CSV cell: 12 significant digits, NA for an undefined (non-finite) value."""
-    return (_CELL if np.isfinite(value) else _NA_CELL) % value
+def _digit_words() -> np.ndarray:
+    # per_digit[kind, p, d] is what digit d at place p (0: thousands) gives a word, and a
+    # word ORs what its four digits give. Kind 0 is the digit's character, in byte p.
+    # Kinds 1 and 2 are masks: a nonzero digit keeps byte p and the bytes after it (1: no
+    # leading zeros) or before it (2: no trailing zeros). A mask ANDed with kind 0 strips.
+    per_digit = b"".join(
+        [bytes(p) + bytes([c]) + bytes(3 - p) for p in range(4) for c in b"0123456789"]
+        + [bytes(4) + (bytes(p) + b"\xff" * (4 - p)) * 9 for p in range(4)]
+        + [bytes(4) + (b"\xff" * (p + 1) + bytes(3 - p)) * 9 for p in range(4)]
+    )
+    a, b, c, d = np.frombuffer(per_digit, np.uint32).reshape(3, 4, 10).transpose(1, 0, 2)
+    words = np.empty(42_000, np.uint32)
+    abc = (a[:, :, None] | b[:, None, :])[..., None] | c[:, None, None, :]
+    np.bitwise_or(abc[..., None], d[:, None, None, None, :], out=words[:30_000].reshape(3, 10, 10, 10, 10))
+    full, lead_mask, trail_mask, lead_but_0_mask = words[:40_000].reshape(4, 10_000)
+    np.bitwise_or(lead_mask, np.frombuffer(b"\0\0\0\xff", np.uint32), out=lead_but_0_mask)
+    point, point_no_trail = words[40_000:].reshape(2, 1000)
+    np.bitwise_and(full[:1000], np.frombuffer(b"\0\xff\xff\xff", np.uint32), out=point)
+    point |= np.frombuffer(b".\0\0\0", np.uint32)
+    np.bitwise_and(point, trail_mask[:1000], out=point_no_trail)
+    masks = words[10_000:40_000].reshape(3, 10_000)
+    masks &= full
+    return words
+
+
+_DIGIT_WORDS = _digit_words()
+#: the word a cell starts with: its separator (CRLF before a row's first cell, else a
+#: comma) and [1] a minus sign
+_SEPARATOR_WORDS = np.frombuffer(b",\0\0\0,-\0\0\r\n\0\0\r\n-\0", np.uint32).reshape(2, 2)
+_POW10 = np.array([float(10**k) for k in range(17)])
+
+
+def _format_table(header: str, table: np.ndarray) -> str:
+    """CSV text: the ``header`` line, then a line per row of the 2-d float ``table``,
+    each cell ``_CELL % value`` or NA where the value is not finite, comma separated,
+    every line ended by CRLF.
+
+    A cell with 1e-4 <= |v| < 1e12 - 0.5 prints in positional form, from its 12-digit
+    mantissa m = rint(y), y = |v| 10^k, k = 11 - floor(log10 |v|). 10^k is exact, so
+    y is within half an ulp (6.2e-5) of the exact product; where y lies in [1e11,
+    1e12) and 0.001 or more from a rounding tie, m is the correctly rounded mantissa
+    that ``%`` prints. Every other cell is formatted by ``%`` itself: exponent form,
+    0, NA, a near tie, and a cell whose y or m falls outside [1e11, 1e12) because
+    log10 rounds across a power of ten or the rounding carries. So the text is
+    ``%``'s, byte for byte. m's digits are split exactly in float64 (they stay below
+    2^53): the integer part in as many 4-digit words as the largest one needs, then
+    "." and 15 fraction digits in four words. A cell is its separator word and these,
+    written after the header into one buffer whose NUL bytes one
+    ``bytearray.translate`` deletes.
+    """
+    rows, cols = table.shape
+    v = table.ravel()
+    y = np.abs(v)
+    with np.errstate(invalid="ignore"):  # NaN in the comparisons
+        fast = (y >= 1e-4) & (y < 1e12 - 0.5)  # so floor(log10(y)) is in [-5, 11]
+    y[~fast] = 1.0
+    scale = _POW10[11 - np.floor(np.log10(y)).astype(np.intp)]
+    y *= scale
+    m = np.rint(y)
+    fast &= (y >= 1e11) & (m < 1e12)
+    y -= m
+    fast &= np.abs(y, out=y) < 0.499
+    m[~fast] = 0  # no digits where % prints the cell
+
+    # m / 10^k = whole + fraction / 1e15, split exactly, in the buffers y and m
+    whole = np.floor(np.divide(m, scale, out=y), out=y)
+    fraction = np.subtract(m, whole * scale, out=m)
+    fraction *= np.divide(1e15, scale, out=scale)  # inexact (1e-1) only where m is 0
+    top = whole.max(initial=0)
+    width = 6 + int(top >= 1e4) + int(top >= 1e8)  # separator, 4 digits a word, "." and 15 digits
+    head = header.encode()
+    head += bytes(-len(head) % 4)
+    buffer = bytearray(len(head) + 4 * (rows * cols * width + 1))
+    buffer[: len(head)] = head
+    words = np.frombuffer(buffer, np.uint32)
+    cells = words[len(head) // 4 : -1].reshape(rows * cols, width)
+    separators = _SEPARATOR_WORDS[(np.arange(cols) == 0).astype(np.intp)]
+    negative = (np.signbit(v) & fast).reshape(rows, cols)  # % prints the sign of the others
+    cells[:, 0] = np.where(negative, separators[:, 1], separators[:, 0]).ravel()
+    # a word: the number it is taken from, the place of its digit group, and its kinds in
+    # _DIGIT_WORDS in full and stripped: of the zeros before the first digit for an
+    # integer word, of those after the last for a fraction word
+    digit_words = [(whole, place, _FULL, _NO_LEAD) for place in _POW10[4 * width - 24 : 0 : -4]]
+    digit_words += [(whole, 1.0, _FULL, _NO_LEAD_BUT_0), (fraction, 1e12, _POINT_FULL, _POINT_NO_TRAIL)]
+    digit_words += [(fraction, place, _FULL, _NO_TRAIL) for place in (1e8, 1e4, 1.0)]
+    group, key = scale, np.empty(v.size, np.intp)
+    leading = np.ones(v.size, bool)  # the integer groups so far are all 0
+    for col, (rest, place, full, stripped) in enumerate(digit_words, 1):
+        np.floor(np.divide(rest, place, out=group), out=group)
+        rest -= group * place
+        key[:] = group
+        key += full
+        np.add(key, stripped - full, out=key, where=leading if rest is whole else rest == 0)
+        leading &= group == 0
+        cells[:, col] = _DIGIT_WORDS[key]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        values = v[slow]
+        texts = [_CELL % x if ok else "NA" for ok, x in zip(np.isfinite(values).tolist(), values.tolist())]
+        cells[slow, 1:] = np.array(texts, dtype=f"S{4 * width - 4}").view(np.uint32).reshape(slow.size, -1)
+    words[-1] = _SEPARATOR_WORDS[1, 0]  # the last line's CRLF
+    return buffer.translate(None, b"\0").decode("ascii")
+
+
+def _format_cell(value: float) -> str:
+    """One CSV cell, by :func:`_format_table`'s rule: the one-cell table without its CRLFs."""
+    return _format_table("", np.array([[value]], float))[2:-2]
 
 
 def _columns(sd: SpectralDecomposition, outputs, node: int | None):
@@ -129,9 +242,8 @@ def _format_csv(sd, outputs, node, times) -> tuple[list[str], str]:
     """The sweep's column headers and its CSV text, header line included.
 
     One kernel call covers the whole grid. Its values fill one float table,
-    ``t`` and then every column, a row per time point, and the whole table is
-    one ``%`` format: each line's template has :func:`_fmt`'s cell formats,
-    so a row with a non-finite cell prints NA there; nothing is written here.
+    ``t`` and then every column, a row per time point, and
+    :func:`_format_table` formats the whole table; nothing is written here.
     """
     headers, evaluators = _columns(sd, outputs, node)
     obs = walks.node_observables(sd, times)
@@ -139,12 +251,7 @@ def _format_csv(sd, outputs, node, times) -> tuple[list[str], str]:
     table[:, 0] = times
     for cols, fn in evaluators:
         table[:, cols] = np.reshape(fn(obs), (times.size, -1))
-    finite = np.isfinite(table)
-    lines = [",".join([_CELL] * table.shape[1]) + "\r\n"] * times.size
-    for i in np.flatnonzero(~finite.all(axis=1)):
-        lines[i] = ",".join(np.where(finite[i], _CELL, _NA_CELL).tolist()) + "\r\n"
-    text = "".join(lines) % tuple(table.ravel().tolist())
-    return headers, ",".join(["t"] + headers) + "\r\n" + text
+    return headers, _format_table(",".join(["t"] + headers), table)
 
 
 def _write(out: str, text: str) -> None:
@@ -162,7 +269,7 @@ def _write(out: str, text: str) -> None:
 def cmd_graph(args) -> int:
     g = generate(args.kind, args.n, extra=args.extra, seed=args.seed)
     dmax = int(degree_sequence(g).max())
-    fiedler = _fmt(eigendecompose(laplacian(g)).fiedler) if g.n >= 2 else "NA"
+    fiedler = _format_cell(eigendecompose(laplacian(g)).fiedler if g.n >= 2 else np.nan)
     summary = f"nodes={g.n} edges={len(g.edges)} max_degree={dmax} fiedler={fiedler}"
     if args.out == "-":
         sys.stdout.write(to_edge_list(g))

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import count_eigensolves
 from qcwalk import eigendecompose, generate, graph_from_spec, laplacian, read_edge_list
 import qcwalk.cli as cli
-from qcwalk.cli import _QUANTITIES, _fmt, main
+from qcwalk.cli import _QUANTITIES, _format_cell, _format_table, main
 from qcwalk.config import TimeGrid, default_grid, default_t_max
 from qcwalk.spectral import PAIR_PRODUCT_MAX_N
 from qcwalk.walks import node_observables, time_blocks
@@ -536,7 +537,7 @@ def test_command_patched_after_the_first_call_is_the_one_that_runs(monkeypatch, 
     assert seen == ["ring:5"]
 
 
-# --- CSV bytes: the row formatter against the per-cell writer it replaced ---------------
+# --- CSV bytes: the table formatter against the per-cell writer it replaced -------------
 
 
 def reference_cell(value) -> str:
@@ -547,6 +548,87 @@ def reference_cell(value) -> str:
     if not np.isfinite(value):
         return "NA"
     return "%.12g" % value
+
+
+def reference_table(header, table) -> str:
+    """``_format_table``'s text built from ``reference_cell``, one cell at a time."""
+    lines = [header] + [",".join(reference_cell(v) for v in row) for row in np.atleast_2d(table)]
+    return "".join(line + "\r\n" for line in lines)
+
+
+def neighbours(values):
+    """Each value with the floats just below and above it, and their negatives."""
+    values = np.array(values, float)
+    near = np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+    return np.concatenate([near, -near])
+
+
+#: every float64: raw bit patterns, and hypothesis floats (NaN, infinities, subnormals)
+any_float = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.array([bits], np.uint64).view(np.float64)[0])),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+#: positional cells at or near a rounding tie of 12 digits, and near powers of ten
+tie_or_decade = st.one_of(
+    st.builds(
+        lambda m, e, off: (m + 0.5 + off) * 10.0 ** (e - 11),
+        st.integers(10**11, 10**12 - 1),
+        st.integers(-4, 11),
+        st.sampled_from([0.0, 1e-3, -1e-3, 1e-6]),
+    ),
+    st.builds(
+        lambda e, ulps: 10.0**e + ulps * float(np.spacing(10.0**e)), st.integers(-5, 13), st.integers(-3, 3)
+    ),
+)
+
+
+@given(st.lists(st.one_of(any_float, tie_or_decade), min_size=1, max_size=24), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_format_table_cells_match_reference_cell(values, cols):
+    table = np.array(values + [0.5] * (-len(values) % cols)).reshape(-1, cols)
+    assert _format_table("t", table) == reference_table("t", table)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # signed zeros, the smallest subnormal, the ends of the positional range, and powers of ten
+        neighbours([0.0, 5e-324, 1e-4, 1e12, 1e16] + [10.0**k for k in range(-3, 12)]),
+        # a carry to the next power of ten, a tie at 1e12, an exact tie printed half-even,
+        # decimal ties whose doubles lie just off the tie, and the lowest positional decade
+        neighbours(
+            [9.9999999999995, 999999999999.5, 1234567890.125, 1.368761715425, 1024646501.535, 1.2345678e-4]
+        ),
+    ],
+    ids=["edges", "ties"],
+)
+def test_format_table_edge_cells_match_reference_cell(values):
+    assert [_format_cell(v) for v in values] == [reference_cell(v) for v in values]
+    assert _format_table("h", values[None, :]) == reference_table("h", values)
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_format_table_cells_stay_the_reference_where_log10_is_off_by_one(shift, monkeypatch):
+    # a decade too high or too low puts the scaled value outside [1e11, 1e12), so the
+    # cell goes to %, whatever the rounding of log10
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+    values = np.random.default_rng(5).uniform(-4, 11, 60)
+    table = np.reshape(np.sign(values - 3.5) * 10.0**values * 1.2345678901234, (12, 5))
+    assert _format_table("t", table) == reference_table("t", table)
+
+
+def test_format_table_mixes_fast_fallback_and_na_cells():
+    # positional cells, exponent-form and zero cells that % prints, NA, in every column
+    table = np.array(
+        [
+            [0.01, 0.5, -3.25, 123456.789, np.nan],
+            [1e-5, -0.0, np.inf, 12.5, 9.99999999999951e-5],
+            [7.0, 1e13, 0.000123, -np.inf, 0.0],
+        ]
+    )
+    assert _format_table("t,a,b,c,d", table) == reference_table("t,a,b,c,d", table)
+    assert _format_table("t", np.empty((0, 1))) == "t\r\n"
 
 
 def reference_csv(spec, seed, quantities, node=None, tmin=1e-2, steps=400) -> bytes:
@@ -581,6 +663,8 @@ _NODE_QUANTITIES = "conditional,coherence,gfid,short,long"
         ("random_connected:11:6", 0, "qc,average,gamma_s,gamma_l,delta", {"steps": 60}),
         ("complete:3", 0, "qc,gamma_s,gamma_l", {"tmin": 0.0, "steps": 1}),  # a row of NA cells
         ("star:5", 0, "conditional,delta,qc", {"node": 2}),
+        # 263 of its 920 cells print in exponent form, through the % fallback
+        ("star:5", 0, "conditional,coherence,short,long,delta,gamma_s", {"tmin": 1e-7, "steps": 40}),
     ],
 )
 def test_distance_bytes_match_per_cell_writer(spec, seed, quantities, extra, tmp_path):
@@ -593,9 +677,9 @@ def test_distance_bytes_match_per_cell_writer(spec, seed, quantities, extra, tmp
 
 
 def test_fmt_cells():
-    # the cell rule, whose two formats make every line template of a CSV
+    # the cell rule of every CSV, also used for the graph summary's fiedler value
     row = [-0.0, 1e-300, 1e300, float("nan"), float("inf"), -np.inf, np.float64(0.5)]
-    assert [_fmt(value) for value in row] == ["-0", "1e-300", "1e+300", "NA", "NA", "NA", "0.5"]
+    assert [_format_cell(value) for value in row] == ["-0", "1e-300", "1e+300", "NA", "NA", "NA", "0.5"]
 
 
 # --- figure subcommand ----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -83,3 +84,45 @@ def test_reproduce_figures_in_one_process_matches_one_process_per_preset(tmp_pat
     assert sorted(p.name for p in together.iterdir()) == names
     for name in names:
         assert (together / name).read_bytes() == (separate / name).read_bytes(), name
+
+
+COMPARED_ARGVS = [
+    "distance --graph ring:5 --steps 5 --quantities qc,average",
+    "figure fig1-left --out out",
+    "verify --n-max 4 --samples 16",
+]
+
+
+def compare_with_copy(tmp_path, patch=None):
+    """compare_outputs.py on COMPARED_ARGVS, against a copy of this tree's src with ``patch`` applied."""
+    src = tmp_path / "copy" / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    if patch is not None:
+        path, old, new = patch
+        text = (src / path).read_text()
+        assert old in text
+        (src / path).write_text(text.replace(old, new))
+    argv = [arg for a in COMPARED_ARGVS for arg in ("--argv", a)]
+    return run_script("compare_outputs.py", str(tmp_path / "copy"), *argv)
+
+
+def test_compare_outputs_reports_a_copy_of_the_tree_identical(tmp_path):
+    proc = compare_with_copy(tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{argv}: identical" for argv in COMPARED_ARGVS] + [
+        "3 argvs, 0 with a structural difference"
+    ]
+
+
+def test_compare_outputs_reports_changed_cells(tmp_path):
+    # the copy plays the parent: cell [1, 1] of each of its tables is 1e-9 larger
+    anchor = '    return headers, _format_table(",".join(["t"] + headers), table)'
+    proc = compare_with_copy(tmp_path, ("qcwalk/cli.py", anchor, "    table[1, 1] *= 1 + 1e-9\n" + anchor))
+    assert proc.returncode == 0, proc.stderr
+    changed = r": {} of {} cells changed, largest relative change 1\.00e-09, "
+    changed += r"largest change \d+ units of the 12th digit"
+    lines = proc.stdout.splitlines()
+    assert re.fullmatch(re.escape(COMPARED_ARGVS[0]) + changed.format(1, 15), lines[0]), lines[0]
+    # fig1-left writes three curves of 400 rows and two columns
+    assert re.fullmatch(re.escape(COMPARED_ARGVS[1]) + changed.format(3, 2400), lines[1]), lines[1]
+    assert lines[2:] == [f"{COMPARED_ARGVS[2]}: identical", "3 argvs, 0 with a structural difference"]
