@@ -20,6 +20,7 @@ runs here.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 from dataclasses import dataclass
@@ -75,9 +76,18 @@ _TOLERANCES = {
 }
 
 
+def _worst(items, key):
+    """The first of ``items`` whose ``key`` is NaN, else the first whose ``key`` is largest.
+
+    None if there are none. A NaN compares false with everything, so a
+    plain max would pass over it unless it came first.
+    """
+    return max(items, key=lambda item: (math.isnan(key(item)), key(item)), default=None)
+
+
 def _result(name: str, errs: list[tuple[str, float]]) -> CheckResult:
-    """Worst error of one check against its tolerance; the first maximum wins."""
-    where, worst = max(errs, key=lambda kv: kv[1])
+    """Worst error of one check (see _worst) against its tolerance; a NaN error fails."""
+    where, worst = _worst(errs, key=lambda kv: kv[1])
     tol = _TOLERANCES[name]
     return CheckResult(
         name=name,
@@ -274,10 +284,11 @@ def run_checks(n_max: int, samples: int, seed: int) -> tuple[list[CheckResult], 
     Dealt round-robin from the invariant checks and then the largest size,
     they run in one process per usable CPU (at most one per unit), so the
     invariant checks always run in this process. Returns the results in
-    report order and the worst margin, None if no size gave one. A unit
-    that refuses its input (a ValueError other than numpy's LinAlgError)
-    fails each of its checks; any other exception is re-raised, the first
-    in report order if several units raise, as a serial run would raise it.
+    report order and the worst margin (by _worst: a NaN one, else the
+    smallest), None if no size gave one. A unit that refuses its input (a
+    ValueError other than numpy's LinAlgError) fails each of its checks; any
+    other exception is re-raised, the first in report order if several
+    units raise, as a serial run would raise it.
     """
     if n_max > 10:
         raise ValueError("n_max above 10 is not supported (dense fidelity cost)")
@@ -302,4 +313,4 @@ def run_checks(n_max: int, samples: int, seed: int) -> tuple[list[CheckResult], 
         results += unit_results
         if margin is not None:
             margins.append(margin)
-    return results, min(margins, default=None)
+    return results, _worst(margins, key=lambda margin: -margin)

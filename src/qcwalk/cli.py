@@ -11,12 +11,15 @@ Exit codes: 0 success, 1 usage or configuration error, 2 computation error
 (disconnected graph, eigensolver failure, memory exhausted, a ``verify``
 worker process lost), 3 verification failure. CSV uses a mandatory header
 row, 12-significant-digit floats (``%.12g``), the literal ``NA`` for undefined
-values, and CRLF line endings. A sweep makes one kernel call for its whole
-grid, fills one float table (a row per time point) and formats the whole
-table in numpy: a cell in positional form is built from its exact 12-digit
-mantissa, and every other cell (exponent form, 0, NA, a near rounding tie) is
-formatted by ``%`` itself, so the bytes are ``%``'s. Every CSV is formatted
-before any file is written, so a sweep that fails writes nothing.
+values, and CRLF line endings. A sweep refuses an unknown or repeated
+quantity, then makes one kernel call for its whole grid, stacks each
+quantity's column or node block into one float table (a row per time point)
+and formats the whole table in numpy: a cell in positional form is built from
+its exact 12-digit mantissa, and every other cell (exponent form, 0, NA, a near
+rounding tie) is formatted by ``%`` itself, so the bytes are ``%``'s. A figure
+preset is a list of curve specs, each giving one graph, one sweep and one
+manifest entry. Every CSV is formatted before any file is written, so a sweep
+that fails writes nothing.
 
 The parser is built on the first :func:`main` call and reused by every later
 call in the process; :func:`main` dispatches to ``cmd_<command>``, looked up
@@ -48,7 +51,7 @@ from .graph import (
     to_edge_list,
     write_edge_list,
 )
-from .spectral import SpectralDecomposition, eigendecompose
+from .spectral import eigendecompose
 
 __all__ = ["main", "entry", "cmd_graph", "cmd_distance", "cmd_figure", "cmd_verify"]
 
@@ -208,49 +211,34 @@ def _format_cell(value: float) -> str:
     return _format_table("", np.array([[value]], float))[2:-2]
 
 
-def _columns(sd: SpectralDecomposition, outputs, node: int | None):
-    """Header names and evaluators for the requested quantities.
+def _format_csv(sd, outputs, node, times) -> tuple[list[str], str]:
+    """The sweep's column headers and its CSV text, header line included.
 
-    Each evaluator is ``(cols, fn)``: ``fn`` maps the grid's kernel record
-    (``node_observables(sd, times)``) to the values of the headers it added,
-    one per time for a column (NaN where undefined) or a row of node values
-    per time, and ``cols`` is the slice of the table's rows it fills; entry 0
-    of a row is ``t``.
+    An unknown or repeated quantity is refused before the kernel runs. Then
+    one kernel call covers the whole grid, and each requested quantity adds
+    to the table, after ``t``, its graph-level column or its node block
+    (every node, or only ``node``), a row per time point; delta is a node
+    block when ``node`` is given. :func:`_format_table` formats the whole
+    table; nothing is written here.
     """
-    cells = slice(None) if node is None else slice(node, node + 1)
-    headers: list[str] = []
-    evaluators = []
-
     for q in outputs:
         if q not in _QUANTITIES:
             raise ValueError(f"unknown quantity {q!r}; choose from {tuple(_QUANTITIES)}")
         if outputs.count(q) > 1:
             raise ValueError(f"quantity {q!r} given more than once")
+    obs = walks.node_observables(sd, times)
+    cells = slice(None) if node is None else slice(node, node + 1)
+    headers: list[str] = []
+    columns = [times]
+    for q in outputs:
         column, vector = _QUANTITIES[q]
-        first = 1 + len(headers)
         if column is not None and (vector is None or node is None):
             headers.append(q)
-            evaluators.append((slice(first, first + 1), column))
+            columns.append(column(obs))
         else:
             headers += [f"{q}_{j}" for j in range(sd.n)[cells]]
-            fn = lambda obs, vector=vector: vector(obs)[..., cells]
-            evaluators.append((slice(first, 1 + len(headers)), fn))
-    return headers, evaluators
-
-
-def _format_csv(sd, outputs, node, times) -> tuple[list[str], str]:
-    """The sweep's column headers and its CSV text, header line included.
-
-    One kernel call covers the whole grid. Its values fill one float table,
-    ``t`` and then every column, a row per time point, and
-    :func:`_format_table` formats the whole table; nothing is written here.
-    """
-    headers, evaluators = _columns(sd, outputs, node)
-    obs = walks.node_observables(sd, times)
-    table = np.empty((times.size, 1 + len(headers)))
-    table[:, 0] = times
-    for cols, fn in evaluators:
-        table[:, cols] = np.reshape(fn(obs), (times.size, -1))
+            columns.append(vector(obs)[..., cells])
+    table = np.column_stack(columns)
     return headers, _format_table(",".join(["t"] + headers), table)
 
 
@@ -316,78 +304,51 @@ def cmd_distance(args) -> int:
 # --- figure ------------------------------------------------------------------
 
 
-def _curve(label, kind, n, node, quantities, extra=None, seed=0):
-    return {
-        "label": label,
-        "kind": kind,
-        "n": n,
-        "extra": extra,
-        "node": node,
-        "quantities": quantities,
-        "graph": generate(kind, n, extra=extra, seed=seed),
-    }
-
-
-def _preset_curves(which: str, seed: int, n_panel: int) -> list[dict]:
+def _preset_curves(which: str, n_panel: int) -> list[tuple]:
+    """The preset's curves, each a spec ``(label, kind, n, extra, node, quantities)``."""
     if which == "fig1-left":
-        return [_curve(f"complete_{n}", "complete", n, None, ("qc",)) for n in (5, 10, 20)]
+        return [(f"complete_{n}", "complete", n, None, None, ("qc",)) for n in (5, 10, 20)]
     if which in ("fig1-center", "fig1-right"):
         # node 0 is the hub; its dynamics agree across all three graphs
         node, quantities = (0, ("conditional",)) if which == "fig1-center" else (None, ("qc",))
-        return [
-            _curve(f"{kind}_{n_panel}", kind, n_panel, node, quantities)
-            for kind in ("complete", "star", "wheel")
-        ]
+        kinds = ("complete", "star", "wheel")
+        return [(f"{kind}_{n_panel}", kind, n_panel, None, node, quantities) for kind in kinds]
     if which == "fig2":
-        curves = [_curve("ring_11", "ring", 11, 1, ("conditional",))]
-        curves += [
-            _curve(f"random_11_d{d}", "random_connected", 11, 1, ("conditional",), extra=d, seed=seed)
-            for d in (4, 6, 8, 10)
-        ]
-        return curves
+        random = [(f"random_11_d{d}", "random_connected", 11, d, 1, ("conditional",)) for d in (4, 6, 8, 10)]
+        return [("ring_11", "ring", 11, None, 1, ("conditional",))] + random
     if which in ("fig3-left", "fig3-right"):
         batch = [(11, d) for d in (4, 6, 8, 10)] + [(5, d) for d in (3, 4)]
         quantities = ("gamma_s", "gamma_l") if which == "fig3-left" else ("delta",)
-        return [
-            _curve(f"random_{n}_d{d}", "random_connected", n, None, quantities, extra=d, seed=seed)
-            for n, d in batch
-        ]
+        return [(f"random_{n}_d{d}", "random_connected", n, d, None, quantities) for n, d in batch]
     raise ValueError(f"unknown figure preset {which!r}")
 
 
 def cmd_figure(args) -> int:
-    curves = _preset_curves(args.which, args.seed, args.n)
+    curves = _preset_curves(args.which, args.n)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    for c in curves:
-        c["sd"] = eigendecompose(laplacian(c["graph"]))
+    # the seed reaches only random_connected; the other kinds ignore it
+    decompositions = [
+        eigendecompose(laplacian(generate(kind, n, extra=extra, seed=args.seed)))
+        for _, kind, n, extra, _, _ in curves
+    ]
     # one shared grid per preset so curves are directly comparable
-    grid = default_grid(min(c["sd"].fiedler for c in curves))
+    grid = default_grid(min(sd.fiedler for sd in decompositions))
     times = grid.times()
-
-    manifest = {
-        "figure": args.which,
-        "seed": args.seed,
-        "grid": asdict(grid),
-        "curves": [],
-    }
     # every curve is swept and formatted before any file is written
-    tables = [_format_csv(c["sd"], c["quantities"], c["node"], times) for c in curves]
-    for c, (headers, text) in zip(curves, tables):
-        path = out_dir / f"{args.which}_{c['label']}.csv"
+    tables = [
+        _format_csv(sd, quantities, node, times)
+        for sd, (*_, node, quantities) in zip(decompositions, curves)
+    ]
+    entries = []
+    for (label, kind, n, extra, node, _), (headers, text) in zip(curves, tables):
+        path = out_dir / f"{args.which}_{label}.csv"
         _write(str(path), text)
-        manifest["curves"].append(
-            {
-                "file": path.name,
-                "kind": c["kind"],
-                "n": c["n"],
-                "extra": c["extra"],
-                "node": c["node"],
-                "columns": ["t"] + headers,
-            }
-        )
+        columns = ["t"] + headers
+        entries.append({"file": path.name, "kind": kind, "n": n, "extra": extra, "node": node, "columns": columns})
         print(f"wrote {path}")
+    manifest = {"figure": args.which, "seed": args.seed, "grid": asdict(grid), "curves": entries}
     manifest_path = out_dir / f"{args.which}_manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {manifest_path}")

@@ -96,16 +96,17 @@ def reduce_propagators(props: np.ndarray, out: np.ndarray | None = None) -> Node
     writes. It is the reduction's work space and is overwritten, so the
     reduction allocates no array of its size. Every entry of exp(L t) is
     checked and clipped into [0, 1] first; an entry more negative than
-    roundoff allows means a corrupted decomposition and raises ValueError
-    naming the first such point's minimum. Then |a|^2 = re^2 + im^2 and |a|
-    its square root, all in real arithmetic, and the three stacks become
-    p |a|^2, |a| and sqrt(p) |a|, whose column sums give F, C and G.
+    roundoff allows, or a NaN one, means a corrupted decomposition and
+    raises ValueError naming the first such point's minimum. Then |a|^2 =
+    re^2 + im^2 and |a| its square root, all in real arithmetic, and the
+    three stacks become p |a|^2, |a| and sqrt(p) |a|, whose column sums give
+    F, C and G.
     ``out``, of shape ``(3,) + shape + (n,)``, receives F, C and G if
     given; the result is views of it.
     """
     p, re, im = props
     smallest = p.min(axis=(-2, -1))
-    bad = smallest < NEGATIVITY_TOL
+    bad = ~(smallest >= NEGATIVITY_TOL)  # a NaN minimum is bad too
     if bad.any():
         raise ValueError(f"classical distribution has negative entry {float(smallest[bad].flat[0]):.3e}")
     np.clip(p, 0.0, 1.0, out=p)

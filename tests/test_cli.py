@@ -312,16 +312,29 @@ def test_distance_quantity_list_in_help_and_error(monkeypatch, capsys):
     listed = "comma list from conditional,qc,average,coherence,gfid,short,long,gamma_s,gamma_l,delta\n"
     assert listed in capsys.readouterr().out
 
-    code, stdout, stderr = run(["distance", "--graph", "ring:5", "--quantities", "qc,bogus"], capsys)
-    assert code == 1 and stdout == ""
-    assert stderr == (
+    argv = ["distance", "--graph", "ring:5", "--quantities", "qc,bogus"]
+    unknown = (
         "qcwalk: error: unknown quantity 'bogus'; choose from ('conditional', 'qc', 'average', "
         "'coherence', 'gfid', 'short', 'long', 'gamma_s', 'gamma_l', 'delta')\n"
     )
+    assert run(argv, capsys) == (1, "", unknown)
+    # refused before the kernel runs, with or without --node
+    refuse_to_sweep(monkeypatch)
+    assert run(argv, capsys) == (1, "", unknown)
+    assert run(argv + ["--node", "2"], capsys) == (1, "", unknown)
+
+
+def refuse_to_sweep(monkeypatch) -> None:
+    """Make the CLI's kernel call fail the test: what it checks must be checked before any sweep."""
+
+    def no_sweep(sd, t):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr("qcwalk.walks.node_observables", no_sweep)
 
 
 @pytest.mark.parametrize("quantities", ["qc,qc", "conditional,average,conditional"])
-def test_distance_repeated_quantity_exits_one(quantities, tmp_path, capsys):
+def test_distance_repeated_quantity_exits_one(quantities, monkeypatch, tmp_path, capsys):
     # a repeated column name would make csv.DictReader drop one of the two columns
     argv = ["distance", "--graph", "ring:5", "--quantities", quantities]
     code, stdout, stderr = run(argv, capsys)
@@ -331,6 +344,10 @@ def test_distance_repeated_quantity_exits_one(quantities, tmp_path, capsys):
     out = tmp_path / "curve.csv"
     assert run(argv + ["--out", str(out)], capsys)[0] == 1
     assert not out.exists()
+    # refused before the kernel runs, with or without --node
+    refuse_to_sweep(monkeypatch)
+    for node in ([], ["--node", "2"]):
+        assert run(argv + node, capsys) == (1, "", stderr)
 
 
 @pytest.mark.parametrize("error, exit_code", [(ValueError, 1), (np.linalg.LinAlgError, 2)])
@@ -1110,6 +1127,76 @@ def test_verify_reports_a_refused_unit_as_failed_checks(monkeypatch, capsys):
         f"[FAIL] localized optimality on random_connected(4): {refusal}",
         "worst optimality margin: NA",
     ]
+
+
+def nan_on(n: int, stack: slice):
+    """For alter_the_route: NaN in ``stack`` of the (3, ..., n, n) stack, on n-node graphs only."""
+
+    def alter(props):
+        if props.shape[-1] == n:
+            props[stack] = np.nan
+
+    return alter
+
+
+def test_verify_fails_a_nan_unitary(monkeypatch, capsys):
+    # NaN in exp(i L t) on the family's six-node graphs, ring(6) and wheel(6): a NaN error is the
+    # worst error of its check wherever it falls, so every check that reads exp(i L t) there
+    # fails, although complete(5) comes first and its errors are finite
+    alter_the_route(monkeypatch, nan_on(6, slice(1, 3)))
+    code, stdout, stderr = run(["verify", "--n-max", "4", "--samples", "16"], capsys)
+    assert (code, stderr) == (3, "5 check(s) failed\n")
+    failed = [line for line in stdout.splitlines() if line.startswith("[FAIL]")]
+    assert [line.split(":")[0] for line in failed] == [
+        "[FAIL] unitary propagator unitary",
+        "[FAIL] unitary propagator group law",
+        "[FAIL] localized fidelity matches Uhlmann oracle",
+        "[FAIL] long-time plateau 1 - 1/n",
+        "[FAIL] regular graphs are node equivalent",
+    ]
+    assert all(": worst error nan (tolerance " in line and " at ring(6) " in line for line in failed)
+
+
+def test_verify_refuses_a_nan_heat_kernel(monkeypatch, capsys):
+    # NaN in exp(L t) on the six-node graphs: the kernel refuses it, so the invariant unit fails
+    import qcwalk.checks as checks
+
+    alter_the_route(monkeypatch, nan_on(6, slice(0, 1)))
+    code, stdout, stderr = run(["verify", "--n-max", "4", "--samples", "16"], capsys)
+    assert (code, stderr) == (3, "13 check(s) failed\n")
+    refusal = "refused: classical distribution has negative entry nan"
+    assert [line for line in stdout.splitlines() if line.startswith("[FAIL]")] == [
+        f"[FAIL] {name}: {refusal}" for name in checks._TOLERANCES
+    ]
+
+
+def test_distance_refuses_a_nan_heat_kernel(monkeypatch, tmp_path, capsys):
+    # a NaN heat kernel reaching F, C and G would print NA cells with exit 0
+    alter_the_route(monkeypatch, nan_on(5, slice(0, 1)))
+    out = tmp_path / "curve.csv"
+    code, stdout, stderr = run(["distance", "--graph", "ring:5", "--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == "qcwalk: error: classical distribution has negative entry nan\n"
+    assert not out.exists()
+
+
+def test_verify_reports_a_nan_margin_as_the_worst(monkeypatch, capsys):
+    # the largest size's margin is NaN: it fails its check and is the worst margin, though it
+    # comes after a finite one
+    import qcwalk.checks as checks
+
+    true_sweep = checks.verify_localized_optimality
+
+    def nan_at_four(sd, *args, **kwargs):
+        margins = true_sweep(sd, *args, **kwargs)
+        return np.full_like(margins, np.nan) if sd.n == 4 else margins
+
+    monkeypatch.setattr(checks, "verify_localized_optimality", nan_at_four)
+    code, stdout, stderr = run(["verify", "--n-max", "4", "--samples", "16"], capsys)
+    assert (code, stderr) == (3, "1 check(s) failed\n")
+    lines = stdout.splitlines()
+    assert lines[-2].startswith("[FAIL] localized optimality on random_connected(4): worst margin nan ")
+    assert lines[-1] == "worst optimality margin: nan"
 
 
 def test_verify_reports_a_lost_worker(monkeypatch, capsys):

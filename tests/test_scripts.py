@@ -126,3 +126,18 @@ def test_compare_outputs_reports_changed_cells(tmp_path):
     # fig1-left writes three curves of 400 rows and two columns
     assert re.fullmatch(re.escape(COMPARED_ARGVS[1]) + changed.format(3, 2400), lines[1]), lines[1]
     assert lines[2:] == [f"{COMPARED_ARGVS[2]}: identical", "3 argvs, 0 with a structural difference"]
+
+
+def test_a_failing_hypothesis_test_leaves_the_session_running(tmp_path):
+    # under the project's warning filters, hypothesis's failure report must not stop pytest
+    # with an internal error: the falsifying example is printed and the next test runs
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 5\n\n\n"
+        "def test_passes():\n    pass\n"
+    )
+    argv = [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "-p", "no:cacheprovider"]
+    proc = subprocess.run(argv + ["-q", "test_probe.py"], cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example: test_fails(" in proc.stdout
+    assert proc.stdout.splitlines()[-1].startswith("1 failed, 1 passed in ")
