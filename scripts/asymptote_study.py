@@ -11,11 +11,11 @@ once gamma_L settles at 1 and delta reaches 1/n.
 """
 
 import argparse
-from dataclasses import replace
 
 import numpy as np
 
-from qcwalk import default_grid, eigendecompose, graph_from_spec, laplacian
+from qcwalk import default_t_max, eigendecompose, graph_from_spec, laplacian, time_grid
+from qcwalk.config import DEFAULT_T_MIN
 from qcwalk.distance import delta_of, gamma_of, long_vector, qc_of, short_vector
 from qcwalk.walks import node_observables
 
@@ -30,7 +30,7 @@ def main() -> None:
     try:
         g = graph_from_spec(args.graph, seed=args.seed)
         sd = eigendecompose(laplacian(g))
-        times = replace(default_grid(sd.fiedler), steps=args.points).times()
+        times = time_grid(DEFAULT_T_MIN, default_t_max(sd.fiedler), args.points)
         obs = node_observables(sd, times)
     except ValueError as exc:  # a bad spec, seed or row count: exit 2, no traceback
         parser.error(str(exc))

@@ -8,7 +8,11 @@ directory. The default set is the benchmark's ``graph_level`` and
 (every CSV and the manifest), ``verify --n-max 10 --samples 4000`` at seeds 0,
 1 and 1301, and the degenerate-graph argv ``distance --node 1 --quantities
 conditional,coherence,gfid,short,long,delta,qc`` on complete:50, complete:200,
-ring:64, star:200, wheel:50 and wheel:200. ``--argv`` replaces the set.
+ring:64, star:200, wheel:50 and wheel:200. Then the grid's edge cases, each a
+``distance`` argv: a linear grid from t = 0 (NA gamma cells), a one-point
+grid, one node's default t_max of 10, an explicit ``--tmax`` and a log grid
+from 0 (refused, exit 1); and ``graph`` writing its edge list to a file and
+to stdout. ``--argv`` replaces the set.
 
 For each argv it prints ``identical``; or the number of changed CSV cells,
 their largest relative change and their largest change in units of the 12th
@@ -40,6 +44,16 @@ WORKLOADS = (
     "distance --graph random_connected:60:20 --quantities conditional,coherence,gfid,short,long --steps 40",
 )
 DEGENERATE = "distance --node 1 --quantities conditional,coherence,gfid,short,long,delta,qc --graph"
+#: the grid's edge cases, then graph's two writers: a file and stdout
+EDGE_CASES = (
+    "distance --graph ring:5 --linear --tmin 0 --tmax 2 --steps 21 --quantities qc,gamma_s,gamma_l,delta",
+    "distance --graph ring:5 --tmin 0 --steps 1 --quantities qc,gamma_l",
+    "distance --graph complete:1 --steps 3",
+    "distance --graph path:11 --tmax 50 --steps 7",
+    "distance --graph ring:5 --tmin 0 --steps 3",
+    "graph random_connected 11 6 --seed 3",
+    "graph ring 5 --out -",
+)
 
 
 def default_argvs() -> list[str]:
@@ -47,7 +61,7 @@ def default_argvs() -> list[str]:
     argvs += [f"figure {which} --out out" for which in FIGURES]
     argvs += [f"verify --n-max 10 --samples 4000 --seed {seed}" for seed in (0, 1, 1301)]
     specs = ("complete:50", "complete:200", "ring:64", "star:200", "wheel:50", "wheel:200")
-    return argvs + [f"{DEGENERATE} {spec}" for spec in specs]
+    return argvs + [f"{DEGENERATE} {spec}" for spec in specs] + list(EDGE_CASES)
 
 
 def run(tree: Path, argv: str) -> dict:

@@ -17,7 +17,7 @@ The package namespace holds the quick-start names; everything else lives
 in the submodules (graph, spectral, walks, distance, config, checks, cli).
 """
 
-from .config import TimeGrid, default_grid
+from .config import default_t_max, time_grid
 from .distance import distance_curve, qc_distance
 from .graph import (
     degree_sequence,

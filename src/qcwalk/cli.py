@@ -32,7 +32,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,7 @@ import numpy as np
 from . import distance as dist
 from . import walks
 from .checks import WorkerLostError, run_checks
-from .config import DEFAULT_STEPS, DEFAULT_T_MIN, TimeGrid, default_grid, default_t_max
+from .config import DEFAULT_STEPS, DEFAULT_T_MIN, default_t_max, time_grid
 from .distance import DisconnectedGraphError
 from .graph import (
     degree_sequence,
@@ -49,7 +48,6 @@ from .graph import (
     laplacian,
     read_edge_list,
     to_edge_list,
-    write_edge_list,
 )
 from .spectral import eigendecompose
 
@@ -259,12 +257,11 @@ def cmd_graph(args) -> int:
     dmax = int(degree_sequence(g).max())
     fiedler = _format_cell(eigendecompose(laplacian(g)).fiedler if g.n >= 2 else np.nan)
     summary = f"nodes={g.n} edges={len(g.edges)} max_degree={dmax} fiedler={fiedler}"
-    if args.out == "-":
-        sys.stdout.write(to_edge_list(g))
+    out = args.out or _default_edges_name(args)
+    _write(out, to_edge_list(g))
+    if out == "-":
         print(summary, file=sys.stderr)
     else:
-        out = args.out or _default_edges_name(args)
-        write_edge_list(g, out)
         print(summary)
         print(f"wrote {out}")
     return EXIT_OK
@@ -293,11 +290,11 @@ def cmd_distance(args) -> int:
     if t_max is None:
         # one node has no fiedler value, so its grid ends at t = 10
         t_max = default_t_max(sd.fiedler) if g.n >= 2 else 10.0
-    grid = TimeGrid(args.tmin, t_max, args.steps, "linear" if args.linear else "log")
+    times = time_grid(args.tmin, t_max, args.steps, "linear" if args.linear else "log")
     outputs = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
     if not outputs:
         raise ValueError("at least one output quantity is required")
-    _write(args.out, _format_csv(sd, outputs, args.node, grid.times())[1])
+    _write(args.out, _format_csv(sd, outputs, args.node, times)[1])
     return EXIT_OK
 
 
@@ -334,8 +331,9 @@ def cmd_figure(args) -> int:
         for _, kind, n, extra, _, _ in curves
     ]
     # one shared grid per preset so curves are directly comparable
-    grid = default_grid(min(sd.fiedler for sd in decompositions))
-    times = grid.times()
+    fiedler = min(sd.fiedler for sd in decompositions)
+    grid = {"t_min": DEFAULT_T_MIN, "t_max": default_t_max(fiedler), "steps": DEFAULT_STEPS, "spacing": "log"}
+    times = time_grid(**grid)
     # every curve is swept and formatted before any file is written
     tables = [
         _format_csv(sd, quantities, node, times)
@@ -348,7 +346,7 @@ def cmd_figure(args) -> int:
         columns = ["t"] + headers
         entries.append({"file": path.name, "kind": kind, "n": n, "extra": extra, "node": node, "columns": columns})
         print(f"wrote {path}")
-    manifest = {"figure": args.which, "seed": args.seed, "grid": asdict(grid), "curves": entries}
+    manifest = {"figure": args.which, "seed": args.seed, "grid": grid, "curves": entries}
     manifest_path = out_dir / f"{args.which}_manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {manifest_path}")

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["TimeGrid", "default_grid"]
+__all__ = ["time_grid"]
 
 #: the default grid's first time and point count (also the CLI's --tmin and --steps)
 DEFAULT_T_MIN = 1e-2
@@ -27,47 +25,33 @@ def check_grid(times) -> np.ndarray:
     return times
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Sampling grid on the time axis.
+def time_grid(t_min: float, t_max: float, steps: int, spacing: str = "log") -> np.ndarray:
+    """``steps`` points from ``t_min`` to ``t_max``, ``spacing`` "linear" or "log"; a read-only array.
 
-    ``steps`` counts sample points. Endpoints are included whenever there
-    are two or more points; a single-point grid is just [t_min], which is
-    how a run at one instant (including t = 0) is requested. Log spacing
-    needs t_min > 0. The points must pass :func:`check_grid`; they are formed
-    once, when the grid is built (``dataclasses.replace`` builds a new grid).
+    Endpoints are included whenever there are two or more points; a
+    single-point grid is just [t_min], which is how a run at one instant
+    (including t = 0) is requested. Log spacing needs t_min > 0. The points
+    must pass :func:`check_grid`; anything else raises ValueError.
     """
-
-    t_min: float
-    t_max: float
-    steps: int
-    spacing: str = "log"
-
-    def __post_init__(self):
-        if self.spacing not in ("linear", "log"):
-            raise ValueError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        if self.steps < 1:
-            raise ValueError("grid needs at least one point")
-        if not (np.isfinite(self.t_min) and np.isfinite(self.t_max)):
-            raise ValueError("t_min and t_max must be finite")
-        # endpoints first: geomspace warns on opposite signs, linspace overflows on huge ones
-        check_grid((self.t_min, self.t_max)[: self.steps])
-        if self.spacing == "log" and self.t_min <= 0 and self.steps > 1:
-            raise ValueError("log spacing requires t_min > 0")
-        if self.steps == 1:
-            points = np.array([float(self.t_min)])
-        elif self.spacing == "linear":
-            points = np.linspace(self.t_min, self.t_max, self.steps)
-        else:
-            points = np.geomspace(self.t_min, self.t_max, self.steps)
-        points = check_grid(points)
-        points.setflags(write=False)
-        # not a field: asdict (the figure manifest's grid block) and == see only the four above
-        object.__setattr__(self, "_points", points)
-
-    def times(self) -> np.ndarray:
-        """The grid points, formed once at construction; a read-only array."""
-        return self._points
+    if spacing not in ("linear", "log"):
+        raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
+    if steps < 1:
+        raise ValueError("grid needs at least one point")
+    if not (np.isfinite(t_min) and np.isfinite(t_max)):
+        raise ValueError("t_min and t_max must be finite")
+    # endpoints first: geomspace warns on opposite signs, linspace overflows on huge ones
+    check_grid((t_min, t_max)[:steps])
+    if spacing == "log" and t_min <= 0 and steps > 1:
+        raise ValueError("log spacing requires t_min > 0")
+    if steps == 1:
+        points = np.array([float(t_min)])
+    elif spacing == "linear":
+        points = np.linspace(t_min, t_max, steps)
+    else:
+        points = np.geomspace(t_min, t_max, steps)
+    points = check_grid(points)
+    points.setflags(write=False)
+    return points
 
 
 def default_t_max(fiedler: float) -> float:
@@ -80,7 +64,3 @@ def default_t_max(fiedler: float) -> float:
         raise ValueError("default grid needs a positive fiedler value")
     return max(float(round(100.0 / fiedler)), 1.0)
 
-
-def default_grid(fiedler: float) -> TimeGrid:
-    """Log grid from DEFAULT_T_MIN out to :func:`default_t_max`, DEFAULT_STEPS points."""
-    return TimeGrid(DEFAULT_T_MIN, default_t_max(fiedler), DEFAULT_STEPS, "log")

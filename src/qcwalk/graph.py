@@ -27,7 +27,6 @@ __all__ = [
     "degree_sequence",
     "to_edge_list",
     "parse_edge_list",
-    "write_edge_list",
     "read_edge_list",
 ]
 
@@ -217,10 +216,6 @@ def parse_edge_list(text: str) -> Graph:
     if n is None:
         raise ValueError("edge list has no node-count line")
     return graph_from_edges(n, edges)
-
-
-def write_edge_list(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(to_edge_list(g))
 
 
 def read_edge_list(path: str | Path) -> Graph:

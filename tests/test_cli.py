@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ from conftest import count_eigensolves
 from qcwalk import eigendecompose, generate, graph_from_spec, laplacian, read_edge_list
 import qcwalk.cli as cli
 from qcwalk.cli import _QUANTITIES, _format_cell, _format_table, main
-from qcwalk.config import TimeGrid, default_grid, default_t_max
+from qcwalk.config import default_t_max, time_grid
 from qcwalk.spectral import PAIR_PRODUCT_MAX_N
 from qcwalk.walks import node_observables, time_blocks
 
@@ -42,58 +41,63 @@ def read_csv(text):
 
 
 def test_time_grid_points():
-    lin = TimeGrid(0.0, 2.0, 5, "linear").times()
+    lin = time_grid(0.0, 2.0, 5, "linear")
     assert np.array_equal(lin, [0.0, 0.5, 1.0, 1.5, 2.0])
-    log = TimeGrid(1e-2, 10.0, 4, "log").times()
+    log = time_grid(1e-2, 10.0, 4, "log")
     assert log[0] == pytest.approx(1e-2)
     assert log[-1] == pytest.approx(10.0)
     assert np.all(np.diff(log) > 0)
-    assert np.array_equal(TimeGrid(0.0, 1.0, 1, "linear").times(), [0.0])
+    assert np.array_equal(time_grid(0.0, 1.0, 1, "linear"), [0.0])
+    assert np.array_equal(time_grid(1e-2, 200.0, 3), np.geomspace(1e-2, 200.0, 3))  # log by default
 
 
 def test_time_grid_validation():
     with pytest.raises(ValueError):
-        TimeGrid(0.0, 1.0, 5, "log")
+        time_grid(0.0, 1.0, 5, "log")
     with pytest.raises(ValueError):
-        TimeGrid(1.0, 0.5, 5, "linear")
+        time_grid(1.0, 0.5, 5, "linear")
     with pytest.raises(ValueError):
-        TimeGrid(0.0, 1.0, 0, "linear")
+        time_grid(0.0, 1.0, 0, "linear")
     with pytest.raises(ValueError):
-        TimeGrid(-1.0, 1.0, 5, "linear")
+        time_grid(-1.0, 1.0, 5, "linear")
     with pytest.raises(ValueError):
-        TimeGrid(0.0, 1.0, 5, "cubic")
+        time_grid(0.0, 1.0, 5, "cubic")
     with pytest.raises(ValueError):
-        TimeGrid(float("nan"), 1.0, 1, "linear")
+        time_grid(float("nan"), 1.0, 1, "linear")
     with pytest.raises(ValueError):
-        TimeGrid(1e-2, float("inf"), 3, "log")
+        time_grid(1e-2, float("inf"), 3, "log")
     # endpoints one ulp apart: the spaced points repeat, so the grid rule refuses them
     for spacing in ("linear", "log"):
         with pytest.raises(ValueError, match="strictly increasing"):
-            TimeGrid(1.0, 1.0 + 2.2e-16, 3, spacing)
+            time_grid(1.0, 1.0 + 2.2e-16, 3, spacing)
 
 
 def test_time_grid_forms_its_points_once():
-    grid = default_grid(0.5)
-    points = grid.times()
-    assert points is grid.times() and points.size == 400
-    with pytest.raises(ValueError):
-        points[0] = 0.0  # read-only
-    # the figure manifest's grid block holds the four fields, not the points
-    assert asdict(grid) == {"t_min": 1e-2, "t_max": 200.0, "steps": 400, "spacing": "log"}
-    # replace builds a new grid, which forms its own points
-    fewer = replace(grid, steps=3)
-    assert fewer == TimeGrid(1e-2, 200.0, 3)
-    assert np.array_equal(fewer.times(), np.geomspace(1e-2, 200.0, 3))
-    assert grid.times() is points
+    for points in (time_grid(1e-2, 200.0, 400), time_grid(0.0, 1.0, 1, "linear")):
+        with pytest.raises(ValueError):
+            points[0] = 0.5  # read-only
 
 
 def test_default_grid_spans_relaxation():
-    grid = default_grid(0.317492934338)
-    assert grid.t_min == 1e-2
-    assert grid.t_max == 315.0
-    assert grid.steps == 400
-    grid = default_grid(5.0)
-    assert grid.t_max == 20.0
+    assert default_t_max(0.317492934338) == 315.0
+    assert default_t_max(5.0) == 20.0
+    assert default_t_max(200.0) == 1.0  # at least 1
+
+
+@pytest.mark.parametrize("which", ["fig1-left", "fig3-left"])
+def test_figure_manifest_grid_block(which, tmp_path, capsys):
+    # the manifest's grid block is the four values the preset's one grid is built from,
+    # and every CSV's t column is that grid
+    assert main(["figure", which, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / f"{which}_manifest.json").read_text())
+    graphs = [generate(c["kind"], c["n"], extra=c["extra"], seed=manifest["seed"]) for c in manifest["curves"]]
+    fiedler = min(eigendecompose(laplacian(g)).fiedler for g in graphs)
+    grid = {"t_min": 0.01, "t_max": default_t_max(fiedler), "steps": 400, "spacing": "log"}
+    assert manifest["grid"] == grid
+    for curve in manifest["curves"]:
+        _, rows = read_csv((tmp_path / curve["file"]).read_text())
+        assert [row[0] for row in rows] == [_format_cell(t) for t in time_grid(**grid)]
 
 
 def test_graph_from_spec_tokens():
@@ -664,7 +668,7 @@ def reference_csv(spec, seed, quantities, node=None, tmin=1e-2, steps=400) -> by
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(header)
-    for t in TimeGrid(tmin, default_grid(sd.fiedler).t_max, steps).times():
+    for t in time_grid(tmin, default_t_max(sd.fiedler), steps):
         obs = node_observables(sd, float(t))
         writer.writerow([reference_cell(t)] + [reference_cell(v) for cells in cells_of for v in cells(obs)])
     return buf.getvalue().encode()
@@ -1164,7 +1168,7 @@ def test_verify_refuses_a_nan_heat_kernel(monkeypatch, capsys):
     alter_the_route(monkeypatch, nan_on(6, slice(0, 1)))
     code, stdout, stderr = run(["verify", "--n-max", "4", "--samples", "16"], capsys)
     assert (code, stderr) == (3, "13 check(s) failed\n")
-    refusal = "refused: classical distribution has negative entry nan"
+    refusal = "refused: heat kernel exp(L t) has a NaN entry: the decomposition is corrupt"
     assert [line for line in stdout.splitlines() if line.startswith("[FAIL]")] == [
         f"[FAIL] {name}: {refusal}" for name in checks._TOLERANCES
     ]
@@ -1176,7 +1180,7 @@ def test_distance_refuses_a_nan_heat_kernel(monkeypatch, tmp_path, capsys):
     out = tmp_path / "curve.csv"
     code, stdout, stderr = run(["distance", "--graph", "ring:5", "--out", str(out)], capsys)
     assert (code, stdout) == (1, "")
-    assert stderr == "qcwalk: error: classical distribution has negative entry nan\n"
+    assert stderr == "qcwalk: error: heat kernel exp(L t) has a NaN entry: the decomposition is corrupt\n"
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from qcwalk import graph as G
+from qcwalk.cli import main
 from qcwalk.spectral import eigendecompose
 
 
@@ -198,10 +199,11 @@ def test_edge_list_round_trip(g):
     assert G.parse_edge_list(G.to_edge_list(g)) == g
 
 
-def test_edge_list_file_round_trip(tmp_path):
+def test_edge_list_file_round_trip(tmp_path, capsys):
     g = G.generate("random_connected", 11, extra=6, seed=3)
     path = tmp_path / "g.edges"
-    G.write_edge_list(g, path)
+    assert main(["graph", "random_connected", "11", "6", "--seed", "3", "--out", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {path}"
     assert G.read_edge_list(path) == g
 
 

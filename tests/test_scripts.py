@@ -1,7 +1,9 @@
 """Smoke tests: the example scripts and the README quick start run against the package namespace."""
 
+import importlib.util
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -126,6 +128,18 @@ def test_compare_outputs_reports_changed_cells(tmp_path):
     # fig1-left writes three curves of 400 rows and two columns
     assert re.fullmatch(re.escape(COMPARED_ARGVS[1]) + changed.format(3, 2400), lines[1]), lines[1]
     assert lines[2:] == [f"{COMPARED_ARGVS[2]}: identical", "3 argvs, 0 with a structural difference"]
+
+
+def test_compare_outputs_default_argvs_parse():
+    # an argv both trees refuse with a usage error compares identical, so a typo in the
+    # default set would go unseen: every default argv must get past the parser
+    from qcwalk.cli import build_parser
+
+    spec = importlib.util.spec_from_file_location("compare_outputs", ROOT / "scripts" / "compare_outputs.py")
+    compare_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_outputs)
+    for argv in compare_outputs.default_argvs():
+        build_parser().parse_args(shlex.split(argv))
 
 
 def test_a_failing_hypothesis_test_leaves_the_session_running(tmp_path):
