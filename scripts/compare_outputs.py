@@ -17,9 +17,10 @@ to stdout. ``--argv`` replaces the set.
 For each argv it prints ``identical``; or the number of changed CSV cells,
 their largest relative change and their largest change in units of the 12th
 significant digit; or the ``verify`` lines that differ. A structural
-difference (exit code, header, row count, file set, manifest, a cell turning
-NA, a verdict or the number of ``verify`` lines) is printed as
-``STRUCTURAL`` and makes the exit code 1; otherwise it is 0.
+difference (exit code, stderr, header, row count, file set, manifest, a cell
+turning NA, a verdict or the number of ``verify`` lines) is printed as
+``STRUCTURAL`` and makes the exit code 1; otherwise it is 0. Stderr holds
+the error messages and ``graph``'s summary, so it must match byte for byte.
 
     python3 scripts/compare_outputs.py ../parent
     python3 scripts/compare_outputs.py ../parent --argv "distance --graph ring:5 --steps 5"
@@ -65,14 +66,15 @@ def default_argvs() -> list[str]:
 
 
 def run(tree: Path, argv: str) -> dict:
-    """Exit code, stdout and every file an argv writes, run in ``tree`` from an empty directory."""
+    """Exit code, stdout, stderr and every file an argv writes, run in ``tree`` from an empty directory."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     with tempfile.TemporaryDirectory() as cwd:
         argv = [sys.executable, "-m", "qcwalk.cli", *shlex.split(argv)]
         proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True)
         paths = sorted(p for p in Path(cwd).rglob("*") if p.is_file())
         files = {str(p.relative_to(cwd)): p.read_bytes().decode() for p in paths}
-    return {"code": proc.returncode, "stdout": proc.stdout.decode(), "files": files}
+    out, err = proc.stdout.decode(), proc.stderr.decode()
+    return {"code": proc.returncode, "stdout": out, "stderr": err, "files": files}
 
 
 def compare_csv(old: str, new: str) -> tuple[list[tuple[float, float]], str | None]:
@@ -99,6 +101,8 @@ def compare(old: dict, new: dict) -> tuple[str, bool]:
     """One argv's report (a line, or a line and the lines that differ), and whether it is structural."""
     if old["code"] != new["code"]:
         return f"STRUCTURAL: exit code {old['code']} became {new['code']}", True
+    if old["stderr"] != new["stderr"]:
+        return f"STRUCTURAL: stderr {old['stderr']!r} became {new['stderr']!r}", True
     if list(old["files"]) != list(new["files"]):
         return f"STRUCTURAL: files {list(old['files'])} became {list(new['files'])}", True
     tables = [(name, a, new["files"][name]) for name, a in old["files"].items() if name.endswith(".csv")]

@@ -1,11 +1,11 @@
 """Undirected graphs, their Laplacians, and deterministic graph generators.
 
-Graphs are plain node-count-plus-edge-tuple values; the Laplacian is an
-explicit dense symmetric matrix with the negative sign convention: entry
-(j, j) is minus the degree of node j, off-diagonal entries are 1 exactly on
-edges, so every row sums to zero and all eigenvalues are nonpositive.
-Everything is desk scale (hundreds of nodes, dense storage) and immutable
-after construction, so instances are safe to share between threads.
+Graphs are plain node-count-plus-edge-tuple values, immutable after
+construction; the Laplacian is a read-only dense symmetric float array with
+the negative sign convention: entry (j, j) is minus the degree of node j,
+off-diagonal entries are 1 exactly on edges, so every row sums to zero and
+all eigenvalues are nonpositive. Everything is desk scale (hundreds of
+nodes, dense storage) and read-only, so it is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "Graph",
-    "Laplacian",
     "GENERATOR_KINDS",
     "graph_from_edges",
     "generate",
@@ -66,25 +65,6 @@ class Graph:
             if u > v or e < prev:
                 raise ValueError(f"edge {e} is not canonical for n={n}")
             prev = e
-
-
-@dataclass(frozen=True)
-class Laplacian:
-    """Dense graph Laplacian (negative diagonal convention)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("Laplacian must be a square matrix")
-        if not np.array_equal(m, m.T):
-            raise ValueError("Laplacian must be exactly symmetric")
-        worst_row = float(np.abs(m.sum(axis=1)).max()) if m.size else 0.0
-        if worst_row > 1e-12:
-            raise ValueError(f"Laplacian rows must sum to zero (max |sum| = {worst_row:.3e})")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
 
 def graph_from_edges(n: int, edges) -> Graph:
@@ -164,13 +144,14 @@ def graph_from_spec(token: str, seed: int = 0) -> Graph:
     return generate(parts[0], n, extra=extra, seed=seed)
 
 
-def laplacian(g: Graph) -> Laplacian:
-    """Laplacian of ``g``: 1 on edges, minus the degree on the diagonal."""
+def laplacian(g: Graph) -> np.ndarray:
+    """Laplacian of ``g``, a read-only float matrix: 1 on edges, minus the degree on the diagonal."""
     m = np.zeros((g.n, g.n))
     for u, v in g.edges:
         m[u, v] = m[v, u] = 1.0
     np.fill_diagonal(m, -m.sum(axis=1))
-    return Laplacian(m)
+    m.setflags(write=False)
+    return m
 
 
 def degree_sequence(g: Graph) -> np.ndarray:

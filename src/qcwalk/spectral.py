@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Laplacian
-
 __all__ = [
     "SpectralDecomposition",
     "eigendecompose",
@@ -95,8 +93,13 @@ class SpectralDecomposition:
         return abs(float(self.eigenvalues[1]))
 
 
-def eigendecompose(lap: Laplacian) -> SpectralDecomposition:
-    """Symmetric eigendecomposition sorted by |eigenvalue|, zero mode first.
+def eigendecompose(matrix) -> SpectralDecomposition:
+    """Symmetric eigendecomposition of a Laplacian, sorted by |eigenvalue|, zero mode first.
+
+    ``matrix``, taken as a float array, must be square, exactly symmetric and
+    have row sums within 1e-12 of zero, checked in that order; else ValueError:
+    ``Laplacian must be a square matrix``, ``... exactly symmetric`` or
+    ``Laplacian rows must sum to zero (max |sum| = ...)``.
 
     eigh spreads an exactly repeated eigenvalue, and the phases e^{i lambda t}
     of one eigenspace then drift apart by t times the spread. So neighbours of
@@ -106,7 +109,15 @@ def eigendecompose(lap: Laplacian) -> SpectralDecomposition:
     at large t; if it has one member (a connected graph) its vector is the
     flat 1/sqrt(n). The stable argsort by modulus puts that cluster first.
     """
-    vals, vecs = np.linalg.eigh(lap.matrix)
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("Laplacian must be a square matrix")
+    if not np.array_equal(m, m.T):
+        raise ValueError("Laplacian must be exactly symmetric")
+    worst_row = float(np.abs(m.sum(axis=1)).max()) if m.size else 0.0
+    if worst_row > 1e-12:
+        raise ValueError(f"Laplacian rows must sum to zero (max |sum| = {worst_row:.3e})")
+    vals, vecs = np.linalg.eigh(m)
     tol = vals.size * np.finfo(float).eps * np.abs(vals).max()
     cluster = np.concatenate(([0], np.cumsum(np.diff(vals) > tol)))
     size = np.bincount(cluster)

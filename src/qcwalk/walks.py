@@ -95,12 +95,14 @@ def reduce_propagators(props: np.ndarray, out: np.ndarray | None = None) -> Node
     exp(L t), Re exp(i L t) and Im exp(i L t), the layout real_propagators
     writes. It is the reduction's work space and is overwritten, so the
     reduction allocates no array of its size. Every entry of exp(L t) is
-    checked and clipped into [0, 1] first; an entry more negative than
-    roundoff allows, or a NaN one, means a corrupted decomposition and
-    raises ValueError, for the first such point, naming its NaN or else its
-    negative minimum. Then |a|^2 = re^2 + im^2 and |a| its square root, all
-    in real arithmetic, and the three stacks become p |a|^2, |a| and
-    sqrt(p) |a|, whose column sums give F, C and G.
+    checked and clipped into [0, 1] first: for the first point with a NaN
+    entry ValueError says ``heat kernel exp(L t) has a NaN entry: ...``, and
+    for one with an entry more negative than roundoff allows ``classical
+    distribution has negative entry ...``. Then |a|^2 = re^2 + im^2 and |a|
+    its square root, all in real arithmetic, and the three stacks become
+    p |a|^2, |a| and sqrt(p) |a|, whose column sums give F, C and G. A
+    non-finite sum can then only come from exp(i L t): ValueError ``unitary
+    exp(i L t) has a non-finite entry: the decomposition is corrupt``.
     ``out``, of shape ``(3,) + shape + (n,)``, receives F, C and G if
     given; the result is views of it.
     """
@@ -122,6 +124,8 @@ def reduce_propagators(props: np.ndarray, out: np.ndarray | None = None) -> Node
     im *= re  # sqrt(p) |a|
     # column sums as stacked vector-matrix products (BLAS), not strided reductions
     out = np.matmul(np.ones(p.shape[-1]), props, out=out)
+    if not np.isfinite(out).all():  # p is finite by now, so a NaN or inf came from the unitary
+        raise ValueError("unitary exp(i L t) has a non-finite entry: the decomposition is corrupt")
     fidelity, coherence, gfid = out
     np.clip(fidelity, 0.0, 1.0, out=fidelity)
     np.square(coherence, out=coherence)

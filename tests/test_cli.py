@@ -977,19 +977,18 @@ def test_verify_detects_tampered_fidelity(monkeypatch, capsys):
 
 def test_verify_zero_mode_check_reads_its_own_spectrum(monkeypatch, capsys):
     # eigendecompose would pin this shifted zero mode to 0.0; the check must not trust it
-    import types
-
     import qcwalk.checks as checks
 
-    true_laplacian = checks.laplacian
+    true_laplacian, true_decompose = checks.laplacian, checks.eigendecompose
 
     def shifted(g):
         lap = true_laplacian(g)
-        if g.n != 4:
-            return lap
-        return types.SimpleNamespace(matrix=lap.matrix + 1e-6 * np.eye(4), n=4)
+        return lap + 1e-6 * np.eye(4) if g.n == 4 else lap
 
     monkeypatch.setattr(checks, "laplacian", shifted)
+    # eigendecompose refuses the shifted rows, so it is given the unshifted matrix (a
+    # Laplacian's entries are integers) and only the check's own eigvalsh sees the shift
+    monkeypatch.setattr(checks, "eigendecompose", lambda lap: true_decompose(np.round(lap)))
     code, stdout, _ = run(["verify", "--n-max", "3", "--samples", "4"], capsys)
     assert code == 3
     (line,) = [line for line in stdout.splitlines() if "zero mode" in line]
@@ -1090,7 +1089,7 @@ def test_verify_reraises_the_first_exception_in_report_order(failures, code, std
 
     def failing_decompose(lap):
         # n = 5 is a family graph (complete(5), the first), never a size of --n-max 4
-        if len(lap.matrix) == 5:
+        if len(lap) == 5:
             raise np.linalg.LinAlgError("complete(5) failed")
         return true_decompose(lap)
 
@@ -1144,21 +1143,17 @@ def nan_on(n: int, stack: slice):
 
 
 def test_verify_fails_a_nan_unitary(monkeypatch, capsys):
-    # NaN in exp(i L t) on the family's six-node graphs, ring(6) and wheel(6): a NaN error is the
-    # worst error of its check wherever it falls, so every check that reads exp(i L t) there
-    # fails, although complete(5) comes first and its errors are finite
+    # NaN in exp(i L t) on the family's six-node graphs, ring(6) and wheel(6): the kernel refuses
+    # the non-finite column sums it leaves, so every check of the invariant unit fails
+    import qcwalk.checks as checks
+
     alter_the_route(monkeypatch, nan_on(6, slice(1, 3)))
     code, stdout, stderr = run(["verify", "--n-max", "4", "--samples", "16"], capsys)
-    assert (code, stderr) == (3, "5 check(s) failed\n")
-    failed = [line for line in stdout.splitlines() if line.startswith("[FAIL]")]
-    assert [line.split(":")[0] for line in failed] == [
-        "[FAIL] unitary propagator unitary",
-        "[FAIL] unitary propagator group law",
-        "[FAIL] localized fidelity matches Uhlmann oracle",
-        "[FAIL] long-time plateau 1 - 1/n",
-        "[FAIL] regular graphs are node equivalent",
+    assert (code, stderr) == (3, "13 check(s) failed\n")
+    refusal = "refused: unitary exp(i L t) has a non-finite entry: the decomposition is corrupt"
+    assert [line for line in stdout.splitlines() if line.startswith("[FAIL]")] == [
+        f"[FAIL] {name}: {refusal}" for name in checks._TOLERANCES
     ]
-    assert all(": worst error nan (tolerance " in line and " at ring(6) " in line for line in failed)
 
 
 def test_verify_refuses_a_nan_heat_kernel(monkeypatch, capsys):
@@ -1181,6 +1176,17 @@ def test_distance_refuses_a_nan_heat_kernel(monkeypatch, tmp_path, capsys):
     code, stdout, stderr = run(["distance", "--graph", "ring:5", "--out", str(out)], capsys)
     assert (code, stdout) == (1, "")
     assert stderr == "qcwalk: error: heat kernel exp(L t) has a NaN entry: the decomposition is corrupt\n"
+    assert not out.exists()
+
+
+def test_distance_refuses_a_nan_unitary(monkeypatch, tmp_path, capsys):
+    # a NaN unitary reaching F, C and G would print NA cells with exit 0
+    alter_the_route(monkeypatch, nan_on(5, slice(1, 3)))
+    out = tmp_path / "curve.csv"
+    argv = ["distance", "--graph", "ring:5", "--steps", "3", "--quantities", "qc,conditional", "--out", str(out)]
+    code, stdout, stderr = run(argv, capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == "qcwalk: error: unitary exp(i L t) has a non-finite entry: the decomposition is corrupt\n"
     assert not out.exists()
 
 

@@ -48,6 +48,22 @@ def test_graph_from_edges_rejects_bad_input():
         G.graph_from_edges(0, [])
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (((0, 3),), "edge (0, 3) has an endpoint outside [0, 3)"),
+        (((1, 1),), "self-loop (1, 1) is not allowed"),
+        (((0, 1), (0, 1)), "duplicate edge (0, 1)"),
+        (((1, 0),), "edge (1, 0) is not canonical for n=3"),
+        (((0, 2), (0, 1)), "edge (0, 1) is not canonical for n=3"),
+    ],
+)
+def test_graph_refusal_names_the_edge(edges, message):
+    with pytest.raises(ValueError) as exc:
+        G.Graph(3, edges)
+    assert str(exc.value) == message
+
+
 def test_node_count_rule_names_the_count(tmp_path, capsys):
     from qcwalk.cli import main
 
@@ -125,14 +141,14 @@ def test_random_connected_keeps_ring_backbone():
 @given(graphs)
 @settings(max_examples=60, deadline=None)
 def test_laplacian_rows_symmetry_trace(g):
-    lap = G.laplacian(g).matrix
+    lap = G.laplacian(g)
     assert np.array_equal(lap, lap.T)
     assert np.abs(lap.sum(axis=1)).max() <= 1e-12
     assert np.trace(lap) == -2.0 * len(g.edges)
 
 
 def test_laplacian_matrix_values():
-    lap = G.laplacian(G.generate("path", 3)).matrix
+    lap = G.laplacian(G.generate("path", 3))
     expected = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
     assert np.array_equal(lap, expected)
 
@@ -140,7 +156,7 @@ def test_laplacian_matrix_values():
 def test_laplacian_is_read_only():
     lap = G.laplacian(G.generate("ring", 4))
     with pytest.raises(ValueError):
-        lap.matrix[0, 0] = 5.0
+        lap[0, 0] = 5.0
 
 
 def test_degree_helpers():

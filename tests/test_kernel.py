@@ -65,7 +65,7 @@ def test_kernel_matches_expm(label, g):
     n = g.n
     for t in TIMES:
         obs = node_observables(sd, t)
-        f, c, gf = expm_observables(lap.matrix, t)
+        f, c, gf = expm_observables(lap, t)
         assert_close(obs.fidelity, f, f"{label} F at t={t:.3g}")
         assert_close(obs.coherence, c, f"{label} C at t={t:.3g}")
         assert_close(obs.gfid, gf, f"{label} G at t={t:.3g}")
@@ -114,8 +114,8 @@ def test_real_propagators_are_the_propagator_pair(n):
     # against expm, within the phase error of order t eps max|lambda|
     bound = 1e-12 + 10 * t * EPS * np.abs(sd.eigenvalues).max()
     for i, ti in enumerate(t):
-        u = expm(1j * lap.matrix * ti)
-        for got, want in zip(props[:, i], (expm(lap.matrix * ti), u.real, u.imag)):
+        u = expm(1j * lap * ti)
+        for got, want in zip(props[:, i], (expm(lap * ti), u.real, u.imag)):
             assert np.abs(got - want).max() <= bound[i], ti
     # written into a caller's buffer, the result is that buffer with the same bits
     out = np.empty((3, 9, n, n))

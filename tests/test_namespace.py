@@ -122,3 +122,29 @@ def test_every_public_name_is_read_or_reexported(name):
     public = set(importlib.import_module(f"qcwalk.{name}").__all__)
     unused = public - PACKAGE_READS - REEXPORTED
     assert not unused, f"qcwalk.{name} lists {sorted(unused)} in __all__, which no module of the package reads"
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The qcwalk modules a module imports, relatively (``from .graph``, ``from . import walks``) or by name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1 and not module:
+                found.update(alias.name for alias in node.names)
+            elif node.level == 1 or module.startswith("qcwalk."):
+                found.add(module.removeprefix("qcwalk.").split(".")[0])
+            elif module == "qcwalk":
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("qcwalk."))
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_a_module_imports_only_earlier_layers(name):
+    # the layers stack in MODULES order; spectral decomposes whatever Laplacian it is given,
+    # so it does not import graph, the layer that builds one
+    earlier = set(MODULES[: MODULES.index(name)]) - ({"graph"} if name == "spectral" else set())
+    imported = _package_imports(PACKAGE[f"{name}.py"])
+    assert imported <= earlier, f"qcwalk.{name} imports {sorted(imported - earlier)}, not layers below it"

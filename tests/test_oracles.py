@@ -307,7 +307,7 @@ def expm_oracle(g, t: float) -> dict[str, list[float]]:
     read as 0, as in ring_oracle.
     """
     with mpmath.workdps(50):
-        lap = mpmath.matrix(laplacian(g).matrix.tolist())
+        lap = mpmath.matrix(laplacian(g).tolist())
         t_ = mpmath.mpf(t)
         heat, wave = mpmath.expm(lap * t_), mpmath.expm(lap * mpmath.mpc(0, t_))
         values = {"F": [], "C": [], "1 - G": []}

@@ -95,8 +95,8 @@ COMPARED_ARGVS = [
 ]
 
 
-def compare_with_copy(tmp_path, patch=None):
-    """compare_outputs.py on COMPARED_ARGVS, against a copy of this tree's src with ``patch`` applied."""
+def compare_with_copy(tmp_path, patch=None, argvs=COMPARED_ARGVS):
+    """compare_outputs.py on ``argvs``, against a copy of this tree's src with ``patch`` applied."""
     src = tmp_path / "copy" / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     if patch is not None:
@@ -104,7 +104,7 @@ def compare_with_copy(tmp_path, patch=None):
         text = (src / path).read_text()
         assert old in text
         (src / path).write_text(text.replace(old, new))
-    argv = [arg for a in COMPARED_ARGVS for arg in ("--argv", a)]
+    argv = [arg for a in argvs for arg in ("--argv", a)]
     return run_script("compare_outputs.py", str(tmp_path / "copy"), *argv)
 
 
@@ -128,6 +128,19 @@ def test_compare_outputs_reports_changed_cells(tmp_path):
     # fig1-left writes three curves of 400 rows and two columns
     assert re.fullmatch(re.escape(COMPARED_ARGVS[1]) + changed.format(3, 2400), lines[1]), lines[1]
     assert lines[2:] == [f"{COMPARED_ARGVS[2]}: identical", "3 argvs, 0 with a structural difference"]
+
+
+def test_compare_outputs_reports_a_changed_error_message(tmp_path):
+    # a refused argv writes nothing but its exit code and its message on stderr
+    argv = "distance --graph ring:5 --tmin 0 --steps 3"
+    message = "log spacing requires t_min > 0"
+    proc = compare_with_copy(tmp_path, ("qcwalk/config.py", message, "log spacing needs t_min > 0"), [argv])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"{argv}: STRUCTURAL: stderr 'qcwalk: error: log spacing needs t_min > 0\\n' became "
+        f"'qcwalk: error: {message}\\n'",
+        "1 argvs, 1 with a structural difference",
+    ]
 
 
 def test_compare_outputs_default_argvs_parse():

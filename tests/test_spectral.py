@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import DensityMatrix, propagator_pair, uhlmann_fidelity
 from qcwalk import generate, laplacian, qc_distance
 from qcwalk.distance import gamma_of, verify_localized_optimality
-from qcwalk.spectral import classical_quantum_fidelity, eigendecompose, real_propagators
+from qcwalk.spectral import SpectralDecomposition, classical_quantum_fidelity, eigendecompose, real_propagators
 from qcwalk.walks import node_observables
 
 FAMILY = [
@@ -31,7 +31,7 @@ def test_reconstruction_and_orthogonality(g):
     lap = laplacian(g)
     sd = eigendecompose(lap)
     rebuilt = (sd.eigenvectors * sd.eigenvalues) @ sd.eigenvectors.T
-    assert np.abs(rebuilt - lap.matrix).max() <= 1e-9
+    assert np.abs(rebuilt - lap).max() <= 1e-9
     assert np.abs(sd.eigenvectors.T @ sd.eigenvectors - np.eye(sd.n)).max() <= 1e-9
 
 
@@ -66,15 +66,47 @@ def test_zero_mode_left_alone_for_disconnected_graphs():
     sd = eigendecompose(lap)
     # two zero modes set to 0.0: neither vector is the flat one, and both stay as eigh found them
     rebuilt = (sd.eigenvectors * sd.eigenvalues) @ sd.eigenvectors.T
-    assert np.abs(rebuilt - lap.matrix).max() <= 1e-12
+    assert np.abs(rebuilt - lap).max() <= 1e-12
     assert np.abs(sd.eigenvectors.T @ sd.eigenvectors - np.eye(4)).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (np.zeros((2, 3)), "Laplacian must be a square matrix"),
+        (np.zeros(3), "Laplacian must be a square matrix"),
+        ([[-1.0, 1.0], [0.5, -0.5]], "Laplacian must be exactly symmetric"),
+        ([[-1.0, 1.0], [1.0, -1.5]], "Laplacian rows must sum to zero (max |sum| = 5.000e-01)"),
+    ],
+)
+def test_eigendecompose_refuses_a_matrix_that_is_not_a_laplacian(matrix, message):
+    with pytest.raises(ValueError) as exc:
+        eigendecompose(matrix)
+    assert str(exc.value) == message
+
+
+def test_eigendecompose_takes_row_sums_within_roundoff():
+    # the row-sum rule refuses above 1e-12, so a plain list within it is decomposed
+    sd = eigendecompose([[-1.0, 1.0], [1.0, -1.0 + 5e-13]])
+    assert sd.eigenvalues[0] == 0.0 and abs(sd.eigenvalues[1] + 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "vals, vecs",
+    [(np.zeros(3), np.eye(2)), (np.zeros((2, 1)), np.eye(2)), (np.zeros(2), np.zeros((2, 3)))],
+    ids=["sizes", "eigenvalues-2d", "eigenvectors-not-square"],
+)
+def test_spectral_decomposition_refuses_mismatched_shapes(vals, vecs):
+    with pytest.raises(ValueError) as exc:
+        SpectralDecomposition(vals, vecs)
+    assert str(exc.value) == "eigenvalues and eigenvectors have mismatched shapes"
 
 
 @pytest.mark.parametrize("split, merged", [(0.5, True), (2.0, False)])
 def test_eigenvalue_clusters_merge_within_tolerance(monkeypatch, split, merged):
     # eigh is made to return K_4's eigenbasis with its triple eigenvalue -4 spread out,
     # neighbours split * tol apart for the rule's tol = n * eps * max|lambda|
-    _, vecs = np.linalg.eigh(laplacian(generate("complete", 4)).matrix)
+    _, vecs = np.linalg.eigh(laplacian(generate("complete", 4)))
     gap = split * 4 * np.finfo(float).eps * 4
     spread = np.array([-4.0 - gap, -4.0, -4.0 + gap, 1e-16])
     monkeypatch.setattr(np.linalg, "eigh", lambda matrix: (spread.copy(), vecs.copy()))
