@@ -5,10 +5,11 @@ Each argv runs once in PARENT_TREE and once in this tree, each in a fresh
 interpreter with that tree's ``src`` on the path and its own empty working
 directory. The default set is the benchmark's ``graph_level`` and
 ``node_resolved`` argvs at seeds 0, 1, 7 and 1301, the six figure presets
-(every CSV and the manifest), ``verify --n-max 10 --samples 4000`` at seeds 0,
-1 and 1301, and the degenerate-graph argv ``distance --node 1 --quantities
-conditional,coherence,gfid,short,long,delta,qc`` on complete:50, complete:200,
-ring:64, star:200, wheel:50 and wheel:200. Then the grid's edge cases, each a
+(every CSV and the manifest) with default options, then ``figure fig1-center
+--n 5`` and ``figure fig2 --seed 3``, ``verify --n-max 10 --samples 4000`` at
+seeds 0, 1 and 1301, and the degenerate-graph argv ``distance --node 1
+--quantities conditional,coherence,gfid,short,long,delta,qc`` on complete:50,
+complete:200, ring:64, star:200, wheel:50 and wheel:200. Then the grid's edge cases, each a
 ``distance`` argv: a linear grid from t = 0 (NA gamma cells), a one-point
 grid, one node's default t_max of 10, an explicit ``--tmax`` and a log grid
 from 0 (refused, exit 1); and ``graph`` writing its edge list to a file and
@@ -60,6 +61,7 @@ EDGE_CASES = (
 def default_argvs() -> list[str]:
     argvs = [f"{argv} --seed {seed}" for argv in WORKLOADS for seed in (0, 1, 7, 1301)]
     argvs += [f"figure {which} --out out" for which in FIGURES]
+    argvs += ["figure fig1-center --n 5 --out out", "figure fig2 --seed 3 --out out"]
     argvs += [f"verify --n-max 10 --samples 4000 --seed {seed}" for seed in (0, 1, 1301)]
     specs = ("complete:50", "complete:200", "ring:64", "star:200", "wheel:50", "wheel:200")
     return argvs + [f"{DEGENERATE} {spec}" for spec in specs] + list(EDGE_CASES)

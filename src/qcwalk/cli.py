@@ -4,7 +4,7 @@ Subcommands:
 
 * ``graph``    generate a graph, write its edge list, print a summary
 * ``distance`` sweep distance quantities over a time grid, emit CSV
-* ``figure``   canned multi-curve presets, one CSV per curve plus a manifest
+* ``figure``   canned multi-curve presets, one CSV per curve plus a manifest each
 * ``verify``   invariant spot checks and the localized-optimality sweep
 
 Exit codes: 0 success, 1 usage or configuration error, 2 computation error
@@ -18,8 +18,9 @@ and formats the whole table in numpy: a cell in positional form is built from
 its exact 12-digit mantissa, and every other cell (exponent form, 0, NA, a near
 rounding tie) is formatted by ``%`` itself, so the bytes are ``%``'s. A figure
 preset is a list of curve specs, each giving one graph, one sweep and one
-manifest entry. Every CSV is formatted before any file is written, so a sweep
-that fails writes nothing.
+manifest entry; ``figure`` takes several presets, each with its own grid and
+manifest. Every CSV of the call is formatted before any file is written, so a
+sweep that fails writes nothing.
 
 The parser is built on the first :func:`main` call and reused by every later
 call in the process; :func:`main` dispatches to ``cmd_<command>``, looked up
@@ -321,35 +322,34 @@ def _preset_curves(which: str, n_panel: int) -> list[tuple]:
 
 
 def cmd_figure(args) -> int:
-    curves = _preset_curves(args.which, args.n)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    # the seed reaches only random_connected; the other kinds ignore it
-    decompositions = [
-        eigendecompose(laplacian(generate(kind, n, extra=extra, seed=args.seed)))
-        for _, kind, n, extra, _, _ in curves
-    ]
-    # one shared grid per preset so curves are directly comparable
-    fiedler = min(sd.fiedler for sd in decompositions)
-    grid = {"t_min": DEFAULT_T_MIN, "t_max": default_t_max(fiedler), "steps": DEFAULT_STEPS, "spacing": "log"}
-    times = time_grid(**grid)
-    # every curve is swept and formatted before any file is written
-    tables = [
-        _format_csv(sd, quantities, node, times)
-        for sd, (*_, node, quantities) in zip(decompositions, curves)
-    ]
-    entries = []
-    for (label, kind, n, extra, node, _), (headers, text) in zip(curves, tables):
-        path = out_dir / f"{args.which}_{label}.csv"
+    files = []  # (path, text) of every preset's CSVs, then its manifest
+    for which in args.which:
+        curves = _preset_curves(which, args.n)
+        # the seed reaches only random_connected; the other kinds ignore it
+        decompositions = [
+            eigendecompose(laplacian(generate(kind, n, extra=extra, seed=args.seed)))
+            for _, kind, n, extra, _, _ in curves
+        ]
+        # one shared grid per preset so curves are directly comparable
+        fiedler = min(sd.fiedler for sd in decompositions)
+        grid = {"t_min": DEFAULT_T_MIN, "t_max": default_t_max(fiedler), "steps": DEFAULT_STEPS, "spacing": "log"}
+        times = time_grid(**grid)
+        entries = []
+        for sd, (label, kind, n, extra, node, quantities) in zip(decompositions, curves):
+            headers, text = _format_csv(sd, quantities, node, times)
+            path = out_dir / f"{which}_{label}.csv"
+            files.append((path, text))
+            columns = ["t"] + headers
+            entries.append({"file": path.name, "kind": kind, "n": n, "extra": extra, "node": node, "columns": columns})
+        manifest = {"figure": which, "seed": args.seed, "grid": grid, "curves": entries}
+        manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        files.append((out_dir / f"{which}_manifest.json", manifest_text))
+    # every curve of every preset is swept and formatted before any file is written
+    for path, text in files:
         _write(str(path), text)
-        columns = ["t"] + headers
-        entries.append({"file": path.name, "kind": kind, "n": n, "extra": extra, "node": node, "columns": columns})
         print(f"wrote {path}")
-    manifest = {"figure": args.which, "seed": args.seed, "grid": grid, "curves": entries}
-    manifest_path = out_dir / f"{args.which}_manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {manifest_path}")
     return EXIT_OK
 
 
@@ -417,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list from " + ",".join(_QUANTITIES),
     )
 
-    p = sub.add_parser("figure", help="emit the CSVs behind one preset figure")
-    p.add_argument("which", choices=FIGURES)
+    p = sub.add_parser("figure", help="emit the CSVs behind one or more preset figures")
+    p.add_argument("which", nargs="+", choices=FIGURES)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--n", type=int, default=8, help="panel size for fig1-center/right")
     p.add_argument("--out", default=".", help="output directory")

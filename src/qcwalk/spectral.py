@@ -61,8 +61,9 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        vecs = np.asarray(self.eigenvectors, dtype=float)
+        # copies, so freezing them leaves the caller's arrays writeable
+        vals = np.array(self.eigenvalues, dtype=float)
+        vecs = np.array(self.eigenvectors, dtype=float)
         if vals.ndim != 1 or vecs.shape != (vals.size, vals.size):
             raise ValueError("eigenvalues and eigenvectors have mismatched shapes")
         vals.setflags(write=False)
@@ -96,9 +97,10 @@ class SpectralDecomposition:
 def eigendecompose(matrix) -> SpectralDecomposition:
     """Symmetric eigendecomposition of a Laplacian, sorted by |eigenvalue|, zero mode first.
 
-    ``matrix``, taken as a float array, must be square, exactly symmetric and
-    have row sums within 1e-12 of zero, checked in that order; else ValueError:
-    ``Laplacian must be a square matrix``, ``... exactly symmetric`` or
+    ``matrix``, taken as a float array, must be square, have at least one
+    row, be exactly symmetric and have row sums within 1e-12 of zero, checked
+    in that order; else ValueError: ``Laplacian must be a square matrix``,
+    ``Laplacian must have at least one node``, ``... exactly symmetric`` or
     ``Laplacian rows must sum to zero (max |sum| = ...)``.
 
     eigh spreads an exactly repeated eigenvalue, and the phases e^{i lambda t}
@@ -112,9 +114,11 @@ def eigendecompose(matrix) -> SpectralDecomposition:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("Laplacian must be a square matrix")
+    if not m.size:
+        raise ValueError("Laplacian must have at least one node")
     if not np.array_equal(m, m.T):
         raise ValueError("Laplacian must be exactly symmetric")
-    worst_row = float(np.abs(m.sum(axis=1)).max()) if m.size else 0.0
+    worst_row = float(np.abs(m.sum(axis=1)).max())
     if worst_row > 1e-12:
         raise ValueError(f"Laplacian rows must sum to zero (max |sum| = {worst_row:.3e})")
     vals, vecs = np.linalg.eigh(m)

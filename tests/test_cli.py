@@ -736,6 +736,39 @@ def test_failed_figure_writes_no_csv_and_no_manifest(monkeypatch, tmp_path, caps
     assert code == 1 and "last curve" in stderr
     assert stdout == ""
     assert list(tmp_path.iterdir()) == []
+    # the rule holds for the whole call: fig2's five curves are formatted, then
+    # fig1-left fails on its last, and neither preset writes a file
+    calls.clear()
+    out = tmp_path / "two"
+    code, stdout, stderr = run(["figure", "fig2", "fig1-left", "--out", str(out)], capsys)
+    assert calls == [11] * 5 + [5, 10, 20]
+    assert code == 1 and "last curve" in stderr
+    assert stdout == ""
+    assert list(out.iterdir()) == []
+
+
+def test_figure_with_every_preset_matches_one_process_per_preset(tmp_path, capsys):
+    # one process per preset, started together; each builds its own parser
+    separate = tmp_path / "separate"
+    argv = [sys.executable, "-m", "qcwalk.cli", "figure"]
+    procs = [
+        subprocess.Popen(argv + [which, "--out", str(separate)], stdout=subprocess.PIPE, text=True, env=child_env())
+        for which in cli.FIGURES
+    ]
+    # one call with all six presets
+    together = tmp_path / "together"
+    code, stdout, stderr = run(["figure", *cli.FIGURES, "--out", str(together)], capsys)
+    outputs = [p.communicate(timeout=60)[0] for p in procs]
+    assert [p.returncode for p in procs] == [0] * len(cli.FIGURES)
+    assert code == 0 and stderr == ""
+    # the same lines, each preset's after the one before it
+    assert stdout == "".join(outputs).replace(str(separate), str(together))
+
+    names = sorted(p.name for p in separate.iterdir())
+    assert len(names) == 32  # 26 curves of the six presets, and six manifests
+    assert sorted(p.name for p in together.iterdir()) == names
+    for name in names:
+        assert (together / name).read_bytes() == (separate / name).read_bytes(), name
 
 
 def test_fig1_center_curves_identical(tmp_path, capsys):

@@ -59,35 +59,6 @@ def test_readme_quick_start_runs():
     assert abs(namespace["curve"].max(axis=0)[-1] - (1 - 1 / 11)) <= 1e-12
 
 
-def test_reproduce_figures_runs(tmp_path):
-    proc = run_script("reproduce_figures.py", "--which", "fig1-left", "--out", str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "fig1-left_manifest.json").is_file()
-
-
-def test_reproduce_figures_in_one_process_matches_one_process_per_preset(tmp_path):
-    from qcwalk.cli import FIGURES
-
-    # one process per preset, started together; each builds its own parser
-    separate = tmp_path / "separate"
-    argv = [sys.executable, "-m", "qcwalk.cli", "figure"]
-    procs = [
-        subprocess.Popen(argv + [which, "--out", str(separate)], stdout=subprocess.DEVNULL, env=child_env())
-        for which in FIGURES
-    ]
-    # the script runs every preset through one process's cached parser
-    together = tmp_path / "together"
-    proc = run_script("reproduce_figures.py", "--which", "all", "--out", str(together))
-    assert [p.wait(timeout=60) for p in procs] == [0] * len(FIGURES)
-    assert proc.returncode == 0, proc.stderr
-
-    names = sorted(p.name for p in separate.iterdir())
-    assert len(names) == 32  # 26 curves of the six presets, and six manifests
-    assert sorted(p.name for p in together.iterdir()) == names
-    for name in names:
-        assert (together / name).read_bytes() == (separate / name).read_bytes(), name
-
-
 COMPARED_ARGVS = [
     "distance --graph ring:5 --steps 5 --quantities qc,average",
     "figure fig1-left --out out",

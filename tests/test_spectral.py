@@ -75,6 +75,7 @@ def test_zero_mode_left_alone_for_disconnected_graphs():
     [
         (np.zeros((2, 3)), "Laplacian must be a square matrix"),
         (np.zeros(3), "Laplacian must be a square matrix"),
+        (np.zeros((0, 0)), "Laplacian must have at least one node"),
         ([[-1.0, 1.0], [0.5, -0.5]], "Laplacian must be exactly symmetric"),
         ([[-1.0, 1.0], [1.0, -1.5]], "Laplacian rows must sum to zero (max |sum| = 5.000e-01)"),
     ],
@@ -100,6 +101,18 @@ def test_spectral_decomposition_refuses_mismatched_shapes(vals, vecs):
     with pytest.raises(ValueError) as exc:
         SpectralDecomposition(vals, vecs)
     assert str(exc.value) == "eigenvalues and eigenvectors have mismatched shapes"
+
+
+def test_spectral_decomposition_freezes_copies_not_the_callers_arrays():
+    vals, vecs = np.array([0.0, -2.0]), np.eye(2)
+    sd = SpectralDecomposition(vals, vecs)
+    assert vals.flags.writeable and vecs.flags.writeable
+    assert sd.eigenvalues is not vals and sd.eigenvectors is not vecs
+    for frozen in (sd.eigenvalues, sd.eigenvectors):
+        with pytest.raises(ValueError):
+            frozen[0] = 1.0  # read-only
+    vals[1] = -3.0  # the caller's array is its own
+    assert sd.eigenvalues.tolist() == [0.0, -2.0]
 
 
 @pytest.mark.parametrize("split, merged", [(0.5, True), (2.0, False)])
