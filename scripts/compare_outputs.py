@@ -6,7 +6,9 @@ interpreter with that tree's ``src`` on the path and its own empty working
 directory. The default set is the benchmark's ``graph_level`` and
 ``node_resolved`` argvs at seeds 0, 1, 7 and 1301, the six figure presets
 (every CSV and the manifest) with default options, then ``figure fig1-center
---n 5`` and ``figure fig2 --seed 3``, ``verify --n-max 10 --samples 4000`` at
+--n 5`` and ``figure fig2 --seed 3``, the asymptote diagnostics ``distance
+--graph ring:11 --steps 12 --quantities qc,short,long,gamma_s,gamma_l,delta``
+and the same on ``random_connected:11:6 --seed 3``, ``verify --n-max 10 --samples 4000`` at
 seeds 0, 1 and 1301, and the degenerate-graph argv ``distance --node 1
 --quantities conditional,coherence,gfid,short,long,delta,qc`` on complete:50,
 complete:200, ring:64, star:200, wheel:50 and wheel:200. Then the grid's edge cases, each a
@@ -62,6 +64,8 @@ def default_argvs() -> list[str]:
     argvs = [f"{argv} --seed {seed}" for argv in WORKLOADS for seed in (0, 1, 7, 1301)]
     argvs += [f"figure {which} --out out" for which in FIGURES]
     argvs += ["figure fig1-center --n 5 --out out", "figure fig2 --seed 3 --out out"]
+    diagnostics = "--steps 12 --quantities qc,short,long,gamma_s,gamma_l,delta"
+    argvs += [f"distance --graph {g} {diagnostics}" for g in ("ring:11", "random_connected:11:6 --seed 3")]
     argvs += [f"verify --n-max 10 --samples 4000 --seed {seed}" for seed in (0, 1, 1301)]
     specs = ("complete:50", "complete:200", "ring:64", "star:200", "wheel:50", "wheel:200")
     return argvs + [f"{DEGENERATE} {spec}" for spec in specs] + list(EDGE_CASES)

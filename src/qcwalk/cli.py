@@ -20,7 +20,7 @@ rounding tie) is formatted by ``%`` itself, so the bytes are ``%``'s. A figure
 preset is a list of curve specs, each giving one graph, one sweep and one
 manifest entry; ``figure`` takes several presets, each with its own grid and
 manifest. Every CSV of the call is formatted before any file is written, so a
-sweep that fails writes nothing.
+sweep that fails writes nothing and creates no directory.
 
 The parser is built on the first :func:`main` call and reused by every later
 call in the process; :func:`main` dispatches to ``cmd_<command>``, looked up
@@ -323,7 +323,6 @@ def _preset_curves(which: str, n_panel: int) -> list[tuple]:
 
 def cmd_figure(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     files = []  # (path, text) of every preset's CSVs, then its manifest
     for which in args.which:
         curves = _preset_curves(which, args.n)
@@ -346,7 +345,8 @@ def cmd_figure(args) -> int:
         manifest = {"figure": which, "seed": args.seed, "grid": grid, "curves": entries}
         manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         files.append((out_dir / f"{which}_manifest.json", manifest_text))
-    # every curve of every preset is swept and formatted before any file is written
+    # every curve of every preset is swept and formatted before the directory or any file is made
+    out_dir.mkdir(parents=True, exist_ok=True)
     for path, text in files:
         _write(str(path), text)
         print(f"wrote {path}")

@@ -15,7 +15,8 @@ from conftest import count_eigensolves
 from qcwalk import eigendecompose, generate, graph_from_spec, laplacian, read_edge_list
 import qcwalk.cli as cli
 from qcwalk.cli import _QUANTITIES, _format_cell, _format_table, main
-from qcwalk.config import default_t_max, time_grid
+from qcwalk.config import DEFAULT_T_MIN, default_t_max, time_grid
+from qcwalk.distance import delta_of, gamma_of, long_vector, qc_of, short_vector
 from qcwalk.spectral import PAIR_PRODUCT_MAX_N
 from qcwalk.walks import node_observables, time_blocks
 
@@ -286,6 +287,38 @@ def test_distance_edges_matches_graph_spec(tmp_path, capsys):
     assert from_edges == from_spec
 
 
+@pytest.mark.parametrize("spec, seed", [("ring:11", 0), ("random_connected:11:6", 3)])
+def test_distance_prints_the_asymptote_diagnostics(spec, seed, capsys):
+    # one call prints D_QC, both laws maximized over nodes (the denominators of the two
+    # gamma ratios), gamma_S, gamma_L and delta at the argmax node, on the default grid
+    argv = ["distance", "--graph", spec, "--seed", str(seed), "--steps", "12"]
+    code, stdout, _ = run(argv + ["--quantities", "qc,short,long,gamma_s,gamma_l,delta"], capsys)
+    assert code == 0
+    header, rows = read_csv(stdout)
+    sd = eigendecompose(laplacian(graph_from_spec(spec, seed=seed)))
+    times = time_grid(DEFAULT_T_MIN, default_t_max(sd.fiedler), 12)
+    obs = node_observables(sd, times)
+    expected = (
+        qc_of(obs)[0],
+        short_vector(obs).max(axis=-1),
+        long_vector(obs).max(axis=-1),
+        gamma_of(obs, "S"),
+        gamma_of(obs, "L"),
+        delta_of(obs),
+    )
+    expected = [["%.12g" % x if np.isfinite(x) else "NA" for x in column] for column in expected]
+    short = [i for i, h in enumerate(header) if h.startswith("short_")]
+    long = [i for i, h in enumerate(header) if h.startswith("long_")]
+    assert len(rows) == 12 and len(short) == len(long) == 11
+    printed = [
+        [row[header.index("qc")] for row in rows],
+        [max((row[i] for i in short), key=float) for row in rows],
+        [max((row[i] for i in long), key=float) for row in rows],
+        *([row[header.index(name)] for row in rows] for name in ("gamma_s", "gamma_l", "delta")),
+    ]
+    assert printed == expected
+
+
 def test_distance_error_exit_codes(tmp_path, capsys):
     code, _, stderr = run(["distance", "--graph", "ring:11", "--node", "11"], capsys)
     assert code == 1 and "node" in stderr
@@ -461,6 +494,19 @@ def test_distance_degenerate_grid_exits_one(spacing_flags, tmp_path, capsys):
     out = tmp_path / "curve.csv"
     assert run(argv + ["--out", str(out)], capsys)[0] == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, fault",
+    [
+        (["--graph", "foo"], "graph spec 'foo' is not kind:n or kind:n:extra"),
+        (["--graph", "ring:5", "--steps", "0"], "grid needs at least one point"),
+    ],
+    ids=["bad_spec", "zero_steps"],
+)
+def test_distance_refuses_a_bad_spec_or_an_empty_grid(flags, fault, capsys):
+    code, stdout, stderr = run(["distance"] + flags, capsys)
+    assert (code, stdout, stderr) == (1, "", f"qcwalk: error: {fault}\n")
 
 
 def test_usage_error_exit_code_is_one():
@@ -737,14 +783,27 @@ def test_failed_figure_writes_no_csv_and_no_manifest(monkeypatch, tmp_path, caps
     assert stdout == ""
     assert list(tmp_path.iterdir()) == []
     # the rule holds for the whole call: fig2's five curves are formatted, then
-    # fig1-left fails on its last, and neither preset writes a file
+    # fig1-left fails on its last, and neither preset writes a file nor makes a directory
     calls.clear()
-    out = tmp_path / "two"
+    out = tmp_path / "two" / "deep"
     code, stdout, stderr = run(["figure", "fig2", "fig1-left", "--out", str(out)], capsys)
     assert calls == [11] * 5 + [5, 10, 20]
     assert code == 1 and "last curve" in stderr
     assert stdout == ""
-    assert list(out.iterdir()) == []
+    assert not out.exists() and not out.parent.exists()
+
+
+def test_refused_figure_makes_no_directory(tmp_path, capsys):
+    # the wheel of fig1-center needs four nodes: refused before the directory is made
+    out = tmp_path / "f1"
+    code, stdout, stderr = run(["figure", "fig1-center", "--n", "3", "--out", str(out)], capsys)
+    assert (code, stdout, stderr) == (1, "", "qcwalk: error: wheel requires n >= 4\n")
+    assert not out.exists()
+    # an --out that names a file is still refused when the directory is made
+    out.write_text("")
+    code, stdout, stderr = run(["figure", "fig1-left", "--out", str(out)], capsys)
+    assert (code, stdout, stderr) == (1, "", f"qcwalk: error: [Errno 17] File exists: {str(out)!r}\n")
+    assert out.read_text() == ""
 
 
 def test_figure_with_every_preset_matches_one_process_per_preset(tmp_path, capsys):

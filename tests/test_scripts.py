@@ -1,4 +1,4 @@
-"""Smoke tests: the example scripts and the README quick start run against the package namespace."""
+"""Smoke tests: the README's quick start and command lines run, and compare_outputs.py compares two trees."""
 
 import importlib.util
 import os
@@ -8,8 +8,6 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
-
-from qcwalk import eigendecompose, generate, laplacian
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,34 +27,24 @@ def run_script(name, *args):
     )
 
 
-def test_asymptote_study_runs():
-    proc = run_script("asymptote_study.py", "--points", "3")
-    assert proc.returncode == 0, proc.stderr
-    # the seed reaches the generator: seed 3's graph (fiedler 0.6514) is not seed 0's (0.5090)
-    fiedler = eigendecompose(laplacian(generate("random_connected", 11, extra=6, seed=3))).fiedler
-    proc = run_script(
-        "asymptote_study.py", "--points", "3", "--graph", "random_connected:11:6", "--seed", "3"
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert f"fiedler={fiedler:.4f}" in proc.stdout.splitlines()[0]
-    # zero rows is not a grid: refused, not printed as an empty table. Bad input is a usage
-    # error: exit 2 and one line naming the fault, no traceback
-    for args, fault in (
-        (["--points", "0"], "grid needs at least one point"),
-        (["--graph", "foo"], "graph spec 'foo' is not kind:n or kind:n:extra"),
-        (["--graph", "random_connected:11:6", "--seed", "-1"], "expected non-negative integer"),
-    ):
-        proc = run_script("asymptote_study.py", *args)
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.splitlines()[-1] == f"asymptote_study.py: error: {fault}"
-
-
 def test_readme_quick_start_runs():
     (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     namespace = {}
     exec(block, namespace)
     assert abs(namespace["curve"].max(axis=0)[-1] - (1 - 1 / 11)) <= 1e-12
+
+
+def test_readme_command_lines_run(monkeypatch, tmp_path):
+    # every qcwalk line of the Command line section's sh block, in order, in one directory
+    from qcwalk.cli import main
+
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n")[1].split("\n## ")[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("qcwalk ")]
+    assert len(lines) == 9
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert main(argv[1:]) == 0, argv
 
 
 COMPARED_ARGVS = [
