@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ from .spectral import eigendecompose, real_propagators
 __all__ = ["CheckResult", "WorkerLostError", "run_checks", "run_invariant_checks", "check_family"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -155,7 +154,7 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
         p, re, im = real_propagators(sd, oracle_times)
         psi = (re + 1j * im)[..., nodes]
         oracle = (psi.conj() * np.maximum(p[..., nodes], 0.0) * psi).sum(axis=-2).real
-        direct = walks.node_observables(sd, oracle_times).fidelity[..., nodes]
+        direct = walks.node_observables(sd, oracle_times)[0][..., nodes]
         for i, t in enumerate(oracle_times):
             for k, j in enumerate(nodes):
                 err = abs(direct[i, k] - oracle[i, k])
@@ -167,7 +166,7 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
 
         if label in ("complete(5)", "ring(6)"):
             regular_times = (0.2, 1.0, 4.0)
-            fid = walks.node_observables(sd, regular_times).fidelity
+            fid = walks.node_observables(sd, regular_times)[0]
             spread = fid.max(axis=-1) - fid.min(axis=-1)
             for t, err in zip(regular_times, spread):
                 add("regular graphs are node equivalent", f"{label} t={t}", err)

@@ -62,22 +62,23 @@ EXIT_VERIFY = 3
 FIGURES = ("fig1-left", "fig1-center", "fig1-right", "fig2", "fig3-left", "fig3-right")
 
 #: every quantity a distance sweep accepts, in canonical column order, as
-#: (graph-level column, vector over launch nodes), both read from one kernel
-#: record and taken over its last (node) axis, so a grid record gives a value
-#: per time; delta has both forms, the graph-level one evaluated at the node
-#: realizing D_QC(t) and the node-level one used when --node picks a node.
+#: (graph-level column, vector over launch nodes), both functions of one kernel
+#: record, the array F, C, G = obs, and of the graph's size n, taken over the
+#: record's last (node) axis, so a grid record gives a value per time; delta has
+#: both forms, the graph-level one evaluated at the node realizing D_QC(t) and the
+#: node-level one used when --node picks a node.
 #: Laws are looked up on dist at call time, so a patched law reaches every column.
 _QUANTITIES = {
-    "conditional": (None, lambda obs: dist.conditional_vector(obs)),
-    "qc": (lambda obs: dist.qc_of(obs)[0], None),
-    "average": (lambda obs: dist.conditional_vector(obs).mean(axis=-1), None),
-    "coherence": (None, lambda obs: obs.coherence),
-    "gfid": (None, lambda obs: obs.gfid),
-    "short": (None, lambda obs: dist.short_vector(obs)),
-    "long": (None, lambda obs: dist.long_vector(obs)),
-    "gamma_s": (lambda obs: dist.gamma_of(obs, "S"), None),
-    "gamma_l": (lambda obs: dist.gamma_of(obs, "L"), None),
-    "delta": (lambda obs: dist.delta_of(obs), lambda obs: dist.delta_vector(obs)),
+    "conditional": (None, lambda obs, n: dist.conditional_vector(obs)),
+    "qc": (lambda obs, n: dist.qc_of(obs)[0], None),
+    "average": (lambda obs, n: dist.conditional_vector(obs).mean(axis=-1), None),
+    "coherence": (None, lambda obs, n: obs[1]),
+    "gfid": (None, lambda obs, n: obs[2]),
+    "short": (None, lambda obs, n: dist.short_vector(obs)),
+    "long": (None, lambda obs, n: dist.long_vector(obs, n)),
+    "gamma_s": (lambda obs, n: dist.gamma_of(obs, "S", n), None),
+    "gamma_l": (lambda obs, n: dist.gamma_of(obs, "L", n), None),
+    "delta": (lambda obs, n: dist.delta_of(obs, n), lambda obs, n: dist.delta_vector(obs, n)),
 }
 
 
@@ -233,10 +234,10 @@ def _format_csv(sd, outputs, node, times) -> tuple[list[str], str]:
         column, vector = _QUANTITIES[q]
         if column is not None and (vector is None or node is None):
             headers.append(q)
-            columns.append(column(obs))
+            columns.append(column(obs, sd.n))
         else:
             headers += [f"{q}_{j}" for j in range(sd.n)[cells]]
-            columns.append(vector(obs)[..., cells])
+            columns.append(vector(obs, sd.n)[..., cells])
     table = np.column_stack(columns)
     return headers, _format_table(",".join(["t"] + headers), table)
 
@@ -404,7 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--edges", help="edge-list file path")
     p.add_argument("--tmin", type=float, default=DEFAULT_T_MIN, help="first grid time")
     p.add_argument(
-        "--tmax", type=float, default=None, help="last grid time (default: 100/fiedler)"
+        "--tmax",
+        type=float,
+        default=None,
+        help="last grid time (default: round(100/fiedler), at least 1; 10 for a one-node graph)",
     )
     p.add_argument("--steps", type=int, default=DEFAULT_STEPS, help="number of grid points")
     p.add_argument("--linear", action="store_true", help="linear spacing (default: log)")

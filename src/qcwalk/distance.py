@@ -20,12 +20,15 @@ asymptote's maximum) and delta = G^2 - C/n quantify where each regime
 holds. All operations require a connected graph: the stationary state and
 the long-time laws presuppose a single component.
 
-Every quantity reads F, C and G from one walks.node_observables record, for
-one time or a whole grid, looked up on the walks module so that a patched
-kernel reaches every caller. The laws below work over the record's last
-(node) axis, so one call covers every time of a grid. The optimality sweep
-forms its pairs with spectral.real_propagators, as the kernel does, and
-takes min_j F_j from walks.reduce_propagators of those same pairs.
+Every quantity reads F, C and G from one walks.node_observables record, the
+array ``F, C, G = obs``, for one time or a whole grid, looked up on the
+walks module so that a patched kernel reaches every caller. The laws below
+work over the record's last (node) axis, so one call covers every time of a
+grid. The laws with a 1/n take the graph's size n as an argument and never
+read it from the record's width, so they hold on a record of a few launch
+nodes too. The optimality sweep forms its pairs with
+spectral.real_propagators, as the kernel does, and takes min_j F_j from
+walks.reduce_propagators of those same pairs.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import numpy as np
 from . import walks
 from .config import check_grid
 from .spectral import SpectralDecomposition, classical_quantum_fidelity, real_propagators
-from .walks import NodeObservables
 
 __all__ = [
     "DisconnectedGraphError",
@@ -71,54 +73,55 @@ def require_connected(sd: SpectralDecomposition) -> None:
         )
 
 
-# Laws over all launch nodes at once, read from one kernel record; each works over
-# the last (node) axis, so a grid record gives one value per time.
+# Laws over the launch nodes of one kernel record, F, C, G = obs; each works over
+# the last (node) axis, so a grid record gives one value per time. n is the graph's size.
 
 
-def conditional_vector(obs: NodeObservables) -> np.ndarray:
-    return 1.0 - obs.fidelity
+def conditional_vector(obs: np.ndarray) -> np.ndarray:
+    return 1.0 - obs[0]
 
 
-def short_vector(obs: NodeObservables) -> np.ndarray:
-    return obs.coherence / 2.0
+def short_vector(obs: np.ndarray) -> np.ndarray:
+    return obs[1] / 2.0
 
 
-def long_vector(obs: NodeObservables) -> np.ndarray:
-    return 1.0 - obs.gfid * obs.gfid + obs.coherence / obs.n
+def long_vector(obs: np.ndarray, n: int) -> np.ndarray:
+    _, coherence, gfid = obs
+    return 1.0 - gfid * gfid + coherence / n
 
 
-def delta_vector(obs: NodeObservables) -> np.ndarray:
-    return obs.gfid * obs.gfid - obs.coherence / obs.n
+def delta_vector(obs: np.ndarray, n: int) -> np.ndarray:
+    _, coherence, gfid = obs
+    return gfid * gfid - coherence / n
 
 
-def qc_of(obs: NodeObservables):
+def qc_of(obs: np.ndarray):
     """(max_j D_QC(t|j), argmax node) per time; ties go to the smallest node index."""
     cond = conditional_vector(obs)
     return cond.max(axis=-1), cond.argmax(axis=-1)
 
 
-_ASYMPTOTES = {"S": short_vector, "L": long_vector}
-
-
-def gamma_of(obs: NodeObservables, which: str):
+def gamma_of(obs: np.ndarray, which: str, n: int):
     """gamma_K = D_QC / max_j D^K(t|j) for K in {S, L}, per time; ratios may exceed 1.
 
     Undefined, and NaN, where the asymptote maximum is at or below
     RATIO_FLOOR (e.g. at t = 0, where both distances vanish), for a record
     at one time and on a grid alike.
     """
-    asymptote = _ASYMPTOTES.get(which)
-    if asymptote is None:
+    if which == "S":
+        denom = short_vector(obs).max(axis=-1)
+    elif which == "L":
+        denom = long_vector(obs, n).max(axis=-1)
+    else:
         raise ValueError(f"asymptote selector must be 'S' or 'L', got {which!r}")
-    denom = asymptote(obs).max(axis=-1)
     out = np.full(np.shape(denom), np.nan)
     return np.divide(qc_of(obs)[0], denom, out=out, where=denom > RATIO_FLOOR)[()]
 
 
-def delta_of(obs: NodeObservables) -> np.ndarray:
+def delta_of(obs: np.ndarray, n: int) -> np.ndarray:
     """delta = G^2 - C/n at the node realizing D_QC, per time."""
     node = qc_of(obs)[1]
-    return np.take_along_axis(delta_vector(obs), np.expand_dims(node, -1), axis=-1)[..., 0]
+    return np.take_along_axis(delta_vector(obs, n), np.expand_dims(node, -1), axis=-1)[..., 0]
 
 
 def qc_distance(sd: SpectralDecomposition, t: float) -> tuple[float, int]:
@@ -198,7 +201,7 @@ def verify_localized_optimality(
         z = rng.dirichlet(np.ones(n), size=(len(p), n_samples))
         q = np.clip(z @ p.swapaxes(-1, -2), 0.0, None)
         # the reduction overwrites the pair, so it runs once q and u are formed
-        floor = walks.reduce_propagators(props).fidelity.min(axis=-1)
+        floor = walks.reduce_propagators(props)[0].min(axis=-1)
         for c in walks.time_blocks(len(p) * n * n, n_samples):
             margins[c, b] = (classical_quantum_fidelity(q[:, c], u, z[:, c]) - floor[:, None]).T
     return margins

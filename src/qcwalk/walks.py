@@ -34,20 +34,19 @@ point. A point's values do not depend on the blocks, except in the last
 bits at some n between 17 and 31 (see real_propagators). Every distance
 quantity, curve, CLI column and figure preset reads from it, so a time
 point costs one propagator pair however many quantities and nodes are
-asked for. The value at one launch node j is entry j of the last axis:
-``obs.fidelity[..., j]``, or a law of :mod:`qcwalk.distance` applied to the
-record.
+asked for. The record is one read-only array of shape
+``(3,) + np.shape(t) + (n,)``: ``F, C, G = obs``. The value at one launch
+node j is entry j of the last axis, ``F[..., j]``, or a law of
+:mod:`qcwalk.distance` applied to the record.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral import NEGATIVITY_TOL, SpectralDecomposition, real_propagators
 
-__all__ = ["NodeObservables", "time_blocks", "reduce_propagators", "node_observables"]
+__all__ = ["time_blocks", "reduce_propagators", "node_observables"]
 
 #: element budget B of one propagator block: max(1, B // n**2) time points, so each of
 #: its three real matrix stacks holds at most B entries. A kernel call forms and reduces
@@ -65,19 +64,6 @@ def check_node(sd: SpectralDecomposition, j: int) -> int:
     return j
 
 
-@dataclass(frozen=True)
-class NodeObservables:
-    """F_j(t), C_j(t) and G_j(t), shape np.shape(t) + (n,); the last axis is the launch node j."""
-
-    fidelity: np.ndarray  # clamped into [0, 1]
-    coherence: np.ndarray  # clamped to be nonnegative
-    gfid: np.ndarray  # clamped into [0, 1]
-
-    @property
-    def n(self) -> int:
-        return self.fidelity.shape[-1]
-
-
 def time_blocks(elements: int, count: int) -> list[slice]:
     """Slices over ``count`` items, ``max(1, BLOCK_ELEMENTS // elements)`` items each.
 
@@ -88,7 +74,7 @@ def time_blocks(elements: int, count: int) -> list[slice]:
     return [slice(start, start + size) for start in range(0, count, size)]
 
 
-def reduce_propagators(props: np.ndarray, out: np.ndarray | None = None) -> NodeObservables:
+def reduce_propagators(props: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The reduction step: F, C and G from a stack of exp(L t) and exp(i L t), column by column.
 
     ``props`` is a float array of shape ``(3,) + shape + (n, n)`` holding
@@ -103,8 +89,9 @@ def reduce_propagators(props: np.ndarray, out: np.ndarray | None = None) -> Node
     p |a|^2, |a| and sqrt(p) |a|, whose column sums give F, C and G. A
     non-finite sum can then only come from exp(i L t): ValueError ``unitary
     exp(i L t) has a non-finite entry: the decomposition is corrupt``.
-    ``out``, of shape ``(3,) + shape + (n,)``, receives F, C and G if
-    given; the result is views of it.
+    Returns F, C and G stacked, shape ``(3,) + shape + (n,)``: F and G
+    clipped into [0, 1], C clipped to be nonnegative. ``out``, of that
+    shape, receives them if given, and is returned.
     """
     p, re, im = props
     smallest = p.min(axis=(-2, -1))
@@ -132,17 +119,18 @@ def reduce_propagators(props: np.ndarray, out: np.ndarray | None = None) -> Node
     coherence -= 1.0
     np.maximum(coherence, 0.0, out=coherence)
     np.clip(gfid, 0.0, 1.0, out=gfid)
-    return NodeObservables(fidelity, coherence, gfid)
+    return out
 
 
-def node_observables(sd: SpectralDecomposition, t) -> NodeObservables:
+def node_observables(sd: SpectralDecomposition, t) -> np.ndarray:
     """The kernel: F, C and G over all launch nodes at one time or on a grid.
 
-    The result has shape ``np.shape(t) + (n,)``; a single time is the
-    one-point case of the same sweep. Each block of :func:`time_blocks`
-    forms its propagator pair with real_propagators into one work buffer,
-    reused by every block, and :func:`reduce_propagators` reduces it there,
-    writing the block's F, C and G straight into the result.
+    The result is one read-only array, F, C and G stacked, of shape
+    ``(3,) + np.shape(t) + (n,)``; a single time is the one-point case of
+    the same sweep. Each block of :func:`time_blocks` forms its propagator
+    pair with real_propagators into one work buffer, reused by every block,
+    and :func:`reduce_propagators` reduces it there, writing the block's F,
+    C and G straight into the result.
     """
     times = np.asarray(t, dtype=float)
     flat = times.reshape(-1)
@@ -155,4 +143,6 @@ def node_observables(sd: SpectralDecomposition, t) -> NodeObservables:
         props = work[: 3 * block.size * n * n].reshape(3, block.size, n, n)
         real_propagators(sd, block, props)
         reduce_propagators(props, out[:, b])
-    return NodeObservables(*out.reshape((3,) + times.shape + (n,)))
+    obs = out.reshape((3,) + times.shape + (n,))
+    obs.setflags(write=False)
+    return obs

@@ -103,7 +103,7 @@ def test_criterion_03_short_time_coherence_equality():
         kappa = second_order_coefficient(g)
         obs = node_observables(sd, t)
         for j in range(g.n):
-            gap = conditional_vector(obs)[j] - obs.coherence[j] / 2.0
+            gap = conditional_vector(obs)[j] - obs[1][j] / 2.0
             rows.append((abs(gap / (-kappa[j] * t * t) - 1.0), label, j, kappa[j]))
     # argmax, unlike max, lands on a nan
     worst, label, j, kappa_j = rows[int(np.argmax([r[0] for r in rows]))]
@@ -133,9 +133,8 @@ def test_criterion_04_long_time_decomposition():
         obs = node_observables(sd, 50.0 / sd.fiedler)
         for j in range(g.n):
             d = conditional_vector(obs)[j]
-            worst_gap = max(worst_gap, abs(d - long_vector(obs)[j]))
-            gg = obs.gfid[j]
-            c = obs.coherence[j]
+            worst_gap = max(worst_gap, abs(d - long_vector(obs, g.n)[j]))
+            _, c, gg = obs[:, j]
             worst_identity = max(worst_identity, abs(g.n * gg * gg - c - 1.0))
     ok = worst_gap <= 1e-2 and worst_identity <= 0.02
     assert report(
@@ -155,7 +154,7 @@ def test_criterion_05_delta_convergence():
             for t in (t_inf, 2 * t_inf, 5 * t_inf):
                 _, node = qc_distance(sd, t)
                 obs = node_observables(sd, t)
-                worst = max(worst, abs(delta_vector(obs)[node] - 1.0 / n))
+                worst = max(worst, abs(delta_vector(obs, n)[node] - 1.0 / n))
     ok = worst <= 1e-2
     assert report(5, ok, f"worst |delta - 1/n| {worst:.2e} (tol 1e-2), 20 random graphs")
 
@@ -230,7 +229,7 @@ def test_criterion_09_localized_optimality_oracle():
         total += margins.size
         for t in t_values:
             p, u = propagator_pair(sd, t)
-            fid = node_observables(sd, t).fidelity
+            fid = node_observables(sd, t)[0]
             for j in range(n):
                 oracle = uhlmann_fidelity(
                     DensityMatrix.diagonal(np.clip(p[:, j], 0.0, None)),

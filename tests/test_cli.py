@@ -301,10 +301,10 @@ def test_distance_prints_the_asymptote_diagnostics(spec, seed, capsys):
     expected = (
         qc_of(obs)[0],
         short_vector(obs).max(axis=-1),
-        long_vector(obs).max(axis=-1),
-        gamma_of(obs, "S"),
-        gamma_of(obs, "L"),
-        delta_of(obs),
+        long_vector(obs, sd.n).max(axis=-1),
+        gamma_of(obs, "S", sd.n),
+        gamma_of(obs, "L", sd.n),
+        delta_of(obs, sd.n),
     )
     expected = [["%.12g" % x if np.isfinite(x) else "NA" for x in column] for column in expected]
     short = [i for i, h in enumerate(header) if h.startswith("short_")]
@@ -347,7 +347,9 @@ def test_distance_quantity_list_in_help_and_error(monkeypatch, capsys):
         main(["distance", "--help"])
     assert exc.value.code == 0
     listed = "comma list from conditional,qc,average,coherence,gfid,short,long,gamma_s,gamma_l,delta\n"
-    assert listed in capsys.readouterr().out
+    tmax = "last grid time (default: round(100/fiedler), at least 1; 10 for a one-node graph)\n"
+    help_text = capsys.readouterr().out
+    assert listed in help_text and tmax in help_text
 
     argv = ["distance", "--graph", "ring:5", "--quantities", "qc,bogus"]
     unknown = (
@@ -707,10 +709,10 @@ def reference_csv(spec, seed, quantities, node=None, tmin=1e-2, steps=400) -> by
         column, vector = _QUANTITIES[q]
         if column is not None and (vector is None or node is None):
             header.append(q)
-            cells_of.append(lambda obs, column=column: [column(obs)])
+            cells_of.append(lambda obs, column=column: [column(obs, sd.n)])
         else:
             header += [f"{q}_{j}" for j in nodes]
-            cells_of.append(lambda obs, vector=vector: vector(obs)[nodes])
+            cells_of.append(lambda obs, vector=vector: vector(obs, sd.n)[nodes])
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -1050,15 +1052,13 @@ def test_verify_reports_an_unnormalised_route_as_failed_checks(monkeypatch, caps
 
 
 def test_verify_detects_tampered_fidelity(monkeypatch, capsys):
-    import dataclasses
-
     import qcwalk.walks as walks
 
     true_kernel = walks.node_observables
 
     def skewed(sd, t):
-        obs = true_kernel(sd, t)
-        return dataclasses.replace(obs, fidelity=np.minimum(obs.fidelity + 0.05, 1.0))
+        fidelity, coherence, gfid = true_kernel(sd, t)
+        return np.stack([np.minimum(fidelity + 0.05, 1.0), coherence, gfid])
 
     monkeypatch.setattr("qcwalk.walks.node_observables", skewed)
     code, stdout, stderr = run(["verify", "--n-max", "4", "--samples", "16"], capsys)
@@ -1133,6 +1133,20 @@ def test_verify_forks_nothing_on_one_cpu_or_without_affinity(monkeypatch, capsys
     monkeypatch.delattr(os, "sched_getaffinity")
     assert run(["verify", "--n-max", "5", "--samples", "24"], capsys) == one_cpu
     assert one_cpu[0] == 0
+
+
+def test_check_result_is_an_immutable_record_that_pickles():
+    # a forked worker sends its results through a pipe as a pickle
+    import pickle
+
+    from qcwalk.checks import CheckResult
+
+    result = CheckResult(name="unitary propagator unitary", passed=False, detail="worst error 1e-3")
+    assert CheckResult._fields == ("name", "passed", "detail")
+    assert pickle.loads(pickle.dumps(result)) == result
+    assert result != CheckResult(name=result.name, passed=True, detail=result.detail)
+    with pytest.raises(AttributeError):
+        result.passed = True
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcwalk import generate, graph_from_edges, laplacian
+from qcwalk import generate, graph_from_edges, graph_from_spec, laplacian
 from qcwalk.distance import (
     VIOLATION_TOL,
     DisconnectedGraphError,
@@ -164,7 +164,7 @@ def test_curve_grid_validation():
 def test_asymptotes_at_zero():
     obs = node_observables(K2, 0.0)
     assert short_vector(obs)[0] == 0.0
-    assert long_vector(obs)[0] == pytest.approx(0.0, abs=1e-12)
+    assert long_vector(obs, K2.n)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_k2_short_asymptote_closed_form():
@@ -178,50 +178,68 @@ def test_long_asymptote_matches_distance_late():
     for label, g in FAMILY:
         sd = eigendecompose(laplacian(g))
         obs = node_observables(sd, 50.0 / sd.fiedler)
-        gap = np.abs(conditional_vector(obs) - long_vector(obs))
+        gap = np.abs(conditional_vector(obs) - long_vector(obs, g.n))
         for j in range(g.n):
             assert gap[j] <= 1e-2, label
 
 
 def test_gamma_limits():
-    assert gamma_of(node_observables(RING11, 1e-3), "S") == pytest.approx(1.0, abs=0.01)
+    assert gamma_of(node_observables(RING11, 1e-3), "S", RING11.n) == pytest.approx(1.0, abs=0.01)
     t_inf = 50.0 / RING11.fiedler
-    assert gamma_of(node_observables(RING11, t_inf), "L") == pytest.approx(1.0, abs=1e-3)
+    assert gamma_of(node_observables(RING11, t_inf), "L", RING11.n) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_gamma_undefined_at_zero():
     # NaN at one time as on a grid: undefined has one spelling
-    assert np.isnan(gamma_of(node_observables(RING11, 0.0), "S"))
-    assert np.isnan(gamma_of(node_observables(RING11, 0.0), "L"))
+    assert np.isnan(gamma_of(node_observables(RING11, 0.0), "S", RING11.n))
+    assert np.isnan(gamma_of(node_observables(RING11, 0.0), "L", RING11.n))
 
 
 def test_gamma_selector_is_s_or_l():
     obs = node_observables(RING11, 0.5)
     for which in ("short", "long", "s", "l", "X"):
         with pytest.raises(ValueError, match="asymptote selector must be 'S' or 'L'"):
-            gamma_of(obs, which)
+            gamma_of(obs, which, RING11.n)
 
 
 def test_delta_converges_to_one_over_n():
     t_inf = 50.0 / RING11.fiedler
-    assert delta_vector(node_observables(RING11, t_inf))[0] == pytest.approx(1 / 11, abs=1e-2)
-    assert delta_vector(node_observables(RING11, 3 * t_inf))[0] == pytest.approx(1 / 11, abs=1e-2)
+    assert delta_vector(node_observables(RING11, t_inf), RING11.n)[0] == pytest.approx(1 / 11, abs=1e-2)
+    assert delta_vector(node_observables(RING11, 3 * t_inf), RING11.n)[0] == pytest.approx(1 / 11, abs=1e-2)
 
 
 def test_delta_starts_at_one():
-    assert delta_vector(node_observables(RING11, 0.0))[0] == pytest.approx(1.0, abs=1e-12)
+    assert delta_vector(node_observables(RING11, 0.0), RING11.n)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_asymptote_laws_and_gammas_read_one_record():
-    obs = node_observables(STAR7, 0.5)
-    c, g, n = obs.coherence[0], obs.gfid[0], obs.n
+    obs, n = node_observables(STAR7, 0.5), STAR7.n
+    _, c, g = obs[:, 0]
     assert short_vector(obs)[0] == c / 2.0
-    assert long_vector(obs)[0] == 1.0 - g * g + c / n
-    assert gamma_of(obs, "S") == qc_of(obs)[0] / short_vector(obs).max()
-    assert gamma_of(obs, "L") == qc_of(obs)[0] / long_vector(obs).max()
-    assert delta_vector(obs)[0] == g * g - c / n
+    assert long_vector(obs, n)[0] == 1.0 - g * g + c / n
+    assert gamma_of(obs, "S", n) == qc_of(obs)[0] / short_vector(obs).max()
+    assert gamma_of(obs, "L", n) == qc_of(obs)[0] / long_vector(obs, n).max()
+    assert delta_vector(obs, n)[0] == g * g - c / n
     zero = node_observables(STAR7, 0.0)
-    assert np.isnan(gamma_of(zero, "S")) and np.isnan(gamma_of(zero, "L"))
+    assert np.isnan(gamma_of(zero, "S", n)) and np.isnan(gamma_of(zero, "L", n))
+
+
+@pytest.mark.parametrize("spec", ["ring:11", "random_connected:11:6"])
+def test_laws_on_one_launch_node_take_the_graphs_n(spec):
+    # a record of one launch node is still a record of the whole graph: the laws with a
+    # 1/n read the graph's n, never the record's width
+    sd = eigendecompose(laplacian(graph_from_spec(spec)))
+    obs = node_observables(sd, np.geomspace(1e-2, 1e2, 12))
+    laws = {
+        "conditional": conditional_vector,
+        "short": short_vector,
+        "long": lambda obs: long_vector(obs, sd.n),
+        "delta": lambda obs: delta_vector(obs, sd.n),
+    }
+    for name, law in laws.items():
+        full = law(obs)
+        for j in range(sd.n):
+            assert np.array_equal(law(obs[..., j : j + 1]), full[..., j : j + 1]), (name, j)
 
 
 # --- connectivity guard ----------------------------------------------------------------
@@ -265,7 +283,7 @@ def test_optimality_localized_state_margin_zero():
         rho_c = DensityMatrix.diagonal(p @ z)
         rho_q = DensityMatrix((u * z) @ u.conj().T)
         fid = uhlmann_fidelity(rho_c, rho_q)
-        assert fid == pytest.approx(node_observables(sd, t).fidelity[j], abs=1e-9)
+        assert fid == pytest.approx(node_observables(sd, t)[0, j], abs=1e-9)
 
 
 def test_optimality_pure_rows_take_the_closed_form():
@@ -279,7 +297,7 @@ def test_optimality_pure_rows_take_the_closed_form():
     for s in (0, 2):
         oracle = uhlmann_fidelity(DensityMatrix.diagonal(q[s]), DensityMatrix(rho[s]))
         assert fid[s] == pytest.approx(oracle, abs=1e-12)
-    localized = node_observables(sd, t).fidelity
+    localized = node_observables(sd, t)[0]
     assert fid[0] == pytest.approx(localized[0], abs=1e-9)
     assert fid[2] == pytest.approx(localized[3], abs=1e-9)
     assert fid[1] >= min(fid[0], fid[2]) - 1e-8

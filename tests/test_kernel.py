@@ -66,16 +66,16 @@ def test_kernel_matches_expm(label, g):
     for t in TIMES:
         obs = node_observables(sd, t)
         f, c, gf = expm_observables(lap, t)
-        assert_close(obs.fidelity, f, f"{label} F at t={t:.3g}")
-        assert_close(obs.coherence, c, f"{label} C at t={t:.3g}")
-        assert_close(obs.gfid, gf, f"{label} G at t={t:.3g}")
+        assert_close(obs[0], f, f"{label} F at t={t:.3g}")
+        assert_close(obs[1], c, f"{label} C at t={t:.3g}")
+        assert_close(obs[2], gf, f"{label} G at t={t:.3g}")
 
         qc = (1.0 - f).max()
         assert_close(qc_distance(sd, t)[0], qc, f"{label} qc at t={t:.3g}")
-        assert_close(gamma_of(obs, "S"), qc / (c / 2.0).max(), f"{label} gamma_S at t={t:.3g}")
+        assert_close(gamma_of(obs, "S", n), qc / (c / 2.0).max(), f"{label} gamma_S at t={t:.3g}")
         long_max = (1.0 - gf**2 + c / n).max()
-        assert_close(gamma_of(obs, "L"), qc / long_max, f"{label} gamma_L at t={t:.3g}")
-        assert_close(delta_vector(obs), gf**2 - c / n, f"{label} delta at t={t:.3g}")
+        assert_close(gamma_of(obs, "L", n), qc / long_max, f"{label} gamma_L at t={t:.3g}")
+        assert_close(delta_vector(obs, n), gf**2 - c / n, f"{label} delta at t={t:.3g}")
 
 
 def test_pointwise_functions_are_node_lookups_into_the_kernel():
@@ -85,7 +85,8 @@ def test_pointwise_functions_are_node_lookups_into_the_kernel():
         assert qc_distance(sd, t) == qc_of(obs)
         # NaN at t = 0 on both sides: a one-time record and a one-point grid agree
         for which in ("S", "L"):
-            np.testing.assert_array_equal(gamma_of(node_observables(sd, [t]), which), [gamma_of(obs, which)])
+            one_point = gamma_of(node_observables(sd, [t]), which, sd.n)
+            np.testing.assert_array_equal(one_point, [gamma_of(obs, which, sd.n)])
         assert np.array_equal(distance_curve(sd, [t])[:, 0], conditional_vector(obs))
 
 
@@ -94,9 +95,7 @@ def test_kernel_at_zero_time_is_exact():
     for n in (6, CUT, CUT + 1, 60):
         sd = eigendecompose(laplacian(generate("ring", n)))
         obs = node_observables(sd, 0.0)
-        assert np.array_equal(obs.fidelity, np.ones(n))
-        assert np.array_equal(obs.coherence, np.zeros(n))
-        assert np.array_equal(obs.gfid, np.ones(n))
+        assert np.array_equal(obs, [np.ones(n), np.zeros(n), np.ones(n)])
         # the t = 0 point shares its block's product with t = 1
         p, re, im = real_propagators(sd, [0.0, 1.0])
         assert np.array_equal(p[0], np.eye(n))
@@ -182,14 +181,19 @@ def test_grid_call_is_bitwise_one_point_calls(n, length):
     assert sizes == [block] * (count // block) + [count % block] * (count % block > 0)
     times = np.geomspace(1e-3, 1e3, count)
     grid = node_observables(sd, times)
-    assert grid.fidelity.shape == grid.coherence.shape == grid.gfid.shape == (count, n)
+    # the record is one read-only float array, F, C and G stacked
+    assert grid.shape == (3, count, n) and grid.dtype == float
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0, 0] = 0.0
     # every block's first and last point, and every 13th point between (n = 1 has 16001)
     edges = set(range(0, count, block)) | set(range(block - 1, count, block)) | {count - 1}
     for i in sorted((edges | set(range(0, count, 13))) & set(range(count))):
         one = node_observables(sd, times[i])
-        assert one.fidelity.shape == (n,)
-        for field in ("fidelity", "coherence", "gfid"):
-            assert np.array_equal(getattr(grid, field)[i], getattr(one, field)), (field, i)
+        assert one.shape == (3, n) and one.dtype == float
+        with pytest.raises(ValueError, match="read-only"):
+            one[...] = 0.0
+        for k in range(3):
+            assert np.array_equal(grid[k, i], one[k]), (k, i)
 
 
 def test_grid_starting_at_zero_reads_exact_identity(tmp_path):
@@ -204,9 +208,7 @@ def test_grid_starting_at_zero_reads_exact_identity(tmp_path):
     assert rows[1] == "0," + ",".join(["0"] * 10 + ["1"] * 5)
     sd = eigendecompose(laplacian(generate("ring", 5)))
     grid = node_observables(sd, np.linspace(0.0, 5.0, steps))
-    assert np.array_equal(grid.fidelity[0], np.ones(5))
-    assert np.array_equal(grid.coherence[0], np.zeros(5))
-    assert np.array_equal(grid.gfid[0], np.ones(5))
+    assert np.array_equal(grid[:, 0], [np.ones(5), np.zeros(5), np.ones(5)])
     assert np.array_equal(real_propagators(sd, [0.0, 1.0])[:, 0], [np.eye(5), np.eye(5), np.zeros((5, 5))])
 
 
@@ -278,9 +280,14 @@ def test_in_place_reduction_is_bitwise_the_out_of_place_one(n):
         props = real_propagators(sd, times[b])
         want = out_of_place_reduction(*props)
         got = walks.reduce_propagators(props)
-        for field, ref in zip(("fidelity", "coherence", "gfid"), want):
-            assert np.array_equal(getattr(obs, field)[b], ref), (field, b)
-            assert np.array_equal(getattr(got, field), ref), (field, b)
+        # given out, the reduction writes F, C and G there and returns that memory
+        out = np.empty((3, len(times[b]), n))
+        into = walks.reduce_propagators(real_propagators(sd, times[b]), out)
+        assert np.shares_memory(into, out)
+        for k, ref in enumerate(want):
+            assert np.array_equal(obs[k, b], ref), (k, b)
+            assert np.array_equal(got[k], ref), (k, b)
+            assert np.array_equal(out[k], ref), (k, b)
 
 
 def test_kernel_allocates_no_reduction_temporaries():
@@ -329,7 +336,7 @@ def test_optimality_margins_read_the_reduction_of_an_untouched_pair(monkeypatch)
     margins = distance.verify_localized_optimality(sd, 30, t_values, seed=6)
     assert len(formed) == 1 and read
     assert all(np.array_equal(u, formed[0][1] + 1j * formed[0][2]) for u in read)
-    reference = lambda props: walks.NodeObservables(*out_of_place_reduction(*props))
+    reference = lambda props: np.stack(out_of_place_reduction(*props))
     monkeypatch.setattr(walks, "reduce_propagators", reference)
     assert np.array_equal(distance.verify_localized_optimality(sd, 30, t_values, seed=6), margins)
 
@@ -341,12 +348,12 @@ def test_optimality_floor_is_the_kernels_fidelity(n, monkeypatch):
 
     sd = eigendecompose(laplacian(generate("random_connected", n, extra=min(n - 1, 3), seed=n)))
     t_values = (0.1, 0.5, 1.0, 3.0)
-    kernel = node_observables(sd, t_values).fidelity
+    kernel = node_observables(sd, t_values)[0]
     reduced = []
 
     def recorded(props, _original=walks.reduce_propagators):
         obs = _original(props)
-        reduced.append(obs.fidelity.copy())
+        reduced.append(obs[0].copy())
         return obs
 
     monkeypatch.setattr(walks, "reduce_propagators", recorded)

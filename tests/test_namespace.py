@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 # The benchmark's span tracer imports these seven modules, one layer each, and wraps
-# every function and dataclass each lists in __all__. The names are listed by hand
-# here, as below, so the suite does not import the benchmark.
+# every function each lists in __all__, and the __post_init__ of each class listed
+# there that defines one. The names are listed by hand here, as below, so the suite
+# does not import the benchmark.
 MODULES = ("graph", "config", "spectral", "walks", "distance", "checks", "cli")
 
 

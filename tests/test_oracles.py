@@ -96,9 +96,9 @@ def test_complete_graph_matches_closed_form(kind, n):
     obs = node_observables(eigendecompose(laplacian(generate(kind, n))), TIMES)
     distance, short = conditional_vector(obs)[:, 0], short_vector(obs)[:, 0]
     kernel = {
-        "F": obs.fidelity[:, 0],
-        "C": obs.coherence[:, 0],
-        "1 - G": 1.0 - obs.gfid[:, 0],
+        "F": obs[0][:, 0],
+        "C": obs[1][:, 0],
+        "1 - G": 1.0 - obs[2][:, 0],
         "D_QC": distance,
         "gamma_S": distance / short,
     }
@@ -148,11 +148,11 @@ RING_TIMES = (1.0, 100.0, 1e4)
 @pytest.mark.parametrize("n", [11, 64, 200])
 def test_ring_matches_closed_form(n):
     obs = node_observables(eigendecompose(laplacian(generate("ring", n))), RING_TIMES)
-    kernel = {"F": obs.fidelity[:, 0], "C": obs.coherence[:, 0], "D_QC": conditional_vector(obs)[:, 0]}
+    kernel = {"F": obs[0][:, 0], "C": obs[1][:, 0], "D_QC": conditional_vector(obs)[:, 0]}
     # G reads sqrt(p) where p is below roundoff; at n = 200 and t = 100 that puts its
     # error at 35 times the bound, so only the smaller rings check it
     if n <= 64:
-        kernel["1 - G"] = 1.0 - obs.gfid[:, 0]
+        kernel["1 - G"] = 1.0 - obs[2][:, 0]
     max_lambda = 2 - 2 * np.cos(2 * np.pi * (n // 2) / n)
     for i, (t, exact) in enumerate(zip(RING_TIMES, ring_oracle(n, RING_TIMES))):
         bound = 1e-12 + 10 * t * EPS * max_lambda
@@ -204,9 +204,9 @@ def test_path_matches_closed_form(n):
     # t = 100); by path(100) it is not, for the ring's reason
     obs = node_observables(eigendecompose(laplacian(generate("path", n))), RING_TIMES)
     kernel = {
-        "F": obs.fidelity[:, 0],
-        "C": obs.coherence[:, 0],
-        "1 - G": 1.0 - obs.gfid[:, 0],
+        "F": obs[0][:, 0],
+        "C": obs[1][:, 0],
+        "1 - G": 1.0 - obs[2][:, 0],
         "D_QC": conditional_vector(obs)[:, 0],
     }
     max_lambda = 2 + 2 * np.cos(np.pi / n)
@@ -223,8 +223,8 @@ def test_path_extremes_match_closed_form(n):
     # form; path(64) would take the oracle 4 s
     obs = node_observables(eigendecompose(laplacian(generate("path", n))), RING_TIMES)
     kernel = {
-        "F": obs.fidelity.min(axis=1),
-        "C": obs.coherence.max(axis=1),
+        "F": obs[0].min(axis=1),
+        "C": obs[1].max(axis=1),
         "D_QC": conditional_vector(obs).max(axis=1),
     }
     columns = [path_oracle(n, RING_TIMES, launch) for launch in range(n)]
@@ -246,7 +246,7 @@ def test_complete_graph_maxima_match_closed_form(n):
     # every node of K_n has node 0's closed form, so each time's min_j and max_j meet it
     # too: the graph-level maxima, read where eigh spreads the (n - 1)-fold eigenvalue -n
     obs = node_observables(eigendecompose(laplacian(generate("complete", n))), TIMES)
-    kernel = {"F": obs.fidelity, "C": obs.coherence, "1 - G": 1.0 - obs.gfid, "D_QC": conditional_vector(obs)}
+    kernel = {"F": obs[0], "C": obs[1], "1 - G": 1.0 - obs[2], "D_QC": conditional_vector(obs)}
     for i, t in enumerate(TIMES):
         bound = 1e-12 + 10 * t * EPS * n
         exact = exact_and_condition(n, t)
@@ -289,7 +289,7 @@ def star_leaf_oracle(n: int, t: float) -> dict[str, float]:
 def test_star_leaves_match_closed_form(n):
     # the leaves read the (n - 2)-fold eigenvalue -1, which no other oracle reaches
     obs = node_observables(eigendecompose(laplacian(generate("star", n))), TIMES)
-    kernel = {"F": obs.fidelity, "C": obs.coherence, "1 - G": 1.0 - obs.gfid, "D_QC": conditional_vector(obs)}
+    kernel = {"F": obs[0], "C": obs[1], "1 - G": 1.0 - obs[2], "D_QC": conditional_vector(obs)}
     for i, t in enumerate(TIMES):
         bound = 1e-12 + 10 * t * EPS * n
         exact = star_leaf_oracle(n, t)
@@ -334,7 +334,7 @@ def test_graphs_without_closed_form_match_expm(graph):
     # every node, so the wheel's rim too, against exponentials formed with no eigensolver
     sd = eigendecompose(laplacian(graph))
     obs = node_observables(sd, EXPM_TIMES)
-    kernel = {"F": obs.fidelity, "C": obs.coherence, "1 - G": 1.0 - obs.gfid}
+    kernel = {"F": obs[0], "C": obs[1], "1 - G": 1.0 - obs[2]}
     max_lambda = np.abs(sd.eigenvalues).max()
     for i, t in enumerate(EXPM_TIMES):
         bound = 1e-12 + 10 * t * EPS * max_lambda

@@ -214,7 +214,7 @@ def test_heat_rejects_negative_time():
             lambda: real_propagators(sd, t),
             lambda: node_observables(sd, t),
             lambda: qc_distance(sd, t),
-            lambda: gamma_of(node_observables(sd, t), "S"),
+            lambda: gamma_of(node_observables(sd, t), "S", sd.n),
             lambda: verify_localized_optimality(sd, 5, [0.5, t]),
         ):
             with pytest.raises(ValueError, match="finite"):

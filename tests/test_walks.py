@@ -50,10 +50,10 @@ def test_start_conditions():
     p, u = propagator_pair(sd, 0.0)
     assert np.array_equal(p[:, 2], np.eye(5)[2])
     assert np.array_equal(u[:, 2], np.eye(5, dtype=complex)[2])
-    obs = node_observables(sd, 0.0)
-    assert obs.fidelity[2] == 1.0
-    assert obs.coherence[2] == 0.0
-    assert obs.gfid[2] == 1.0
+    fidelity, coherence, gfid = node_observables(sd, 0.0)
+    assert fidelity[2] == 1.0
+    assert coherence[2] == 0.0
+    assert gfid[2] == 1.0
 
 
 def test_node_and_time_validation():
@@ -72,14 +72,9 @@ def test_k2_closed_forms():
         p = propagator_pair(K2, t)[0][:, 0]
         assert np.allclose(p, [(1 + e) / 2, (1 - e) / 2], atol=1e-12)
 
-        obs = node_observables(K2, t)
-        f = obs.fidelity[0]
+        f, c, g = node_observables(K2, t)[:, 0]
         assert f == pytest.approx((1 + e * np.cos(2 * t)) / 2, abs=1e-12)
-
-        c = obs.coherence[0]
         assert c == pytest.approx(abs(np.sin(2 * t)), abs=1e-12)
-
-        g = obs.gfid[0]
         want = np.sqrt((1 + e) / 2) * abs(np.cos(t)) + np.sqrt((1 - e) / 2) * abs(np.sin(t))
         assert g == pytest.approx(want, abs=1e-12)
 
@@ -111,7 +106,7 @@ def test_distribution_flattens(g, sd):
 @pytest.mark.parametrize("g,sd", list(zip(FAMILY, DECS)))
 def test_localized_fidelity_reaches_uniform(g, sd):
     t = 50.0 / sd.fiedler
-    fid = node_observables(sd, t).fidelity
+    fid = node_observables(sd, t)[0]
     for j in range(g.n):
         assert fid[j] == pytest.approx(1.0 / g.n, abs=1e-6)
 
@@ -121,10 +116,10 @@ def test_localized_fidelity_reaches_uniform(g, sd):
 def test_scalar_ranges(pair, t):
     g, sd = pair
     j = g.n - 1
-    obs = node_observables(sd, t)
-    assert 0.0 <= obs.fidelity[j] <= 1.0
-    assert 0.0 <= obs.gfid[j] <= 1.0
-    assert 0.0 <= obs.coherence[j] <= g.n - 1 + 1e-9
+    fidelity, coherence, gfid = node_observables(sd, t)
+    assert 0.0 <= fidelity[j] <= 1.0
+    assert 0.0 <= gfid[j] <= 1.0
+    assert 0.0 <= coherence[j] <= g.n - 1 + 1e-9
 
 
 @pytest.mark.parametrize("g,sd", list(zip(FAMILY, DECS)))
@@ -132,7 +127,7 @@ def test_short_time_coherence_slope(g, sd):
     # C_j(t) ~ 2 d_j t as t -> 0
     t = 1e-4
     degs = degree_sequence(g)
-    coh = node_observables(sd, t).coherence
+    coh = node_observables(sd, t)[1]
     for j in range(g.n):
         assert coh[j] / (2 * degs[j] * t) == pytest.approx(1.0, rel=1e-2)
 
@@ -141,22 +136,22 @@ def test_short_time_coherence_slope(g, sd):
 def test_long_time_sqrtn_identity(g, sd):
     # sqrt(n) G_j(t) approaches the amplitude l1 norm once p is flat
     t = 50.0 / sd.fiedler
-    obs = node_observables(sd, t)
+    _, coherence, gfid = node_observables(sd, t)
     u = propagator_pair(sd, t)[1]
     for j in (0, g.n - 1):
-        lhs = np.sqrt(g.n) * obs.gfid[j]
+        lhs = np.sqrt(g.n) * gfid[j]
         rhs = np.abs(u[:, j]).sum()
         assert lhs == pytest.approx(rhs, abs=1e-8)
         # and the combination n G^2 - C pins itself to 1
-        c = obs.coherence[j]
-        assert g.n * obs.gfid[j] ** 2 - c == pytest.approx(1.0, abs=0.02)
+        c = coherence[j]
+        assert g.n * gfid[j] ** 2 - c == pytest.approx(1.0, abs=0.02)
 
 
 def test_regular_graph_node_equivalence():
     for g in (generate("ring", 11), generate("complete", 5)):
         sd = eigendecompose(laplacian(g))
         for t in (0.2, 1.0, 4.0):
-            vals = node_observables(sd, t).fidelity
+            vals = node_observables(sd, t)[0]
             assert vals.max() - vals.min() <= 1e-10
 
 
@@ -168,7 +163,7 @@ def test_localized_fidelity_matches_uhlmann(seed):
     g = generate("random_connected", 3 + 2 * (seed % 3), extra=2, seed=seed)
     sd = eigendecompose(laplacian(g))
     for t in (0.1, 0.8, 2.5):
-        fid = node_observables(sd, t).fidelity
+        fid = node_observables(sd, t)[0]
         p, u = propagator_pair(sd, t)
         for j in range(g.n):
             oracle = uhlmann_fidelity(
