@@ -9,7 +9,9 @@ directory. The default set is the benchmark's ``graph_level`` and
 --n 5`` and ``figure fig2 --seed 3``, the asymptote diagnostics ``distance
 --graph ring:11 --steps 12 --quantities qc,short,long,gamma_s,gamma_l,delta``
 and the same on ``random_connected:11:6 --seed 3``, ``verify --n-max 10 --samples 4000`` at
-seeds 0, 1 and 1301, and the degenerate-graph argv ``distance --node 1
+seeds 0, 1 and 1301, ``verify --n-max 3 --samples 1 --seed 2`` (one sample per time),
+``verify --n-max 10 --samples 40000 --seed 5`` (1250 samples per time and size, many
+element-budget chunks of samples), and the degenerate-graph argv ``distance --node 1
 --quantities conditional,coherence,gfid,short,long,delta,qc`` on complete:50,
 complete:200, ring:64, star:200, wheel:50 and wheel:200. Then the grid's edge cases, each a
 ``distance`` argv: a linear grid from t = 0 (NA gamma cells), a one-point
@@ -67,6 +69,7 @@ def default_argvs() -> list[str]:
     diagnostics = "--steps 12 --quantities qc,short,long,gamma_s,gamma_l,delta"
     argvs += [f"distance --graph {g} {diagnostics}" for g in ("ring:11", "random_connected:11:6 --seed 3")]
     argvs += [f"verify --n-max 10 --samples 4000 --seed {seed}" for seed in (0, 1, 1301)]
+    argvs += ["verify --n-max 3 --samples 1 --seed 2", "verify --n-max 10 --samples 40000 --seed 5"]
     specs = ("complete:50", "complete:200", "ring:64", "star:200", "wheel:50", "wheel:200")
     return argvs + [f"{DEGENERATE} {spec}" for spec in specs] + list(EDGE_CASES)
 

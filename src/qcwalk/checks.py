@@ -7,22 +7,18 @@ error found against the property's tolerance. The checks are deterministic
 given the seed. They are spot checks for field use; the test suite covers
 the same ground more thoroughly.
 
-:func:`run_checks` runs every check of ``qcwalk verify``. Its units, the
-invariant checks and the optimality sweep's graph sizes, are independent
-(each size seeds its graph and its draws with ``seed + n``), so they run in
-one process per usable CPU, this one and ``os.fork``ed children; the
-invariant checks always run here. Every unit is reported by one rule: a
-refusal fails each of its checks, and any other exception is re-raised, the
-first in report order. The output does not depend on the number of
-processes. Without ``os.sched_getaffinity`` (outside Linux) every unit
-runs here.
+:func:`run_checks` runs every check of ``qcwalk verify`` in this process.
+Its units, the invariant checks and the optimality sweep's graph sizes
+(each size seeds its graph and its draws with ``seed + n``), run in report
+order, and every unit is reported by one rule: a refusal fails each of its
+checks, and any other exception ends the run. Each size eigensolves only
+the samples its affinity bound cannot certify (see
+:func:`qcwalk.distance.verify_localized_optimality`).
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
 from typing import NamedTuple
 
 import numpy as np
@@ -32,17 +28,13 @@ from .distance import VIOLATION_TOL, qc_distance, verify_localized_optimality
 from .graph import Graph, generate, laplacian
 from .spectral import eigendecompose, real_propagators
 
-__all__ = ["CheckResult", "WorkerLostError", "run_checks", "run_invariant_checks", "check_family"]
+__all__ = ["CheckResult", "run_checks", "run_invariant_checks", "check_family"]
 
 
 class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
-
-
-class WorkerLostError(RuntimeError):
-    """A forked worker of the optimality sweep ended without sending its outcomes."""
 
 
 def check_family(seed: int = 0) -> list[tuple[str, Graph]]:
@@ -174,101 +166,19 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
     return [_result(name, found) for name, found in errs.items()]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (Linux); 1 where the platform cannot say."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
-def _refused(exc: BaseException) -> bool:
-    """A refused state or unitary: any ValueError but numpy's LinAlgError (a computation error)."""
-    return isinstance(exc, ValueError) and not isinstance(exc, np.linalg.LinAlgError)
-
-
 def _optimality_unit(n: int, per_size: int, t_values, seed: int):
-    """The unit of run_checks' deal that sweeps the random connected graph of size n."""
+    """The unit of run_checks that sweeps the random connected graph of size n."""
     name = f"localized optimality on random_connected({n})"
 
     def sweep() -> tuple[list[CheckResult], float]:
         g = generate("random_connected", n, extra=min(n - 1, 3), seed=seed + n)
         sd = eigendecompose(laplacian(g))
-        margins = verify_localized_optimality(sd, per_size, t_values, seed=seed + n)
-        worst = float(margins.min())
-        detail = f"worst margin {worst:.3e} over {margins.size} samples (floor {-VIOLATION_TOL:.0e})"
+        worst = verify_localized_optimality(sd, per_size, t_values, seed=seed + n)
+        samples = per_size * len(t_values)
+        detail = f"worst margin {worst:.3e} over {samples} samples (floor {-VIOLATION_TOL:.0e})"
         return [CheckResult(name=name, passed=worst >= -VIOLATION_TOL, detail=detail)], worst
 
-    return n, [name], sweep
-
-
-def _run_share(share) -> dict:
-    """Per unit of ``share``, keyed as the unit: its (results, margin), or the exception it raised.
-
-    The units run in report order. A refusal (see _refused) fails every
-    check of its unit, since none was established over the whole family,
-    and the share goes on; any other exception ends the share at its unit,
-    as it would end a serial run.
-    """
-    outcomes = {}
-    for key, names, thunk in sorted(share):
-        try:
-            outcomes[key] = thunk()
-        except Exception as exc:  # a refusal is reported here, any other is re-raised by the caller
-            if not _refused(exc):
-                outcomes[key] = exc
-                break
-            refused = [CheckResult(name=name, passed=False, detail=f"refused: {exc}") for name in names]
-            outcomes[key] = (refused, None)
-    return outcomes
-
-
-def _in_workers(shares) -> dict:
-    """The merged outcomes of _run_share over all shares.
-
-    The first share runs in this process, each other one in a forked child
-    that pickles its outcomes through a pipe and always leaves through
-    os._exit. Every child is read and reaped before this returns or raises;
-    one that exits without its outcomes raises WorkerLostError.
-    """
-    children = []  # (pid, read end of its pipe, share)
-    try:
-        for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(read_fd)
-                    with open(write_fd, "wb") as fh:
-                        pickle.dump(_run_share(share), fh)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write_fd)
-            children.append((pid, read_fd, share))
-        outcomes = _run_share(shares[0])
-    finally:
-        replies = []
-        for pid, read_fd, share in children:
-            with open(read_fd, "rb") as fh:
-                data = fh.read()
-            replies.append((share, data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
-    for share, data, code in replies:
-        if code != 0:
-            status = f"exit status {code}" if code > 0 else f"signal {-code}"
-            # the invariant unit always runs in this process, so a child's units are sizes
-            sizes = ", ".join(str(key) for key, _, _ in sorted(share))
-            raise WorkerLostError(
-                f"optimality sweep worker for sizes {sizes} ended without a result ({status})"
-            )
-        # the bytes come from this function's own child, so they are safe to unpickle
-        outcomes.update(pickle.loads(data))
-    return outcomes
+    return [name], sweep
 
 
 def run_checks(n_max: int, samples: int, seed: int) -> tuple[list[CheckResult], float | None]:
@@ -276,18 +186,15 @@ def run_checks(n_max: int, samples: int, seed: int) -> tuple[list[CheckResult], 
 
     The sweep spreads ``samples`` Dirichlet draws across random connected
     graphs of sizes 3..n_max and times {0.1, 0.5, 1, 3}. ``n_max`` and
-    ``samples`` are validated before any unit runs. The units, in report
-    order, are the invariant checks and then one per size, ascending; each
-    is a (key in report order, names of its checks, thunk) whose thunk
-    returns its results and its margin, None for the invariant checks.
-    Dealt round-robin from the invariant checks and then the largest size,
-    they run in one process per usable CPU (at most one per unit), so the
-    invariant checks always run in this process. Returns the results in
-    report order and the worst margin (by _worst: a NaN one, else the
-    smallest), None if no size gave one. A unit that refuses its input (a
-    ValueError other than numpy's LinAlgError) fails each of its checks; any
-    other exception is re-raised, the first in report order if several
-    units raise, as a serial run would raise it.
+    ``samples`` are validated before any unit runs. The units run in report
+    order: the invariant checks, then one per size, ascending; each is a
+    (names of its checks, thunk) whose thunk returns its results and its
+    margin, None for the invariant checks. Returns the results in report
+    order and the worst margin (by _worst: a NaN one, else the smallest),
+    None if no size gave one. A unit that refuses its input (a ValueError
+    other than numpy's LinAlgError) fails each of its checks, since none was
+    established over the whole family, and the run goes on; any other
+    exception ends the run.
     """
     if n_max > 10:
         raise ValueError("n_max above 10 is not supported (dense fidelity cost)")
@@ -298,17 +205,17 @@ def run_checks(n_max: int, samples: int, seed: int) -> tuple[list[CheckResult], 
     sizes = range(3, n_max + 1)
     t_values = (0.1, 0.5, 1.0, 3.0)
     per_size = int(np.ceil(samples / (len(sizes) * len(t_values))))
-    # keyed 0, the invariant unit comes before every size in report order
-    units = [(0, list(_TOLERANCES), lambda: (run_invariant_checks(seed), None))]
-    units += [_optimality_unit(n, per_size, t_values, seed) for n in reversed(sizes)]
-    workers = min(_usable_cpus(), len(units))
-    outcomes = _in_workers([units[w::workers] for w in range(workers)])
+    units = [(list(_TOLERANCES), lambda: (run_invariant_checks(seed), None))]
+    units += [_optimality_unit(n, per_size, t_values, seed) for n in sizes]
     results, margins = [], []
-    # a unit missing from outcomes comes after an exception of its share, so it is never reached
-    for key in sorted(outcomes):
-        if isinstance(outcomes[key], Exception):
-            raise outcomes[key]
-        unit_results, margin = outcomes[key]
+    for names, thunk in units:
+        try:
+            unit_results, margin = thunk()
+        except ValueError as exc:
+            if isinstance(exc, np.linalg.LinAlgError):  # a computation error, not a refusal
+                raise
+            unit_results = [CheckResult(name=name, passed=False, detail=f"refused: {exc}") for name in names]
+            margin = None
         results += unit_results
         if margin is not None:
             margins.append(margin)

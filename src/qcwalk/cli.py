@@ -8,19 +8,19 @@ Subcommands:
 * ``verify``   invariant spot checks and the localized-optimality sweep
 
 Exit codes: 0 success, 1 usage or configuration error, 2 computation error
-(disconnected graph, eigensolver failure, memory exhausted, a ``verify``
-worker process lost), 3 verification failure. CSV uses a mandatory header
-row, 12-significant-digit floats (``%.12g``), the literal ``NA`` for undefined
-values, and CRLF line endings. A sweep refuses an unknown or repeated
-quantity, then makes one kernel call for its whole grid, stacks each
-quantity's column or node block into one float table (a row per time point)
-and formats the whole table in numpy: a cell in positional form is built from
-its exact 12-digit mantissa, and every other cell (exponent form, 0, NA, a near
-rounding tie) is formatted by ``%`` itself, so the bytes are ``%``'s. A figure
-preset is a list of curve specs, each giving one graph, one sweep and one
-manifest entry; ``figure`` takes several presets, each with its own grid and
-manifest. Every CSV of the call is formatted before any file is written, so a
-sweep that fails writes nothing and creates no directory.
+(disconnected graph, eigensolver failure, memory exhausted), 3 verification
+failure. CSV uses a mandatory header row, 12-significant-digit floats
+(``%.12g``), the literal ``NA`` for undefined values, and CRLF line endings. A
+sweep refuses an unknown or repeated quantity, then makes one kernel call for
+its whole grid, stacks each quantity's column or node block into one float
+table (a row per time point) and formats the whole table in numpy: a cell in
+positional form is built from its exact 12-digit mantissa, and every other
+cell (exponent form, 0, NA, a near rounding tie) is formatted by ``%`` itself,
+so the bytes are ``%``'s. A figure preset is a list of curve specs, each
+giving one graph, one sweep and one manifest entry; ``figure`` takes several
+presets, each with its own grid and manifest. Every CSV of the call is
+formatted before any file is written, so a sweep that fails writes nothing and
+creates no directory.
 
 The parser is built on the first :func:`main` call and reused by every later
 call in the process; :func:`main` dispatches to ``cmd_<command>``, looked up
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import distance as dist
 from . import walks
-from .checks import WorkerLostError, run_checks
+from .checks import run_checks
 from .config import DEFAULT_STEPS, DEFAULT_T_MIN, default_t_max, time_grid
 from .distance import DisconnectedGraphError
 from .graph import (
@@ -358,8 +358,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # run_checks validates --n-max and --samples before any check runs, and runs the
-    # invariant checks in this process beside the sweep's forked workers; a refused unit
+    # run_checks validates --n-max and --samples before any check runs; a refused unit
     # comes back as failed results, any other exception of a unit is raised here
     results, worst = run_checks(n_max=args.n_max, samples=args.samples, seed=args.seed)
     failures = 0
@@ -428,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("verify", help="run invariant and optimality checks")
-    p.add_argument("--n-max", type=int, default=8, help="largest random graph size (<= 10)")
+    p.add_argument("--n-max", type=int, default=8, help="largest random graph size, 3 to 10")
     p.add_argument("--samples", type=int, default=200, help="diagonal states to sample")
     p.add_argument("--seed", type=_seed, default=0)
 
@@ -441,7 +440,7 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except (DisconnectedGraphError, np.linalg.LinAlgError, MemoryError, WorkerLostError) as exc:
+    except (DisconnectedGraphError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"qcwalk: computation error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_COMPUTE
     except (ValueError, OSError) as exc:

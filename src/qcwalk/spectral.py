@@ -16,6 +16,9 @@ checks alike; a caller that needs the complex unitary forms re + 1j * im.
 :func:`classical_quantum_fidelity` is the library's one Uhlmann fidelity,
 that of the optimality sweep: it validates the weights and unitaries that
 define the states and never builds a density matrix.
+:func:`classical_quantum_affinity` is its closed-form lower bound, checked
+on the same inputs, which lets the sweep eigensolve only the samples that
+could be its worst.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "eigendecompose",
     "real_propagators",
     "classical_quantum_fidelity",
+    "classical_quantum_affinity",
 ]
 
 #: how negative a probability (a state's eigenvalue, an entry of exp(L t)) may be
@@ -198,6 +202,23 @@ def _check_weights(total: np.ndarray, weights: np.ndarray) -> None:
         raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
 
 
+def _check_states(q, u, z):
+    """The states' inputs as arrays, refused as classical_quantum_fidelity documents, and u^dag."""
+    q = np.asarray(q, dtype=float)
+    u = np.asarray(u, dtype=complex)
+    z = np.asarray(z, dtype=float)
+    if q.ndim != 3 or z.shape != q.shape or u.shape != q.shape[:1] + q.shape[-1:] * 2:
+        raise ValueError("need q and z of shape (T, S, n) and u of shape (T, n, n)")
+    _check_weights(q.sum(axis=-1), q)
+    _check_weights(z.sum(axis=-1), z)
+    u_dag = u.conj().swapaxes(-1, -2)
+    drift = np.linalg.norm(u @ u_dag - np.eye(q.shape[-1]), axis=(-2, -1))
+    bad = np.flatnonzero(~(drift <= -NEGATIVITY_TOL))
+    if bad.size:
+        raise ValueError(f"u[{bad[0]}] drifts from unitarity by {drift[bad[0]]:.3e}")
+    return q, u, z, u_dag
+
+
 def classical_quantum_fidelity(q, u, z) -> np.ndarray:
     """Uhlmann fidelity of diag(q[i, s]) and u[i] diag(z[i, s]) u[i]^dag, shape (T, S).
 
@@ -213,18 +234,7 @@ def classical_quantum_fidelity(q, u, z) -> np.ndarray:
     the closed form F = sum_k q_k rho_kk, which is <psi|diag(q)|psi> when
     rho = |psi><psi| (Jozsa, J. Mod. Opt. 41, 1994).
     """
-    q = np.asarray(q, dtype=float)
-    u = np.asarray(u, dtype=complex)
-    z = np.asarray(z, dtype=float)
-    if q.ndim != 3 or z.shape != q.shape or u.shape != q.shape[:1] + q.shape[-1:] * 2:
-        raise ValueError("need q and z of shape (T, S, n) and u of shape (T, n, n)")
-    _check_weights(q.sum(axis=-1), q)
-    _check_weights(z.sum(axis=-1), z)
-    u_dag = u.conj().swapaxes(-1, -2)
-    drift = np.linalg.norm(u @ u_dag - np.eye(q.shape[-1]), axis=(-2, -1))
-    bad = np.flatnonzero(~(drift <= -NEGATIVITY_TOL))
-    if bad.size:
-        raise ValueError(f"u[{bad[0]}] drifts from unitarity by {drift[bad[0]]:.3e}")
+    q, u, z, u_dag = _check_states(q, u, z)
     rho = (u[:, None] * z[:, :, None, :]) @ u_dag[:, None]
     pure = (q.max(axis=-1) > _PURE_THRESHOLD) | (z.max(axis=-1) > _PURE_THRESHOLD)
     root = np.sqrt(q)
@@ -233,3 +243,20 @@ def classical_quantum_fidelity(q, u, z) -> np.ndarray:
     mixed = np.sqrt(vals).sum(axis=-1) ** 2
     rank_one = np.einsum("tsk,tskk->ts", q, rho).real
     return np.clip(np.where(pure, rank_one, mixed), 0.0, 1.0)
+
+
+def classical_quantum_affinity(q, u, z) -> np.ndarray:
+    """Squared affinity (tr sqrt(sigma) sqrt(rho))^2 of classical_quantum_fidelity's states, shape (T, S).
+
+    A lower bound on their Uhlmann fidelity: F = ||sqrt(sigma) sqrt(rho)||_1^2
+    and |tr X| <= ||X||_1 (Luo and Zhang, Phys. Rev. A 69, 032106, 2004).
+    With sigma = diag(q) and sqrt(rho) = u diag(sqrt z) u^dag it is
+    A = (sum_k sqrt(q_k) sum_a |u_ka|^2 sqrt(z_a))^2: O(n^2) per pair, with
+    no state formed and no eigensolve. Equal to F where the two states
+    commute, as at t = 0 where u = I. The inputs are validated as
+    classical_quantum_fidelity validates them, with the same messages.
+    """
+    q, u, z, _ = _check_states(q, u, z)
+    weights = u.real**2 + u.imag**2  # |u_ka|^2
+    diagonal = np.sqrt(z) @ weights.swapaxes(-1, -2)  # the diagonal of sqrt(rho)
+    return (np.sqrt(q) * diagonal).sum(axis=-1) ** 2

@@ -260,16 +260,15 @@ def test_disconnected_graphs_are_refused():
 def test_optimality_margins_nonnegative():
     g = generate("random_connected", 6, extra=3, seed=9)
     sd = eigendecompose(laplacian(g))
-    margins = verify_localized_optimality(sd, 25, [0.1, 0.5, 1.0, 3.0], seed=9)
-    assert margins.shape == (25, 4)
-    assert margins.min() >= -VIOLATION_TOL
-    assert margins.min() >= -1e-8
+    worst = verify_localized_optimality(sd, 25, [0.1, 0.5, 1.0, 3.0], seed=9)
+    assert isinstance(worst, float)
+    assert worst >= -VIOLATION_TOL
+    assert worst >= -1e-8
 
 
 def test_optimality_k2_uniform_state():
     # rho = I/2 pushed through both maps must beat the localized floor
-    margins = verify_localized_optimality(K2, 10, [0.4, 1.7], seed=0)
-    assert margins.min() >= -VIOLATION_TOL
+    assert verify_localized_optimality(K2, 10, [0.4, 1.7], seed=0) >= -VIOLATION_TOL
 
 
 def test_optimality_localized_state_margin_zero():
@@ -314,24 +313,62 @@ def test_batched_dirichlet_draws_equal_sequential_draws(size):
         assert batch.bit_generator.state == seq.bit_generator.state
 
 
+def full_route(sd, n_samples, t_values, seed):
+    """The sweep's draws z and its margins with every sample eigensolved, both (T, n_samples)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    p, u = propagator_pair(sd, t_values)
+    z = rng.dirichlet(np.ones(sd.n), size=(len(t_values), n_samples))
+    q = np.clip(z @ p.swapaxes(-1, -2), 0.0, None)
+    floor = node_observables(sd, t_values)[0].min(axis=-1)
+    return z, classical_quantum_fidelity(q, u, z) - floor[:, None]
+
+
 def test_optimality_decomposes_one_matrix_per_sample_and_time(monkeypatch):
-    counts = count_eigensolves(monkeypatch)
+    # one block of four times at n = 8: the sample of the smallest affinity margin takes one
+    # eigvalsh, then, in one more call, every sample whose affinity margin is within
+    # AFFINITY_SLACK of that sample's exact margin; the affinity certifies every other one
+    import qcwalk.distance as distance
+
     sd = eigendecompose(laplacian(generate("random_connected", 8, extra=3, seed=4)))
-    t_values = [0.1, 0.5, 1.0, 3.0]
-    # the four times are one block at n = 8; its samples are chunked by the same budget,
-    # and the larger sample count is one more than a chunk holds
+    t_values, n_samples = [0.1, 0.5, 1.0, 3.0], 500
     assert len(time_blocks(sd.n * sd.n, len(t_values))) == 1
-    chunk = walks.BLOCK_ELEMENTS // (len(t_values) * sd.n * sd.n)
-    for n_samples in (5, chunk + 1):
-        for key in counts:
-            counts[key] = 0
-        margins = verify_localized_optimality(sd, n_samples, t_values, seed=4)
-        assert margins.shape == (n_samples, 4)
-        # the states are validated from their weights and unitaries: only the fidelities
-        # take an eigvalsh, one matrix per sample and time, one call per chunk
-        chunks = len(time_blocks(len(t_values) * sd.n * sd.n, n_samples))
-        assert counts == {"eigh": 0, "eigvalsh": chunks, "matrices": n_samples * len(t_values)}
-    assert chunks == 2
+    affinities, solved = [], []
+
+    def affinity(q, u, z, _original=distance.classical_quantum_affinity):
+        affinities.append(_original(q, u, z))
+        return affinities[-1]
+
+    def fidelity(q, u, z, _original=distance.classical_quantum_fidelity):
+        solved.append(z[:, 0])
+        return _original(q, u, z)
+
+    monkeypatch.setattr(distance, "classical_quantum_affinity", affinity)
+    monkeypatch.setattr(distance, "classical_quantum_fidelity", fidelity)
+    counts = count_eigensolves(monkeypatch)
+    worst = verify_localized_optimality(sd, n_samples, t_values, seed=4)
+    swept = dict(counts)
+    z, margins = full_route(sd, n_samples, t_values, 4)
+    lower = affinities[0] - node_observables(sd, t_values)[0].min(axis=-1)[:, None]
+    first = np.unravel_index(lower.argmin(), lower.shape)
+    candidates = np.nonzero(~(lower > margins[first] + distance.AFFINITY_SLACK))
+    assert np.array_equal(np.concatenate(solved), np.concatenate([z[first][None], z[candidates]]))
+    assert swept == {"eigh": 0, "eigvalsh": 2, "matrices": 1 + candidates[0].size}
+    assert candidates[0].size <= 5 < n_samples * len(t_values) // 100
+    assert worst == margins.min()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1301])
+def test_optimality_worst_margin_is_the_full_routes_bit_for_bit(seed, monkeypatch):
+    # the pruned sweep against every sample eigensolved, on verify's graphs and times; with a
+    # budget of 1, each time is a block of its own, and a later block can have no candidate
+    t_values = (0.1, 0.5, 1.0, 3.0)
+    for n in range(3, 11):
+        sd = eigendecompose(laplacian(generate("random_connected", n, extra=min(n - 1, 3), seed=seed + n)))
+        reference = full_route(sd, 125, t_values, seed + n)[1].min()
+        assert verify_localized_optimality(sd, 125, t_values, seed=seed + n) == reference
+        with monkeypatch.context() as patch:
+            patch.setattr(walks, "BLOCK_ELEMENTS", 1)
+            assert verify_localized_optimality(sd, 125, t_values, seed=seed + n) == reference
 
 
 @pytest.mark.parametrize(
@@ -368,12 +405,28 @@ def test_optimality_refuses_a_drifting_unitary_before_any_fidelity(monkeypatch):
 
 @pytest.mark.parametrize("block_elements", [1, 8000, 10**6])
 def test_optimality_margins_independent_of_block_size(monkeypatch, block_elements):
-    # one block, several chunks at the default budget; a block per time, a chunk per sample at 1
+    # every time in one block at 8000 and above; a block per time and a chunk per candidate
+    # at 1, where a later block can have no candidate
     sd = eigendecompose(laplacian(generate("random_connected", 10, extra=3, seed=1)))
     t_values = np.geomspace(0.05, 5.0, 9)
-    reference = verify_localized_optimality(sd, 30, t_values, seed=6)
+    reference = full_route(sd, 30, t_values, 6)[1].min()
     monkeypatch.setattr(walks, "BLOCK_ELEMENTS", block_elements)
-    assert np.array_equal(verify_localized_optimality(sd, 30, t_values, seed=6), reference)
+    assert verify_localized_optimality(sd, 30, t_values, seed=6) == reference
+
+
+def test_optimality_reports_a_nan_bound_as_a_nan_margin(monkeypatch):
+    # a NaN affinity certifies nothing: the worst margin reads NaN, so the check fails
+    import qcwalk.distance as distance
+
+    def nan_at_one(q, u, z, _original=distance.classical_quantum_affinity):
+        affinity = _original(q, u, z)
+        affinity[0, 3] = np.nan
+        return affinity
+
+    sd = eigendecompose(laplacian(generate("random_connected", 6, extra=3, seed=9)))
+    assert verify_localized_optimality(sd, 25, [0.1, 0.5, 1.0, 3.0], seed=9) >= -VIOLATION_TOL
+    monkeypatch.setattr(distance, "classical_quantum_affinity", nan_at_one)
+    assert np.isnan(verify_localized_optimality(sd, 25, [0.1, 0.5, 1.0, 3.0], seed=9))
 
 
 def test_optimality_input_validation():

@@ -314,31 +314,38 @@ def test_kernel_allocates_no_reduction_temporaries():
 
 def test_optimality_margins_read_the_reduction_of_an_untouched_pair(monkeypatch):
     # the sweep reduces its pair in place, but only after its samples' states are formed:
-    # the unitaries they read are the pair as formed, and the margins are those of the
-    # out-of-place formulas, which leave the pair untouched
+    # the unitaries its affinity bound and its fidelities read are the pair as formed, and
+    # the worst margin is that of the out-of-place formulas, which leave the pair untouched
     import qcwalk.distance as distance
 
     sd = eigendecompose(laplacian(generate("random_connected", 10, extra=3, seed=1)))
     t_values = np.geomspace(0.05, 5.0, 9)
-    formed, read = [], []
+    formed, bounded, solved = [], [], []
 
     def kept(sd, t, _original=distance.real_propagators):
         props = _original(sd, t)
         formed.append(props.copy())
         return props
 
+    def affinity(q, u, z, _original=distance.classical_quantum_affinity):
+        bounded.append(u)
+        return _original(q, u, z)
+
     def fidelity(q, u, z, _original=distance.classical_quantum_fidelity):
-        read.append(u)
+        solved.extend(u)
         return _original(q, u, z)
 
     monkeypatch.setattr(distance, "real_propagators", kept)
+    monkeypatch.setattr(distance, "classical_quantum_affinity", affinity)
     monkeypatch.setattr(distance, "classical_quantum_fidelity", fidelity)
-    margins = distance.verify_localized_optimality(sd, 30, t_values, seed=6)
-    assert len(formed) == 1 and read
-    assert all(np.array_equal(u, formed[0][1] + 1j * formed[0][2]) for u in read)
+    worst = distance.verify_localized_optimality(sd, 30, t_values, seed=6)
+    (props,) = formed
+    unitaries = props[1] + 1j * props[2]
+    assert len(bounded) == 1 and np.array_equal(bounded[0], unitaries)
+    assert solved and all(any(np.array_equal(u, v) for v in unitaries) for u in solved)
     reference = lambda props: np.stack(out_of_place_reduction(*props))
     monkeypatch.setattr(walks, "reduce_propagators", reference)
-    assert np.array_equal(distance.verify_localized_optimality(sd, 30, t_values, seed=6), margins)
+    assert distance.verify_localized_optimality(sd, 30, t_values, seed=6) == worst
 
 
 @pytest.mark.parametrize("n", range(3, 11))

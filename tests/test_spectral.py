@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import DensityMatrix, propagator_pair, uhlmann_fidelity
 from qcwalk import generate, laplacian, qc_distance
 from qcwalk.distance import gamma_of, verify_localized_optimality
-from qcwalk.spectral import SpectralDecomposition, classical_quantum_fidelity, eigendecompose, real_propagators
+from qcwalk.spectral import (
+    SpectralDecomposition,
+    classical_quantum_affinity,
+    classical_quantum_fidelity,
+    eigendecompose,
+    real_propagators,
+)
 from qcwalk.walks import node_observables
 
 FAMILY = [
@@ -374,6 +380,37 @@ def test_batched_fidelity_matches_scalar_uhlmann():
         assert np.abs(batched.ravel() - scalar).max() <= 1e-12
 
 
+def _bound_cases(rng, n: int):
+    """(q, u, z) on 4 random unitaries: random, pure (z = e_j), flat and near-zero weights."""
+    u = np.array([random_unitary(rng, n) for _ in range(4)])
+    near_zero = rng.dirichlet(np.ones(n), size=(2, 4, 20))
+    near_zero[0, ..., 0], near_zero[1, ..., -1] = 1e-18, 1e-20
+    near_zero /= near_zero.sum(axis=-1, keepdims=True)
+    yield rng.dirichlet(np.ones(n), size=(4, 50)), u, rng.dirichlet(np.ones(n), size=(4, 50))
+    yield rng.dirichlet(np.ones(n), size=(4, n)), u, np.broadcast_to(np.eye(n), (4, n, n))
+    yield rng.dirichlet(np.ones(n), size=(4, 3)), u, np.full((4, 3, n), 1.0 / n)
+    yield near_zero[0], u, near_zero[1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 10])
+def test_affinity_bounds_the_fidelity_from_below(n):
+    rng = np.random.Generator(np.random.PCG64(31 + n))
+    for q, u, z in _bound_cases(rng, n):
+        affinity = classical_quantum_affinity(q, u, z)
+        assert affinity.shape == q.shape[:2]
+        assert (affinity <= classical_quantum_fidelity(q, u, z) + 1e-15).all()
+
+
+@pytest.mark.parametrize("sd", DECS)
+def test_affinity_is_the_fidelity_where_the_states_commute(sd):
+    # at t = 0 the unitary is exactly I: both states are diagonal, and A = F = (sum sqrt(q z))^2
+    p, re, im = real_propagators(sd, [0.0])
+    z = np.random.Generator(np.random.PCG64(sd.n)).dirichlet(np.ones(sd.n), size=(1, 40))
+    q = np.clip(z @ p.swapaxes(-1, -2), 0.0, None)
+    u = re + 1j * im
+    assert np.abs(classical_quantum_affinity(q, u, z) - classical_quantum_fidelity(q, u, z)).max() <= 1e-15
+
+
 def _faulty_stack(fault: str) -> np.ndarray:
     # three valid states; member 2 carries the fault
     stack = np.array([np.eye(3) / 3, np.diag([0.5, 0.25, 0.25]), np.diag([0.2, 0.3, 0.5])], dtype=complex)
@@ -408,9 +445,10 @@ def test_stacked_validation_refuses_a_later_member(fault):
         DensityMatrix(stack[2])
     for member in stack[:2]:
         DensityMatrix(member)
-    # every input of the batched fidelity is validated, member by member
+    # every input of the batched fidelity and its affinity bound is validated, member by member
     q, u, z = _fidelity_inputs()
     classical_quantum_fidelity(q, u, z)
+    classical_quantum_affinity(q, u, z)
     which, message = _FIDELITY_FAULTS[fault]
     if which == "u":
         u[2] *= 1 + 1e-8
@@ -418,9 +456,10 @@ def test_stacked_validation_refuses_a_later_member(fault):
         z[2, 1] *= 1.5
     else:
         q[2, 1] = [1.2, -0.3, 0.1]
-    with pytest.raises(ValueError, match=message):
-        classical_quantum_fidelity(q, u, z)
-    classical_quantum_fidelity(q[:2], u[:2], z[:2])
+    for fn in (classical_quantum_fidelity, classical_quantum_affinity):
+        with pytest.raises(ValueError, match=message):
+            fn(q, u, z)
+        fn(q[:2], u[:2], z[:2])
 
 
 _NON_STATES = {
@@ -448,8 +487,13 @@ def test_non_states_are_refused_before_any_eigensolve(monkeypatch, case):
     else:
         {"q": q, "z": z}[which][2, 1] = value
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: pytest.fail("eigvalsh ran"))
-    with pytest.raises(ValueError, match=message):
-        classical_quantum_fidelity(q, u, z)
+    # the affinity bound refuses the same inputs with the same message
+    refusals = []
+    for fn in (classical_quantum_fidelity, classical_quantum_affinity):
+        with pytest.raises(ValueError, match=message) as refused:
+            fn(q, u, z)
+        refusals.append(str(refused.value))
+    assert refusals[0] == refusals[1]
 
 
 def test_batched_fidelity_refuses_mismatched_shapes():
@@ -460,5 +504,6 @@ def test_batched_fidelity_refuses_mismatched_shapes():
         (q, u[:2], z),  # a unitary short of T
         (q, u[:, :2, :2], z),  # unitaries of another n
     ):
-        with pytest.raises(ValueError, match="need q and z of shape"):
-            classical_quantum_fidelity(*args)
+        for fn in (classical_quantum_fidelity, classical_quantum_affinity):
+            with pytest.raises(ValueError, match="need q and z of shape"):
+                fn(*args)
