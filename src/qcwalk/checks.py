@@ -1,19 +1,26 @@
-"""Self-contained invariant spot checks, runnable from the CLI.
+"""The checks of ``qcwalk verify``: invariant spot checks and the localized-optimality sweep.
 
-Each check evaluates one mathematical property the library relies on
+Each invariant check evaluates one mathematical property the library relies on
 (stochasticity, unitarity, semigroup composition, the fidelity reduction,
 stationary values) on a small fixed family of graphs and reports the worst
 error found against the property's tolerance. The checks are deterministic
 given the seed. They are spot checks for field use; the test suite covers
 the same ground more thoroughly.
 
+:func:`verify_localized_optimality` checks numerically the concavity
+argument behind D_QC's worst case over localized launches (see
+:mod:`qcwalk.distance`). It certifies most samples with
+:func:`classical_quantum_affinity`, a closed-form lower bound, and
+eigensolves each of the rest once with :func:`classical_quantum_fidelity`,
+the library's one Uhlmann fidelity. This module alone holds the check's
+policy: its floor VIOLATION_TOL, its AFFINITY_SLACK, its states' trace and
+purity thresholds, and its pass rule.
+
 :func:`run_checks` runs every check of ``qcwalk verify`` in this process.
 Its units, the invariant checks and the optimality sweep's graph sizes
 (each size seeds its graph and its draws with ``seed + n``), run in report
 order, and every unit is reported by one rule: a refusal fails each of its
-checks, and any other exception ends the run. Each size eigensolves only
-the samples its affinity bound cannot certify (see
-:func:`qcwalk.distance.verify_localized_optimality`).
+checks, and any other exception ends the run.
 """
 
 from __future__ import annotations
@@ -24,11 +31,33 @@ from typing import NamedTuple
 import numpy as np
 
 from . import walks
-from .distance import VIOLATION_TOL, qc_distance, verify_localized_optimality
+from .config import check_grid
+from .distance import qc_distance, require_connected
 from .graph import Graph, generate, laplacian
-from .spectral import eigendecompose, real_propagators
+from .spectral import NEGATIVITY_TOL, SpectralDecomposition, eigendecompose, real_propagators
 
-__all__ = ["CheckResult", "run_checks", "run_invariant_checks", "check_family"]
+__all__ = [
+    "CheckResult",
+    "run_checks",
+    "run_invariant_checks",
+    "check_family",
+    "classical_quantum_fidelity",
+    "classical_quantum_affinity",
+    "verify_localized_optimality",
+]
+
+#: slack allowed before an optimality margin counts as a real violation
+VIOLATION_TOL = 1e-8
+
+#: an optimality sample whose affinity margin exceeds the worst exact margin by more than
+#: this cannot be the worst, since its fidelity is at least its affinity. It only has to
+#: exceed the roundoff in affinity - fidelity, at most 8.9e-16 on verify's graphs and times.
+AFFINITY_SLACK = 1e-12
+
+_TRACE_TOL = 1e-10
+
+#: a state whose largest eigenvalue exceeds this is treated as pure
+_PURE_THRESHOLD = 1.0 - 1e-12
 
 
 class CheckResult(NamedTuple):
@@ -164,6 +193,151 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
                 add("regular graphs are node equivalent", f"{label} t={t}", err)
 
     return [_result(name, found) for name, found in errs.items()]
+
+
+def _check_weights(total: np.ndarray, weights: np.ndarray) -> None:
+    """The trace and positivity rule of a state, read from its trace and eigenvalues."""
+    off = ~(np.abs(total - 1.0) <= _TRACE_TOL)
+    if off.any():
+        raise ValueError(f"density matrix trace must be 1, got {total[off].flat[0].item():.12g}")
+    smallest = float(weights.min())
+    if not smallest >= NEGATIVITY_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
+
+
+def _check_states(q, u, z):
+    """The states' inputs as arrays, refused as classical_quantum_fidelity documents, and u^dag."""
+    q = np.asarray(q, dtype=float)
+    u = np.asarray(u, dtype=complex)
+    z = np.asarray(z, dtype=float)
+    if q.ndim != 3 or z.shape != q.shape or u.shape != q.shape[:1] + q.shape[-1:] * 2:
+        raise ValueError("need q and z of shape (T, S, n) and u of shape (T, n, n)")
+    _check_weights(q.sum(axis=-1), q)
+    _check_weights(z.sum(axis=-1), z)
+    u_dag = u.conj().swapaxes(-1, -2)
+    drift = np.linalg.norm(u @ u_dag - np.eye(q.shape[-1]), axis=(-2, -1))
+    bad = np.flatnonzero(~(drift <= -NEGATIVITY_TOL))
+    if bad.size:
+        raise ValueError(f"u[{bad[0]}] drifts from unitarity by {drift[bad[0]]:.3e}")
+    return q, u, z, u_dag
+
+
+def classical_quantum_fidelity(q, u, z) -> np.ndarray:
+    """Uhlmann fidelity of diag(q[i, s]) and u[i] diag(z[i, s]) u[i]^dag, shape (T, S).
+
+    ``q`` and ``z`` are (T, S, n) weights and ``u`` is (T, n, n): T unitaries,
+    each evolving S launches. The inputs that define the states are
+    validated, so a state that is not a density matrix never forms: every
+    row of q and z must be a probability vector (trace 1 within 1e-10, no
+    weight below NEGATIVITY_TOL), and each u[i] unitary to within
+    ||u u^dag - I||_F <= -NEGATIVITY_TOL, else ValueError names the drift and
+    the index i. sqrt(diag(q)) is elementwise, so each mixed pair costs one
+    eigvalsh of sqrt(q_k) rho_kl sqrt(q_l), all T * S in one stacked call.
+    Pairs where either state is pure (largest weight above 1 - 1e-12) take
+    the closed form F = sum_k q_k rho_kk, which is <psi|diag(q)|psi> when
+    rho = |psi><psi| (Jozsa, J. Mod. Opt. 41, 1994).
+    """
+    q, u, z, u_dag = _check_states(q, u, z)
+    rho = (u[:, None] * z[:, :, None, :]) @ u_dag[:, None]
+    pure = (q.max(axis=-1) > _PURE_THRESHOLD) | (z.max(axis=-1) > _PURE_THRESHOLD)
+    root = np.sqrt(q)
+    inner = root[..., :, None] * rho * root[..., None, :]
+    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
+    mixed = np.sqrt(vals).sum(axis=-1) ** 2
+    rank_one = np.einsum("tsk,tskk->ts", q, rho).real
+    return np.clip(np.where(pure, rank_one, mixed), 0.0, 1.0)
+
+
+def classical_quantum_affinity(q, u, z) -> np.ndarray:
+    """Squared affinity (tr sqrt(sigma) sqrt(rho))^2 of classical_quantum_fidelity's states, shape (T, S).
+
+    A lower bound on their Uhlmann fidelity: F = ||sqrt(sigma) sqrt(rho)||_1^2
+    and |tr X| <= ||X||_1 (Luo and Zhang, Phys. Rev. A 69, 032106, 2004).
+    With sigma = diag(q) and sqrt(rho) = u diag(sqrt z) u^dag it is
+    A = (sum_k sqrt(q_k) sum_a |u_ka|^2 sqrt(z_a))^2: O(n^2) per pair, with
+    no state formed and no eigensolve. Equal to F where the two states
+    commute, as at t = 0 where u = I. The inputs are validated as
+    classical_quantum_fidelity validates them, with the same messages.
+    """
+    q, u, z, _ = _check_states(q, u, z)
+    weights = u.real**2 + u.imag**2  # |u_ka|^2
+    diagonal = np.sqrt(z) @ weights.swapaxes(-1, -2)  # the diagonal of sqrt(rho)
+    return (np.sqrt(q) * diagonal).sum(axis=-1) ** 2
+
+
+def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_values, seed: int = 0) -> float:
+    """Check that localized starts minimize the classical-quantum fidelity.
+
+    Draws ``n_samples`` diagonal initial states with Dirichlet-uniform
+    weights z, pushes each through both evolutions,
+
+        E_C(rho) = diag(P(t) z)          (classical, dephased)
+        E_Q(rho) = U(t) diag(z) U(t)^dag (quantum)
+
+    and compares the full Uhlmann fidelity of the pair against the smallest
+    localized fidelity min_j F_j(t). The full fidelity should never fall
+    below that minimum. The times are swept in the kernel's blocks
+    (walks.time_blocks): each block forms its pairs with one
+    real_propagators call and makes all its Dirichlet draws at once. Its
+    classical states P(t) z and unitaries U = Re + i Im are formed first;
+    then walks.reduce_propagators reduces the same buffer in place, so
+    min_j F_j is the kernel's own F bit for bit.
+
+    Every sample of a block is first bounded below by its affinity
+    (classical_quantum_affinity, which validates every input and raises
+    ValueError if a U(t) drifts from unitarity): its lower margin is the
+    affinity minus min_j F_j. The sample with the smallest lower margin
+    takes the exact fidelity, and m, the smaller of its margin and the worst
+    exact margin of the earlier blocks, bounds the worst margin from above.
+    Any other sample whose lower margin exceeds m + AFFINITY_SLACK cannot be
+    the worst; every one that does not, a NaN lower margin included, takes
+    the exact fidelity, in chunks of at most walks.BLOCK_ELEMENTS // n**2
+    samples, which bounds memory whatever ``n_samples`` is. So each sample
+    is certified by its affinity or by its exact fidelity, at most one
+    eigensolve, and the result is the exact worst margin, bit for bit,
+    whatever the block and chunk sizes. Keep n at desk scale (<= 10 or so).
+    ``t_values`` is checked like distance_curve's grid.
+
+    Returns the worst margin over all samples and times: the smallest
+    fidelity minus min_j F_j at its time. It is NaN if a fidelity or a
+    lower margin is NaN, since a NaN bound certifies nothing. Localized
+    starts attain the minimum when it is at least -VIOLATION_TOL, the
+    roundoff slack.
+    """
+    require_connected(sd)
+    n_samples = int(n_samples)
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    t_values = check_grid(t_values)
+    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    n = sd.n
+
+    worst = np.inf
+    for b in walks.time_blocks(n * n, t_values.size):
+        props = real_propagators(sd, t_values[b])
+        p, re, im = props
+        u = re + 1j * im
+        # batch draws equal sequential draws, time by time
+        z = rng.dirichlet(np.ones(n), size=(len(p), n_samples))
+        q = np.clip(z @ p.swapaxes(-1, -2), 0.0, None)
+        # the reduction overwrites the pair, so it runs once q and u are formed
+        floor = walks.reduce_propagators(props)[0].min(axis=-1)
+        lower = classical_quantum_affinity(q, u, z) - floor[:, None]
+
+        def margins(times, samples):
+            """Exact margins of the samples (times[i], samples[i]) of this block."""
+            fid = classical_quantum_fidelity(q[times, samples, None], u[times], z[times, samples, None])
+            # a NaN lower margin certifies nothing: its sample's margin reads NaN
+            return np.where(np.isnan(lower[times, samples]), np.nan, fid[:, 0] - floor[times])
+
+        first = np.unravel_index([lower.argmin()], lower.shape)
+        worst = np.minimum(worst, margins(*first)[0])
+        candidate = ~(lower > worst + AFFINITY_SLACK)
+        candidate[first] = False  # its exact margin is already in worst
+        times, samples = np.nonzero(candidate)
+        for c in walks.time_blocks(n * n, times.size):
+            worst = np.minimum(worst, margins(times[c], samples[c]).min())
+    return float(worst)
 
 
 def _optimality_unit(n: int, per_size: int, t_values, seed: int):

@@ -1,4 +1,4 @@
-"""The quantum-classical distance, its asymptotes, and the optimality check.
+"""The quantum-classical distance and its asymptotes.
 
 The headline quantity is
 
@@ -6,9 +6,9 @@ The headline quantity is
 
 the worst-case infidelity between the classically evolved and quantum
 evolved walker over all localized launch nodes. Restricting to localized
-starts is justified by a concavity argument (verified numerically here by
-:func:`verify_localized_optimality`): among all diagonal initial states the
-minimum fidelity is attained on a basis state.
+starts is justified by a concavity argument: among all diagonal initial
+states the minimum fidelity is attained on a basis state, which
+:func:`qcwalk.checks.verify_localized_optimality` verifies numerically.
 
 Two closed-form asymptotes bracket the exact curve,
 
@@ -26,9 +26,7 @@ walks module so that a patched kernel reaches every caller. The laws below
 work over the record's last (node) axis, so one call covers every time of a
 grid. The laws with a 1/n take the graph's size n as an argument and never
 read it from the record's width, so they hold on a record of a few launch
-nodes too. The optimality sweep forms its pairs with
-spectral.real_propagators, as the kernel does, and takes min_j F_j from
-walks.reduce_propagators of those same pairs.
+nodes too.
 """
 
 from __future__ import annotations
@@ -37,12 +35,7 @@ import numpy as np
 
 from . import walks
 from .config import check_grid
-from .spectral import (
-    SpectralDecomposition,
-    classical_quantum_affinity,
-    classical_quantum_fidelity,
-    real_propagators,
-)
+from .spectral import SpectralDecomposition
 
 __all__ = [
     "DisconnectedGraphError",
@@ -55,19 +48,10 @@ __all__ = [
     "delta_of",
     "qc_distance",
     "distance_curve",
-    "verify_localized_optimality",
 ]
 
 #: asymptote maxima at or below this are treated as vanishing (ratio undefined)
 RATIO_FLOOR = 1e-12
-
-#: slack allowed before an optimality margin counts as a real violation
-VIOLATION_TOL = 1e-8
-
-#: an optimality sample whose affinity margin exceeds the worst exact margin by more than
-#: this cannot be the worst, since its fidelity is at least its affinity. It only has to
-#: exceed the roundoff in affinity - fidelity, at most 8.9e-16 on verify's graphs and times.
-AFFINITY_SLACK = 1e-12
 
 
 class DisconnectedGraphError(ValueError):
@@ -158,79 +142,3 @@ def distance_curve(sd: SpectralDecomposition, times) -> np.ndarray:
     times = check_grid(times)
     return np.ascontiguousarray(conditional_vector(walks.node_observables(sd, times)).T)
 
-
-def verify_localized_optimality(
-    sd: SpectralDecomposition,
-    n_samples: int,
-    t_values,
-    seed: int = 0,
-) -> float:
-    """Check that localized starts minimize the classical-quantum fidelity.
-
-    Draws ``n_samples`` diagonal initial states with Dirichlet-uniform
-    weights z, pushes each through both evolutions,
-
-        E_C(rho) = diag(P(t) z)          (classical, dephased)
-        E_Q(rho) = U(t) diag(z) U(t)^dag (quantum)
-
-    and compares the full Uhlmann fidelity of the pair against the smallest
-    localized fidelity min_j F_j(t). The full fidelity should never fall
-    below that minimum. The times are swept in the kernel's blocks
-    (walks.time_blocks): each block forms its pairs with one
-    real_propagators call and makes all its Dirichlet draws at once. Its
-    classical states P(t) z and unitaries U = Re + i Im are formed first;
-    then walks.reduce_propagators reduces the same buffer in place, so
-    min_j F_j is the kernel's own F bit for bit.
-
-    Every sample of a block is first bounded below by its affinity
-    (classical_quantum_affinity, which validates every input and raises
-    ValueError if a U(t) drifts from unitarity): its lower margin is the
-    affinity minus min_j F_j. The sample with the smallest lower margin
-    takes the exact fidelity, and m, the smaller of its margin and the worst
-    exact margin of the earlier blocks, bounds the worst margin from above.
-    A sample whose lower margin exceeds m + AFFINITY_SLACK cannot be the
-    worst; every other one, a NaN lower margin included, takes the exact
-    fidelity, in chunks of at most walks.BLOCK_ELEMENTS // n**2 samples,
-    which bounds memory whatever ``n_samples`` is. So each sample is
-    certified by its affinity or by its exact fidelity, and the result is
-    the exact worst margin, bit for bit, whatever the block and chunk
-    sizes. Keep n at desk scale (<= 10 or so). ``t_values`` is checked
-    like distance_curve's grid.
-
-    Returns the worst margin over all samples and times: the smallest
-    fidelity minus min_j F_j at its time. It is NaN if a fidelity or a
-    lower margin is NaN, since a NaN bound certifies nothing. Localized
-    starts attain the minimum when it is at least -VIOLATION_TOL, the
-    roundoff slack.
-    """
-    require_connected(sd)
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    t_values = check_grid(t_values)
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
-    n = sd.n
-
-    worst = np.inf
-    for b in walks.time_blocks(n * n, t_values.size):
-        props = real_propagators(sd, t_values[b])
-        p, re, im = props
-        u = re + 1j * im
-        # batch draws equal sequential draws, time by time
-        z = rng.dirichlet(np.ones(n), size=(len(p), n_samples))
-        q = np.clip(z @ p.swapaxes(-1, -2), 0.0, None)
-        # the reduction overwrites the pair, so it runs once q and u are formed
-        floor = walks.reduce_propagators(props)[0].min(axis=-1)
-        lower = classical_quantum_affinity(q, u, z) - floor[:, None]
-
-        def margins(times, samples):
-            """Exact margins of the samples (times[i], samples[i]) of this block."""
-            fid = classical_quantum_fidelity(q[times, samples, None], u[times], z[times, samples, None])
-            # a NaN lower margin certifies nothing: its sample's margin reads NaN
-            return np.where(np.isnan(lower[times, samples]), np.nan, fid[:, 0] - floor[times])
-
-        bound = np.minimum(worst, margins(*np.unravel_index([lower.argmin()], lower.shape))[0])
-        times, samples = np.nonzero(~(lower > bound + AFFINITY_SLACK))
-        for c in walks.time_blocks(n * n, times.size):
-            worst = np.minimum(worst, margins(times[c], samples[c]).min())
-    return float(worst)

@@ -10,15 +10,9 @@ Fiedler value read the eigenvalue clusters :func:`eigendecompose` merges.
 
 :func:`real_propagators` is the one place the spectrum is exponentiated:
 it forms the pair as three real matrices, exp(L t), Re exp(i L t) and
-Im exp(i L t), for the kernel, the optimality sweep and the invariant
-checks alike; a caller that needs the complex unitary forms re + 1j * im.
-
-:func:`classical_quantum_fidelity` is the library's one Uhlmann fidelity,
-that of the optimality sweep: it validates the weights and unitaries that
-define the states and never builds a density matrix.
-:func:`classical_quantum_affinity` is its closed-form lower bound, checked
-on the same inputs, which lets the sweep eigensolve only the samples that
-could be its worst.
+Im exp(i L t), for the kernel (:mod:`qcwalk.walks`) and for the
+optimality sweep and invariant checks of :mod:`qcwalk.checks` alike; a
+caller that needs the complex unitary forms re + 1j * im.
 """
 
 from __future__ import annotations
@@ -28,21 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SpectralDecomposition",
-    "eigendecompose",
-    "real_propagators",
-    "classical_quantum_fidelity",
-    "classical_quantum_affinity",
-]
+__all__ = ["SpectralDecomposition", "eigendecompose", "real_propagators"]
 
 #: how negative a probability (a state's eigenvalue, an entry of exp(L t)) may be
 NEGATIVITY_TOL = -1e-10
-
-_TRACE_TOL = 1e-10
-
-#: a state whose largest eigenvalue exceeds this is treated as pure
-_PURE_THRESHOLD = 1.0 - 1e-12
 
 #: real_propagators forms a block as one GEMM against the pair products while n is at most
 #: this, and as one stacked product per matrix above it. Timed with one BLAS thread on
@@ -191,72 +174,3 @@ def real_propagators(sd: SpectralDecomposition, t, out=None) -> np.ndarray:
         out[2, zero] = 0.0
     return out
 
-
-def _check_weights(total: np.ndarray, weights: np.ndarray) -> None:
-    """The trace and positivity rule of a state, read from its trace and eigenvalues."""
-    off = ~(np.abs(total - 1.0) <= _TRACE_TOL)
-    if off.any():
-        raise ValueError(f"density matrix trace must be 1, got {total[off].flat[0].item():.12g}")
-    smallest = float(weights.min())
-    if not smallest >= NEGATIVITY_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
-
-
-def _check_states(q, u, z):
-    """The states' inputs as arrays, refused as classical_quantum_fidelity documents, and u^dag."""
-    q = np.asarray(q, dtype=float)
-    u = np.asarray(u, dtype=complex)
-    z = np.asarray(z, dtype=float)
-    if q.ndim != 3 or z.shape != q.shape or u.shape != q.shape[:1] + q.shape[-1:] * 2:
-        raise ValueError("need q and z of shape (T, S, n) and u of shape (T, n, n)")
-    _check_weights(q.sum(axis=-1), q)
-    _check_weights(z.sum(axis=-1), z)
-    u_dag = u.conj().swapaxes(-1, -2)
-    drift = np.linalg.norm(u @ u_dag - np.eye(q.shape[-1]), axis=(-2, -1))
-    bad = np.flatnonzero(~(drift <= -NEGATIVITY_TOL))
-    if bad.size:
-        raise ValueError(f"u[{bad[0]}] drifts from unitarity by {drift[bad[0]]:.3e}")
-    return q, u, z, u_dag
-
-
-def classical_quantum_fidelity(q, u, z) -> np.ndarray:
-    """Uhlmann fidelity of diag(q[i, s]) and u[i] diag(z[i, s]) u[i]^dag, shape (T, S).
-
-    ``q`` and ``z`` are (T, S, n) weights and ``u`` is (T, n, n): T unitaries,
-    each evolving S launches. The inputs that define the states are
-    validated, so a state that is not a density matrix never forms: every
-    row of q and z must be a probability vector (trace 1 within 1e-10, no
-    weight below NEGATIVITY_TOL), and each u[i] unitary to within
-    ||u u^dag - I||_F <= -NEGATIVITY_TOL, else ValueError names the drift and
-    the index i. sqrt(diag(q)) is elementwise, so each mixed pair costs one
-    eigvalsh of sqrt(q_k) rho_kl sqrt(q_l), all T * S in one stacked call.
-    Pairs where either state is pure (largest weight above 1 - 1e-12) take
-    the closed form F = sum_k q_k rho_kk, which is <psi|diag(q)|psi> when
-    rho = |psi><psi| (Jozsa, J. Mod. Opt. 41, 1994).
-    """
-    q, u, z, u_dag = _check_states(q, u, z)
-    rho = (u[:, None] * z[:, :, None, :]) @ u_dag[:, None]
-    pure = (q.max(axis=-1) > _PURE_THRESHOLD) | (z.max(axis=-1) > _PURE_THRESHOLD)
-    root = np.sqrt(q)
-    inner = root[..., :, None] * rho * root[..., None, :]
-    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    mixed = np.sqrt(vals).sum(axis=-1) ** 2
-    rank_one = np.einsum("tsk,tskk->ts", q, rho).real
-    return np.clip(np.where(pure, rank_one, mixed), 0.0, 1.0)
-
-
-def classical_quantum_affinity(q, u, z) -> np.ndarray:
-    """Squared affinity (tr sqrt(sigma) sqrt(rho))^2 of classical_quantum_fidelity's states, shape (T, S).
-
-    A lower bound on their Uhlmann fidelity: F = ||sqrt(sigma) sqrt(rho)||_1^2
-    and |tr X| <= ||X||_1 (Luo and Zhang, Phys. Rev. A 69, 032106, 2004).
-    With sigma = diag(q) and sqrt(rho) = u diag(sqrt z) u^dag it is
-    A = (sum_k sqrt(q_k) sum_a |u_ka|^2 sqrt(z_a))^2: O(n^2) per pair, with
-    no state formed and no eigensolve. Equal to F where the two states
-    commute, as at t = 0 where u = I. The inputs are validated as
-    classical_quantum_fidelity validates them, with the same messages.
-    """
-    q, u, z, _ = _check_states(q, u, z)
-    weights = u.real**2 + u.imag**2  # |u_ka|^2
-    diagonal = np.sqrt(z) @ weights.swapaxes(-1, -2)  # the diagonal of sqrt(rho)
-    return (np.sqrt(q) * diagonal).sum(axis=-1) ** 2

@@ -7,8 +7,8 @@ tests want it, with the unitary complex.
 
 DensityMatrix and uhlmann_fidelity are the tests' independent fidelity
 oracle: the general Uhlmann fidelity by nested matrix square roots, which
-no qcwalk process runs (the library's classical_quantum_fidelity and the
-kernel's closed form are what it checks). count_eigensolves counts the
+no qcwalk process runs (checks.classical_quantum_fidelity and the kernel's
+closed form are what it checks). count_eigensolves counts the
 eigensolver calls and matrices a block of code makes.
 """
 
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qcwalk.spectral import _PURE_THRESHOLD, _check_weights, real_propagators
+from qcwalk.checks import _PURE_THRESHOLD, _check_weights
+from qcwalk.spectral import real_propagators
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -63,7 +64,7 @@ class DensityMatrix:
 
     Positivity is read from one eigvalsh; a non-finite trace or eigenvalue
     is refused as well. The trace and negativity messages are those of
-    spectral.classical_quantum_fidelity.
+    checks.classical_quantum_fidelity.
     """
 
     matrix: np.ndarray

@@ -15,14 +15,8 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES, DensityMatrix, propagator_pair, uhlmann_fidelity
 from qcwalk import degree_sequence, generate, laplacian
-from qcwalk.checks import run_invariant_checks
-from qcwalk.distance import (
-    conditional_vector,
-    delta_vector,
-    long_vector,
-    qc_distance,
-    verify_localized_optimality,
-)
+from qcwalk.checks import run_invariant_checks, verify_localized_optimality
+from qcwalk.distance import conditional_vector, delta_vector, long_vector, qc_distance
 from qcwalk.spectral import eigendecompose
 from qcwalk.walks import node_observables
 

@@ -1306,7 +1306,8 @@ def count_propagators(monkeypatch) -> dict[str, list[int]]:
     ],
 )
 def test_distance_forms_one_propagator_pair_per_point(monkeypatch, tmp_path, case):
-    from qcwalk.distance import distance_curve, verify_localized_optimality
+    from qcwalk.checks import verify_localized_optimality
+    from qcwalk.distance import distance_curve
 
     sd = eigendecompose(laplacian(generate("random_connected", 11, extra=6, seed=0)))
     blocks = count_propagators(monkeypatch)

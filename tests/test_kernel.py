@@ -316,42 +316,42 @@ def test_optimality_margins_read_the_reduction_of_an_untouched_pair(monkeypatch)
     # the sweep reduces its pair in place, but only after its samples' states are formed:
     # the unitaries its affinity bound and its fidelities read are the pair as formed, and
     # the worst margin is that of the out-of-place formulas, which leave the pair untouched
-    import qcwalk.distance as distance
+    import qcwalk.checks as checks
 
     sd = eigendecompose(laplacian(generate("random_connected", 10, extra=3, seed=1)))
     t_values = np.geomspace(0.05, 5.0, 9)
     formed, bounded, solved = [], [], []
 
-    def kept(sd, t, _original=distance.real_propagators):
+    def kept(sd, t, _original=checks.real_propagators):
         props = _original(sd, t)
         formed.append(props.copy())
         return props
 
-    def affinity(q, u, z, _original=distance.classical_quantum_affinity):
+    def affinity(q, u, z, _original=checks.classical_quantum_affinity):
         bounded.append(u)
         return _original(q, u, z)
 
-    def fidelity(q, u, z, _original=distance.classical_quantum_fidelity):
+    def fidelity(q, u, z, _original=checks.classical_quantum_fidelity):
         solved.extend(u)
         return _original(q, u, z)
 
-    monkeypatch.setattr(distance, "real_propagators", kept)
-    monkeypatch.setattr(distance, "classical_quantum_affinity", affinity)
-    monkeypatch.setattr(distance, "classical_quantum_fidelity", fidelity)
-    worst = distance.verify_localized_optimality(sd, 30, t_values, seed=6)
+    monkeypatch.setattr(checks, "real_propagators", kept)
+    monkeypatch.setattr(checks, "classical_quantum_affinity", affinity)
+    monkeypatch.setattr(checks, "classical_quantum_fidelity", fidelity)
+    worst = checks.verify_localized_optimality(sd, 30, t_values, seed=6)
     (props,) = formed
     unitaries = props[1] + 1j * props[2]
     assert len(bounded) == 1 and np.array_equal(bounded[0], unitaries)
     assert solved and all(any(np.array_equal(u, v) for v in unitaries) for u in solved)
     reference = lambda props: np.stack(out_of_place_reduction(*props))
     monkeypatch.setattr(walks, "reduce_propagators", reference)
-    assert distance.verify_localized_optimality(sd, 30, t_values, seed=6) == worst
+    assert checks.verify_localized_optimality(sd, 30, t_values, seed=6) == worst
 
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_optimality_floor_is_the_kernels_fidelity(n, monkeypatch):
     # on verify's graphs and times, the F the sweep reduces is the kernel's, bit for bit
-    import qcwalk.distance as distance
+    import qcwalk.checks as checks
 
     sd = eigendecompose(laplacian(generate("random_connected", n, extra=min(n - 1, 3), seed=n)))
     t_values = (0.1, 0.5, 1.0, 3.0)
@@ -364,5 +364,5 @@ def test_optimality_floor_is_the_kernels_fidelity(n, monkeypatch):
         return obs
 
     monkeypatch.setattr(walks, "reduce_propagators", recorded)
-    distance.verify_localized_optimality(sd, 5, t_values, seed=n)
+    checks.verify_localized_optimality(sd, 5, t_values, seed=n)
     assert np.array_equal(np.concatenate(reduced), kernel)

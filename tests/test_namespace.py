@@ -1,7 +1,11 @@
-"""Every public name a qcwalk module lists in ``__all__`` exists, once, and every import is read."""
+"""Every public name a qcwalk module lists in ``__all__`` exists, once, and every import is read.
+
+Every ``qcwalk.<module>.<name>`` that the README or a docstring mentions resolves too.
+"""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -149,3 +153,28 @@ def test_a_module_imports_only_earlier_layers(name):
     earlier = set(MODULES[: MODULES.index(name)]) - ({"graph"} if name == "spectral" else set())
     imported = _package_imports(PACKAGE[f"{name}.py"])
     assert imported <= earlier, f"qcwalk.{name} imports {sorted(imported - earlier)}, not layers below it"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _documented_names() -> set[tuple[str, str]]:
+    """Every ``qcwalk.<module>.<name>`` the README and the package's docstrings mention."""
+    docs = [README.read_text()]
+    for tree in PACKAGE.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                docs.append(ast.get_docstring(node) or "")
+    return {found for doc in docs for found in re.findall(r"\bqcwalk\.([A-Za-z_]\w*)\.([A-Za-z_]\w*)", doc)}
+
+
+def test_documented_names_resolve():
+    # a name moved to another module fails here wherever the docs still point to the old one
+    documented = _documented_names()
+    assert documented, "no qcwalk.<module>.<name> found in the README or the docstrings"
+    stale = sorted(
+        f"qcwalk.{module}.{name}"
+        for module, name in documented
+        if not hasattr(importlib.import_module(f"qcwalk.{module}"), name)
+    )
+    assert not stale, f"the README or a docstring names {stale}, which do not exist"

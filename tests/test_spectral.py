@@ -5,14 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DensityMatrix, propagator_pair, uhlmann_fidelity
 from qcwalk import generate, laplacian, qc_distance
-from qcwalk.distance import gamma_of, verify_localized_optimality
-from qcwalk.spectral import (
-    SpectralDecomposition,
-    classical_quantum_affinity,
-    classical_quantum_fidelity,
-    eigendecompose,
-    real_propagators,
-)
+from qcwalk.checks import classical_quantum_affinity, classical_quantum_fidelity, verify_localized_optimality
+from qcwalk.distance import gamma_of
+from qcwalk.spectral import SpectralDecomposition, eigendecompose, real_propagators
 from qcwalk.walks import node_observables
 
 FAMILY = [
