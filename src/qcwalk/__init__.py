@@ -13,10 +13,13 @@ numerical verification that localized launches are the worst case. A CLI
 (`qcwalk`) exposes graph generation, distance sweeps to CSV, figure-style
 presets, and the verification suite.
 
-The package namespace holds the quick-start names; everything else lives
-in the submodules (graph, spectral, walks, distance, config, checks, cli).
+The package namespace holds the quick-start names and the library's Uhlmann
+fidelity of a classical and a quantum state with its affinity lower bound;
+everything else lives in the submodules (graph, spectral, walks, distance,
+config, checks, cli).
 """
 
+from .checks import classical_quantum_affinity, classical_quantum_fidelity
 from .config import default_t_max, time_grid
 from .distance import distance_curve, qc_distance
 from .graph import (

@@ -5,16 +5,19 @@ Each invariant check evaluates one mathematical property the library relies on
 stationary values) on a small fixed family of graphs and reports the worst
 error found against the property's tolerance. The checks are deterministic
 given the seed. They are spot checks for field use; the test suite covers
-the same ground more thoroughly.
+the same ground more thoroughly. Each family graph forms every propagator
+the checks read in one real_propagators call, and every record they read
+from the kernel in one walks.node_observables call.
 
 :func:`verify_localized_optimality` checks numerically the concavity
 argument behind D_QC's worst case over localized launches (see
 :mod:`qcwalk.distance`). It certifies most samples with
 :func:`classical_quantum_affinity`, a closed-form lower bound, and
 eigensolves each of the rest once with :func:`classical_quantum_fidelity`,
-the library's one Uhlmann fidelity. This module alone holds the check's
-policy: its floor VIOLATION_TOL, its AFFINITY_SLACK, its states' trace and
-purity thresholds, and its pass rule.
+the library's one Uhlmann fidelity. Both validate their inputs; the sweep
+validates each block's once and then reads their bodies. This module alone
+holds the check's policy: its floor VIOLATION_TOL, its AFFINITY_SLACK, its
+states' trace and purity thresholds, and its pass rule.
 
 :func:`run_checks` runs every check of ``qcwalk verify`` in this process.
 Its units, the invariant checks and the optimality sweep's graph sizes
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import walks
 from .config import check_grid
-from .distance import qc_distance, require_connected
+from .distance import qc_of, require_connected
 from .graph import Graph, generate, laplacian
 from .spectral import NEGATIVITY_TOL, SpectralDecomposition, eigendecompose, real_propagators
 
@@ -142,55 +145,59 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
         vals = np.linalg.eigvalsh(lap)
         add("zero mode first, spectrum nonpositive", label, max(np.abs(vals).min(), vals.max()))
 
-        # each group of sampled times is one grid: one propagator call per group, the
-        # route the kernel reads
-        p, re, im = real_propagators(sd, t_samples)
+        # three rounds of three draws, (t1, t2) the first two of each: one (3, 3) batch
+        # equals the draws taken round by round
+        t1, t2 = rng.uniform(0.0, 5.0, size=(3, 3)).T[:2]
+        oracle_times, nodes = (0.3, 1.7), [0, sd.n - 1]
+        # every time the checks read directly is one grid, so one propagator call per graph, the
+        # route the kernel reads: the 4 sampled times, t1, t2 and t1 + t2, then the 2 oracle times
+        p, re, im = real_propagators(sd, np.concatenate([t_samples, t1, t2, t1 + t2, oracle_times]))
         u = re + 1j * im
-        rows, cols = np.abs(p.sum(axis=-1) - 1.0), np.abs(p.sum(axis=-2) - 1.0)
+        ps, us = p[:4], u[:4]
+        rows, cols = np.abs(ps.sum(axis=-1) - 1.0), np.abs(ps.sum(axis=-2) - 1.0)
         stoch = np.maximum(cols.max(axis=-1), rows.max(axis=-1))
-        bounds = np.maximum(np.maximum(-p.min(axis=(-2, -1)), p.max(axis=(-2, -1)) - 1.0), 0.0)
-        unitarity = np.abs(u @ u.conj().swapaxes(-1, -2) - eye).max(axis=(-2, -1))
+        bounds = np.maximum(np.maximum(-ps.min(axis=(-2, -1)), ps.max(axis=(-2, -1)) - 1.0), 0.0)
+        unitarity = np.abs(us @ us.conj().swapaxes(-1, -2) - eye).max(axis=(-2, -1))
         for i, t in enumerate(t_samples):
             where = f"{label} t={t:.3f}"
             add("heat propagator doubly stochastic", where, stoch[i])
             add("heat propagator entries in [0, 1]", where, bounds[i])
             add("unitary propagator unitary", where, unitarity[i])
 
-        # three rounds of three draws, (t1, t2) the first two of each: one (3, 3) batch
-        # equals the draws taken round by round
-        t1, t2 = rng.uniform(0.0, 5.0, size=(3, 3)).T[:2]
-        p, re, im = real_propagators(sd, np.stack([t1, t2, t1 + t2]))
-        u = re + 1j * im
-        semigroup = np.abs(p[0] @ p[1] - p[2]).max(axis=(-2, -1))
-        group = np.abs(u[0] @ u[1] - u[2]).max(axis=(-2, -1))
+        (p1, p2, p12), (u1, u2, u12) = np.split(p[4:13], 3), np.split(u[4:13], 3)
+        semigroup = np.abs(p1 @ p2 - p12).max(axis=(-2, -1))
+        group = np.abs(u1 @ u2 - u12).max(axis=(-2, -1))
         for i in range(3):
             where = f"{label} t1={t1[i]:.3f} t2={t2[i]:.3f}"
             add("heat propagator semigroup", where, semigroup[i])
             add("unitary propagator group law", where, group[i])
 
+        # every time read from the kernel is one grid too: the oracle times, the plateau and,
+        # on regular graphs, 3 more. A disconnected graph has no plateau: refused as qc_distance
+        # refuses it
+        require_connected(sd)
+        t_inf = 50.0 / sd.fiedler
+        regular_times = (0.2, 1.0, 4.0) if label in ("complete(5)", "ring(6)") else ()
+        obs = walks.node_observables(sd, [*oracle_times, t_inf, *regular_times])
+
         # the oracle is Uhlmann's fidelity of diag(p) and the pure |psi> = U e_j, in the closed
         # form <psi|diag(p)|psi> (Jozsa 1994), summed in complex arithmetic from the columns:
         # independent of the kernel's real reduction
-        oracle_times, nodes = (0.3, 1.7), [0, sd.n - 1]
-        p, re, im = real_propagators(sd, oracle_times)
-        psi = (re + 1j * im)[..., nodes]
-        oracle = (psi.conj() * np.maximum(p[..., nodes], 0.0) * psi).sum(axis=-2).real
-        direct = walks.node_observables(sd, oracle_times)[0][..., nodes]
+        psi = u[13:, :, nodes]
+        oracle = (psi.conj() * np.maximum(p[13:, :, nodes], 0.0) * psi).sum(axis=-2).real
+        direct = obs[0, :2][..., nodes]
         for i, t in enumerate(oracle_times):
             for k, j in enumerate(nodes):
                 err = abs(direct[i, k] - oracle[i, k])
                 add("localized fidelity matches Uhlmann oracle", f"{label} j={j} t={t}", err)
 
-        t_inf = 50.0 / sd.fiedler
-        value, _ = qc_distance(sd, t_inf)
+        value = float(qc_of(obs[:, 2])[0])
         add("long-time plateau 1 - 1/n", f"{label} t={t_inf:.1f}", abs(value - (1.0 - 1.0 / sd.n)))
 
-        if label in ("complete(5)", "ring(6)"):
-            regular_times = (0.2, 1.0, 4.0)
-            fid = walks.node_observables(sd, regular_times)[0]
-            spread = fid.max(axis=-1) - fid.min(axis=-1)
-            for t, err in zip(regular_times, spread):
-                add("regular graphs are node equivalent", f"{label} t={t}", err)
+        fid = obs[0, 3:]
+        spread = fid.max(axis=-1) - fid.min(axis=-1)
+        for t, err in zip(regular_times, spread):
+            add("regular graphs are node equivalent", f"{label} t={t}", err)
 
     return [_result(name, found) for name, found in errs.items()]
 
@@ -206,7 +213,7 @@ def _check_weights(total: np.ndarray, weights: np.ndarray) -> None:
 
 
 def _check_states(q, u, z):
-    """The states' inputs as arrays, refused as classical_quantum_fidelity documents, and u^dag."""
+    """The states' inputs as arrays, refused as classical_quantum_fidelity documents."""
     q = np.asarray(q, dtype=float)
     u = np.asarray(u, dtype=complex)
     z = np.asarray(z, dtype=float)
@@ -214,12 +221,30 @@ def _check_states(q, u, z):
         raise ValueError("need q and z of shape (T, S, n) and u of shape (T, n, n)")
     _check_weights(q.sum(axis=-1), q)
     _check_weights(z.sum(axis=-1), z)
-    u_dag = u.conj().swapaxes(-1, -2)
-    drift = np.linalg.norm(u @ u_dag - np.eye(q.shape[-1]), axis=(-2, -1))
+    drift = np.linalg.norm(u @ u.conj().swapaxes(-1, -2) - np.eye(q.shape[-1]), axis=(-2, -1))
     bad = np.flatnonzero(~(drift <= -NEGATIVITY_TOL))
     if bad.size:
         raise ValueError(f"u[{bad[0]}] drifts from unitarity by {drift[bad[0]]:.3e}")
-    return q, u, z, u_dag
+    return q, u, z
+
+
+def _fidelity(q: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """classical_quantum_fidelity of inputs _check_states has passed."""
+    rho = (u[:, None] * z[:, :, None, :]) @ u.conj().swapaxes(-1, -2)[:, None]
+    pure = (q.max(axis=-1) > _PURE_THRESHOLD) | (z.max(axis=-1) > _PURE_THRESHOLD)
+    root = np.sqrt(q)
+    inner = root[..., :, None] * rho * root[..., None, :]
+    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
+    mixed = np.sqrt(vals).sum(axis=-1) ** 2
+    rank_one = np.einsum("tsk,tskk->ts", q, rho).real
+    return np.clip(np.where(pure, rank_one, mixed), 0.0, 1.0)
+
+
+def _affinity(q: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """classical_quantum_affinity of inputs _check_states has passed."""
+    weights = u.real**2 + u.imag**2  # |u_ka|^2
+    diagonal = np.sqrt(z) @ weights.swapaxes(-1, -2)  # the diagonal of sqrt(rho)
+    return (np.sqrt(q) * diagonal).sum(axis=-1) ** 2
 
 
 def classical_quantum_fidelity(q, u, z) -> np.ndarray:
@@ -237,15 +262,7 @@ def classical_quantum_fidelity(q, u, z) -> np.ndarray:
     the closed form F = sum_k q_k rho_kk, which is <psi|diag(q)|psi> when
     rho = |psi><psi| (Jozsa, J. Mod. Opt. 41, 1994).
     """
-    q, u, z, u_dag = _check_states(q, u, z)
-    rho = (u[:, None] * z[:, :, None, :]) @ u_dag[:, None]
-    pure = (q.max(axis=-1) > _PURE_THRESHOLD) | (z.max(axis=-1) > _PURE_THRESHOLD)
-    root = np.sqrt(q)
-    inner = root[..., :, None] * rho * root[..., None, :]
-    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    mixed = np.sqrt(vals).sum(axis=-1) ** 2
-    rank_one = np.einsum("tsk,tskk->ts", q, rho).real
-    return np.clip(np.where(pure, rank_one, mixed), 0.0, 1.0)
+    return _fidelity(*_check_states(q, u, z))
 
 
 def classical_quantum_affinity(q, u, z) -> np.ndarray:
@@ -259,10 +276,7 @@ def classical_quantum_affinity(q, u, z) -> np.ndarray:
     commute, as at t = 0 where u = I. The inputs are validated as
     classical_quantum_fidelity validates them, with the same messages.
     """
-    q, u, z, _ = _check_states(q, u, z)
-    weights = u.real**2 + u.imag**2  # |u_ka|^2
-    diagonal = np.sqrt(z) @ weights.swapaxes(-1, -2)  # the diagonal of sqrt(rho)
-    return (np.sqrt(q) * diagonal).sum(axis=-1) ** 2
+    return _affinity(*_check_states(q, u, z))
 
 
 def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_values, seed: int = 0) -> float:
@@ -283,26 +297,31 @@ def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_val
     then walks.reduce_propagators reduces the same buffer in place, so
     min_j F_j is the kernel's own F bit for bit.
 
-    Every sample of a block is first bounded below by its affinity
-    (classical_quantum_affinity, which validates every input and raises
-    ValueError if a U(t) drifts from unitarity): its lower margin is the
-    affinity minus min_j F_j. The sample with the smallest lower margin
-    takes the exact fidelity, and m, the smaller of its margin and the worst
-    exact margin of the earlier blocks, bounds the worst margin from above.
-    Any other sample whose lower margin exceeds m + AFFINITY_SLACK cannot be
-    the worst; every one that does not, a NaN lower margin included, takes
-    the exact fidelity, in chunks of at most walks.BLOCK_ELEMENTS // n**2
-    samples, which bounds memory whatever ``n_samples`` is. So each sample
-    is certified by its affinity or by its exact fidelity, at most one
-    eigensolve, and the result is the exact worst margin, bit for bit,
-    whatever the block and chunk sizes. Keep n at desk scale (<= 10 or so).
-    ``t_values`` is checked like distance_curve's grid.
+    Then the block's inputs are validated once, as
+    classical_quantum_fidelity validates them (ValueError if a U(t) drifts
+    from unitarity, say), and its affinity and exact fidelities read the
+    validated arrays. Every sample is first bounded below by its affinity
+    (classical_quantum_affinity): its lower margin is the affinity minus
+    min_j F_j. The sample with the smallest lower margin takes the exact
+    fidelity, and m, the smaller of its margin and the worst exact margin
+    of the earlier blocks, bounds the worst margin from above. Any other
+    sample whose lower margin exceeds m + AFFINITY_SLACK cannot be the
+    worst; every one that does not, a NaN lower margin included, takes the
+    exact fidelity, in chunks of at most walks.BLOCK_ELEMENTS // n**2
+    samples. Only those chunks are bounded: a block's draws, its classical
+    states and its affinities hold T * n_samples * n doubles for its T
+    times, so memory grows with ``n_samples``. Each sample is certified by
+    its affinity or by its exact fidelity, at most one eigensolve, and the
+    result is the exact worst margin, bit for bit, whatever the block and
+    chunk sizes. Keep n at desk scale (<= 10 or so). ``t_values`` is
+    checked like distance_curve's grid.
 
     Returns the worst margin over all samples and times: the smallest
     fidelity minus min_j F_j at its time. It is NaN if a fidelity or a
-    lower margin is NaN, since a NaN bound certifies nothing. Localized
-    starts attain the minimum when it is at least -VIOLATION_TOL, the
-    roundoff slack.
+    lower margin is NaN, since a NaN bound certifies nothing; the sweep
+    then stops, so the samples and blocks after it are neither
+    eigensolved nor validated. Localized starts attain the minimum when it
+    is at least -VIOLATION_TOL, the roundoff slack.
     """
     require_connected(sd)
     n_samples = int(n_samples)
@@ -322,11 +341,12 @@ def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_val
         q = np.clip(z @ p.swapaxes(-1, -2), 0.0, None)
         # the reduction overwrites the pair, so it runs once q and u are formed
         floor = walks.reduce_propagators(props)[0].min(axis=-1)
-        lower = classical_quantum_affinity(q, u, z) - floor[:, None]
+        _check_states(q, u, z)  # once per block: the affinity and every fidelity read these arrays
+        lower = _affinity(q, u, z) - floor[:, None]
 
         def margins(times, samples):
             """Exact margins of the samples (times[i], samples[i]) of this block."""
-            fid = classical_quantum_fidelity(q[times, samples, None], u[times], z[times, samples, None])
+            fid = _fidelity(q[times, samples, None], u[times], z[times, samples, None])
             # a NaN lower margin certifies nothing: its sample's margin reads NaN
             return np.where(np.isnan(lower[times, samples]), np.nan, fid[:, 0] - floor[times])
 
@@ -336,7 +356,11 @@ def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_val
         candidate[first] = False  # its exact margin is already in worst
         times, samples = np.nonzero(candidate)
         for c in walks.time_blocks(n * n, times.size):
+            if np.isnan(worst):
+                break
             worst = np.minimum(worst, margins(times[c], samples[c]).min())
+        if np.isnan(worst):  # a NaN margin is final: no later sample can change it
+            break
     return float(worst)
 
 

@@ -926,7 +926,7 @@ def test_distance_csv_independent_of_block_size(n, monkeypatch, tmp_path, capsys
     assert len(outputs) == 1
 
 
-def test_invariant_checks_form_each_group_of_times_as_one_grid(monkeypatch):
+def test_invariant_checks_make_one_propagator_call_per_graph(monkeypatch):
     import qcwalk.checks as checks
     import qcwalk.spectral as spectral
     import qcwalk.walks as walks
@@ -948,12 +948,106 @@ def test_invariant_checks_form_each_group_of_times_as_one_grid(monkeypatch):
         monkeypatch.setattr(mod, "real_propagators", counted)
     results = checks.run_invariant_checks(seed=0)
     assert all(r.passed for r in results)
-    # checks, one pair per group: 4 sampled times, the semigroup and group law's t1, t2,
-    # t1 + t2 (3 rounds), the 2 oracle times; kernel: the oracle grid, the plateau, and
-    # 3 times on regular graphs
+    # checks, one grid per graph: 4 sampled times, the semigroup and group law's t1, t2,
+    # t1 + t2 (3 rounds) and the 2 oracle times; kernel, one grid per graph: the oracle
+    # times, the plateau and 3 times on regular graphs
     labels = [label for label, _ in checks.check_family(0)]
-    regular = {"complete(5)": [3], "ring(6)": [3]}
-    assert calls == [{"checks": [4, 9, 2], "walks": [2, 1] + regular.get(label, [])} for label in labels]
+    regular = {"complete(5)": [6], "ring(6)": [6]}
+    assert calls == [{"checks": [15], "walks": regular.get(label, [3])} for label in labels]
+
+
+def per_group_invariant_checks(seed: int) -> list:
+    """run_invariant_checks with each group of times in a grid of its own.
+
+    Three real_propagators calls per graph (the sampled times; t1, t2 and
+    t1 + t2; the oracle times) and three kernel calls (the oracle times,
+    the plateau through qc_distance, the regular-graph times).
+    """
+    import qcwalk.checks as checks
+    from qcwalk.distance import qc_distance
+    from qcwalk.spectral import real_propagators
+
+    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    t_samples = rng.uniform(0.0, 5.0, size=4)
+    errs = {name: [] for name in checks._TOLERANCES}
+
+    def add(name, where, err):
+        errs[name].append((where, float(err)))
+
+    for label, g in checks.check_family(seed):
+        lap = laplacian(g)
+        sd = eigendecompose(lap)
+        vecs, eye = sd.eigenvectors, np.eye(sd.n)
+        add("laplacian row sums vanish", label, np.abs(lap.sum(axis=1)).max())
+        add("laplacian trace is -2|edges|", label, abs(float(np.trace(lap)) + 2.0 * len(g.edges)))
+        add("eigendecomposition reconstructs L", label, np.abs((vecs * sd.eigenvalues) @ vecs.T - lap).max())
+        add("eigenvectors orthonormal", label, np.abs(vecs.T @ vecs - eye).max())
+        vals = np.linalg.eigvalsh(lap)
+        add("zero mode first, spectrum nonpositive", label, max(np.abs(vals).min(), vals.max()))
+
+        p, re, im = real_propagators(sd, t_samples)
+        u = re + 1j * im
+        rows, cols = np.abs(p.sum(axis=-1) - 1.0), np.abs(p.sum(axis=-2) - 1.0)
+        stoch = np.maximum(cols.max(axis=-1), rows.max(axis=-1))
+        bounds = np.maximum(np.maximum(-p.min(axis=(-2, -1)), p.max(axis=(-2, -1)) - 1.0), 0.0)
+        unitarity = np.abs(u @ u.conj().swapaxes(-1, -2) - eye).max(axis=(-2, -1))
+        for i, t in enumerate(t_samples):
+            add("heat propagator doubly stochastic", f"{label} t={t:.3f}", stoch[i])
+            add("heat propagator entries in [0, 1]", f"{label} t={t:.3f}", bounds[i])
+            add("unitary propagator unitary", f"{label} t={t:.3f}", unitarity[i])
+
+        t1, t2 = rng.uniform(0.0, 5.0, size=(3, 3)).T[:2]
+        p, re, im = real_propagators(sd, np.stack([t1, t2, t1 + t2]))
+        u = re + 1j * im
+        semigroup = np.abs(p[0] @ p[1] - p[2]).max(axis=(-2, -1))
+        group = np.abs(u[0] @ u[1] - u[2]).max(axis=(-2, -1))
+        for i in range(3):
+            add("heat propagator semigroup", f"{label} t1={t1[i]:.3f} t2={t2[i]:.3f}", semigroup[i])
+            add("unitary propagator group law", f"{label} t1={t1[i]:.3f} t2={t2[i]:.3f}", group[i])
+
+        oracle_times, nodes = (0.3, 1.7), [0, sd.n - 1]
+        p, re, im = real_propagators(sd, oracle_times)
+        psi = (re + 1j * im)[..., nodes]
+        oracle = (psi.conj() * np.maximum(p[..., nodes], 0.0) * psi).sum(axis=-2).real
+        direct = node_observables(sd, oracle_times)[0][..., nodes]
+        for i, t in enumerate(oracle_times):
+            for k, j in enumerate(nodes):
+                err = abs(direct[i, k] - oracle[i, k])
+                add("localized fidelity matches Uhlmann oracle", f"{label} j={j} t={t}", err)
+
+        t_inf = 50.0 / sd.fiedler
+        value, _ = qc_distance(sd, t_inf)
+        add("long-time plateau 1 - 1/n", f"{label} t={t_inf:.1f}", abs(value - (1.0 - 1.0 / sd.n)))
+
+        if label in ("complete(5)", "ring(6)"):
+            regular_times = (0.2, 1.0, 4.0)
+            fid = node_observables(sd, regular_times)[0]
+            for t, err in zip(regular_times, fid.max(axis=-1) - fid.min(axis=-1)):
+                add("regular graphs are node equivalent", f"{label} t={t}", err)
+    return [checks._result(name, found) for name, found in errs.items()]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1301])
+def test_invariant_checks_equal_the_per_group_route(seed):
+    # one grid per graph gives every check's worst error and its location, as one grid per
+    # group of times did
+    import qcwalk.checks as checks
+
+    results = checks.run_invariant_checks(seed)
+    assert len(results) == 13
+    assert results == per_group_invariant_checks(seed)
+
+
+def test_invariant_checks_refuse_a_disconnected_graph(monkeypatch):
+    # a disconnected family graph has no plateau: refused as qc_distance refuses it, so
+    # verify reports the unit as refused instead of dividing by its zero Fiedler value
+    import qcwalk.checks as checks
+    from qcwalk import graph_from_edges
+    from qcwalk.distance import DisconnectedGraphError
+
+    monkeypatch.setattr(checks, "check_family", lambda seed: [("split(4)", graph_from_edges(4, [(0, 1), (2, 3)]))])
+    with pytest.raises(DisconnectedGraphError, match="disconnected"):
+        checks.run_invariant_checks(seed=0)
 
 
 def test_invariant_checks_solve_each_family_graph_once(monkeypatch):
