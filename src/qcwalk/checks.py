@@ -13,17 +13,18 @@ from the kernel in one walks.node_observables call.
 argument behind D_QC's worst case over localized launches (see
 :mod:`qcwalk.distance`). It certifies most samples with
 :func:`classical_quantum_affinity`, a closed-form lower bound, and
-eigensolves each of the rest once with :func:`classical_quantum_fidelity`,
-the library's one Uhlmann fidelity. Both validate their inputs; the sweep
-validates each block's once and then reads their bodies. This module alone
-holds the check's policy: its floor VIOLATION_TOL, its AFFINITY_SLACK, its
-states' trace and purity thresholds, and its pass rule.
+eigensolves each of the rest once with the body of
+:func:`classical_quantum_fidelity`, the library's one Uhlmann fidelity.
+Both validate their inputs, with the same messages; the affinity is the
+sweep's one validation, once per block. This module alone holds the
+check's policy: its floor VIOLATION_TOL, its AFFINITY_SLACK, its states'
+trace and purity thresholds, and its pass rule.
 
 :func:`run_checks` runs every check of ``qcwalk verify`` in this process.
 Its units, the invariant checks and the optimality sweep's graph sizes
 (each size seeds its graph and its draws with ``seed + n``), run in report
-order, and every unit is reported by one rule: a refusal fails each of its
-checks, and any other exception ends the run.
+order, and every unit is reported by one rule (_refused): a refusal fails
+each of its checks, and any other exception ends the run.
 """
 
 from __future__ import annotations
@@ -213,19 +214,19 @@ def _check_weights(total: np.ndarray, weights: np.ndarray) -> None:
 
 
 def _check_states(q, u, z):
-    """The states' inputs as arrays, refused as classical_quantum_fidelity documents."""
+    """The states' inputs as arrays, refused as classical_quantum_fidelity documents; weights clipped at 0."""
     q = np.asarray(q, dtype=float)
     u = np.asarray(u, dtype=complex)
     z = np.asarray(z, dtype=float)
-    if q.ndim != 3 or z.shape != q.shape or u.shape != q.shape[:1] + q.shape[-1:] * 2:
-        raise ValueError("need q and z of shape (T, S, n) and u of shape (T, n, n)")
+    if q.ndim != 3 or 0 in q.shape or z.shape != q.shape or u.shape != q.shape[:1] + q.shape[-1:] * 2:
+        raise ValueError("need q and z of shape (T, S, n) and u of shape (T, n, n), with T, S and n at least 1")
     _check_weights(q.sum(axis=-1), q)
     _check_weights(z.sum(axis=-1), z)
     drift = np.linalg.norm(u @ u.conj().swapaxes(-1, -2) - np.eye(q.shape[-1]), axis=(-2, -1))
     bad = np.flatnonzero(~(drift <= -NEGATIVITY_TOL))
     if bad.size:
         raise ValueError(f"u[{bad[0]}] drifts from unitarity by {drift[bad[0]]:.3e}")
-    return q, u, z
+    return np.maximum(q, 0.0), u, np.maximum(z, 0.0)
 
 
 def _fidelity(q: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -240,21 +241,15 @@ def _fidelity(q: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.clip(np.where(pure, rank_one, mixed), 0.0, 1.0)
 
 
-def _affinity(q: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """classical_quantum_affinity of inputs _check_states has passed."""
-    weights = u.real**2 + u.imag**2  # |u_ka|^2
-    diagonal = np.sqrt(z) @ weights.swapaxes(-1, -2)  # the diagonal of sqrt(rho)
-    return (np.sqrt(q) * diagonal).sum(axis=-1) ** 2
-
-
 def classical_quantum_fidelity(q, u, z) -> np.ndarray:
     """Uhlmann fidelity of diag(q[i, s]) and u[i] diag(z[i, s]) u[i]^dag, shape (T, S).
 
     ``q`` and ``z`` are (T, S, n) weights and ``u`` is (T, n, n): T unitaries,
     each evolving S launches. The inputs that define the states are
-    validated, so a state that is not a density matrix never forms: every
-    row of q and z must be a probability vector (trace 1 within 1e-10, no
-    weight below NEGATIVITY_TOL), and each u[i] unitary to within
+    validated, so a state that is not a density matrix never forms: T, S and
+    n must be at least 1, every row of q and z a probability vector (trace 1
+    within 1e-10, no weight below NEGATIVITY_TOL; a tolerated negative
+    weight reads as 0), and each u[i] unitary to within
     ||u u^dag - I||_F <= -NEGATIVITY_TOL, else ValueError names the drift and
     the index i. sqrt(diag(q)) is elementwise, so each mixed pair costs one
     eigvalsh of sqrt(q_k) rho_kl sqrt(q_l), all T * S in one stacked call.
@@ -276,7 +271,10 @@ def classical_quantum_affinity(q, u, z) -> np.ndarray:
     commute, as at t = 0 where u = I. The inputs are validated as
     classical_quantum_fidelity validates them, with the same messages.
     """
-    return _affinity(*_check_states(q, u, z))
+    q, u, z = _check_states(q, u, z)
+    weights = u.real**2 + u.imag**2  # |u_ka|^2
+    diagonal = np.sqrt(z) @ weights.swapaxes(-1, -2)  # the diagonal of sqrt(rho)
+    return (np.sqrt(q) * diagonal).sum(axis=-1) ** 2
 
 
 def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_values, seed: int = 0) -> float:
@@ -297,31 +295,31 @@ def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_val
     then walks.reduce_propagators reduces the same buffer in place, so
     min_j F_j is the kernel's own F bit for bit.
 
-    Then the block's inputs are validated once, as
+    Then classical_quantum_affinity validates the block's inputs, once, as
     classical_quantum_fidelity validates them (ValueError if a U(t) drifts
-    from unitarity, say), and its affinity and exact fidelities read the
-    validated arrays. Every sample is first bounded below by its affinity
-    (classical_quantum_affinity): its lower margin is the affinity minus
-    min_j F_j. The sample with the smallest lower margin takes the exact
-    fidelity, and m, the smaller of its margin and the worst exact margin
-    of the earlier blocks, bounds the worst margin from above. Any other
-    sample whose lower margin exceeds m + AFFINITY_SLACK cannot be the
-    worst; every one that does not, a NaN lower margin included, takes the
-    exact fidelity, in chunks of at most walks.BLOCK_ELEMENTS // n**2
-    samples. Only those chunks are bounded: a block's draws, its classical
-    states and its affinities hold T * n_samples * n doubles for its T
-    times, so memory grows with ``n_samples``. Each sample is certified by
-    its affinity or by its exact fidelity, at most one eigensolve, and the
-    result is the exact worst margin, bit for bit, whatever the block and
-    chunk sizes. Keep n at desk scale (<= 10 or so). ``t_values`` is
-    checked like distance_curve's grid.
+    from unitarity, say), and bounds every sample below: its lower margin
+    is the affinity minus min_j F_j. A NaN lower margin certifies nothing
+    and no later sample could change a NaN worst, so if the block has one
+    the sweep returns NaN at once, before any eigensolve. Otherwise the
+    sample with the smallest lower margin takes the exact fidelity, read
+    from the validated arrays with no second validation, and m, the smaller
+    of its margin and the worst exact margin of the earlier blocks, bounds
+    the worst margin from above. Any other sample whose lower margin
+    exceeds m + AFFINITY_SLACK cannot be the worst; every one that does not
+    takes the exact fidelity, in chunks of at most
+    walks.BLOCK_ELEMENTS // n**2 samples. Only those chunks are bounded: a
+    block's draws, its classical states and its affinities hold
+    T * n_samples * n doubles for its T times, so memory grows with
+    ``n_samples``. Each sample is certified by its affinity or by its exact
+    fidelity, at most one eigensolve, and the result is the exact worst
+    margin, bit for bit, whatever the block and chunk sizes. Keep n at desk
+    scale (<= 10 or so). ``t_values`` is checked like distance_curve's
+    grid.
 
     Returns the worst margin over all samples and times: the smallest
-    fidelity minus min_j F_j at its time. It is NaN if a fidelity or a
-    lower margin is NaN, since a NaN bound certifies nothing; the sweep
-    then stops, so the samples and blocks after it are neither
-    eigensolved nor validated. Localized starts attain the minimum when it
-    is at least -VIOLATION_TOL, the roundoff slack.
+    fidelity minus min_j F_j at its time, NaN if a lower or an exact margin
+    is NaN. Localized starts attain the minimum when it is at least
+    -VIOLATION_TOL, the roundoff slack.
     """
     require_connected(sd)
     n_samples = int(n_samples)
@@ -341,14 +339,14 @@ def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_val
         q = np.clip(z @ p.swapaxes(-1, -2), 0.0, None)
         # the reduction overwrites the pair, so it runs once q and u are formed
         floor = walks.reduce_propagators(props)[0].min(axis=-1)
-        _check_states(q, u, z)  # once per block: the affinity and every fidelity read these arrays
-        lower = _affinity(q, u, z) - floor[:, None]
+        lower = classical_quantum_affinity(q, u, z) - floor[:, None]
+        if np.isnan(lower).any():
+            return math.nan
 
         def margins(times, samples):
             """Exact margins of the samples (times[i], samples[i]) of this block."""
             fid = _fidelity(q[times, samples, None], u[times], z[times, samples, None])
-            # a NaN lower margin certifies nothing: its sample's margin reads NaN
-            return np.where(np.isnan(lower[times, samples]), np.nan, fid[:, 0] - floor[times])
+            return fid[:, 0] - floor[times]
 
         first = np.unravel_index([lower.argmin()], lower.shape)
         worst = np.minimum(worst, margins(*first)[0])
@@ -356,27 +354,15 @@ def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_val
         candidate[first] = False  # its exact margin is already in worst
         times, samples = np.nonzero(candidate)
         for c in walks.time_blocks(n * n, times.size):
-            if np.isnan(worst):
-                break
             worst = np.minimum(worst, margins(times[c], samples[c]).min())
-        if np.isnan(worst):  # a NaN margin is final: no later sample can change it
-            break
     return float(worst)
 
 
-def _optimality_unit(n: int, per_size: int, t_values, seed: int):
-    """The unit of run_checks that sweeps the random connected graph of size n."""
-    name = f"localized optimality on random_connected({n})"
-
-    def sweep() -> tuple[list[CheckResult], float]:
-        g = generate("random_connected", n, extra=min(n - 1, 3), seed=seed + n)
-        sd = eigendecompose(laplacian(g))
-        worst = verify_localized_optimality(sd, per_size, t_values, seed=seed + n)
-        samples = per_size * len(t_values)
-        detail = f"worst margin {worst:.3e} over {samples} samples (floor {-VIOLATION_TOL:.0e})"
-        return [CheckResult(name=name, passed=worst >= -VIOLATION_TOL, detail=detail)], worst
-
-    return [name], sweep
+def _refused(names, exc: ValueError) -> list[CheckResult]:
+    """Each of a unit's checks, failed by the unit's refusal ``exc``."""
+    if isinstance(exc, np.linalg.LinAlgError):  # a computation error, not a refusal
+        raise exc
+    return [CheckResult(name=name, passed=False, detail=f"refused: {exc}") for name in names]
 
 
 def run_checks(n_max: int, samples: int, seed: int) -> tuple[list[CheckResult], float | None]:
@@ -385,14 +371,12 @@ def run_checks(n_max: int, samples: int, seed: int) -> tuple[list[CheckResult], 
     The sweep spreads ``samples`` Dirichlet draws across random connected
     graphs of sizes 3..n_max and times {0.1, 0.5, 1, 3}. ``n_max`` and
     ``samples`` are validated before any unit runs. The units run in report
-    order: the invariant checks, then one per size, ascending; each is a
-    (names of its checks, thunk) whose thunk returns its results and its
-    margin, None for the invariant checks. Returns the results in report
-    order and the worst margin (by _worst: a NaN one, else the smallest),
-    None if no size gave one. A unit that refuses its input (a ValueError
-    other than numpy's LinAlgError) fails each of its checks, since none was
-    established over the whole family, and the run goes on; any other
-    exception ends the run.
+    order: the invariant checks, then one per size, ascending. Returns the
+    results in report order and the worst margin (by _worst: a NaN one,
+    else the smallest), None if no size gave one. A unit that refuses its
+    input (a ValueError other than numpy's LinAlgError) fails each of its
+    checks, since none was established over the whole family, and the run
+    goes on; any other exception ends the run.
     """
     if n_max > 10:
         raise ValueError("n_max above 10 is not supported (dense fidelity cost)")
@@ -403,18 +387,22 @@ def run_checks(n_max: int, samples: int, seed: int) -> tuple[list[CheckResult], 
     sizes = range(3, n_max + 1)
     t_values = (0.1, 0.5, 1.0, 3.0)
     per_size = int(np.ceil(samples / (len(sizes) * len(t_values))))
-    units = [(list(_TOLERANCES), lambda: (run_invariant_checks(seed), None))]
-    units += [_optimality_unit(n, per_size, t_values, seed) for n in sizes]
-    results, margins = [], []
-    for names, thunk in units:
+    drawn = per_size * len(t_values)
+    try:
+        results = run_invariant_checks(seed)
+    except ValueError as exc:
+        results = _refused(_TOLERANCES, exc)
+    margins = []
+    for n in sizes:
+        name = f"localized optimality on random_connected({n})"
         try:
-            unit_results, margin = thunk()
+            g = generate("random_connected", n, extra=min(n - 1, 3), seed=seed + n)
+            sd = eigendecompose(laplacian(g))
+            worst = verify_localized_optimality(sd, per_size, t_values, seed=seed + n)
         except ValueError as exc:
-            if isinstance(exc, np.linalg.LinAlgError):  # a computation error, not a refusal
-                raise
-            unit_results = [CheckResult(name=name, passed=False, detail=f"refused: {exc}") for name in names]
-            margin = None
-        results += unit_results
-        if margin is not None:
-            margins.append(margin)
+            results += _refused([name], exc)
+        else:
+            margins.append(worst)
+            detail = f"worst margin {worst:.3e} over {drawn} samples (floor {-VIOLATION_TOL:.0e})"
+            results.append(CheckResult(name=name, passed=worst >= -VIOLATION_TOL, detail=detail))
     return results, _worst(margins, key=lambda margin: -margin)

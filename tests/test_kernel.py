@@ -327,7 +327,7 @@ def test_optimality_margins_read_the_reduction_of_an_untouched_pair(monkeypatch)
         formed.append(props.copy())
         return props
 
-    def affinity(q, u, z, _original=checks._affinity):
+    def affinity(q, u, z, _original=checks.classical_quantum_affinity):
         bounded.append(u)
         return _original(q, u, z)
 
@@ -336,7 +336,7 @@ def test_optimality_margins_read_the_reduction_of_an_untouched_pair(monkeypatch)
         return _original(q, u, z)
 
     monkeypatch.setattr(checks, "real_propagators", kept)
-    monkeypatch.setattr(checks, "_affinity", affinity)
+    monkeypatch.setattr(checks, "classical_quantum_affinity", affinity)
     monkeypatch.setattr(checks, "_fidelity", fidelity)
     worst = checks.verify_localized_optimality(sd, 30, t_values, seed=6)
     (props,) = formed

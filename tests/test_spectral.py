@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -498,7 +500,30 @@ def test_batched_fidelity_refuses_mismatched_shapes():
         (q, u, z[:, :, :2]),  # z of another n
         (q, u[:2], z),  # a unitary short of T
         (q, u[:, :2, :2], z),  # unitaries of another n
+        (q[:1, :0], u[:1], z[:1, :0]),  # no launch: refused here, not by a reduction over nothing
+        (q[:0], u[:0], z[:0]),  # no unitary
     ):
         for fn in (classical_quantum_fidelity, classical_quantum_affinity):
-            with pytest.raises(ValueError, match="need q and z of shape"):
+            with pytest.raises(ValueError, match=r"need q and z of shape .*, with T, S and n at least 1$"):
                 fn(*args)
+
+
+@pytest.mark.parametrize(
+    "q, z, expected",
+    [
+        ([0.5, 0.5 + 1e-11, -1e-11], [0.2, 0.3, 0.5], 0.49494897),
+        ([0.2, 0.3, 0.5], [0.5, 0.5 + 1e-11, -1e-11], 0.49494897),
+        ([1.0 + 1e-11, -1e-11, 0.0], [0.2, 0.3, 0.5], 0.2),
+    ],
+    ids=["negative-q", "negative-z", "pure-q"],
+)
+def test_tolerated_negative_weights_read_as_zero(q, z, expected):
+    # a weight above NEGATIVITY_TOL passes validation; it must not reach a square root as a
+    # negative number. Both functions give the clipped inputs' values, with no warning
+    q, z, u = np.array(q)[None, None], np.array(z)[None, None], np.eye(3)[None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (classical_quantum_fidelity, classical_quantum_affinity):
+            value = fn(q, u, z)[0, 0]
+            assert value == fn(np.clip(q, 0.0, None), u, np.clip(z, 0.0, None))[0, 0]
+            assert value == pytest.approx(expected, abs=1e-8)
