@@ -8,16 +8,20 @@ directory. The default set is the benchmark's ``graph_level`` and
 (every CSV and the manifest) with default options, then ``figure fig1-center
 --n 5`` and ``figure fig2 --seed 3``, the asymptote diagnostics ``distance
 --graph ring:11 --steps 12 --quantities qc,short,long,gamma_s,gamma_l,delta``
-and the same on ``random_connected:11:6 --seed 3``, ``verify --n-max 10 --samples 4000`` at
-seeds 0, 1 and 1301, ``verify --n-max 3 --samples 1 --seed 2`` (one sample per time),
-``verify --n-max 10 --samples 40000 --seed 5`` (1250 samples per time and size, many
-element-budget chunks of samples), and the degenerate-graph argv ``distance --node 1
---quantities conditional,coherence,gfid,short,long,delta,qc`` on complete:50,
-complete:200, ring:64, star:200, wheel:50 and wheel:200. Then the grid's edge cases, each a
-``distance`` argv: a linear grid from t = 0 (NA gamma cells), a one-point
-grid, one node's default t_max of 10, an explicit ``--tmax`` and a log grid
-from 0 (refused, exit 1); and ``graph`` writing its edge list to a file and
-to stdout. ``--argv`` replaces the set.
+and the same on ``random_connected:11:6 --seed 3``, ``distance --graph
+random_connected:21:6 --quantities qc,coherence,gfid --steps 200`` (an n
+from 17 to 32, where OpenBLAS's GEMM can round a point differently with the
+number of points in its block), ``verify --n-max 10 --samples 4000`` at seeds
+0, 1 and 1301, ``verify --n-max 3 --samples 1 --seed 2`` (one sample per time),
+``verify --n-max 10 --samples 40000 --seed 5`` (1250 samples per time and size,
+many element-budget chunks of samples), and the degenerate-graph argv
+``distance --node 1 --quantities
+conditional,coherence,gfid,short,long,delta,qc`` on complete:50, complete:200,
+ring:64, star:200, wheel:50 and wheel:200. Then the grid's edge cases, each a
+``distance`` argv: a linear grid from t = 0 (NA gamma cells), a one-point grid,
+one node's default t_max of 10, an explicit ``--tmax`` and a log grid from 0
+(refused, exit 1); and ``graph`` writing its edge list to a file and to stdout.
+``--argv`` replaces the set.
 
 For each argv it prints ``identical``; or the number of changed CSV cells,
 their largest relative change and their largest change in units of the 12th
@@ -49,6 +53,8 @@ WORKLOADS = (
     "distance --graph random_connected:11:6 --quantities qc,average,gamma_s,gamma_l,delta",
     "distance --graph random_connected:60:20 --quantities conditional,coherence,gfid,short,long --steps 40",
 )
+#: an n in the band where a point's last bits depend on the rows of its block's GEMM
+BLOCK_BAND = "distance --graph random_connected:21:6 --quantities qc,coherence,gfid --steps 200"
 DEGENERATE = "distance --node 1 --quantities conditional,coherence,gfid,short,long,delta,qc --graph"
 #: the grid's edge cases, then graph's two writers: a file and stdout
 EDGE_CASES = (
@@ -68,6 +74,7 @@ def default_argvs() -> list[str]:
     argvs += ["figure fig1-center --n 5 --out out", "figure fig2 --seed 3 --out out"]
     diagnostics = "--steps 12 --quantities qc,short,long,gamma_s,gamma_l,delta"
     argvs += [f"distance --graph {g} {diagnostics}" for g in ("ring:11", "random_connected:11:6 --seed 3")]
+    argvs.append(BLOCK_BAND)
     argvs += [f"verify --n-max 10 --samples 4000 --seed {seed}" for seed in (0, 1, 1301)]
     argvs += ["verify --n-max 3 --samples 1 --seed 2", "verify --n-max 10 --samples 40000 --seed 5"]
     specs = ("complete:50", "complete:200", "ring:64", "star:200", "wheel:50", "wheel:200")

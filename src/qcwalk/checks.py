@@ -38,7 +38,14 @@ from . import walks
 from .config import check_grid
 from .distance import qc_of, require_connected
 from .graph import Graph, generate, laplacian
-from .spectral import NEGATIVITY_TOL, SpectralDecomposition, eigendecompose, real_propagators
+from .spectral import (
+    NEGATIVITY_TOL,
+    SpectralDecomposition,
+    eigendecompose,
+    form_propagators,
+    full_propagators,
+    real_propagators,
+)
 
 __all__ = [
     "CheckResult",
@@ -290,10 +297,11 @@ def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_val
     localized fidelity min_j F_j(t). The full fidelity should never fall
     below that minimum. The times are swept in the kernel's blocks
     (walks.time_blocks): each block forms its pairs with one
-    real_propagators call and makes all its Dirichlet draws at once. Its
-    classical states P(t) z and unitaries U = Re + i Im are formed first;
-    then walks.reduce_propagators reduces the same buffer in place, so
-    min_j F_j is the kernel's own F bit for bit.
+    form_propagators call and makes all its Dirichlet draws at once. Its
+    classical states P(t) z and unitaries U = Re + i Im are formed first,
+    from the pair expanded by full_propagators; then
+    walks.reduce_propagators reduces the formed stack in place, so min_j F_j
+    is the kernel's own F bit for bit.
 
     Then classical_quantum_affinity validates the block's inputs, once, as
     classical_quantum_fidelity validates them (ValueError if a U(t) drifts
@@ -330,15 +338,15 @@ def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_val
     n = sd.n
 
     worst = np.inf
-    for b in walks.time_blocks(n * n, t_values.size):
-        props = real_propagators(sd, t_values[b])
-        p, re, im = props
+    for b in walks.time_blocks(math.prod(sd.propagator_shape), t_values.size):
+        props = form_propagators(sd, t_values[b])
+        p, re, im = full_propagators(sd, props)
         u = re + 1j * im
         # batch draws equal sequential draws, time by time
         z = rng.dirichlet(np.ones(n), size=(len(p), n_samples))
         q = np.clip(z @ p.swapaxes(-1, -2), 0.0, None)
-        # the reduction overwrites the pair, so it runs once q and u are formed
-        floor = walks.reduce_propagators(props)[0].min(axis=-1)
+        # the reduction overwrites the formed pair, so it runs once q and u are formed
+        floor = walks.reduce_propagators(sd, props)[0].min(axis=-1)
         lower = classical_quantum_affinity(q, u, z) - floor[:, None]
         if np.isnan(lower).any():
             return math.nan

@@ -64,21 +64,22 @@ FIGURES = ("fig1-left", "fig1-center", "fig1-right", "fig2", "fig3-left", "fig3-
 #: every quantity a distance sweep accepts, in canonical column order, as
 #: (graph-level column, vector over launch nodes), both functions of one kernel
 #: record, the array F, C, G = obs, and of the graph's size n, taken over the
-#: record's last (node) axis, so a grid record gives a value per time; delta has
-#: both forms, the graph-level one evaluated at the node realizing D_QC(t) and the
-#: node-level one used when --node picks a node.
+#: record's last (node) axis, so a grid record gives a value per time; a column
+#: also takes qc, the record's one dist.qc_of (D_QC and its node per time). delta
+#: has both forms, the graph-level one evaluated at the node realizing D_QC(t) and
+#: the node-level one used when --node picks a node.
 #: Laws are looked up on dist at call time, so a patched law reaches every column.
 _QUANTITIES = {
     "conditional": (None, lambda obs, n: dist.conditional_vector(obs)),
-    "qc": (lambda obs, n: dist.qc_of(obs)[0], None),
-    "average": (lambda obs, n: dist.conditional_vector(obs).mean(axis=-1), None),
+    "qc": (lambda obs, n, qc: qc[0], None),
+    "average": (lambda obs, n, qc: dist.conditional_vector(obs).mean(axis=-1), None),
     "coherence": (None, lambda obs, n: obs[1]),
     "gfid": (None, lambda obs, n: obs[2]),
     "short": (None, lambda obs, n: dist.short_vector(obs)),
     "long": (None, lambda obs, n: dist.long_vector(obs, n)),
-    "gamma_s": (lambda obs, n: dist.gamma_of(obs, "S", n), None),
-    "gamma_l": (lambda obs, n: dist.gamma_of(obs, "L", n), None),
-    "delta": (lambda obs, n: dist.delta_of(obs, n), lambda obs, n: dist.delta_vector(obs, n)),
+    "gamma_s": (lambda obs, n, qc: dist.gamma_of(obs, "S", n, qc), None),
+    "gamma_l": (lambda obs, n, qc: dist.gamma_of(obs, "L", n, qc), None),
+    "delta": (lambda obs, n, qc: dist.delta_of(obs, n, qc), lambda obs, n: dist.delta_vector(obs, n)),
 }
 
 
@@ -218,7 +219,8 @@ def _format_csv(sd, outputs, node, times) -> tuple[list[str], str]:
     one kernel call covers the whole grid, and each requested quantity adds
     to the table, after ``t``, its graph-level column or its node block
     (every node, or only ``node``), a row per time point; delta is a node
-    block when ``node`` is given. :func:`_format_table` formats the whole
+    block when ``node`` is given. The graph-level columns share one
+    dist.qc_of of the record. :func:`_format_table` formats the whole
     table; nothing is written here.
     """
     for q in outputs:
@@ -230,11 +232,14 @@ def _format_csv(sd, outputs, node, times) -> tuple[list[str], str]:
     cells = slice(None) if node is None else slice(node, node + 1)
     headers: list[str] = []
     columns = [times]
+    qc = None
     for q in outputs:
         column, vector = _QUANTITIES[q]
         if column is not None and (vector is None or node is None):
+            if qc is None:
+                qc = dist.qc_of(obs)
             headers.append(q)
-            columns.append(column(obs, sd.n))
+            columns.append(column(obs, sd.n, qc))
         else:
             headers += [f"{q}_{j}" for j in range(sd.n)[cells]]
             columns.append(vector(obs, sd.n)[..., cells])

@@ -95,12 +95,13 @@ def qc_of(obs: np.ndarray):
     return cond.max(axis=-1), cond.argmax(axis=-1)
 
 
-def gamma_of(obs: np.ndarray, which: str, n: int):
+def gamma_of(obs: np.ndarray, which: str, n: int, qc=None):
     """gamma_K = D_QC / max_j D^K(t|j) for K in {S, L}, per time; ratios may exceed 1.
 
     Undefined, and NaN, where the asymptote maximum is at or below
     RATIO_FLOOR (e.g. at t = 0, where both distances vanish), for a record
-    at one time and on a grid alike.
+    at one time and on a grid alike. ``qc`` is qc_of(obs), computed here if
+    not given; a caller reading several laws of one record computes it once.
     """
     if which == "S":
         denom = short_vector(obs).max(axis=-1)
@@ -109,12 +110,13 @@ def gamma_of(obs: np.ndarray, which: str, n: int):
     else:
         raise ValueError(f"asymptote selector must be 'S' or 'L', got {which!r}")
     out = np.full(np.shape(denom), np.nan)
-    return np.divide(qc_of(obs)[0], denom, out=out, where=denom > RATIO_FLOOR)[()]
+    value = (qc_of(obs) if qc is None else qc)[0]
+    return np.divide(value, denom, out=out, where=denom > RATIO_FLOOR)[()]
 
 
-def delta_of(obs: np.ndarray, n: int) -> np.ndarray:
-    """delta = G^2 - C/n at the node realizing D_QC, per time."""
-    node = qc_of(obs)[1]
+def delta_of(obs: np.ndarray, n: int, qc=None) -> np.ndarray:
+    """delta = G^2 - C/n at the node realizing D_QC, per time; ``qc`` as in gamma_of."""
+    node = (qc_of(obs) if qc is None else qc)[1]
     return np.take_along_axis(delta_vector(obs, n), np.expand_dims(node, -1), axis=-1)[..., 0]
 
 
@@ -131,9 +133,9 @@ def distance_curve(sd: SpectralDecomposition, times) -> np.ndarray:
     It is the transpose of conditional_vector of one grid kernel call,
     node_observables(sd, times), so each grid point costs one propagator
     pair. Column i is conditional_vector of the one-point record at
-    times[i]: bitwise, except at the few n between 17 and 31 where the
+    times[i]: bitwise, except at n = 17, 18 and 20 to 32, where the packed
     GEMM's rounding depends on the block's row count (see
-    spectral.real_propagators), where the two agree to about 1e-14.
+    spectral.form_propagators) and the two agree to about 1e-15.
     D_QC(t) is curve.max(axis=0), its node curve.argmax(axis=0) (ties go
     to the smallest index, as in qc_of) and the node average
     curve.mean(axis=0).

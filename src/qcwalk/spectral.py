@@ -8,29 +8,38 @@ keeps long curves cheap, so every walk-level routine accepts a
 SpectralDecomposition rather than a raw matrix; connectivity and the
 Fiedler value read the eigenvalue clusters :func:`eigendecompose` merges.
 
-:func:`real_propagators` is the one place the spectrum is exponentiated:
+:func:`form_propagators` is the one place the spectrum is exponentiated:
 it forms the pair as three real matrices, exp(L t), Re exp(i L t) and
 Im exp(i L t), for the kernel (:mod:`qcwalk.walks`) and for the
-optimality sweep and invariant checks of :mod:`qcwalk.checks` alike; a
-caller that needs the complex unitary forms re + 1j * im.
+optimality sweep and invariant checks of :mod:`qcwalk.checks` alike. The
+Laplacian is symmetric, so all three are too: while n is at most
+PAIR_PRODUCT_MAX_N it forms only their n(n+1)/2 distinct entries, the
+pairs j <= k in ``np.triu_indices(n)`` order, and the kernel reduces them
+as they are. :func:`full_propagators` expands such a packed stack to the
+(n, n) matrices through one cached index, and :func:`real_propagators`
+forms and expands in one call; a caller that needs the complex unitary
+forms re + 1j * im.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SpectralDecomposition", "eigendecompose", "real_propagators"]
+__all__ = ["SpectralDecomposition", "eigendecompose", "form_propagators", "full_propagators", "real_propagators"]
 
 #: how negative a probability (a state's eigenvalue, an entry of exp(L t)) may be
 NEGATIVITY_TOL = -1e-10
 
-#: real_propagators forms a block as one GEMM against the pair products while n is at most
-#: this, and as one stacked product per matrix above it. Timed with one BLAS thread on
-#: 400-point grids, the GEMM was faster up to n = 36, level at n = 40 and slower from n = 44,
-#: where its pair products (n**3 entries) outgrow the cache; n = 32 keeps them at 256 KiB.
+#: form_propagators forms a block's n(n+1)/2 distinct entries per matrix as one GEMM against
+#: the packed pair products while n is at most this, and the full matrices as one stacked
+#: product per matrix above it. Timed with one BLAS thread, the packed kernel was faster up
+#: to n = 60 on 40 and 400 points and slower at n = 64 (the README's "Cost" table), but above
+#: 32 it makes every n block-dependent (see form_propagators) where the stacked products are
+#: not; n = 32 keeps the pair products at 132 KiB.
 PAIR_PRODUCT_MAX_N = 32
 
 
@@ -53,10 +62,8 @@ class SpectralDecomposition:
         vecs = np.array(self.eigenvectors, dtype=float)
         if vals.ndim != 1 or vecs.shape != (vals.size, vals.size):
             raise ValueError("eigenvalues and eigenvectors have mismatched shapes")
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
+        object.__setattr__(self, "eigenvalues", _frozen(vals))
+        object.__setattr__(self, "eigenvectors", _frozen(vecs))
 
     @property
     def n(self) -> int:
@@ -67,11 +74,34 @@ class SpectralDecomposition:
         # eigendecompose sets the whole zero cluster to 0.0: a second zero is a second component
         return self.n == 1 or self.eigenvalues[1] != 0.0
 
+    @property
+    def propagator_shape(self) -> tuple[int, ...]:
+        """Trailing shape of one matrix as form_propagators writes it: (n(n+1)/2,) or (n, n)."""
+        n = self.n
+        return (n * (n + 1) // 2,) if n <= PAIR_PRODUCT_MAX_N else (n, n)
+
     @functools.cached_property
     def pair_products(self) -> np.ndarray:
-        """W[a, j * n + k] = V[j, a] V[k, a], shape (n, n * n): f @ W is V diag(f) V^T, flattened."""
+        """W[a, i] = V[j, a] V[k, a] for the i-th pair (j, k) of np.triu_indices(n), shape (n, n(n+1)/2).
+
+        f @ W packs V diag(f) V^T: its entries on and above the diagonal, row by row.
+        """
+        j, k, _, _ = _pairs(self.n)
         vecs = self.eigenvectors
-        return (vecs.T[:, :, None] * vecs.T[:, None, :]).reshape(self.n, -1)
+        return _frozen(np.ascontiguousarray((vecs[j] * vecs[k]).T))
+
+    @property
+    def pair_index(self) -> np.ndarray:
+        """I[j, k] = I[k, j], the place of the pair of j and k in the packed layout, shape (n, n)."""
+        return _pairs(self.n)[2]
+
+    @property
+    def pair_incidence(self) -> np.ndarray:
+        """M[i, j] = 1 where node j is in the i-th pair, else 0, shape (n(n+1)/2, n).
+
+        x @ M sums each column of the symmetric matrix that x packs.
+        """
+        return _pairs(self.n)[3]
 
     @property
     def fiedler(self) -> float:
@@ -79,6 +109,29 @@ class SpectralDecomposition:
         if self.n < 2:
             raise ValueError("fiedler value needs at least two nodes")
         return abs(float(self.eigenvalues[1]))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@functools.cache
+def _pairs(n: int) -> tuple[np.ndarray, ...]:
+    """The packed layout of n nodes, read-only and built once per n, as it depends on n alone.
+
+    The pairs j <= k of np.triu_indices(n) as rows j and columns k, the index
+    I[j, k] = I[k, j] of each pair in the layout, and the incidence M[i, j],
+    1 where node j is in pair i. verify decomposes some twenty graphs of ten
+    or fewer nodes per run, so building these per decomposition cost it
+    about a fifth of its time.
+    """
+    j, k = np.triu_indices(n)
+    index = np.empty((n, n), dtype=np.intp)
+    index[j, k] = index[k, j] = np.arange(j.size)
+    incidence = np.zeros((j.size, n))
+    incidence[index, np.arange(n)] = 1.0
+    return _frozen(j), _frozen(k), _frozen(index), _frozen(incidence)
 
 
 def eigendecompose(matrix) -> SpectralDecomposition:
@@ -126,28 +179,32 @@ def _refuse(t: np.ndarray, ok: np.ndarray, needs: str) -> None:
         raise ValueError(f"{needs}, got {float(t[~ok].flat[0])}")
 
 
-def real_propagators(sd: SpectralDecomposition, t, out=None) -> np.ndarray:
-    """exp(L t), Re exp(i L t) and Im exp(i L t), stacked: a real array of shape (3,) + np.shape(t) + (n, n).
+def form_propagators(sd: SpectralDecomposition, t, out=None) -> np.ndarray:
+    """exp(L t), Re exp(i L t) and Im exp(i L t), stacked: shape (3,) + np.shape(t) + sd.propagator_shape.
 
-    The propagator pair of the kernel, the optimality sweep and the
-    invariant checks; ``p, re, im = real_propagators(sd, t)`` unpacks it.
-    ``t`` is one time or a grid, each point with its own three matrices.
-    Column j of exp(L t) is the occupation distribution after starting at
-    node j, doubly stochastic because L is symmetric with zero row sums.
-    Negative t is refused (the semigroup does not run backwards), and so is
-    a non-finite t and one whose phase t max|lambda| overflows; the message
-    names the first such point. The phases lambda t are evaluated once for
-    all three. At n <= PAIR_PRODUCT_MAX_N the block is one GEMM,
-    [exp(lambda t); cos(lambda t); sin(lambda t)] times sd.pair_products;
-    above it, one stacked product V diag(f) V^T per matrix. The route
-    depends on n alone. A point's values then do not depend on how a grid
-    is split into calls, except where OpenBLAS's GEMM rounds a row
-    differently with the number of rows: on 200-point grids that was so at
-    n = 17, 19, 21-23, 25-27 and 29-31, by up to about 1e-14 in F, C or G.
-    Where t == 0 the three are exactly I, I and 0.
+    The one formation step of the propagator pair, for the kernel, the
+    optimality sweep and real_propagators. ``t`` is one time or a grid,
+    each point with its own three matrices. Column j of exp(L t) is the
+    occupation distribution after starting at node j, doubly stochastic
+    because L is symmetric with zero row sums. Negative t is refused (the
+    semigroup does not run backwards), and so is a non-finite t and one
+    whose phase t max|lambda| overflows; the message names the first such
+    point. The phases lambda t are evaluated once for all three.
 
-    ``out``, if given, is a C-contiguous float array of that shape which
-    receives the stack (a caller sweeping blocks reuses one) and is returned.
+    At n <= PAIR_PRODUCT_MAX_N each matrix is packed: the last axis holds
+    its n(n+1)/2 entries (j, k), j <= k, in np.triu_indices(n) order, and
+    the block is one GEMM, [exp(lambda t); cos(lambda t); sin(lambda t)]
+    times sd.pair_products. Above it each matrix is full, (n, n), one
+    stacked product V diag(f) V^T. The route depends on n alone. A point's
+    values then do not depend on how a grid is split into calls, except
+    where OpenBLAS's GEMM rounds a row differently with the number of rows:
+    on 200-point grids that was so at n = 17, 18 and 20-32, by up to 1.1e-15
+    in F, 3.6e-14 in C and 5.6e-16 in G. Where t == 0 the three are exactly
+    I, I and 0.
+
+    ``out``, if given, is a C-contiguous 1-d float array of the stack's size
+    whose memory receives it (a caller sweeping blocks reuses one); the
+    stack returned is a view of it.
     """
     t = np.asarray(t, dtype=float)
     _refuse(t, np.isfinite(t) & (t >= 0), "heat propagator needs finite t >= 0")
@@ -159,18 +216,39 @@ def real_propagators(sd: SpectralDecomposition, t, out=None) -> np.ndarray:
     np.exp(phases, out=factors[0])
     np.cos(phases, out=factors[1])
     np.sin(phases, out=factors[2])
-    n = sd.n
+    n, entries = sd.n, sd.propagator_shape
+    size = 3 * t.size * math.prod(entries)
     if out is None:
-        out = np.empty(factors.shape + (n,))
-    elif out.shape != factors.shape + (n,) or out.dtype != float or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float array of shape {factors.shape + (n,)}")
-    if n <= PAIR_PRODUCT_MAX_N:
-        np.matmul(factors.reshape(-1, n), sd.pair_products, out=out.reshape(-1, n * n))
+        out = np.empty(size)
+    elif out.shape != (size,) or out.dtype != float or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float array of {size} entries")
+    props = out.reshape(factors.shape[:-1] + entries)
+    packed = len(entries) == 1
+    if packed:
+        np.matmul(factors.reshape(-1, n), sd.pair_products, out=props.reshape(-1, entries[0]))
     else:
-        np.matmul(sd.eigenvectors * factors[..., None, :], sd.eigenvectors.T, out=out)
+        np.matmul(sd.eigenvectors * factors[..., None, :], sd.eigenvectors.T, out=props)
     zero = t == 0.0
     if zero.any():
-        out[:2, zero] = np.eye(n)
-        out[2, zero] = 0.0
-    return out
+        props[:2, zero] = np.equal(*_pairs(n)[:2]) if packed else np.eye(n)
+        props[2, zero] = 0.0
+    return props
 
+
+def full_propagators(sd: SpectralDecomposition, props: np.ndarray) -> np.ndarray:
+    """The (n, n) matrices of a stack form_propagators wrote, shape (3,) + np.shape(t) + (n, n).
+
+    A packed stack is expanded through sd.pair_index into a new array, so
+    entries (j, k) and (k, j) are the same bits; a full one is returned as is.
+    """
+    return props[..., sd.pair_index] if len(sd.propagator_shape) == 1 else props
+
+
+def real_propagators(sd: SpectralDecomposition, t) -> np.ndarray:
+    """exp(L t), Re exp(i L t) and Im exp(i L t), stacked: a real array of shape (3,) + np.shape(t) + (n, n).
+
+    form_propagators, then full_propagators: every (n, n) matrix is exactly
+    symmetric and, where t == 0, exactly I, I or 0. The invariant checks read
+    it; ``p, re, im = real_propagators(sd, t)`` unpacks it.
+    """
+    return full_propagators(sd, form_propagators(sd, t))

@@ -393,7 +393,7 @@ def test_distance_repeated_quantity_exits_one(quantities, monkeypatch, tmp_path,
 def test_distance_failed_sweep_writes_no_csv(error, exit_code, monkeypatch, tmp_path, capsys):
     import qcwalk.walks as walks
 
-    true_block = walks.real_propagators
+    true_block = walks.form_propagators
     blocks = []
 
     def fails_on_second_block(sd, t, out=None):
@@ -402,9 +402,10 @@ def test_distance_failed_sweep_writes_no_csv(error, exit_code, monkeypatch, tmp_
             raise error("kernel failed in the second block")
         return true_block(sd, t, out)
 
-    monkeypatch.setattr(walks, "real_propagators", fails_on_second_block)
-    # one point more than ring:5's block of BLOCK_ELEMENTS // 25 points: the sweep fails partway
-    steps = str(walks.BLOCK_ELEMENTS // 25 + 1)
+    monkeypatch.setattr(walks, "form_propagators", fails_on_second_block)
+    # one point more than ring:5's block of BLOCK_ELEMENTS // 15 points (its 15 packed
+    # entries per matrix): the sweep fails partway
+    steps = str(walks.BLOCK_ELEMENTS // 15 + 1)
     argv = ["distance", "--graph", "ring:5", "--steps", steps, "--quantities", "qc,conditional"]
     out = tmp_path / "f.csv"
     code, stdout, stderr = run(argv + ["--out", str(out)], capsys)
@@ -709,7 +710,7 @@ def reference_csv(spec, seed, quantities, node=None, tmin=1e-2, steps=400) -> by
         column, vector = _QUANTITIES[q]
         if column is not None and (vector is None or node is None):
             header.append(q)
-            cells_of.append(lambda obs, column=column: [column(obs, sd.n)])
+            cells_of.append(lambda obs, column=column: [column(obs, sd.n, qc_of(obs))])
         else:
             header += [f"{q}_{j}" for j in nodes]
             cells_of.append(lambda obs, vector=vector: vector(obs, sd.n)[nodes])
@@ -743,6 +744,30 @@ def test_distance_bytes_match_per_cell_writer(spec, seed, quantities, extra, tmp
     out = tmp_path / "curve.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == reference_csv(spec, seed, quantities, **extra)
+
+
+def test_graph_level_columns_share_one_qc_of(monkeypatch, tmp_path):
+    # qc, gamma_s, gamma_l and delta read one qc_of of the record: one pass over 1 - F
+    import qcwalk.distance as dist
+
+    true_qc_of, shapes = dist.qc_of, []
+
+    def counted(obs):
+        shapes.append(obs.shape)
+        return true_qc_of(obs)
+
+    monkeypatch.setattr(dist, "qc_of", counted)
+    out = tmp_path / "curve.csv"
+    argv = ["distance", "--graph", "random_connected:11:6", "--quantities", "qc,average,gamma_s,gamma_l,delta"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert shapes == [(3, 400, 11)]
+    # the laws, given that qc_of or not, give the same bits
+    sd = eigendecompose(laplacian(generate("random_connected", 11, extra=6, seed=0)))
+    obs = node_observables(sd, np.geomspace(1e-2, 1e2, 50))
+    qc = true_qc_of(obs)
+    for which in ("S", "L"):
+        assert np.array_equal(gamma_of(obs, which, sd.n, qc), gamma_of(obs, which, sd.n), equal_nan=True)
+    assert np.array_equal(delta_of(obs, sd.n, qc), delta_of(obs, sd.n))
 
 
 def test_fmt_cells():
@@ -931,21 +956,24 @@ def test_invariant_checks_make_one_propagator_call_per_graph(monkeypatch):
     import qcwalk.spectral as spectral
     import qcwalk.walks as walks
 
-    # per graph (one eigendecompose each) and caller, the points of each real_propagators call
+    # per graph (one eigendecompose each) and caller, the points of each form_propagators call:
+    # the checks reach it through real_propagators, the kernel directly
     calls: list[dict[str, list[int]]] = []
+    original = spectral.form_propagators
 
     def decompose(lap):
         calls.append({"checks": [], "walks": []})
         return spectral.eigendecompose(lap)
 
     monkeypatch.setattr(checks, "eigendecompose", decompose)
-    for caller, mod in (("checks", checks), ("walks", walks)):
+    for caller, mods in (("checks", (spectral, checks)), ("walks", (walks,))):
 
         def counted(sd, t, *out, _caller=caller):
             calls[-1][_caller].append(np.size(t))
-            return spectral.real_propagators(sd, t, *out)
+            return original(sd, t, *out)
 
-        monkeypatch.setattr(mod, "real_propagators", counted)
+        for mod in mods:
+            monkeypatch.setattr(mod, "form_propagators", counted)
     results = checks.run_invariant_checks(seed=0)
     assert all(r.passed for r in results)
     # checks, one grid per graph: 4 sampled times, the semigroup and group law's t1, t2,
@@ -1062,14 +1090,19 @@ def test_invariant_checks_solve_each_family_graph_once(monkeypatch):
 
 
 def alter_the_route(monkeypatch, alter) -> None:
-    """Every qcwalk reference to real_propagators calls ``alter`` on the (3, ..., n, n) stack it returns."""
+    """Every qcwalk reference to form_propagators calls ``alter(sd, props)`` on the stack it returns.
+
+    The stack is (3, ...) + sd.propagator_shape: the packed pairs j <= k at
+    n <= PAIR_PRODUCT_MAX_N. real_propagators expands what the formation
+    step returns, so the alteration reaches every route.
+    """
     import qcwalk.spectral as spectral
 
-    original = spectral.real_propagators
+    original = spectral.form_propagators
 
     def altered(sd, t, out=None):
         props = original(sd, t, out)
-        alter(props)
+        alter(sd, props)
         return props
 
     for mod in [m for key, m in sys.modules.items() if key.startswith("qcwalk")]:
@@ -1079,19 +1112,24 @@ def alter_the_route(monkeypatch, alter) -> None:
 
 
 def skew_the_route(monkeypatch, renormalise: bool) -> None:
-    """Every qcwalk reference to real_propagators gets its Re scaled by 1 + 1e-6.
+    """Every qcwalk reference to form_propagators gets its Re scaled by 1 + 1e-6.
 
-    With ``renormalise`` each column is put back to unit norm, so the
-    oracle's pure states stay states but U is not unitary.
+    With ``renormalise`` the moduli are kept instead and every off-diagonal
+    entry of U is turned by the phase 1e-6, so each column keeps its unit
+    norm and the oracle's pure states stay states, but U is not unitary.
+    A packed stack holds symmetric matrices, whose columns a rescaling of
+    each column would make unsymmetric.
     """
 
-    def skew(props):
+    def skew(sd, props):
         _, re, im = props
-        re *= 1 + 1e-6
         if renormalise:
-            norm = np.sqrt((re * re + im * im).sum(axis=-2, keepdims=True))
-            re /= norm
-            im /= norm
+            off = ~np.eye(sd.n, dtype=bool)
+            off = off[np.triu_indices(sd.n)] if len(sd.propagator_shape) == 1 else off
+            a = (re + 1j * im)[..., off] * np.exp(1e-6j)
+            re[..., off], im[..., off] = a.real, a.imag
+        else:
+            re *= 1 + 1e-6
 
     alter_the_route(monkeypatch, skew)
 
@@ -1269,7 +1307,7 @@ def test_verify_reports_a_refused_unit_as_failed_checks(monkeypatch, capsys):
     # unit fails on its own line
     import qcwalk.checks as checks
 
-    def negative(props):
+    def negative(sd, props):
         np.maximum(props[0] - 0.01, -1e-9, out=props[0])
 
     alter_the_route(monkeypatch, negative)
@@ -1284,10 +1322,10 @@ def test_verify_reports_a_refused_unit_as_failed_checks(monkeypatch, capsys):
 
 
 def nan_on(n: int, stack: slice):
-    """For alter_the_route: NaN in ``stack`` of the (3, ..., n, n) stack, on n-node graphs only."""
+    """For alter_the_route: NaN in ``stack`` of the formed stack, on n-node graphs only."""
 
-    def alter(props):
-        if props.shape[-1] == n:
+    def alter(sd, props):
+        if sd.n == n:
             props[stack] = np.nan
 
     return alter
@@ -1368,11 +1406,11 @@ _PRESET_CURVES = {"fig1-left": 3, "fig3-left": 6}
 
 
 def count_propagators(monkeypatch) -> dict[str, list[int]]:
-    """Wrap real_propagators; per matrix kind, the number each call forms (its block length)."""
+    """Wrap form_propagators; per matrix kind, the number each call forms (its block length)."""
     import qcwalk.spectral as spectral
 
     blocks = {"heat": [], "unitary": []}
-    original = spectral.real_propagators
+    original = spectral.form_propagators
 
     def counted(sd, t, *out):
         # one heat and one unitary matrix per point

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -336,7 +337,7 @@ def test_optimality_decomposes_one_matrix_per_sample_and_time(monkeypatch):
 
     sd = eigendecompose(laplacian(generate("random_connected", 8, extra=3, seed=4)))
     t_values, n_samples = [0.1, 0.5, 1.0, 3.0], 500
-    assert len(time_blocks(sd.n * sd.n, len(t_values))) == 1
+    assert len(time_blocks(math.prod(sd.propagator_shape), len(t_values))) == 1
     affinities, solved = [], []
 
     def affinity(q, u, z, _original=checks.classical_quantum_affinity):
@@ -396,13 +397,13 @@ def test_built_states_have_their_weights_as_spectrum(graph):
 def test_optimality_refuses_a_drifting_unitary_before_any_fidelity(monkeypatch):
     import qcwalk.checks as checks
 
-    def drifting(sd, t, _original=checks.real_propagators):
+    def drifting(sd, t, _original=checks.form_propagators):
         # exp(i L t) scaled by 1 + 1e-8; exp(L t) as formed
         props = _original(sd, t)
         props[1:] *= 1 + 1e-8
         return props
 
-    monkeypatch.setattr(checks, "real_propagators", drifting)
+    monkeypatch.setattr(checks, "form_propagators", drifting)
     monkeypatch.setattr(
         np.linalg,
         "eigvalsh",
@@ -473,7 +474,7 @@ def test_optimality_validates_each_block_once(monkeypatch, block_elements):
         with monkeypatch.context() as patch:
             patch.setattr(checks, "_check_states", counted)
             verify_localized_optimality(sd, 125, t_values, seed=n)
-        blocks = time_blocks(sd.n * sd.n, len(t_values))
+        blocks = time_blocks(math.prod(sd.propagator_shape), len(t_values))
         assert validated == [len(range(4)[b]) for b in blocks]
 
 

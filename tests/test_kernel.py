@@ -1,14 +1,18 @@
 """The kernel walks.node_observables against an independent route, and its grid form.
 
-The kernel forms exp(L t) and exp(i L t) from one eigendecomposition, by one
-GEMM per block at n <= PAIR_PRODUCT_MAX_N and by stacked products above;
-the reference here forms them with scipy.linalg.expm from the Laplacian
-matrix and reduces them to F, C and G directly. Graphs on both sides of
-the cutoff are checked. The derived graph-level quantities
+The kernel forms exp(L t) and exp(i L t) from one eigendecomposition: at
+n <= PAIR_PRODUCT_MAX_N only the n(n+1)/2 distinct entries of each
+symmetric matrix, by one GEMM per block, and above it the full matrices, by
+stacked products. The reference here forms them with scipy.linalg.expm from
+the Laplacian matrix and reduces them to F, C and G directly. Graphs on both
+sides of the cutoff are checked, and the packed route against the stacked
+one below it. The derived graph-level quantities
 (qc, gamma_S, gamma_L) and the delta vector are checked the same way. A grid
 call sweeps its times in blocks of stacked products; it must agree bitwise
 with one-point calls and keep every check a one-point call makes.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +29,9 @@ from qcwalk.distance import (
     qc_distance,
     qc_of,
 )
-from qcwalk.spectral import PAIR_PRODUCT_MAX_N as CUT, eigendecompose, real_propagators
+import qcwalk.spectral as spectral
+from qcwalk.spectral import PAIR_PRODUCT_MAX_N as CUT
+from qcwalk.spectral import eigendecompose, form_propagators, full_propagators, real_propagators
 from qcwalk.walks import node_observables, time_blocks
 
 GRAPHS = [
@@ -110,19 +116,27 @@ def test_real_propagators_are_the_propagator_pair(n):
     t = np.geomspace(1e-2, 1e2, 9)
     props = real_propagators(sd, t)
     assert props.shape == (3, 9, n, n)
+    if n <= CUT:
+        # every matrix exactly symmetric: a packed stack is expanded by one index
+        assert np.array_equal(props, props.swapaxes(-1, -2))
     # against expm, within the phase error of order t eps max|lambda|
     bound = 1e-12 + 10 * t * EPS * np.abs(sd.eigenvalues).max()
     for i, ti in enumerate(t):
         u = expm(1j * lap * ti)
         for got, want in zip(props[:, i], (expm(lap * ti), u.real, u.imag)):
             assert np.abs(got - want).max() <= bound[i], ti
-    # written into a caller's buffer, the result is that buffer with the same bits
-    out = np.empty((3, 9, n, n))
-    assert real_propagators(sd, t, out) is out
-    assert np.array_equal(out, props)
-    for bad in (np.empty((3, 8, n, n)), np.empty((3, 9, n, n), dtype=np.float32), out.transpose(0, 1, 3, 2)):
+    # the formation step, in its own layout: packed at n <= CUT, full above
+    formed = form_propagators(sd, t)
+    assert formed.shape == (3, 9) + sd.propagator_shape
+    assert np.array_equal(full_propagators(sd, formed), props)
+    # written into a caller's buffer, the result is a view of that buffer with the same bits
+    out = np.empty(formed.size)
+    into = form_propagators(sd, t, out)
+    assert np.shares_memory(into, out) and np.array_equal(into, formed)
+    strided = np.empty(2 * formed.size)[::2]
+    for bad in (np.empty(formed.size - 1), np.empty(formed.size, dtype=np.float32), strided):
         with pytest.raises(ValueError, match="out must be a C-contiguous float array"):
-            real_propagators(sd, t, bad)
+            form_propagators(sd, t, bad)
 
 
 def test_kernel_refuses_negative_time():
@@ -134,17 +148,75 @@ def test_kernel_refuses_negative_time():
 def test_kernel_refuses_negative_probabilities(monkeypatch):
     # an entry of exp(L t) below -1e-10 means a corrupted decomposition, not roundoff
     sd = eigendecompose(laplacian(generate("ring", 6)))
-    true_block = walks.real_propagators
+    true_block = walks.form_propagators
 
     def corrupted(sd, t, out=None):
-        # the kernel reduces the buffer real_propagators wrote, so the corruption goes there
-        p, re, im = true_block(sd, t, out)
-        p[...] = np.eye(sd.n) - 1e-6
-        return p, re, im
+        # the kernel reduces the buffer form_propagators wrote, so the corruption goes there
+        props = true_block(sd, t, out)
+        props[0] = np.eye(sd.n)[np.triu_indices(sd.n)] - 1e-6  # the packed I - 1e-6
+        return props
 
-    monkeypatch.setattr(walks, "real_propagators", corrupted)
+    monkeypatch.setattr(walks, "form_propagators", corrupted)
     with pytest.raises(ValueError, match="negative entry"):
         node_observables(sd, 0.5)
+
+
+# --- the packed route: each symmetric matrix's n(n+1)/2 distinct entries -------------------
+
+PACKED_SIZES = (1, 2, 5, 11, 17, 21, 31, CUT)
+
+
+def packed_decomposition(n: int):
+    g = generate("complete", n) if n < 4 else generate("random_connected", n, extra=n // 2, seed=0)
+    return eigendecompose(laplacian(g))
+
+
+@pytest.mark.parametrize("n", PACKED_SIZES)
+def test_packed_route_matches_the_stacked_route(n, monkeypatch):
+    # a cutoff of 0 sends every n down the stacked route of n > CUT: full matrices, full sums
+    sd = packed_decomposition(n)
+    times = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 60)])
+    assert sd.propagator_shape == (n * (n + 1) // 2,)
+    packed = node_observables(sd, times)
+    monkeypatch.setattr(spectral, "PAIR_PRODUCT_MAX_N", 0)
+    assert sd.propagator_shape == (n, n)
+    stacked = node_observables(sd, times)
+    err = np.abs(packed - stacked)
+    assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(stacked))), err.max()
+    # the t = 0 row: exactly I, I and 0, packed and expanded, so F = 1, C = 0 and G = 1
+    monkeypatch.undo()
+    eye = np.eye(n)[np.triu_indices(n)]
+    assert np.array_equal(form_propagators(sd, [0.0, 1.0])[:, 0], [eye, eye, np.zeros_like(eye)])
+    assert np.array_equal(real_propagators(sd, 0.0), [np.eye(n), np.eye(n), np.zeros((n, n))])
+    assert np.array_equal(packed[:, 0], [np.ones(n), np.zeros(n), np.ones(n)])
+
+
+@pytest.mark.parametrize("n", PACKED_SIZES)
+def test_pair_layout_is_cached_and_read_only(n):
+    sd = packed_decomposition(n)
+    pairs = n * (n + 1) // 2
+    products, index, incidence = sd.pair_products, sd.pair_index, sd.pair_incidence
+    assert products.shape == (n, pairs) and index.shape == (n, n) and incidence.shape == (pairs, n)
+    for cached in (products, index, incidence):
+        assert not cached.flags.writeable
+    node_observables(sd, np.geomspace(1e-2, 1e2, 40))
+    real_propagators(sd, [0.5, 2.0])
+    assert sd.pair_products is products and sd.pair_index is index and sd.pair_incidence is incidence
+    # each decomposition holds its own pair products; the index and incidence depend on n alone
+    other = packed_decomposition(n)
+    assert other.pair_products is not products
+    assert other.pair_index is index and other.pair_incidence is incidence
+    # the incidence sums each column of the symmetric matrix a row packs: exact on integers
+    rng = np.random.default_rng(n)
+    dense = rng.integers(-50, 50, size=(7, n, n)).astype(float)
+    dense += dense.swapaxes(-1, -2)
+    packed = dense[..., *np.triu_indices(n)]
+    assert np.array_equal(packed @ incidence, dense.sum(axis=-2))
+    assert np.array_equal(packed[..., index], dense)
+    # f @ W packs V diag(f) V^T
+    f = rng.standard_normal(n)
+    want = ((sd.eigenvectors * f) @ sd.eigenvectors.T)[np.triu_indices(n)]
+    assert np.abs(f @ products - want).max() <= 1e-14 * max(1.0, np.abs(f).max()) * n
 
 
 # --- the grid kernel: blocks of stacked products ------------------------------------------
@@ -167,8 +239,13 @@ GRID_LENGTHS = {
 }
 
 
+def entries(n: int) -> int:
+    """The entries form_propagators forms per matrix: the packed pairs at n <= CUT, else n**2."""
+    return n * (n + 1) // 2 if n <= CUT else n * n
+
+
 def block_length(n: int) -> int:
-    return max(1, walks.BLOCK_ELEMENTS // (n * n))
+    return max(1, walks.BLOCK_ELEMENTS // entries(n))
 
 
 @pytest.mark.parametrize("n", sorted(GRID_GRAPHS))
@@ -177,7 +254,7 @@ def test_grid_call_is_bitwise_one_point_calls(n, length):
     sd = eigendecompose(laplacian(GRID_GRAPHS[n]))
     block = block_length(n)
     count = GRID_LENGTHS[length](block)
-    sizes = [len(range(count)[b]) for b in time_blocks(n * n, count)]
+    sizes = [len(range(count)[b]) for b in time_blocks(entries(n), count)]
     assert sizes == [block] * (count // block) + [count % block] * (count % block > 0)
     times = np.geomspace(1e-3, 1e3, count)
     grid = node_observables(sd, times)
@@ -217,18 +294,18 @@ def test_negativity_in_second_block_raises_like_one_point(monkeypatch):
     block = block_length(11)
     times = np.linspace(0.1, 10.0, 2 * block + 1)
     first_bad = times[block + 3]
-    true_block = walks.real_propagators
+    true_block = walks.form_propagators
     calls = []
 
     def corrupted(sd, t, out=None):
         # from first_bad on, every entry of exp(L t) sinks below -1e-10, by more at later t
         calls.append(np.size(t))
         t = np.asarray(t)
-        p, re, im = true_block(sd, t, out)
-        p -= np.where(t >= first_bad, t, 0.0)[..., None, None]
-        return p, re, im
+        props = true_block(sd, t, out)
+        props[0] -= np.where(t >= first_bad, t, 0.0)[..., None]  # one packed axis at n = 11
+        return props
 
-    monkeypatch.setattr(walks, "real_propagators", corrupted)
+    monkeypatch.setattr(walks, "form_propagators", corrupted)
     with pytest.raises(ValueError, match="negative entry") as one:
         node_observables(sd, first_bad)
     calls.clear()
@@ -255,17 +332,23 @@ def test_bad_time_inside_grid_raises_todays_message(bad):
 # --- the in-place reduction -----------------------------------------------------------------
 
 
-def out_of_place_reduction(p, re, im):
-    """F, C and G by the reduction's formulas, each step into a fresh array."""
+def out_of_place_reduction(sd, props):
+    """F, C and G by the reduction's formulas, each step into a fresh array.
+
+    The column sums are the reduction's: one GEMM of the three packed stacks
+    against the pair incidence, or a vector-matrix product per full matrix.
+    """
+    p, re, im = props
     p = np.clip(p, 0.0, 1.0)
     amp2 = re * re + im * im
     amp = np.sqrt(amp2)
-    ones = np.ones(p.shape[-1])
-    return (
-        np.clip(ones @ (p * amp2), 0.0, 1.0),
-        np.maximum((ones @ amp) ** 2 - 1.0, 0.0),
-        np.clip(ones @ (np.sqrt(p) * amp), 0.0, 1.0),
-    )
+    stack = np.stack([p * amp2, amp, np.sqrt(p) * amp])
+    if len(sd.propagator_shape) == 1:
+        sums = sd.pair_incidence.T @ stack.reshape(-1, stack.shape[-1]).T
+        f, c, g = np.moveaxis(sums.reshape((sd.n,) + stack.shape[:-1]), 0, -1)
+    else:
+        f, c, g = np.ones(sd.n) @ stack
+    return np.clip(f, 0.0, 1.0), np.maximum(c**2 - 1.0, 0.0), np.clip(g, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("n", [5, 11, CUT + 1, 60])
@@ -274,15 +357,15 @@ def test_in_place_reduction_is_bitwise_the_out_of_place_one(n):
     # three blocks, the first starting at t = 0
     times = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 2 * block_length(n))])
     obs = node_observables(sd, times)
-    blocks = time_blocks(n * n, times.size)
+    blocks = time_blocks(entries(n), times.size)
     assert len(blocks) == 3
     for b in blocks:
-        props = real_propagators(sd, times[b])
-        want = out_of_place_reduction(*props)
-        got = walks.reduce_propagators(props)
+        props = form_propagators(sd, times[b])
+        want = out_of_place_reduction(sd, props)
+        got = walks.reduce_propagators(sd, props)
         # given out, the reduction writes F, C and G there and returns that memory
         out = np.empty((3, len(times[b]), n))
-        into = walks.reduce_propagators(real_propagators(sd, times[b]), out)
+        into = walks.reduce_propagators(sd, form_propagators(sd, times[b]), out)
         assert np.shares_memory(into, out)
         for k, ref in enumerate(want):
             assert np.array_equal(obs[k, b], ref), (k, b)
@@ -293,21 +376,21 @@ def test_in_place_reduction_is_bitwise_the_out_of_place_one(n):
 def test_kernel_allocates_no_reduction_temporaries():
     # the traced peak of a 400-point sweep at n = 11 is the work buffer, the result, and a
     # slack for each block's phases and factor rows (4 * block * n floats) and 16 KiB more;
-    # the reduction's own arrays are block * n * n floats each and would not fit in it
+    # the reduction's own arrays are block * n(n+1)/2 floats each and would not fit in it
     import tracemalloc
 
     n, sd = 11, eigendecompose(laplacian(GRID_GRAPHS[11]))
     times = np.geomspace(1e-2, 1e2, 400)
     block = min(block_length(n), times.size)
     assert block < times.size
-    node_observables(sd, times)  # the cached pair products are built outside the trace
+    node_observables(sd, times)  # the cached pair products and incidence are built outside the trace
     tracemalloc.start()
     try:
         node_observables(sd, times)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    work, result = 3 * block * n * n * 8, 3 * times.size * n * 8
+    work, result = 3 * block * entries(n) * 8, 3 * times.size * n * 8
     slack = 4 * block * n * 8 + 16 * 1024
     assert peak <= work + result + slack, (peak, work, result, slack)
 
@@ -322,9 +405,9 @@ def test_optimality_margins_read_the_reduction_of_an_untouched_pair(monkeypatch)
     t_values = np.geomspace(0.05, 5.0, 9)
     formed, bounded, solved = [], [], []
 
-    def kept(sd, t, _original=checks.real_propagators):
+    def kept(sd, t, _original=checks.form_propagators):
         props = _original(sd, t)
-        formed.append(props.copy())
+        formed.append(full_propagators(sd, props))
         return props
 
     def affinity(q, u, z, _original=checks.classical_quantum_affinity):
@@ -335,7 +418,7 @@ def test_optimality_margins_read_the_reduction_of_an_untouched_pair(monkeypatch)
         solved.extend(u)
         return _original(q, u, z)
 
-    monkeypatch.setattr(checks, "real_propagators", kept)
+    monkeypatch.setattr(checks, "form_propagators", kept)
     monkeypatch.setattr(checks, "classical_quantum_affinity", affinity)
     monkeypatch.setattr(checks, "_fidelity", fidelity)
     worst = checks.verify_localized_optimality(sd, 30, t_values, seed=6)
@@ -343,7 +426,7 @@ def test_optimality_margins_read_the_reduction_of_an_untouched_pair(monkeypatch)
     unitaries = props[1] + 1j * props[2]
     assert len(bounded) == 1 and np.array_equal(bounded[0], unitaries)
     assert solved and all(any(np.array_equal(u, v) for v in unitaries) for u in solved)
-    reference = lambda props: np.stack(out_of_place_reduction(*props))
+    reference = lambda sd, props: np.stack(out_of_place_reduction(sd, props))
     monkeypatch.setattr(walks, "reduce_propagators", reference)
     assert checks.verify_localized_optimality(sd, 30, t_values, seed=6) == worst
 
@@ -358,8 +441,8 @@ def test_optimality_floor_is_the_kernels_fidelity(n, monkeypatch):
     kernel = node_observables(sd, t_values)[0]
     reduced = []
 
-    def recorded(props, _original=walks.reduce_propagators):
-        obs = _original(props)
+    def recorded(sd, props, _original=walks.reduce_propagators):
+        obs = _original(sd, props)
         reduced.append(obs[0].copy())
         return obs
 

@@ -28,6 +28,8 @@ def test_all_names_exist_once(name):
 @pytest.mark.parametrize(
     "name, attr",
     [
+        ("spectral", "form_propagators"),
+        ("spectral", "full_propagators"),
         ("spectral", "real_propagators"),
         ("walks", "time_blocks"),
         ("walks", "reduce_propagators"),
