@@ -6,8 +6,10 @@ stationary values) on a small fixed family of graphs and reports the worst
 error found against the property's tolerance. The checks are deterministic
 given the seed. They are spot checks for field use; the test suite covers
 the same ground more thoroughly. Each family graph forms every propagator
-the checks read in one real_propagators call, and every record they read
-from the kernel in one walks.node_observables call.
+the checks read in one form_propagators call, as the optimality sweep forms
+a block: the matrix checks and the oracle read it expanded by
+full_propagators, and walks.reduce_propagators then reduces the slice the
+kernel's F, C and G are read from.
 
 :func:`verify_localized_optimality` checks numerically the concavity
 argument behind D_QC's worst case over localized launches (see
@@ -44,7 +46,6 @@ from .spectral import (
     eigendecompose,
     form_propagators,
     full_propagators,
-    real_propagators,
 )
 
 __all__ = [
@@ -157,9 +158,14 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
         # equals the draws taken round by round
         t1, t2 = rng.uniform(0.0, 5.0, size=(3, 3)).T[:2]
         oracle_times, nodes = (0.3, 1.7), [0, sd.n - 1]
-        # every time the checks read directly is one grid, so one propagator call per graph, the
-        # route the kernel reads: the 4 sampled times, t1, t2 and t1 + t2, then the 2 oracle times
-        p, re, im = real_propagators(sd, np.concatenate([t_samples, t1, t2, t1 + t2, oracle_times]))
+        # a disconnected graph has no plateau: refused as qc_distance refuses it
+        require_connected(sd)
+        t_inf = 50.0 / sd.fiedler
+        regular_times = (0.2, 1.0, 4.0) if label in ("complete(5)", "ring(6)") else ()
+        # every time the checks read is one grid, formed once: the 4 sampled times, t1, t2 and
+        # t1 + t2, the 2 oracle times, the plateau and, on regular graphs, 3 more
+        props = form_propagators(sd, [*t_samples, *t1, *t2, *(t1 + t2), *oracle_times, t_inf, *regular_times])
+        p, re, im = full_propagators(sd, props)
         u = re + 1j * im
         ps, us = p[:4], u[:4]
         rows, cols = np.abs(ps.sum(axis=-1) - 1.0), np.abs(ps.sum(axis=-2) - 1.0)
@@ -180,19 +186,14 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
             add("heat propagator semigroup", where, semigroup[i])
             add("unitary propagator group law", where, group[i])
 
-        # every time read from the kernel is one grid too: the oracle times, the plateau and,
-        # on regular graphs, 3 more. A disconnected graph has no plateau: refused as qc_distance
-        # refuses it
-        require_connected(sd)
-        t_inf = 50.0 / sd.fiedler
-        regular_times = (0.2, 1.0, 4.0) if label in ("complete(5)", "ring(6)") else ()
-        obs = walks.node_observables(sd, [*oracle_times, t_inf, *regular_times])
-
         # the oracle is Uhlmann's fidelity of diag(p) and the pure |psi> = U e_j, in the closed
         # form <psi|diag(p)|psi> (Jozsa 1994), summed in complex arithmetic from the columns:
         # independent of the kernel's real reduction
-        psi = u[13:, :, nodes]
-        oracle = (psi.conj() * np.maximum(p[13:, :, nodes], 0.0) * psi).sum(axis=-2).real
+        psi = u[13:15, :, nodes]
+        oracle = (psi.conj() * np.maximum(p[13:15, :, nodes], 0.0) * psi).sum(axis=-2).real
+        # the kernel's reduction of the oracle times, the plateau and the regular-graph times,
+        # read last: it overwrites the formed stack, which above PAIR_PRODUCT_MAX_N is p, re and im
+        obs = walks.reduce_propagators(sd, props[:, 13:])
         direct = obs[0, :2][..., nodes]
         for i, t in enumerate(oracle_times):
             for k, j in enumerate(nodes):

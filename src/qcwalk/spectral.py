@@ -16,9 +16,8 @@ Laplacian is symmetric, so all three are too: while n is at most
 PAIR_PRODUCT_MAX_N it forms only their n(n+1)/2 distinct entries, the
 pairs j <= k in ``np.triu_indices(n)`` order, and the kernel reduces them
 as they are. :func:`full_propagators` expands such a packed stack to the
-(n, n) matrices through one cached index, and :func:`real_propagators`
-forms and expands in one call; a caller that needs the complex unitary
-forms re + 1j * im.
+(n, n) matrices through one cached index, for the checks that read whole
+matrices; a caller that needs the complex unitary forms re + 1j * im.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SpectralDecomposition", "eigendecompose", "form_propagators", "full_propagators", "real_propagators"]
+__all__ = ["SpectralDecomposition", "eigendecompose", "form_propagators", "full_propagators"]
 
 #: how negative a probability (a state's eigenvalue, an entry of exp(L t)) may be
 NEGATIVITY_TOL = -1e-10
@@ -182,14 +181,14 @@ def _refuse(t: np.ndarray, ok: np.ndarray, needs: str) -> None:
 def form_propagators(sd: SpectralDecomposition, t, out=None) -> np.ndarray:
     """exp(L t), Re exp(i L t) and Im exp(i L t), stacked: shape (3,) + np.shape(t) + sd.propagator_shape.
 
-    The one formation step of the propagator pair, for the kernel, the
-    optimality sweep and real_propagators. ``t`` is one time or a grid,
-    each point with its own three matrices. Column j of exp(L t) is the
-    occupation distribution after starting at node j, doubly stochastic
-    because L is symmetric with zero row sums. Negative t is refused (the
-    semigroup does not run backwards), and so is a non-finite t and one
-    whose phase t max|lambda| overflows; the message names the first such
-    point. The phases lambda t are evaluated once for all three.
+    The one formation step of the propagator pair, for the kernel and the
+    checks of verify. ``t`` is one time or a grid, each point with its own
+    three matrices. Column j of exp(L t) is the occupation distribution
+    after starting at node j, doubly stochastic because L is symmetric with
+    zero row sums. Negative t is refused (the semigroup does not run
+    backwards), and so is a non-finite t and one whose phase t max|lambda|
+    overflows; the message names the first such point. The phases lambda t
+    are evaluated once for all three.
 
     At n <= PAIR_PRODUCT_MAX_N each matrix is packed: the last axis holds
     its n(n+1)/2 entries (j, k), j <= k, in np.triu_indices(n) order, and
@@ -243,12 +242,3 @@ def full_propagators(sd: SpectralDecomposition, props: np.ndarray) -> np.ndarray
     """
     return props[..., sd.pair_index] if len(sd.propagator_shape) == 1 else props
 
-
-def real_propagators(sd: SpectralDecomposition, t) -> np.ndarray:
-    """exp(L t), Re exp(i L t) and Im exp(i L t), stacked: a real array of shape (3,) + np.shape(t) + (n, n).
-
-    form_propagators, then full_propagators: every (n, n) matrix is exactly
-    symmetric and, where t == 0, exactly I, I or 0. The invariant checks read
-    it; ``p, re, im = real_propagators(sd, t)`` unpacks it.
-    """
-    return full_propagators(sd, form_propagators(sd, t))

@@ -2,8 +2,10 @@
 
 The acceptance tests register one line per criterion in ACCEPTANCE_LINES;
 the terminal-summary hook below prints them after the run so the criterion
-verdicts are visible without -s. propagator_pair reads the pair as most
-tests want it, with the unitary complex.
+verdicts are visible without -s. real_propagators forms the pair and
+expands it to (n, n) matrices, the stack p, re, im the checks of verify
+read; propagator_pair reads it as most tests want it, with the unitary
+complex.
 
 DensityMatrix and uhlmann_fidelity are the tests' independent fidelity
 oracle: the general Uhlmann fidelity by nested matrix square roots, which
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qcwalk.checks import _PURE_THRESHOLD, _check_weights
-from qcwalk.spectral import real_propagators
+from qcwalk.spectral import form_propagators, full_propagators
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -30,8 +32,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
+def real_propagators(sd, t):
+    """exp(L t), Re exp(i L t) and Im exp(i L t), stacked, shape (3,) + np.shape(t) + (n, n).
+
+    The formed stack expanded: every matrix exactly symmetric at n <=
+    PAIR_PRODUCT_MAX_N and, where t == 0, exactly I, I or 0.
+    """
+    return full_propagators(sd, form_propagators(sd, t))
+
+
 def propagator_pair(sd, t):
-    """exp(L t) and the complex exp(i L t), both read from spectral.real_propagators."""
+    """exp(L t) and the complex exp(i L t), both read from real_propagators."""
     p, re, im = real_propagators(sd, t)
     return p, re + 1j * im
 

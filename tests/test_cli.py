@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_eigensolves
+from conftest import count_eigensolves, real_propagators
 from qcwalk import eigendecompose, generate, graph_from_spec, laplacian, read_edge_list
 import qcwalk.cli as cli
 from qcwalk.cli import _QUANTITIES, _format_cell, _format_table, main
@@ -956,32 +956,46 @@ def test_invariant_checks_make_one_propagator_call_per_graph(monkeypatch):
     import qcwalk.spectral as spectral
     import qcwalk.walks as walks
 
-    # per graph (one eigendecompose each) and caller, the points of each form_propagators call:
-    # the checks reach it through real_propagators, the kernel directly
-    calls: list[dict[str, list[int]]] = []
+    # per graph (one eigendecompose each), the points of each form_propagators call, through
+    # any module's reference to it, and the kernel calls
+    calls: list[list[int]] = []
+    kernel_calls = []
     original = spectral.form_propagators
 
     def decompose(lap):
-        calls.append({"checks": [], "walks": []})
+        calls.append([])
         return spectral.eigendecompose(lap)
 
+    def counted(sd, t, *out):
+        calls[-1].append(np.size(t))
+        return original(sd, t, *out)
+
     monkeypatch.setattr(checks, "eigendecompose", decompose)
-    for caller, mods in (("checks", (spectral, checks)), ("walks", (walks,))):
-
-        def counted(sd, t, *out, _caller=caller):
-            calls[-1][_caller].append(np.size(t))
-            return original(sd, t, *out)
-
-        for mod in mods:
-            monkeypatch.setattr(mod, "form_propagators", counted)
+    for mod in (spectral, checks, walks):
+        monkeypatch.setattr(mod, "form_propagators", counted)
+    monkeypatch.setattr(walks, "node_observables", lambda *args: kernel_calls.append(args))
     results = checks.run_invariant_checks(seed=0)
     assert all(r.passed for r in results)
-    # checks, one grid per graph: 4 sampled times, the semigroup and group law's t1, t2,
-    # t1 + t2 (3 rounds) and the 2 oracle times; kernel, one grid per graph: the oracle
-    # times, the plateau and 3 times on regular graphs
+    # one grid per graph: 4 sampled times, the semigroup and group law's t1, t2, t1 + t2
+    # (3 rounds), the 2 oracle times, the plateau and 3 times on regular graphs; the kernel's
+    # F, C and G are reduced from that stack, so no kernel call forms them again
     labels = [label for label, _ in checks.check_family(0)]
-    regular = {"complete(5)": [6], "ring(6)": [6]}
-    assert calls == [{"checks": [15], "walks": regular.get(label, [3])} for label in labels]
+    regular = {"complete(5)": [19], "ring(6)": [19]}
+    assert calls == [regular.get(label, [16]) for label in labels]
+    assert kernel_calls == []
+
+
+def test_invariant_checks_pass_on_the_full_route(monkeypatch):
+    # a cutoff of 0 sends every family graph down the full route, where full_propagators
+    # returns the formed stack itself: the reduction overwrites it, so it must come after
+    # every read of p and U
+    import qcwalk.checks as checks
+    import qcwalk.spectral as spectral
+
+    monkeypatch.setattr(spectral, "PAIR_PRODUCT_MAX_N", 0)
+    results = checks.run_invariant_checks(seed=0)
+    assert len(results) == 13
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
 def per_group_invariant_checks(seed: int) -> list:
@@ -993,7 +1007,6 @@ def per_group_invariant_checks(seed: int) -> list:
     """
     import qcwalk.checks as checks
     from qcwalk.distance import qc_distance
-    from qcwalk.spectral import real_propagators
 
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     t_samples = rng.uniform(0.0, 5.0, size=4)
@@ -1093,8 +1106,9 @@ def alter_the_route(monkeypatch, alter) -> None:
     """Every qcwalk reference to form_propagators calls ``alter(sd, props)`` on the stack it returns.
 
     The stack is (3, ...) + sd.propagator_shape: the packed pairs j <= k at
-    n <= PAIR_PRODUCT_MAX_N. real_propagators expands what the formation
-    step returns, so the alteration reaches every route.
+    n <= PAIR_PRODUCT_MAX_N. The kernel, the optimality sweep and the
+    invariant checks all read what the formation step returns, so the
+    alteration reaches every route.
     """
     import qcwalk.spectral as spectral
 
@@ -1135,7 +1149,7 @@ def skew_the_route(monkeypatch, renormalise: bool) -> None:
 
 
 def test_verify_checks_the_route_the_cli_runs(monkeypatch, capsys):
-    # every caller reads real_propagators, so a skewed exp(i L t) reaches every check
+    # every caller reads form_propagators, so a skewed exp(i L t) reaches every check
     skew_the_route(monkeypatch, renormalise=True)
     argv = ["verify", "--n-max", "4", "--samples", "16"]
     # the optimality sweep refuses the drifting unitary at every size: a failed check, not a
@@ -1184,15 +1198,17 @@ def test_verify_reports_an_unnormalised_route_as_failed_checks(monkeypatch, caps
 
 
 def test_verify_detects_tampered_fidelity(monkeypatch, capsys):
+    # the reduction is the step the CLI's kernel and verify's checks both read F from
     import qcwalk.walks as walks
 
-    true_kernel = walks.node_observables
+    true_reduction = walks.reduce_propagators
 
-    def skewed(sd, t):
-        fidelity, coherence, gfid = true_kernel(sd, t)
-        return np.stack([np.minimum(fidelity + 0.05, 1.0), coherence, gfid])
+    def skewed(sd, props, out=None):
+        obs = true_reduction(sd, props, out)
+        np.minimum(obs[0] + 0.05, 1.0, out=obs[0])
+        return obs
 
-    monkeypatch.setattr("qcwalk.walks.node_observables", skewed)
+    monkeypatch.setattr(walks, "reduce_propagators", skewed)
     code, stdout, stderr = run(["verify", "--n-max", "4", "--samples", "16"], capsys)
     assert code == 3
     assert "FAIL" in stdout

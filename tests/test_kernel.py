@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import real_propagators
 from qcwalk import generate, laplacian
 from qcwalk.cli import main
 import qcwalk.walks as walks
@@ -31,7 +32,7 @@ from qcwalk.distance import (
 )
 import qcwalk.spectral as spectral
 from qcwalk.spectral import PAIR_PRODUCT_MAX_N as CUT
-from qcwalk.spectral import eigendecompose, form_propagators, full_propagators, real_propagators
+from qcwalk.spectral import eigendecompose, form_propagators, full_propagators
 from qcwalk.walks import node_observables, time_blocks
 
 GRAPHS = [

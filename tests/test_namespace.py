@@ -30,7 +30,6 @@ def test_all_names_exist_once(name):
     [
         ("spectral", "form_propagators"),
         ("spectral", "full_propagators"),
-        ("spectral", "real_propagators"),
         ("walks", "time_blocks"),
         ("walks", "reduce_propagators"),
         ("walks", "node_observables"),

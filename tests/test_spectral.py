@@ -5,11 +5,11 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import DensityMatrix, propagator_pair, uhlmann_fidelity
+from conftest import DensityMatrix, propagator_pair, real_propagators, uhlmann_fidelity
 from qcwalk import generate, laplacian, qc_distance
 from qcwalk.checks import classical_quantum_affinity, classical_quantum_fidelity, verify_localized_optimality
 from qcwalk.distance import gamma_of
-from qcwalk.spectral import SpectralDecomposition, eigendecompose, real_propagators
+from qcwalk.spectral import SpectralDecomposition, eigendecompose
 from qcwalk.walks import node_observables
 
 FAMILY = [
