@@ -191,8 +191,7 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
         # independent of the kernel's real reduction
         psi = u[13:15, :, nodes]
         oracle = (psi.conj() * np.maximum(p[13:15, :, nodes], 0.0) * psi).sum(axis=-2).real
-        # the kernel's reduction of the oracle times, the plateau and the regular-graph times,
-        # read last: it overwrites the formed stack, which above PAIR_PRODUCT_MAX_N is p, re and im
+        # the kernel's reduction of the oracle times, the plateau and the regular-graph times
         obs = walks.reduce_propagators(sd, props[:, 13:])
         direct = obs[0, :2][..., nodes]
         for i, t in enumerate(oracle_times):
@@ -299,10 +298,9 @@ def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_val
     below that minimum. The times are swept in the kernel's blocks
     (walks.time_blocks): each block forms its pairs with one
     form_propagators call and makes all its Dirichlet draws at once. Its
-    classical states P(t) z and unitaries U = Re + i Im are formed first,
-    from the pair expanded by full_propagators; then
-    walks.reduce_propagators reduces the formed stack in place, so min_j F_j
-    is the kernel's own F bit for bit.
+    classical states P(t) z and unitaries U = Re + i Im are read from the
+    pair expanded by full_propagators, and walks.reduce_propagators reduces
+    the formed stack, so min_j F_j is the kernel's own F bit for bit.
 
     Then classical_quantum_affinity validates the block's inputs, once, as
     classical_quantum_fidelity validates them (ValueError if a U(t) drifts
@@ -346,7 +344,6 @@ def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_val
         # batch draws equal sequential draws, time by time
         z = rng.dirichlet(np.ones(n), size=(len(p), n_samples))
         q = np.clip(z @ p.swapaxes(-1, -2), 0.0, None)
-        # the reduction overwrites the formed pair, so it runs once q and u are formed
         floor = walks.reduce_propagators(sd, props)[0].min(axis=-1)
         lower = classical_quantum_affinity(q, u, z) - floor[:, None]
         if np.isnan(lower).any():

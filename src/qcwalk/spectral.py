@@ -14,9 +14,10 @@ Im exp(i L t), for the kernel (:mod:`qcwalk.walks`) and for the
 optimality sweep and invariant checks of :mod:`qcwalk.checks` alike. The
 Laplacian is symmetric, so all three are too: while n is at most
 PAIR_PRODUCT_MAX_N it forms only their n(n+1)/2 distinct entries, the
-pairs j <= k in ``np.triu_indices(n)`` order, and the kernel reduces them
-as they are. :func:`full_propagators` expands such a packed stack to the
-(n, n) matrices through one cached index, for the checks that read whole
+pairs j <= k in ``np.triu_indices(n)`` order. This module alone reads
+that layout: :func:`column_sums` sums the matrices' columns in it, for the
+kernel's reduction, and :func:`full_propagators` expands it to the (n, n)
+matrices, always into a new array, for the checks that read whole
 matrices; a caller that needs the complex unitary forms re + 1j * im.
 """
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SpectralDecomposition", "eigendecompose", "form_propagators", "full_propagators"]
+__all__ = ["SpectralDecomposition", "eigendecompose", "form_propagators", "full_propagators", "column_sums"]
 
 #: how negative a probability (a state's eigenvalue, an entry of exp(L t)) may be
 NEGATIVITY_TOL = -1e-10
@@ -88,19 +89,6 @@ class SpectralDecomposition:
         j, k, _, _ = _pairs(self.n)
         vecs = self.eigenvectors
         return _frozen(np.ascontiguousarray((vecs[j] * vecs[k]).T))
-
-    @property
-    def pair_index(self) -> np.ndarray:
-        """I[j, k] = I[k, j], the place of the pair of j and k in the packed layout, shape (n, n)."""
-        return _pairs(self.n)[2]
-
-    @property
-    def pair_incidence(self) -> np.ndarray:
-        """M[i, j] = 1 where node j is in the i-th pair, else 0, shape (n(n+1)/2, n).
-
-        x @ M sums each column of the symmetric matrix that x packs.
-        """
-        return _pairs(self.n)[3]
 
     @property
     def fiedler(self) -> float:
@@ -237,8 +225,31 @@ def form_propagators(sd: SpectralDecomposition, t, out=None) -> np.ndarray:
 def full_propagators(sd: SpectralDecomposition, props: np.ndarray) -> np.ndarray:
     """The (n, n) matrices of a stack form_propagators wrote, shape (3,) + np.shape(t) + (n, n).
 
-    A packed stack is expanded through sd.pair_index into a new array, so
-    entries (j, k) and (k, j) are the same bits; a full one is returned as is.
+    Always a new array: a packed stack is expanded through the layout's
+    index I[j, k] = I[k, j], so entries (j, k) and (k, j) are the same bits,
+    and a full one is copied.
     """
-    return props[..., sd.pair_index] if len(sd.propagator_shape) == 1 else props
+    return props[..., _pairs(sd.n)[2]] if len(sd.propagator_shape) == 1 else props.copy()
+
+
+def column_sums(sd: SpectralDecomposition, props: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Column sums of each symmetric matrix of a stack in form_propagators' layout, shape lead + (n,).
+
+    ``props`` has shape lead + sd.propagator_shape. The sums are BLAS
+    products, not strided reductions: a packed stack is one GEMM against the
+    layout's incidence M[i, j], 1 where node j is in pair i, a full one a
+    vector-matrix product per matrix. ``out``, of shape lead + (n,),
+    receives them if given, and is returned.
+    """
+    if len(sd.propagator_shape) == 1:
+        # M^T X^T of shape (n, points): a point's sums then do not depend on how many points
+        # its block holds, as X M's did at n = 9 to 11
+        lead = props.shape[:-1]
+        sums = (_pairs(sd.n)[3].T @ props.reshape(-1, props.shape[-1]).T).reshape((sd.n,) + lead)
+        sums = sums.transpose(tuple(range(1, len(lead) + 1)) + (0,))  # nodes last, no copy
+        if out is None:
+            out = np.empty(sums.shape)
+        out[...] = sums
+        return out
+    return np.matmul(np.ones(sd.n), props, out=out)
 

@@ -23,15 +23,13 @@ column by column to the vectors F, C and G over all launch nodes, shape
 ``np.shape(t) + (n,)``. Each block's pair is formed in real arithmetic, as
 exp(L t), Re exp(i L t) and Im exp(i L t), by
 :func:`qcwalk.spectral.form_propagators` into one work buffer that every
-block of the call reuses. The three matrices are symmetric, so at n <=
-PAIR_PRODUCT_MAX_N (32) only their n(n+1)/2 distinct entries are formed,
-by one GEMM per block, and above it the full n**2, by one stacked product
-per matrix. A grid is swept in blocks of ``max(1, BLOCK_ELEMENTS // e)``
-points, e the entries formed per matrix: 248 points at n = 11, one point
-from n = 91 on. :func:`reduce_propagators` then reduces the block in that
-buffer: |a|^2 = re^2 + im^2, and p |a|^2, |a| and sqrt(p) |a| overwrite
-the three stacks before their column sums (one GEMM against the pair
-incidence when packed, BLAS vector-matrix products when full) write F, C
+block of the call reuses, in the layout that module alone reads (packed
+symmetric matrices up to n = 32; see :mod:`qcwalk.spectral`). A grid is
+swept in blocks of ``max(1, BLOCK_ELEMENTS // e)`` points, e the entries
+formed per matrix: 248 points at n = 11, one point from n = 91 on.
+:func:`reduce_propagators` then reduces the block in that buffer: |a|^2 =
+re^2 + im^2, and p |a|^2, |a| and sqrt(p) |a| overwrite the three stacks
+before their column sums, :func:`qcwalk.spectral.column_sums`, write F, C
 and G into the result. So a block allocates no array of its own size, and
 at small n the per-point cost is flops, not call overhead. A point's
 values do not depend on the blocks, except in the last bits at some n
@@ -50,7 +48,7 @@ import math
 
 import numpy as np
 
-from .spectral import NEGATIVITY_TOL, SpectralDecomposition, form_propagators
+from .spectral import NEGATIVITY_TOL, SpectralDecomposition, column_sums, form_propagators
 
 __all__ = ["time_blocks", "reduce_propagators", "node_observables"]
 
@@ -87,27 +85,24 @@ def reduce_propagators(sd: SpectralDecomposition, props: np.ndarray, out: np.nda
 
     ``props`` is a float array of shape ``(3,) + shape + sd.propagator_shape``
     holding exp(L t), Re exp(i L t) and Im exp(i L t) in the layout
-    form_propagators writes: packed pairs j <= k at n <= PAIR_PRODUCT_MAX_N,
-    full (n, n) matrices above. It is the reduction's work space and is
+    form_propagators writes. It is the reduction's work space and is
     overwritten, so the reduction allocates no array of its size. Every
     entry of exp(L t) is checked and clipped into [0, 1] first: for the first
     point with a NaN entry ValueError says ``heat kernel exp(L t) has a NaN
     entry: ...``, and for one with an entry more negative than roundoff
     allows ``classical distribution has negative entry ...``. Then |a|^2 =
     re^2 + im^2 and |a| its square root, all in real arithmetic, and the
-    three stacks become p |a|^2, |a| and sqrt(p) |a|, whose column sums give
-    F, C and G: one GEMM against sd.pair_incidence when packed, a BLAS
-    vector-matrix product per matrix when full. A non-finite sum can then
+    three stacks become p |a|^2, |a| and sqrt(p) |a|, whose column sums
+    (spectral.column_sums) give F, C and G. A non-finite sum can then
     only come from exp(i L t): ValueError ``unitary exp(i L t) has a
     non-finite entry: the decomposition is corrupt``. Returns F, C and G
     stacked, shape ``(3,) + shape + (n,)``: F and G clipped into [0, 1], C
     clipped to be nonnegative. ``out``, of that shape, receives them if
     given, and is returned.
     """
-    packed = len(sd.propagator_shape) == 1
     p, re, im = props
     if not p.min(initial=np.inf) >= NEGATIVITY_TOL:  # a NaN minimum is bad too
-        smallest = p.min(axis=-1 if packed else (-2, -1))
+        smallest = p.reshape(-1, math.prod(sd.propagator_shape)).min(axis=-1)
         first = float(smallest[~(smallest >= NEGATIVITY_TOL)].flat[0])
         if np.isnan(first):
             raise ValueError("heat kernel exp(L t) has a NaN entry: the decomposition is corrupt")
@@ -120,19 +115,8 @@ def reduce_propagators(sd: SpectralDecomposition, props: np.ndarray, out: np.nda
     p *= re  # p |a|^2
     np.sqrt(re, out=re)  # |a|
     im *= re  # sqrt(p) |a|
-    # column sums as BLAS products, not strided reductions
-    if packed:
-        # one GEMM against the pair incidence, M^T X^T of shape (n, points): a point's sums then
-        # do not depend on how many points its block holds, as X M's did at n = 9 to 11
-        lead = props.shape[:-1]
-        sums = (sd.pair_incidence.T @ props.reshape(-1, props.shape[-1]).T).reshape((sd.n,) + lead)
-        sums = sums.transpose(tuple(range(1, len(lead) + 1)) + (0,))  # nodes last, no copy
-        if out is None:
-            out = np.empty(sums.shape)
-        out[...] = sums
-    else:
-        sums = out = np.matmul(np.ones(sd.n), props, out=out)
-    if not np.isfinite(sums).all():  # p is finite by now, so a NaN or inf came from the unitary
+    out = column_sums(sd, props, out)
+    if not np.isfinite(out).all():  # p is finite by now, so a NaN or inf came from the unitary
         raise ValueError("unitary exp(i L t) has a non-finite entry: the decomposition is corrupt")
     fidelity, coherence, gfid = out
     np.clip(fidelity, 0.0, 1.0, out=fidelity)

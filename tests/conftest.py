@@ -11,13 +11,16 @@ DensityMatrix and uhlmann_fidelity are the tests' independent fidelity
 oracle: the general Uhlmann fidelity by nested matrix square roots, which
 no qcwalk process runs (checks.classical_quantum_fidelity and the kernel's
 closed form are what it checks). count_eigensolves counts the
-eigensolver calls and matrices a block of code makes.
+eigensolver calls and matrices a block of code makes. renumbered relabels
+a graph's nodes by a fixed permutation, for tests that check the program
+against itself.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from qcwalk import graph_from_edges
 from qcwalk.checks import _PURE_THRESHOLD, _check_weights
 from qcwalk.spectral import form_propagators, full_propagators
 
@@ -45,6 +48,18 @@ def propagator_pair(sd, t):
     """exp(L t) and the complex exp(i L t), both read from real_propagators."""
     p, re, im = real_propagators(sd, t)
     return p, re + 1j * im
+
+
+def renumbered(g, seed: int = 0):
+    """g with node j renamed perm[j], perm a PCG64 permutation of its n nodes, and the map back.
+
+    Returns the renamed graph and a function that takes a record of it (its
+    last axis the launch nodes) to g's numbering: entry j of the result is
+    entry perm[j] of the record.
+    """
+    perm = np.random.Generator(np.random.PCG64(seed)).permutation(g.n)
+    renamed = graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    return renamed, lambda obs: obs[..., perm]
 
 
 def count_eigensolves(monkeypatch) -> dict[str, int]:

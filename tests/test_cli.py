@@ -986,9 +986,8 @@ def test_invariant_checks_make_one_propagator_call_per_graph(monkeypatch):
 
 
 def test_invariant_checks_pass_on_the_full_route(monkeypatch):
-    # a cutoff of 0 sends every family graph down the full route, where full_propagators
-    # returns the formed stack itself: the reduction overwrites it, so it must come after
-    # every read of p and U
+    # a cutoff of 0 sends every family graph down the full route: full (n, n) matrices, which
+    # full_propagators copies, and the reduction's vector-matrix column sums
     import qcwalk.checks as checks
     import qcwalk.spectral as spectral
 

@@ -42,6 +42,7 @@ SPECS = [
     "star:200",
     "wheel:200",
     "random_connected:200:20",
+    "path:300",
     "ring:11",
     "random_connected:11:6",
     "path:4",

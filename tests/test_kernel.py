@@ -196,17 +196,19 @@ def test_packed_route_matches_the_stacked_route(n, monkeypatch):
 def test_pair_layout_is_cached_and_read_only(n):
     sd = packed_decomposition(n)
     pairs = n * (n + 1) // 2
-    products, index, incidence = sd.pair_products, sd.pair_index, sd.pair_incidence
-    assert products.shape == (n, pairs) and index.shape == (n, n) and incidence.shape == (pairs, n)
-    for cached in (products, index, incidence):
+    layout, products = spectral._pairs(n), sd.pair_products
+    rows, cols, index, incidence = layout
+    assert rows.shape == cols.shape == (pairs,) and index.shape == (n, n) and incidence.shape == (pairs, n)
+    assert products.shape == (n, pairs)
+    for cached in (products, *layout):
         assert not cached.flags.writeable
     node_observables(sd, np.geomspace(1e-2, 1e2, 40))
     real_propagators(sd, [0.5, 2.0])
-    assert sd.pair_products is products and sd.pair_index is index and sd.pair_incidence is incidence
-    # each decomposition holds its own pair products; the index and incidence depend on n alone
+    assert spectral._pairs(n) is layout and sd.pair_products is products
+    # each decomposition holds its own pair products; the layout depends on n alone
     other = packed_decomposition(n)
     assert other.pair_products is not products
-    assert other.pair_index is index and other.pair_incidence is incidence
+    assert spectral._pairs(other.n) is layout
     # the incidence sums each column of the symmetric matrix a row packs: exact on integers
     rng = np.random.default_rng(n)
     dense = rng.integers(-50, 50, size=(7, n, n)).astype(float)
@@ -338,6 +340,8 @@ def out_of_place_reduction(sd, props):
 
     The column sums are the reduction's: one GEMM of the three packed stacks
     against the pair incidence, or a vector-matrix product per full matrix.
+    They are written out here, not read from spectral.column_sums, so the
+    reference stays independent of the step it checks.
     """
     p, re, im = props
     p = np.clip(p, 0.0, 1.0)
@@ -345,7 +349,7 @@ def out_of_place_reduction(sd, props):
     amp = np.sqrt(amp2)
     stack = np.stack([p * amp2, amp, np.sqrt(p) * amp])
     if len(sd.propagator_shape) == 1:
-        sums = sd.pair_incidence.T @ stack.reshape(-1, stack.shape[-1]).T
+        sums = spectral._pairs(sd.n)[3].T @ stack.reshape(-1, stack.shape[-1]).T
         f, c, g = np.moveaxis(sums.reshape((sd.n,) + stack.shape[:-1]), 0, -1)
     else:
         f, c, g = np.ones(sd.n) @ stack
@@ -372,6 +376,19 @@ def test_in_place_reduction_is_bitwise_the_out_of_place_one(n):
             assert np.array_equal(obs[k, b], ref), (k, b)
             assert np.array_equal(got[k], ref), (k, b)
             assert np.array_equal(out[k], ref), (k, b)
+
+
+@pytest.mark.parametrize("n", [11, CUT + 1])
+def test_full_propagators_own_their_memory(n):
+    # on both sides of the cutoff the expanded matrices are a new array, so reducing the formed
+    # stack in place leaves them as they were
+    sd = eigendecompose(laplacian(generate("random_connected", n, extra=n // 2, seed=0)))
+    props = form_propagators(sd, [0.5, 2.0])
+    full = full_propagators(sd, props)
+    assert not np.shares_memory(full, props)
+    kept = full.copy()
+    walks.reduce_propagators(sd, props)
+    assert np.array_equal(full, kept)
 
 
 def test_kernel_allocates_no_reduction_temporaries():

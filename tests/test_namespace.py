@@ -30,6 +30,7 @@ def test_all_names_exist_once(name):
     [
         ("spectral", "form_propagators"),
         ("spectral", "full_propagators"),
+        ("spectral", "column_sums"),
         ("walks", "time_blocks"),
         ("walks", "reduce_propagators"),
         ("walks", "node_observables"),
@@ -73,6 +74,18 @@ def test_no_module_imports_a_name_it_never_reads(path):
     }
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert not imported - read, f"{path.name} imports {sorted(imported - read)} and never reads them"
+
+
+#: what reads the packed propagator layout: its cached arrays, its cutoff and a branch on it
+LAYOUT_NAMES = re.compile(r"_pairs|pair_(products|index|incidence)|PAIR_PRODUCT_MAX_N|propagator_shape\) == 1")
+
+
+@pytest.mark.parametrize("path", ["walks.py", "checks.py"])
+def test_only_spectral_reads_the_propagator_layout(path):
+    # the kernel's reduction and verify's checks read a formed stack through spectral's steps
+    # (column_sums, full_propagators), so a change of layout edits one module
+    found = sorted({m.group(0) for m in LAYOUT_NAMES.finditer((SRC / path).read_text())})
+    assert not found, f"{path} names {found}, which belong to qcwalk.spectral"
 
 
 def _module_level_names(tree: ast.Module) -> set[str]:
