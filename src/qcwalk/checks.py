@@ -7,7 +7,7 @@ error found against the property's tolerance. The checks are deterministic
 given the seed. They are spot checks for field use; the test suite covers
 the same ground more thoroughly. Each family graph forms every propagator
 the checks read in one form_propagators call, as the optimality sweep forms
-a block: the matrix checks and the oracle read it expanded by
+its grid: the matrix checks and the oracle read it expanded by
 full_propagators, and walks.reduce_propagators then reduces the slice the
 kernel's F, C and G are read from.
 
@@ -18,7 +18,7 @@ argument behind D_QC's worst case over localized launches (see
 eigensolves each of the rest once with the body of
 :func:`classical_quantum_fidelity`, the library's one Uhlmann fidelity.
 Both validate their inputs, with the same messages; the affinity is the
-sweep's one validation, once per block. This module alone holds the
+sweep's one validation, once per call. This module alone holds the
 check's policy: its floor VIOLATION_TOL, its AFFINITY_SLACK, its states'
 trace and purity thresholds, and its pass rule.
 
@@ -295,33 +295,32 @@ def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_val
 
     and compares the full Uhlmann fidelity of the pair against the smallest
     localized fidelity min_j F_j(t). The full fidelity should never fall
-    below that minimum. The times are swept in the kernel's blocks
-    (walks.time_blocks): each block forms its pairs with one
-    form_propagators call and makes all its Dirichlet draws at once. Its
-    classical states P(t) z and unitaries U = Re + i Im are read from the
-    pair expanded by full_propagators, and walks.reduce_propagators reduces
-    the formed stack, so min_j F_j is the kernel's own F bit for bit.
+    below that minimum. The whole grid is formed once, however many times it
+    holds (it is not swept in the kernel's time blocks): one
+    form_propagators call forms every time's pair, and all T * n_samples
+    Dirichlet draws are made at once. The classical states P(t) z and
+    unitaries U = Re + i Im are read from the pairs expanded by
+    full_propagators, and walks.reduce_propagators reduces the formed
+    stack, so min_j F_j is the kernel's own F bit for bit.
 
-    Then classical_quantum_affinity validates the block's inputs, once, as
+    Then classical_quantum_affinity validates the inputs, once, as
     classical_quantum_fidelity validates them (ValueError if a U(t) drifts
     from unitarity, say), and bounds every sample below: its lower margin
-    is the affinity minus min_j F_j. A NaN lower margin certifies nothing
-    and no later sample could change a NaN worst, so if the block has one
-    the sweep returns NaN at once, before any eigensolve. Otherwise the
-    sample with the smallest lower margin takes the exact fidelity, read
-    from the validated arrays with no second validation, and m, the smaller
-    of its margin and the worst exact margin of the earlier blocks, bounds
-    the worst margin from above. Any other sample whose lower margin
-    exceeds m + AFFINITY_SLACK cannot be the worst; every one that does not
-    takes the exact fidelity, in chunks of at most
-    walks.BLOCK_ELEMENTS // n**2 samples. Only those chunks are bounded: a
-    block's draws, its classical states and its affinities hold
-    T * n_samples * n doubles for its T times, so memory grows with
-    ``n_samples``. Each sample is certified by its affinity or by its exact
-    fidelity, at most one eigensolve, and the result is the exact worst
-    margin, bit for bit, whatever the block and chunk sizes. Keep n at desk
-    scale (<= 10 or so). ``t_values`` is checked like distance_curve's
-    grid.
+    is the affinity minus min_j F_j. A NaN lower margin certifies nothing,
+    so if there is one the sweep returns NaN at once, before any eigensolve.
+    Otherwise the sample with the smallest lower margin takes the exact
+    fidelity, read from the validated arrays with no second validation, and
+    its exact margin m bounds the worst margin from above. Any other sample
+    whose lower margin exceeds m + AFFINITY_SLACK cannot be the worst; every
+    one that does not takes the exact fidelity, in chunks of at most
+    walks.BLOCK_ELEMENTS // n**2 samples. Only those chunks are bounded:
+    the draws, the classical states and the affinities hold
+    T * n_samples * n doubles for the T times, so memory grows with
+    ``n_samples`` and with the grid, however long. Each sample is certified
+    by its affinity or by its exact fidelity, at most one eigensolve, and
+    the result is the exact worst margin, bit for bit, whatever the chunk
+    size. Keep n at desk scale (<= 10 or so). ``t_values`` is checked like
+    distance_curve's grid.
 
     Returns the worst margin over all samples and times: the smallest
     fidelity minus min_j F_j at its time, NaN if a lower or an exact margin
@@ -336,31 +335,29 @@ def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_val
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     n = sd.n
 
-    worst = np.inf
-    for b in walks.time_blocks(math.prod(sd.propagator_shape), t_values.size):
-        props = form_propagators(sd, t_values[b])
-        p, re, im = full_propagators(sd, props)
-        u = re + 1j * im
-        # batch draws equal sequential draws, time by time
-        z = rng.dirichlet(np.ones(n), size=(len(p), n_samples))
-        q = np.clip(z @ p.swapaxes(-1, -2), 0.0, None)
-        floor = walks.reduce_propagators(sd, props)[0].min(axis=-1)
-        lower = classical_quantum_affinity(q, u, z) - floor[:, None]
-        if np.isnan(lower).any():
-            return math.nan
+    props = form_propagators(sd, t_values)
+    p, re, im = full_propagators(sd, props)
+    u = re + 1j * im
+    # batch draws equal sequential draws, time by time
+    z = rng.dirichlet(np.ones(n), size=(t_values.size, n_samples))
+    q = np.clip(z @ p.swapaxes(-1, -2), 0.0, None)
+    floor = walks.reduce_propagators(sd, props)[0].min(axis=-1)
+    lower = classical_quantum_affinity(q, u, z) - floor[:, None]
+    if np.isnan(lower).any():
+        return math.nan
 
-        def margins(times, samples):
-            """Exact margins of the samples (times[i], samples[i]) of this block."""
-            fid = _fidelity(q[times, samples, None], u[times], z[times, samples, None])
-            return fid[:, 0] - floor[times]
+    def margins(times, samples):
+        """Exact margins of the samples (times[i], samples[i])."""
+        fid = _fidelity(q[times, samples, None], u[times], z[times, samples, None])
+        return fid[:, 0] - floor[times]
 
-        first = np.unravel_index([lower.argmin()], lower.shape)
-        worst = np.minimum(worst, margins(*first)[0])
-        candidate = ~(lower > worst + AFFINITY_SLACK)
-        candidate[first] = False  # its exact margin is already in worst
-        times, samples = np.nonzero(candidate)
-        for c in walks.time_blocks(n * n, times.size):
-            worst = np.minimum(worst, margins(times[c], samples[c]).min())
+    first = np.unravel_index([lower.argmin()], lower.shape)
+    worst = margins(*first)[0]
+    candidate = ~(lower > worst + AFFINITY_SLACK)
+    candidate[first] = False  # its exact margin is already in worst
+    times, samples = np.nonzero(candidate)
+    for c in walks.time_blocks(n * n, times.size):
+        worst = np.minimum(worst, margins(times[c], samples[c]).min())
     return float(worst)
 
 

@@ -125,9 +125,10 @@ def eigendecompose(matrix) -> SpectralDecomposition:
     """Symmetric eigendecomposition of a Laplacian, sorted by |eigenvalue|, zero mode first.
 
     ``matrix``, taken as a float array, must be square, have at least one
-    row, be exactly symmetric and have row sums within 1e-12 of zero, checked
-    in that order; else ValueError: ``Laplacian must be a square matrix``,
-    ``Laplacian must have at least one node``, ``... exactly symmetric`` or
+    row, have only finite entries, be exactly symmetric and have row sums
+    within 1e-12 of zero, checked in that order; else ValueError:
+    ``Laplacian must be a square matrix``, ``Laplacian must have at least
+    one node``, ``Laplacian must be finite``, ``... exactly symmetric`` or
     ``Laplacian rows must sum to zero (max |sum| = ...)``.
 
     eigh spreads an exactly repeated eigenvalue, and the phases e^{i lambda t}
@@ -143,6 +144,8 @@ def eigendecompose(matrix) -> SpectralDecomposition:
         raise ValueError("Laplacian must be a square matrix")
     if not m.size:
         raise ValueError("Laplacian must have at least one node")
+    if not np.isfinite(m).all():
+        raise ValueError("Laplacian must be finite")
     if not np.array_equal(m, m.T):
         raise ValueError("Laplacian must be exactly symmetric")
     worst_row = float(np.abs(m.sum(axis=1)).max())

@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
@@ -26,7 +25,7 @@ from qcwalk.distance import (
 from qcwalk import walks
 from conftest import DensityMatrix, count_eigensolves, propagator_pair, uhlmann_fidelity
 from qcwalk.spectral import eigendecompose
-from qcwalk.walks import node_observables, time_blocks
+from qcwalk.walks import node_observables
 
 K2 = eigendecompose(laplacian(generate("complete", 2)))
 RING11 = eigendecompose(laplacian(generate("ring", 11)))
@@ -329,7 +328,7 @@ def full_route(sd, n_samples, t_values, seed):
 
 
 def test_optimality_decomposes_one_matrix_per_sample_and_time(monkeypatch):
-    # one block of four times at n = 8: the sample of the smallest affinity margin takes one
+    # four times at n = 8, formed at once: the sample of the smallest affinity margin takes one
     # eigvalsh, then, in one more call only if there are any, every other sample whose
     # affinity margin is within AFFINITY_SLACK of that sample's exact margin; the affinity
     # certifies the rest, so no sample is eigensolved twice
@@ -337,7 +336,6 @@ def test_optimality_decomposes_one_matrix_per_sample_and_time(monkeypatch):
 
     sd = eigendecompose(laplacian(generate("random_connected", 8, extra=3, seed=4)))
     t_values, n_samples = [0.1, 0.5, 1.0, 3.0], 500
-    assert len(time_blocks(math.prod(sd.propagator_shape), len(t_values))) == 1
     affinities, solved = [], []
 
     def affinity(q, u, z, _original=checks.classical_quantum_affinity):
@@ -370,7 +368,7 @@ def test_optimality_decomposes_one_matrix_per_sample_and_time(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 7, 1301])
 def test_optimality_worst_margin_is_the_full_routes_bit_for_bit(seed, monkeypatch):
     # the pruned sweep against every sample eigensolved, on verify's graphs and times; with a
-    # budget of 1, each time is a block of its own, and a later block can have no candidate
+    # budget of 1, each exact-fidelity candidate is a chunk of its own
     t_values = (0.1, 0.5, 1.0, 3.0)
     for n in range(3, 11):
         sd = eigendecompose(laplacian(generate("random_connected", n, extra=min(n - 1, 3), seed=seed + n)))
@@ -415,8 +413,8 @@ def test_optimality_refuses_a_drifting_unitary_before_any_fidelity(monkeypatch):
 
 @pytest.mark.parametrize("block_elements", [1, 8000, 10**6])
 def test_optimality_margins_independent_of_block_size(monkeypatch, block_elements):
-    # every time in one block at 8000 and above; a block per time and a chunk per candidate
-    # at 1, where a later block can have no candidate
+    # the budget sizes only the exact-fidelity chunks: a chunk per candidate at 1, one chunk
+    # of every candidate at 8000 and above
     sd = eigendecompose(laplacian(generate("random_connected", 10, extra=3, seed=1)))
     t_values = np.geomspace(0.05, 5.0, 9)
     reference = full_route(sd, 30, t_values, 6)[1].min()
@@ -443,8 +441,8 @@ def test_optimality_reports_a_nan_bound_as_a_nan_margin(monkeypatch):
 
 @pytest.mark.parametrize("block_elements", [1, 10**6])
 def test_optimality_stops_at_a_nan_margin(monkeypatch, block_elements):
-    # a NaN lower margin is final: the sweep returns NaN before any sample of its block or of
-    # a later block is eigensolved. In one block of four times and in four blocks of one time alike
+    # a NaN lower margin is final: the sweep returns NaN before any sample is eigensolved,
+    # whatever the budget of the exact-fidelity chunks
     import qcwalk.checks as checks
 
     sd = eigendecompose(laplacian(generate("random_connected", 6, extra=3, seed=9)))
@@ -456,9 +454,9 @@ def test_optimality_stops_at_a_nan_margin(monkeypatch, block_elements):
 
 
 @pytest.mark.parametrize("block_elements", [1, walks.BLOCK_ELEMENTS])
-def test_optimality_validates_each_block_once(monkeypatch, block_elements):
-    # on verify's graphs and times, each block's states are validated once, however many
-    # exact-fidelity chunks it takes: four blocks of one time, or verify's one block of four
+def test_optimality_validates_once_per_call(monkeypatch, block_elements):
+    # on verify's graphs and times, a call's states are validated once, all four times
+    # together, however many exact-fidelity chunks it takes: a chunk per candidate at 1
     import qcwalk.checks as checks
 
     monkeypatch.setattr(walks, "BLOCK_ELEMENTS", block_elements)
@@ -474,8 +472,27 @@ def test_optimality_validates_each_block_once(monkeypatch, block_elements):
         with monkeypatch.context() as patch:
             patch.setattr(checks, "_check_states", counted)
             verify_localized_optimality(sd, 125, t_values, seed=n)
-        blocks = time_blocks(math.prod(sd.propagator_shape), len(t_values))
-        assert validated == [len(range(4)[b]) for b in blocks]
+        assert validated == [4]
+
+
+def test_optimality_forms_its_whole_grid_in_one_call(monkeypatch):
+    # at a budget of one element the kernel would form a block per time; the sweep still
+    # forms its whole grid, every time of it, in one form_propagators call
+    import qcwalk.checks as checks
+
+    monkeypatch.setattr(walks, "BLOCK_ELEMENTS", 1)
+    sd = eigendecompose(laplacian(generate("random_connected", 10, extra=3, seed=10)))
+    t_values = (0.1, 0.5, 1.0, 3.0)
+    formed = []
+
+    def counted(sd, t, _original=checks.form_propagators):
+        formed.append(np.array(t))
+        return _original(sd, t)
+
+    monkeypatch.setattr(checks, "form_propagators", counted)
+    verify_localized_optimality(sd, 125, t_values, seed=10)
+    assert len(formed) == 1
+    assert np.array_equal(formed[0], t_values)
 
 
 def test_optimality_input_validation():

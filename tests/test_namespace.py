@@ -88,6 +88,12 @@ def test_only_spectral_reads_the_propagator_layout(path):
     assert not found, f"{path} names {found}, which belong to qcwalk.spectral"
 
 
+def test_checks_does_not_size_propagator_blocks():
+    # the optimality sweep forms its whole grid at once, so verify's checks never size a
+    # propagator block from the layout's entry count
+    assert "propagator_shape" not in (SRC / "checks.py").read_text()
+
+
 def _module_level_names(tree: ast.Module) -> set[str]:
     """Names a module binds at its top level by def, class or assignment (not by import)."""
     names = set()

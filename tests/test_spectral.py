@@ -81,6 +81,9 @@ def test_zero_mode_left_alone_for_disconnected_graphs():
         (np.zeros((0, 0)), "Laplacian must have at least one node"),
         ([[-1.0, 1.0], [0.5, -0.5]], "Laplacian must be exactly symmetric"),
         ([[-1.0, 1.0], [1.0, -1.5]], "Laplacian rows must sum to zero (max |sum| = 5.000e-01)"),
+        # row sums of NaN pass a `> 1e-12` test, and a NaN is unequal to itself
+        ([[-np.inf, np.inf], [np.inf, -np.inf]], "Laplacian must be finite"),
+        ([[np.nan, 0.0], [0.0, np.nan]], "Laplacian must be finite"),
     ],
 )
 def test_eigendecompose_refuses_a_matrix_that_is_not_a_laplacian(matrix, message):
