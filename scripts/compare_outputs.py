@@ -22,7 +22,9 @@ conditional,coherence,gfid,short,long,delta,qc`` on complete:50, complete:200,
 ring:64, star:200, wheel:50 and wheel:200. Then the grid's edge cases, each a
 ``distance`` argv: a linear grid from t = 0 (NA gamma cells), a one-point grid,
 one node's default t_max of 10, an explicit ``--tmax`` and a log grid from 0
-(refused, exit 1); and ``graph`` writing its edge list to a file and to stdout.
+(refused, exit 1); the request refusals on ring:5, an empty quantity list, a
+``--node`` of 5 and an unknown quantity (each exit 1); and ``graph`` writing its
+edge list to a file and to stdout.
 ``--argv`` replaces the set.
 
 For each argv it prints ``identical``; or the number of changed CSV cells,
@@ -60,13 +62,16 @@ BLOCK_BAND = "distance --graph random_connected:21:6 --quantities qc,coherence,g
 #: the same on each side of the packed layout's cutoff, n = 32 and 33
 CUTOFF_SIDES = tuple(BLOCK_BAND.replace(":21:", f":{n}:") for n in (32, 33))
 DEGENERATE = "distance --node 1 --quantities conditional,coherence,gfid,short,long,delta,qc --graph"
-#: the grid's edge cases, then graph's two writers: a file and stdout
+#: the grid's edge cases, the request refusals, then graph's two writers: a file and stdout
 EDGE_CASES = (
     "distance --graph ring:5 --linear --tmin 0 --tmax 2 --steps 21 --quantities qc,gamma_s,gamma_l,delta",
     "distance --graph ring:5 --tmin 0 --steps 1 --quantities qc,gamma_l",
     "distance --graph complete:1 --steps 3",
     "distance --graph path:11 --tmax 50 --steps 7",
     "distance --graph ring:5 --tmin 0 --steps 3",
+    "distance --graph ring:5 --quantities ,,",
+    "distance --graph ring:5 --node 5",
+    "distance --graph ring:5 --quantities qc,bogus",
     "graph random_connected 11 6 --seed 3",
     "graph ring 5 --out -",
 )

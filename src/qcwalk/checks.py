@@ -373,8 +373,10 @@ def run_checks(n_max: int, samples: int, seed: int) -> tuple[list[CheckResult], 
 
     The sweep spreads ``samples`` Dirichlet draws across random connected
     graphs of sizes 3..n_max and times {0.1, 0.5, 1, 3}. ``n_max`` and
-    ``samples`` are validated before any unit runs. The units run in report
-    order: the invariant checks, then one per size, ascending. Returns the
+    ``samples`` are validated before any unit runs, ``samples`` up to the
+    count whose largest draw, at n_max, still fits one numpy array. The
+    units run in report order: the invariant checks, then one per size,
+    ascending. Returns the
     results in report order and the worst margin (by _worst: a NaN one,
     else the smallest), None if no size gave one. A unit that refuses its
     input (a ValueError other than numpy's LinAlgError) fails each of its
@@ -390,6 +392,8 @@ def run_checks(n_max: int, samples: int, seed: int) -> tuple[list[CheckResult], 
     sizes = range(3, n_max + 1)
     t_values = (0.1, 0.5, 1.0, 3.0)
     per_size = int(np.ceil(samples / (len(sizes) * len(t_values))))
+    if len(t_values) * per_size * n_max * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"samples {samples} too large: the draw at n={n_max} cannot be one array")
     drawn = per_size * len(t_values)
     try:
         results = run_invariant_checks(seed)

@@ -10,17 +10,18 @@ Subcommands:
 Exit codes: 0 success, 1 usage or configuration error, 2 computation error
 (disconnected graph, eigensolver failure, memory exhausted), 3 verification
 failure. CSV uses a mandatory header row, 12-significant-digit floats
-(``%.12g``), the literal ``NA`` for undefined values, and CRLF line endings. A
-sweep refuses an unknown or repeated quantity, then makes one kernel call for
-its whole grid, stacks each quantity's column or node block into one float
-table (a row per time point) and formats the whole table in numpy: a cell in
-positional form is built from its exact 12-digit mantissa, and every other
-cell (exponent form, 0, NA, a near rounding tie) is formatted by ``%`` itself,
-so the bytes are ``%``'s. A figure preset is a list of curve specs, each
-giving one graph, one sweep and one manifest entry; ``figure`` takes several
-presets, each with its own grid and manifest. Every CSV of the call is
-formatted before any file is written, so a sweep that fails writes nothing and
-creates no directory.
+(``%.12g``), the literal ``NA`` for undefined values, and CRLF line endings.
+``distance`` checks its request before any work: the quantity list before the
+graph is built, and ``--node`` against n before the eigendecomposition. A
+sweep makes one kernel call for its whole grid, stacks each quantity's column
+or node block into one float table (a row per time point) and formats the
+whole table in numpy: a cell in positional form is built from its exact
+12-digit mantissa, and every other cell (exponent form, 0, NA, a near rounding
+tie) is formatted by ``%`` itself, so the bytes are ``%``'s. A figure preset
+is a list of curve specs, each giving one graph, one sweep and one manifest
+entry; ``figure`` takes several presets, each with its own grid and manifest.
+Every CSV of the call is formatted before any file is written, so a sweep that
+fails writes nothing and creates no directory.
 
 The parser is built on the first :func:`main` call and reused by every later
 call in the process; :func:`main` dispatches to ``cmd_<command>``, looked up
@@ -215,19 +216,15 @@ def _format_cell(value: float) -> str:
 def _format_csv(sd, outputs, node, times) -> tuple[list[str], str]:
     """The sweep's column headers and its CSV text, header line included.
 
-    An unknown or repeated quantity is refused before the kernel runs. Then
-    one kernel call covers the whole grid, and each requested quantity adds
-    to the table, after ``t``, its graph-level column or its node block
-    (every node, or only ``node``), a row per time point; delta is a node
-    block when ``node`` is given. The graph-level columns share one
-    dist.qc_of of the record. :func:`_format_table` formats the whole
+    ``outputs`` are distinct names of _QUANTITIES and ``node`` is None or a
+    node of the graph: cmd_distance checks its request, and a figure preset
+    is constant. One kernel call covers the whole grid, and each requested
+    quantity adds to the table, after ``t``, its graph-level column or its
+    node block (every node, or only ``node``), a row per time point; delta
+    is a node block when ``node`` is given. The graph-level columns share
+    one dist.qc_of of the record. :func:`_format_table` formats the whole
     table; nothing is written here.
     """
-    for q in outputs:
-        if q not in _QUANTITIES:
-            raise ValueError(f"unknown quantity {q!r}; choose from {tuple(_QUANTITIES)}")
-        if outputs.count(q) > 1:
-            raise ValueError(f"quantity {q!r} given more than once")
     obs = walks.node_observables(sd, times)
     cells = slice(None) if node is None else slice(node, node + 1)
     headers: list[str] = []
@@ -285,22 +282,27 @@ def _default_edges_name(args) -> str:
 
 
 def cmd_distance(args) -> int:
+    outputs = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
+    if not outputs:
+        raise ValueError("at least one output quantity is required")
+    for q in outputs:
+        if q not in _QUANTITIES:
+            raise ValueError(f"unknown quantity {q!r}; choose from {tuple(_QUANTITIES)}")
+        if outputs.count(q) > 1:
+            raise ValueError(f"quantity {q!r} given more than once")
     if args.edges is not None:
         g = read_edge_list(args.edges)
     else:
         g = graph_from_spec(args.graph, seed=args.seed)
+    if args.node is not None and not 0 <= args.node < g.n:
+        raise ValueError(f"node {args.node} out of range for n={g.n}")
     sd = eigendecompose(laplacian(g))
     dist.require_connected(sd)
-    if args.node is not None:
-        walks.check_node(sd, args.node)
     t_max = args.tmax
     if t_max is None:
         # one node has no fiedler value, so its grid ends at t = 10
         t_max = default_t_max(sd.fiedler) if g.n >= 2 else 10.0
     times = time_grid(args.tmin, t_max, args.steps, "linear" if args.linear else "log")
-    outputs = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
-    if not outputs:
-        raise ValueError("at least one output quantity is required")
     _write(args.out, _format_csv(sd, outputs, args.node, times)[1])
     return EXIT_OK
 

@@ -62,13 +62,6 @@ __all__ = ["time_blocks", "reduce_propagators", "node_observables"]
 BLOCK_ELEMENTS = 16384
 
 
-def check_node(sd: SpectralDecomposition, j: int) -> int:
-    j = int(j)
-    if not 0 <= j < sd.n:
-        raise ValueError(f"node {j} out of range for n={sd.n}")
-    return j
-
-
 def time_blocks(elements: int, count: int) -> list[slice]:
     """Slices over ``count`` items, ``max(1, BLOCK_ELEMENTS // elements)`` items each.
 

@@ -13,14 +13,17 @@ no qcwalk process runs (checks.classical_quantum_fidelity and the kernel's
 closed form are what it checks). count_eigensolves counts the
 eigensolver calls and matrices a block of code makes. renumbered relabels
 a graph's nodes by a fixed permutation, for tests that check the program
-against itself.
+against itself. series_oracle gives F, C and 1 - G at one launch node from
+the Taylor series of both propagators in exact integer powers of the
+Laplacian, for times short next to 1 / max|λ|.
 """
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
-from qcwalk import graph_from_edges
+from qcwalk import graph_from_edges, laplacian
 from qcwalk.checks import _PURE_THRESHOLD, _check_weights
 from qcwalk.spectral import form_propagators, full_propagators
 
@@ -60,6 +63,56 @@ def renumbered(g, seed: int = 0):
     perm = np.random.Generator(np.random.PCG64(seed)).permutation(g.n)
     renamed = graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
     return renamed, lambda obs: obs[..., perm]
+
+
+def series_oracle(g, j: int, times) -> list[dict]:
+    """F, C and 1 - G of graph ``g`` at launch node j, one dict of mpmath values per time.
+
+    Column j of exp(L t) and of exp(i L t) is sum_m (t^m / m!) L^m e_j, with
+    i^m in the second. L^m e_j is formed exactly in Python integers and the
+    sums are taken at 40 digits; only the range check reads the spectrum.
+    Term m is at most (2Δt)^m / m! in size, Δ the largest degree, and the
+    sum stops at the first m where that bound is below 1e-45. The terms
+    grow before they fall, and their norms add up to at most e^{t max|λ|},
+    so a time with t · max|λ| > 8, where the cancellation would cost more
+    than about 3.5 of the 40 digits, is refused with ValueError. A p_kj
+    below the roundoff is read as 0, as in the mpmath.expm oracle.
+    """
+    max_lambda = np.abs(np.linalg.eigvalsh(laplacian(g))).max()
+    neighbours = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    two_delta = 2 * max(len(nb) for nb in neighbours)
+    powers = [[int(k == j) for k in range(g.n)]]
+    values = []
+    with mpmath.workdps(40):
+        for t in times:
+            if not 0 <= t * max_lambda <= 8:
+                raise ValueError(f"t = {t} is outside the series' range 0 <= t * max|lambda| <= 8")
+            coefficients, c, bound = [], mpmath.mpf(1), 1.0
+            while bound >= 1e-45:
+                m = len(coefficients)
+                if m == len(powers):
+                    v = powers[-1]
+                    powers.append([sum(v[l] for l in nb) - len(nb) * v[k] for k, nb in enumerate(neighbours)])
+                coefficients.append(c)
+                c, bound = c * mpmath.mpf(t) / (m + 1), bound * two_delta * t / (m + 1)
+            # i^m is 1, i, -1, -i: even terms are the real part, odd terms the imaginary one
+            parts = [[cm * (1, 0, -1, 0)[(m + r) % 4] for m, cm in enumerate(coefficients)] for r in (0, 3)]
+            p, a = [], []
+            for k in range(g.n):
+                column = [powers[m][k] for m in range(len(coefficients))]
+                p.append(max(mpmath.fdot(coefficients, column), 0))
+                a.append(mpmath.hypot(*(mpmath.fdot(part, column) for part in parts)))
+            values.append(
+                {
+                    "F": mpmath.fsum(pk * ak**2 for pk, ak in zip(p, a)),
+                    "C": mpmath.fsum(a) ** 2 - 1,
+                    "1 - G": 1 - mpmath.fsum(mpmath.sqrt(pk) * ak for pk, ak in zip(p, a)),
+                }
+            )
+    return values
 
 
 def count_eigensolves(monkeypatch) -> dict[str, int]:

@@ -320,8 +320,9 @@ def test_distance_prints_the_asymptote_diagnostics(spec, seed, capsys):
 
 
 def test_distance_error_exit_codes(tmp_path, capsys):
-    code, _, stderr = run(["distance", "--graph", "ring:11", "--node", "11"], capsys)
-    assert code == 1 and "node" in stderr
+    for node in ("11", "-1"):
+        code, _, stderr = run(["distance", "--graph", "ring:11", "--node", node], capsys)
+        assert (code, stderr) == (1, f"qcwalk: error: node {node} out of range for n=11\n")
 
     code, _, stderr = run(["distance", "--graph", "ring:11", "--quantities", "bogus"], capsys)
     assert code == 1
@@ -340,7 +341,12 @@ def test_distance_error_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
-def test_distance_quantity_list_in_help_and_error(monkeypatch, capsys):
+def refuse_to_build_graph(monkeypatch) -> None:
+    """Make the CLI's --graph build fail the test: what it checks must be checked before any work."""
+    monkeypatch.setattr(cli, "graph_from_spec", lambda *args, **kwargs: pytest.fail("the graph was built"))
+
+
+def test_distance_quantity_list_in_help_and_error(monkeypatch, tmp_path, capsys):
     # wide enough that argparse prints the list on one line
     monkeypatch.setenv("COLUMNS", "200")
     with pytest.raises(SystemExit) as exc:
@@ -357,19 +363,33 @@ def test_distance_quantity_list_in_help_and_error(monkeypatch, capsys):
         "'coherence', 'gfid', 'short', 'long', 'gamma_s', 'gamma_l', 'delta')\n"
     )
     assert run(argv, capsys) == (1, "", unknown)
-    # refused before the kernel runs, with or without --node
-    refuse_to_sweep(monkeypatch)
-    assert run(argv, capsys) == (1, "", unknown)
-    assert run(argv + ["--node", "2"], capsys) == (1, "", unknown)
+    # refused before the graph is built, with or without --node, even one out of range
+    refuse_to_build_graph(monkeypatch)
+    for node in ([], ["--node", "2"], ["--node", "9"]):
+        assert run(argv + node, capsys) == (1, "", unknown)
+    # nor is an edge list read, so a disconnected one exits 1, not 2
+    disco = tmp_path / "d.edges"
+    disco.write_text("4\n0 1\n2 3\n")
+    assert run(["distance", "--edges", str(disco), "--quantities", "qc,bogus"], capsys) == (1, "", unknown)
 
 
-def refuse_to_sweep(monkeypatch) -> None:
-    """Make the CLI's kernel call fail the test: what it checks must be checked before any sweep."""
+def test_distance_refuses_an_empty_quantity_list(monkeypatch, capsys):
+    refuse_to_build_graph(monkeypatch)
+    stderr = "qcwalk: error: at least one output quantity is required\n"
+    assert run(["distance", "--graph", "ring:5", "--quantities", ",,"], capsys) == (1, "", stderr)
 
-    def no_sweep(sd, t):
-        raise AssertionError("the kernel ran")
 
-    monkeypatch.setattr("qcwalk.walks.node_observables", no_sweep)
+def test_distance_checks_node_before_the_eigendecomposition(monkeypatch, tmp_path, capsys):
+    # --node is checked against the graph's node count before the eigendecomposition
+    monkeypatch.setattr(cli, "eigendecompose", lambda lap: pytest.fail("the graph was decomposed"))
+    for node in ("5", "-1"):
+        stderr = f"qcwalk: error: node {node} out of range for n=5\n"
+        assert run(["distance", "--graph", "ring:5", "--node", node], capsys) == (1, "", stderr)
+    # before connectivity too: a disconnected edge list is refused for its node, exit 1
+    disco = tmp_path / "d.edges"
+    disco.write_text("4\n0 1\n2 3\n")
+    stderr = "qcwalk: error: node 4 out of range for n=4\n"
+    assert run(["distance", "--edges", str(disco), "--node", "4"], capsys) == (1, "", stderr)
 
 
 @pytest.mark.parametrize("quantities", ["qc,qc", "conditional,average,conditional"])
@@ -383,8 +403,8 @@ def test_distance_repeated_quantity_exits_one(quantities, monkeypatch, tmp_path,
     out = tmp_path / "curve.csv"
     assert run(argv + ["--out", str(out)], capsys)[0] == 1
     assert not out.exists()
-    # refused before the kernel runs, with or without --node
-    refuse_to_sweep(monkeypatch)
+    # refused before the graph is built, with or without --node
+    refuse_to_build_graph(monkeypatch)
     for node in ([], ["--node", "2"]):
         assert run(argv + node, capsys) == (1, "", stderr)
 
@@ -919,6 +939,18 @@ def test_verify_refuses_large_n(monkeypatch, capsys):
         assert code == 1
         assert "samples" in stderr
         assert stdout == ""
+
+
+@pytest.mark.parametrize("samples", ["100000000000000000000", "1000000000000000000"])
+def test_verify_refuses_a_draw_too_large_for_one_array(samples, monkeypatch, capsys):
+    # a usage error, exit 1, not numpy's refusal reported as a size's [FAIL] line, exit 3
+    monkeypatch.setattr(
+        "qcwalk.checks.run_invariant_checks",
+        lambda *args: pytest.fail("invariant checks ran before --samples was validated"),
+    )
+    code, stdout, stderr = run(["verify", "--n-max", "3", "--samples", samples], capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"qcwalk: error: samples {samples} too large: the draw at n=3 cannot be one array\n"
 
 
 def test_verify_stdout_independent_of_block_size(monkeypatch, capsys):

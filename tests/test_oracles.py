@@ -39,12 +39,18 @@ plain bound, factor 1.
 wheel(9), rim included, and random_connected:11:6 have no closed form:
 mpmath.expm forms both propagators at 50 digits from the integer Laplacian,
 and every node takes the plain bound with max|λ| read from the spectrum.
+
+conftest.series_oracle, the Taylor series in exact powers of the Laplacian
+for t · max|λ| <= 8, is itself checked here: against the K_n closed form
+from t = 1e-8 to the end of its range, and against mpmath.expm at every node
+of ring(12) and wheel(9).
 """
 
 import mpmath
 import numpy as np
 import pytest
 
+from conftest import series_oracle
 from qcwalk import eigendecompose, generate, laplacian
 from qcwalk.distance import conditional_vector, short_vector
 from qcwalk.walks import node_observables
@@ -341,3 +347,39 @@ def test_graphs_without_closed_form_match_expm(graph):
         for name, exact in expm_oracle(graph, t).items():
             error = (np.abs(kernel[name][i] - exact) / np.abs(exact)).max()
             assert error <= bound, f"{name} at t={t:.3g}: relative error {error:.2e} > {bound:.2e}"
+
+
+@pytest.mark.parametrize("n", [3, 5, 11])
+def test_series_oracle_matches_complete_graph_closed_form(n):
+    times = np.geomspace(1e-8, 7.9 / n, 8)
+    series = series_oracle(generate("complete", n), 0, times)
+    with mpmath.workdps(50):
+        for t, values in zip(times, series):
+            n_, t_ = mpmath.mpf(n), mpmath.mpf(t)
+            exact = complete_graph_oracle(n_, t_, n_ * t_)
+            values = dict(values, D_QC=1 - values["F"])
+            for name in ("F", "C", "1 - G", "D_QC"):
+                error = abs(values[name] - exact[name]) / abs(exact[name])
+                assert error <= 1e-25, f"{name} of K_{n} at t={t:.3g}: relative error {mpmath.nstr(error, 3)}"
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [pytest.param(generate("ring", 12), id="ring-12"), pytest.param(generate("wheel", 9), id="wheel-9")],
+)
+def test_series_oracle_matches_expm(graph):
+    # both oracles round to float from far more digits, so they agree to an ulp or two
+    times = (1e-6, 1e-2, 0.5)
+    exact = [expm_oracle(graph, t) for t in times]
+    for j in range(graph.n):
+        for t, series, values in zip(times, series_oracle(graph, j, times), exact):
+            for name, value in values.items():
+                assert float(series[name]) == pytest.approx(value[j], rel=1e-15, abs=0), f"{name} at node {j}, t={t}"
+
+
+def test_series_oracle_refuses_a_time_past_its_range():
+    ring = generate("ring", 12)  # max|λ| = 4
+    assert series_oracle(ring, 0, [1.9])
+    for t in (2.5, -1e-3):
+        with pytest.raises(ValueError, match="outside the series' range"):
+            series_oracle(ring, 0, [t])

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import DensityMatrix, propagator_pair, uhlmann_fidelity
 from qcwalk import degree_sequence, generate, laplacian
 from qcwalk.spectral import eigendecompose
-from qcwalk.walks import check_node, node_observables
+from qcwalk.walks import node_observables
 
 FAMILY = [
     generate("complete", 5),
@@ -57,11 +57,8 @@ def test_start_conditions():
 
 
 def test_node_and_time_validation():
+    # --node is checked by the CLI (tests/test_cli.py); the propagators refuse a negative time
     sd = DECS[0]
-    with pytest.raises(ValueError):
-        check_node(sd, 5)
-    with pytest.raises(ValueError):
-        check_node(sd, -1)
     with pytest.raises(ValueError):
         propagator_pair(sd, -0.5)
 
