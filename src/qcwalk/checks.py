@@ -39,7 +39,7 @@ import numpy as np
 from . import walks
 from .config import check_grid
 from .distance import qc_of, require_connected
-from .graph import Graph, generate, laplacian
+from .graph import Graph, check_int, generate, laplacian
 from .spectral import (
     NEGATIVITY_TOL,
     SpectralDecomposition,
@@ -79,15 +79,9 @@ class CheckResult(NamedTuple):
 
 
 def check_family(seed: int = 0) -> list[tuple[str, Graph]]:
-    """Small connected graphs exercising every generator."""
-    return [
-        ("complete(5)", generate("complete", 5)),
-        ("ring(6)", generate("ring", 6)),
-        ("path(4)", generate("path", 4)),
-        ("star(5)", generate("star", 5)),
-        ("wheel(6)", generate("wheel", 6)),
-        ("random_connected(8,4)", generate("random_connected", 8, extra=4, seed=seed)),
-    ]
+    """Small connected graphs exercising every generator, each (kind, n[, extra]) labelled kind(n[,extra])."""
+    family = (("complete", 5), ("ring", 6), ("path", 4), ("star", 5), ("wheel", 6), ("random_connected", 8, 4))
+    return [(f"{kind}({','.join(map(str, params))})", generate(kind, *params, seed=seed)) for kind, *params in family]
 
 
 #: the invariant checks in reported order, each with its tolerance
@@ -161,7 +155,7 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
         # a disconnected graph has no plateau: refused as qc_distance refuses it
         require_connected(sd)
         t_inf = 50.0 / sd.fiedler
-        regular_times = (0.2, 1.0, 4.0) if label in ("complete(5)", "ring(6)") else ()
+        regular_times = (0.2, 1.0, 4.0) if (lap.diagonal() == lap[0, 0]).all() else ()  # all degrees equal
         # every time the checks read is one grid, formed once: the 4 sampled times, t1, t2 and
         # t1 + t2, the 2 oracle times, the plateau and, on regular graphs, 3 more
         props = form_propagators(sd, [*t_samples, *t1, *t2, *(t1 + t2), *oracle_times, t_inf, *regular_times])
@@ -328,7 +322,7 @@ def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_val
     -VIOLATION_TOL, the roundoff slack.
     """
     require_connected(sd)
-    n_samples = int(n_samples)
+    n_samples = check_int(n_samples, "sample count")
     if n_samples < 1:
         raise ValueError("need at least one sample")
     t_values = check_grid(t_values)

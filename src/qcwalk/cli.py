@@ -18,10 +18,11 @@ or node block into one float table (a row per time point) and formats the
 whole table in numpy: a cell in positional form is built from its exact
 12-digit mantissa, and every other cell (exponent form, 0, NA, a near rounding
 tie) is formatted by ``%`` itself, so the bytes are ``%``'s. A figure preset
-is a list of curve specs, each giving one graph, one sweep and one manifest
-entry; ``figure`` takes several presets, each with its own grid and manifest.
-Every CSV of the call is formatted before any file is written, so a sweep that
-fails writes nothing and creates no directory.
+is a list of curves in the table ``FIGURES``, each giving one graph, one sweep,
+one CSV named from its graph and one manifest entry; ``figure`` takes several
+presets, each with its own grid and manifest. Every CSV of the call is
+formatted before any file is written, so a sweep that fails writes nothing and
+creates no directory.
 
 The parser is built on the first :func:`main` call and reused by every later
 call in the process; :func:`main` dispatches to ``cmd_<command>``, looked up
@@ -44,6 +45,7 @@ from .checks import run_checks
 from .config import DEFAULT_STEPS, DEFAULT_T_MIN, default_t_max, time_grid
 from .distance import DisconnectedGraphError
 from .graph import (
+    GENERATOR_KINDS,
     degree_sequence,
     generate,
     graph_from_spec,
@@ -60,7 +62,19 @@ EXIT_USAGE = 1
 EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
 
-FIGURES = ("fig1-left", "fig1-center", "fig1-right", "fig2", "fig3-left", "fig3-right")
+_HUB_PANEL = ("complete", "star", "wheel")  # node 0 is the hub; its dynamics agree across all three
+_FIG3_BATCH = [(11, d) for d in (4, 6, 8, 10)] + [(5, d) for d in (3, 4)]
+#: the figure presets, each a list of curves (kind, n, extra, node, quantities), n None for --n.
+#: A curve's CSV is <preset>_random_<n>_d<extra>.csv for random_connected, else <preset>_<kind>_<n>.csv
+FIGURES = {
+    "fig1-left": [("complete", n, None, None, ("qc",)) for n in (5, 10, 20)],
+    "fig1-center": [(kind, None, None, 0, ("conditional",)) for kind in _HUB_PANEL],
+    "fig1-right": [(kind, None, None, None, ("qc",)) for kind in _HUB_PANEL],
+    "fig2": [("ring", 11, None, 1, ("conditional",))]
+    + [("random_connected", 11, d, 1, ("conditional",)) for d in (4, 6, 8, 10)],
+    "fig3-left": [("random_connected", n, d, None, ("gamma_s", "gamma_l")) for n, d in _FIG3_BATCH],
+    "fig3-right": [("random_connected", n, d, None, ("delta",)) for n, d in _FIG3_BATCH],
+}
 
 #: every quantity a distance sweep accepts, in canonical column order, as
 #: (graph-level column, vector over launch nodes), both functions of one kernel
@@ -310,43 +324,24 @@ def cmd_distance(args) -> int:
 # --- figure ------------------------------------------------------------------
 
 
-def _preset_curves(which: str, n_panel: int) -> list[tuple]:
-    """The preset's curves, each a spec ``(label, kind, n, extra, node, quantities)``."""
-    if which == "fig1-left":
-        return [(f"complete_{n}", "complete", n, None, None, ("qc",)) for n in (5, 10, 20)]
-    if which in ("fig1-center", "fig1-right"):
-        # node 0 is the hub; its dynamics agree across all three graphs
-        node, quantities = (0, ("conditional",)) if which == "fig1-center" else (None, ("qc",))
-        kinds = ("complete", "star", "wheel")
-        return [(f"{kind}_{n_panel}", kind, n_panel, None, node, quantities) for kind in kinds]
-    if which == "fig2":
-        random = [(f"random_11_d{d}", "random_connected", 11, d, 1, ("conditional",)) for d in (4, 6, 8, 10)]
-        return [("ring_11", "ring", 11, None, 1, ("conditional",))] + random
-    if which in ("fig3-left", "fig3-right"):
-        batch = [(11, d) for d in (4, 6, 8, 10)] + [(5, d) for d in (3, 4)]
-        quantities = ("gamma_s", "gamma_l") if which == "fig3-left" else ("delta",)
-        return [(f"random_{n}_d{d}", "random_connected", n, d, None, quantities) for n, d in batch]
-    raise ValueError(f"unknown figure preset {which!r}")
-
-
 def cmd_figure(args) -> int:
     out_dir = Path(args.out)
     files = []  # (path, text) of every preset's CSVs, then its manifest
     for which in args.which:
-        curves = _preset_curves(which, args.n)
+        curves = [(kind, args.n if n is None else n, extra, node, qs) for kind, n, extra, node, qs in FIGURES[which]]
         # the seed reaches only random_connected; the other kinds ignore it
         decompositions = [
-            eigendecompose(laplacian(generate(kind, n, extra=extra, seed=args.seed)))
-            for _, kind, n, extra, _, _ in curves
+            eigendecompose(laplacian(generate(kind, n, extra=extra, seed=args.seed))) for kind, n, extra, _, _ in curves
         ]
         # one shared grid per preset so curves are directly comparable
         fiedler = min(sd.fiedler for sd in decompositions)
         grid = {"t_min": DEFAULT_T_MIN, "t_max": default_t_max(fiedler), "steps": DEFAULT_STEPS, "spacing": "log"}
         times = time_grid(**grid)
         entries = []
-        for sd, (label, kind, n, extra, node, quantities) in zip(decompositions, curves):
+        for sd, (kind, n, extra, node, quantities) in zip(decompositions, curves):
             headers, text = _format_csv(sd, quantities, node, times)
-            path = out_dir / f"{which}_{label}.csv"
+            stem = f"random_{n}_d{extra}" if kind == "random_connected" else f"{kind}_{n}"
+            path = out_dir / f"{which}_{stem}.csv"
             files.append((path, text))
             columns = ["t"] + headers
             entries.append({"file": path.name, "kind": kind, "n": n, "extra": extra, "node": node, "columns": columns})
@@ -399,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("graph", help="generate a graph and write its edge list")
-    p.add_argument("kind", help="complete|ring|path|star|wheel|random_connected")
+    p.add_argument("kind", help="|".join(GENERATOR_KINDS))
     p.add_argument("n", type=int, help="number of nodes")
     p.add_argument("extra", type=int, nargs="?", default=None, help="degree target for random_connected")
     p.add_argument("--seed", type=_seed, default=0)

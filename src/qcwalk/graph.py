@@ -67,16 +67,29 @@ class Graph:
             prev = e
 
 
+def check_int(value, what: str) -> int:
+    """``value`` as an int: an int, a numpy integer or an integral float, else ValueError naming ``what`` and it."""
+    try:
+        number = int(value)
+        if number == value:
+            return number
+    except (TypeError, ValueError, OverflowError):  # a string, NaN or an infinity
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def graph_from_edges(n: int, edges) -> Graph:
     """The canonical Graph of an edge list in any order and orientation.
 
-    Each edge's endpoints are ordered and the edges sorted; Graph then
-    rejects out-of-range endpoints, self-loops, and repeated edges (repeats
-    are an error rather than being merged silently, so noisy inputs fail
-    loudly), naming the offending edge as its canonical pair (u, v), u < v.
+    The count and the endpoints pass :func:`check_int`, so a non-integral
+    one is refused rather than truncated. Each edge's endpoints are ordered
+    and the edges sorted; Graph then rejects out-of-range endpoints,
+    self-loops, and repeated edges (repeats are an error rather than being
+    merged silently, so noisy inputs fail loudly), naming the offending
+    edge as its canonical pair (u, v), u < v.
     """
-    pairs = ((int(a), int(b)) for a, b in edges)
-    return Graph(int(n), tuple(sorted((u, v) if u < v else (v, u) for u, v in pairs)))
+    pairs = ((check_int(a, "edge endpoint"), check_int(b, "edge endpoint")) for a, b in edges)
+    return Graph(check_int(n, "node count"), tuple(sorted((u, v) if u < v else (v, u) for u, v in pairs)))
 
 
 def generate(kind: str, n: int, extra: int | None = None, seed: int = 0) -> Graph:
@@ -87,11 +100,11 @@ def generate(kind: str, n: int, extra: int | None = None, seed: int = 0) -> Grap
     random_connected.
 
     random_connected starts from ring(n) and connects node 1 to ``extra - 2``
-    distinct non-neighbors drawn without replacement from a PCG64 stream
-    seeded with ``seed``, so node 1 ends up with degree exactly ``extra``
-    (2 <= extra <= n - 1) and the result is reproducible per seed.
+    distinct non-neighbors, of 3..n-1, drawn without replacement from a
+    PCG64 stream seeded with ``seed``, so node 1 ends up with degree exactly
+    ``extra`` (2 <= extra <= n - 1) and the result is reproducible per seed.
     """
-    n = int(n)
+    n = check_int(n, "node count")
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown graph kind {kind!r}; choose from {GENERATOR_KINDS}")
     if extra is not None and kind != "random_connected":
@@ -99,34 +112,29 @@ def generate(kind: str, n: int, extra: int | None = None, seed: int = 0) -> Grap
 
     if kind == "complete":
         pairs = list(itertools.combinations(range(n), 2))
-    elif kind == "ring":
+    elif kind in ("ring", "random_connected"):
         if n < 3:
-            raise ValueError("ring requires n >= 3")
+            raise ValueError(f"{kind} requires n >= 3")
         pairs = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+        if kind == "random_connected":
+            if extra is None:
+                raise ValueError("random_connected requires a degree target (extra)")
+            d1 = check_int(extra, "degree target")
+            if not 2 <= d1 <= n - 1:
+                raise ValueError(f"degree target {d1} unreachable; need 2 <= extra <= {n - 1}")
+            rng = np.random.Generator(np.random.PCG64(int(seed)))
+            pairs += [(1, k) for k in (3 + rng.choice(n - 3, size=d1 - 2, replace=False)).tolist()]
     elif kind == "path":
         pairs = [(i, i + 1) for i in range(n - 1)]
     elif kind == "star":
         if n < 2:
             raise ValueError("star requires n >= 2")
         pairs = [(0, k) for k in range(1, n)]
-    elif kind == "wheel":
+    else:  # wheel
         if n < 4:
             raise ValueError("wheel requires n >= 4")
         rim = [(i, i + 1) for i in range(1, n - 1)] + [(1, n - 1)]
         pairs = [(0, k) for k in range(1, n)] + rim
-    else:  # random_connected
-        if n < 3:
-            raise ValueError("random_connected requires n >= 3")
-        if extra is None:
-            raise ValueError("random_connected requires a degree target (extra)")
-        d1 = int(extra)
-        if not 2 <= d1 <= n - 1:
-            raise ValueError(f"degree target {d1} unreachable; need 2 <= extra <= {n - 1}")
-        pairs = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-        rng = np.random.Generator(np.random.PCG64(int(seed)))
-        candidates = [k for k in range(n) if k not in (0, 1, 2)]
-        chosen = rng.choice(candidates, size=d1 - 2, replace=False)
-        pairs += [(1, int(k)) for k in chosen]
 
     return graph_from_edges(n, pairs)
 
@@ -156,11 +164,7 @@ def laplacian(g: Graph) -> np.ndarray:
 
 def degree_sequence(g: Graph) -> np.ndarray:
     """Integer degree of every node."""
-    degs = np.zeros(g.n, dtype=int)
-    for u, v in g.edges:
-        degs[u] += 1
-        degs[v] += 1
-    return degs
+    return np.bincount(np.array(g.edges, dtype=int).ravel(), minlength=g.n)
 
 
 # --- edge-list text format ------------------------------------------------

@@ -15,7 +15,9 @@ eigensolver calls and matrices a block of code makes. renumbered relabels
 a graph's nodes by a fixed permutation, for tests that check the program
 against itself. series_oracle gives F, C and 1 - G at one launch node from
 the Taylor series of both propagators in exact integer powers of the
-Laplacian, for times short next to 1 / max|λ|.
+Laplacian, for times short next to 1 / max|λ|. random_connected_edges builds
+random_connected's edges by loops, drawing node 1's chords from an explicit
+list of candidates.
 """
 
 from dataclasses import dataclass
@@ -63,6 +65,22 @@ def renumbered(g, seed: int = 0):
     perm = np.random.Generator(np.random.PCG64(seed)).permutation(g.n)
     renamed = graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
     return renamed, lambda obs: obs[..., perm]
+
+
+def random_connected_edges(n: int, extra: int, seed: int) -> tuple[tuple[int, int], ...]:
+    """The canonical edges of generate("random_connected", n, extra, seed), built by loops.
+
+    The ring 0-1-...-(n-1)-0, and node 1 joined to ``extra - 2`` nodes that
+    a PCG64 Generator's choice draws without replacement from the list of
+    node 1's non-neighbors [3, ..., n-1].
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    candidates = [k for k in range(n) if k not in (0, 1, 2)]
+    chosen = rng.choice(candidates, size=extra - 2, replace=False)
+    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    for k in chosen:
+        edges.append((1, int(k)))
+    return tuple(sorted(edges))
 
 
 def series_oracle(g, j: int, times) -> list[dict]:

@@ -83,6 +83,9 @@ def test_default_grid_spans_relaxation():
     assert default_t_max(0.317492934338) == 315.0
     assert default_t_max(5.0) == 20.0
     assert default_t_max(200.0) == 1.0  # at least 1
+    for fiedler in (0.0, -1.0):  # a disconnected graph's fiedler value is 0
+        with pytest.raises(ValueError, match="^default grid needs a positive fiedler value$"):
+            default_t_max(fiedler)
 
 
 @pytest.mark.parametrize("which", ["fig1-left", "fig3-left"])
@@ -131,6 +134,19 @@ def test_graph_writes_file_and_summary(tmp_path, capsys):
         code, stdout, _ = run(["graph", kind, n, "--out", str(tmp_path / f"{kind}.edges")], capsys)
         assert code == 0
         assert summary in stdout
+
+
+def test_graph_default_file_name(monkeypatch, tmp_path, capsys):
+    # kind_n.edges, and kind_n_extra_seed<seed>.edges when a degree target is given
+    monkeypatch.chdir(tmp_path)
+    for argv, name in (
+        (["ring", "5"], "ring_5.edges"),
+        (["random_connected", "11", "6", "--seed", "3"], "random_connected_11_6_seed3.edges"),
+    ):
+        code, stdout, stderr = run(["graph", *argv], capsys)
+        assert (code, stderr) == (0, "") and stdout.endswith(f"\nwrote {name}\n")
+        assert read_edge_list(tmp_path / name) == graph_from_spec(":".join(argv[:3]), seed=3)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["random_connected_11_6_seed3.edges", "ring_5.edges"]
 
 
 def test_graph_stdout_mode(capsys):
@@ -846,6 +862,10 @@ def test_refused_figure_makes_no_directory(tmp_path, capsys):
     code, stdout, stderr = run(["figure", "fig1-center", "--n", "3", "--out", str(out)], capsys)
     assert (code, stdout, stderr) == (1, "", "qcwalk: error: wheel requires n >= 4\n")
     assert not out.exists()
+    # fig1-right's star needs two
+    code, stdout, stderr = run(["figure", "fig1-right", "--n", "1", "--out", str(out)], capsys)
+    assert (code, stdout, stderr) == (1, "", "qcwalk: error: star requires n >= 2\n")
+    assert not out.exists()
     # an --out that names a file is still refused when the directory is made
     out.write_text("")
     code, stdout, stderr = run(["figure", "fig1-left", "--out", str(out)], capsys)
@@ -875,6 +895,29 @@ def test_figure_with_every_preset_matches_one_process_per_preset(tmp_path, capsy
     assert sorted(p.name for p in together.iterdir()) == names
     for name in names:
         assert (together / name).read_bytes() == (separate / name).read_bytes(), name
+
+
+#: every preset's CSV stems, in curve order, at the default --n of 8
+PRESET_STEMS = {
+    "fig1-left": ["complete_5", "complete_10", "complete_20"],
+    "fig1-center": ["complete_8", "star_8", "wheel_8"],
+    "fig1-right": ["complete_8", "star_8", "wheel_8"],
+    "fig2": ["ring_11", "random_11_d4", "random_11_d6", "random_11_d8", "random_11_d10"],
+    "fig3-left": ["random_11_d4", "random_11_d6", "random_11_d8", "random_11_d10", "random_5_d3", "random_5_d4"],
+    "fig3-right": ["random_11_d4", "random_11_d6", "random_11_d8", "random_11_d10", "random_5_d3", "random_5_d4"],
+}
+
+
+@pytest.mark.parametrize("which", cli.FIGURES)
+def test_figure_preset_writes_its_csv_stems(which, tmp_path, capsys):
+    # a stem derived twice within a preset would let one curve overwrite another's file
+    assert len(set(PRESET_STEMS[which])) == len(PRESET_STEMS[which])
+    code, stdout, stderr = run(["figure", which, "--out", str(tmp_path)], capsys)
+    files = [f"{which}_{stem}.csv" for stem in PRESET_STEMS[which]]
+    assert (code, stderr) == (0, "")
+    assert stdout == "".join(f"wrote {tmp_path / name}\n" for name in files + [f"{which}_manifest.json"])
+    manifest = json.loads((tmp_path / f"{which}_manifest.json").read_text())
+    assert [curve["file"] for curve in manifest["curves"]] == files
 
 
 def test_fig1_center_curves_identical(tmp_path, capsys):
@@ -1015,6 +1058,13 @@ def test_invariant_checks_make_one_propagator_call_per_graph(monkeypatch):
     regular = {"complete(5)": [19], "ring(6)": [19]}
     assert calls == [regular.get(label, [16]) for label in labels]
     assert kernel_calls == []
+
+    # a regular graph is one whose Laplacian diagonal is constant, whatever its label
+    family = [("c4", generate("ring", 4)), ("p4", generate("path", 4)), ("k3", generate("complete", 3))]
+    monkeypatch.setattr(checks, "check_family", lambda seed: family)
+    calls.clear()
+    checks.run_invariant_checks(seed=0)
+    assert calls == [[19], [16], [19]]
 
 
 def test_invariant_checks_pass_on_the_full_route(monkeypatch):

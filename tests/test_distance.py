@@ -270,6 +270,26 @@ def test_optimality_margins_nonnegative():
     assert worst >= -1e-8
 
 
+@pytest.mark.parametrize(
+    "n_samples, message",
+    [
+        (2.5, "sample count must be an integer, got 2.5"),
+        (0.999, "sample count must be an integer, got 0.999"),
+        (0, "need at least one sample"),
+    ],
+)
+def test_optimality_sample_count_must_be_a_positive_integer(n_samples, message):
+    # refused, not truncated to 2 or to 0 samples
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_localized_optimality(K2, n_samples, [0.4, 1.7])
+
+
+def test_optimality_takes_an_integral_sample_count_of_any_type():
+    reference = verify_localized_optimality(K2, 3, [0.4, 1.7], seed=1)
+    for n_samples in (3.0, np.int64(3), np.float32(3)):
+        assert verify_localized_optimality(K2, n_samples, [0.4, 1.7], seed=1) == reference
+
+
 def test_optimality_k2_uniform_state():
     # rho = I/2 pushed through both maps must beat the localized floor
     assert verify_localized_optimality(K2, 10, [0.4, 1.7], seed=0) >= -VIOLATION_TOL

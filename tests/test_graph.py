@@ -1,11 +1,13 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from conftest import random_connected_edges
 from qcwalk import graph as G
 from qcwalk.cli import main
 from qcwalk.spectral import eigendecompose
@@ -106,6 +108,57 @@ def test_generator_constraints():
         G.generate("random_connected", 11, extra=11)
 
 
+@pytest.mark.parametrize(
+    "kind, n, extra, message",
+    [
+        ("ring", 2, None, "ring requires n >= 3"),
+        ("random_connected", 2, 2, "random_connected requires n >= 3"),
+        ("star", 1, None, "star requires n >= 2"),
+        ("wheel", 3, None, "wheel requires n >= 4"),
+    ],
+)
+def test_generators_name_their_smallest_n(kind, n, extra, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        G.generate(kind, n, extra=extra)
+
+
+def test_random_connected_draws_as_the_candidate_list():
+    # node 1's chords are 3 + a draw from range(n - 3): the same draws as from the list [3, ..., n-1]
+    for n in range(3, 61):
+        for extra in range(2, n):
+            for seed in range(10):
+                assert G.generate("random_connected", n, extra, seed).edges == random_connected_edges(n, extra, seed)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: G.graph_from_edges(3, [(0, 1.7), (2.9, 0)]), "edge endpoint must be an integer, got 1.7"),
+        (lambda: G.graph_from_edges(3, [(0, float("nan"))]), "edge endpoint must be an integer, got nan"),
+        (lambda: G.graph_from_edges(3, [("0", 1)]), "edge endpoint must be an integer, got '0'"),
+        (lambda: G.graph_from_edges(2.9, [(0, 1)]), "node count must be an integer, got 2.9"),
+        (lambda: G.generate("ring", 5.9), "node count must be an integer, got 5.9"),
+        (lambda: G.generate("ring", float("inf")), "node count must be an integer, got inf"),
+        (lambda: G.generate("random_connected", 9, 3.5), "degree target must be an integer, got 3.5"),
+    ],
+    ids=["endpoint", "nan_endpoint", "string_endpoint", "count", "generator_count", "infinite_count", "extra"],
+)
+def test_non_integral_counts_and_endpoints_are_refused(build, message):
+    # refused, not truncated: the graph would otherwise be another one
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_integral_counts_and_endpoints_are_accepted():
+    g = G.graph_from_edges(3, [(0, 1), (2, 0)])
+    assert G.graph_from_edges(np.int64(3), [(np.int32(0), np.uint8(1)), (2.0, np.float64(0))]) == g
+    assert G.graph_from_edges(3.0, [(0, 1), (2, 0)]) == g
+    assert G.generate("ring", 5.0) == G.generate("ring", np.int64(5)) == G.generate("ring", 5)
+    chorded = G.generate("random_connected", 9, 4, seed=2)
+    assert G.generate("random_connected", 9.0, np.int16(4), seed=2) == chorded
+    assert all(type(x) is int for e in chorded.edges for x in e)
+
+
 def test_ring_degrees_all_two():
     for n in (3, 6, 11):
         assert np.all(G.degree_sequence(G.generate("ring", n)) == 2)
@@ -163,6 +216,7 @@ def test_degree_helpers():
     g = G.generate("star", 5)
     assert G.degree_sequence(g).max() == 4
     assert G.degree_sequence(g).mean() == 2 * 4 / 5
+    assert G.degree_sequence(G.graph_from_edges(3, [])).tolist() == [0, 0, 0]
 
 
 # --- connectivity and the fiedler value ---------------------------------------
