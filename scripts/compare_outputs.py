@@ -9,11 +9,10 @@ directory. The default set is the benchmark's ``graph_level`` and
 --n 5`` and ``figure fig2 --seed 3``, the asymptote diagnostics ``distance
 --graph ring:11 --steps 12 --quantities qc,short,long,gamma_s,gamma_l,delta``
 and the same on ``random_connected:11:6 --seed 3``, ``distance --graph
-random_connected:21:6 --quantities qc,coherence,gfid --steps 200`` (an n
-from 17 to 32, where OpenBLAS's GEMM can round a point differently with the
-number of points in its block), the same on ``random_connected:32:6`` and
-``random_connected:33:6`` (the last n of the packed propagator layout and
-the first of the full one), ``verify --n-max 10 --samples 4000`` at seeds
+random_connected:n:6 --quantities qc,coherence,gfid --steps 200`` at n = 17
+and 21 (packed sizes whose grid values the tests pin to one-point values)
+and at n = 32 and 33 (the last n of the packed propagator layout and the
+first of the full one), ``verify --n-max 10 --samples 4000`` at seeds
 0, 1 and 1301, ``verify --n-max 3 --samples 1 --seed 2`` (one sample per time),
 ``verify --n-max 10 --samples 40000 --seed 5`` (1250 samples per time and size,
 many element-budget chunks of samples), and the degenerate-graph argv
@@ -57,10 +56,11 @@ WORKLOADS = (
     "distance --graph random_connected:11:6 --quantities qc,average,gamma_s,gamma_l,delta",
     "distance --graph random_connected:60:20 --quantities conditional,coherence,gfid,short,long --steps 40",
 )
-#: an n in the band where a point's last bits depend on the rows of its block's GEMM
-BLOCK_BAND = "distance --graph random_connected:21:6 --quantities qc,coherence,gfid --steps 200"
-#: the same on each side of the packed layout's cutoff, n = 32 and 33
-CUTOFF_SIDES = tuple(BLOCK_BAND.replace(":21:", f":{n}:") for n in (32, 33))
+#: two packed sizes whose grid values the tests pin to one-point values, then each side of the
+#: packed layout's cutoff, n = 32 and 33
+LAYOUT_SIZES = tuple(
+    f"distance --graph random_connected:{n}:6 --quantities qc,coherence,gfid --steps 200" for n in (17, 21, 32, 33)
+)
 DEGENERATE = "distance --node 1 --quantities conditional,coherence,gfid,short,long,delta,qc --graph"
 #: the grid's edge cases, the request refusals, then graph's two writers: a file and stdout
 EDGE_CASES = (
@@ -83,7 +83,7 @@ def default_argvs() -> list[str]:
     argvs += ["figure fig1-center --n 5 --out out", "figure fig2 --seed 3 --out out"]
     diagnostics = "--steps 12 --quantities qc,short,long,gamma_s,gamma_l,delta"
     argvs += [f"distance --graph {g} {diagnostics}" for g in ("ring:11", "random_connected:11:6 --seed 3")]
-    argvs += [BLOCK_BAND, *CUTOFF_SIDES]
+    argvs += LAYOUT_SIZES
     argvs += [f"verify --n-max 10 --samples 4000 --seed {seed}" for seed in (0, 1, 1301)]
     argvs += ["verify --n-max 3 --samples 1 --seed 2", "verify --n-max 10 --samples 40000 --seed 5"]
     specs = ("complete:50", "complete:200", "ring:64", "star:200", "wheel:50", "wheel:200")

@@ -124,7 +124,7 @@ def _result(name: str, errs: list[tuple[str, float]]) -> CheckResult:
 
 def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
     """Numerical invariants of the graph, spectral, and walk layers."""
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(check_int(seed, "seed")))
     t_samples = rng.uniform(0.0, 5.0, size=4)
     errs: dict[str, list[tuple[str, float]]] = {name: [] for name in _TOLERANCES}
 
@@ -326,7 +326,7 @@ def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_val
     if n_samples < 1:
         raise ValueError("need at least one sample")
     t_values = check_grid(t_values)
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(check_int(seed, "seed")))
     n = sd.n
 
     props = form_propagators(sd, t_values)
@@ -366,9 +366,10 @@ def run_checks(n_max: int, samples: int, seed: int) -> tuple[list[CheckResult], 
     """Every check of ``qcwalk verify``: the invariant checks, then the localized-optimality sweep.
 
     The sweep spreads ``samples`` Dirichlet draws across random connected
-    graphs of sizes 3..n_max and times {0.1, 0.5, 1, 3}. ``n_max`` and
-    ``samples`` are validated before any unit runs, ``samples`` up to the
-    count whose largest draw, at n_max, still fits one numpy array. The
+    graphs of sizes 3..n_max and times {0.1, 0.5, 1, 3}. ``n_max``,
+    ``samples`` and ``seed`` are validated before any unit runs, ``samples``
+    up to the count whose largest draw, at n_max, still fits one numpy
+    array, and ``seed`` by check_int. The
     units run in report order: the invariant checks, then one per size,
     ascending. Returns the
     results in report order and the worst margin (by _worst: a NaN one,
@@ -383,6 +384,7 @@ def run_checks(n_max: int, samples: int, seed: int) -> tuple[list[CheckResult], 
         raise ValueError("need n_max >= 3")
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
+    seed = check_int(seed, "seed")
     sizes = range(3, n_max + 1)
     t_values = (0.1, 0.5, 1.0, 3.0)
     per_size = int(np.ceil(samples / (len(sizes) * len(t_values))))

@@ -133,9 +133,7 @@ def distance_curve(sd: SpectralDecomposition, times) -> np.ndarray:
     It is the transpose of conditional_vector of one grid kernel call,
     node_observables(sd, times), so each grid point costs one propagator
     pair. Column i is conditional_vector of the one-point record at
-    times[i]: bitwise, except at n = 17, 18 and 20 to 32, where the packed
-    GEMM's rounding depends on the block's row count (see
-    spectral.form_propagators) and the two agree to about 1e-15.
+    times[i], bit for bit.
     D_QC(t) is curve.max(axis=0), its node curve.argmax(axis=0) (ties go
     to the smallest index, as in qc_of) and the node average
     curve.mean(axis=0).

@@ -101,8 +101,9 @@ def generate(kind: str, n: int, extra: int | None = None, seed: int = 0) -> Grap
 
     random_connected starts from ring(n) and connects node 1 to ``extra - 2``
     distinct non-neighbors, of 3..n-1, drawn without replacement from a
-    PCG64 stream seeded with ``seed``, so node 1 ends up with degree exactly
-    ``extra`` (2 <= extra <= n - 1) and the result is reproducible per seed.
+    PCG64 stream seeded with ``seed`` (an integer, by check_int), so node 1
+    ends up with degree exactly ``extra`` (2 <= extra <= n - 1) and the
+    result is reproducible per seed.
     """
     n = check_int(n, "node count")
     if kind not in GENERATOR_KINDS:
@@ -122,7 +123,7 @@ def generate(kind: str, n: int, extra: int | None = None, seed: int = 0) -> Grap
             d1 = check_int(extra, "degree target")
             if not 2 <= d1 <= n - 1:
                 raise ValueError(f"degree target {d1} unreachable; need 2 <= extra <= {n - 1}")
-            rng = np.random.Generator(np.random.PCG64(int(seed)))
+            rng = np.random.Generator(np.random.PCG64(check_int(seed, "seed")))
             pairs += [(1, k) for k in (3 + rng.choice(n - 3, size=d1 - 2, replace=False)).tolist()]
     elif kind == "path":
         pairs = [(i, i + 1) for i in range(n - 1)]

@@ -34,12 +34,11 @@ __all__ = ["SpectralDecomposition", "eigendecompose", "form_propagators", "full_
 #: how negative a probability (a state's eigenvalue, an entry of exp(L t)) may be
 NEGATIVITY_TOL = -1e-10
 
-#: form_propagators forms a block's n(n+1)/2 distinct entries per matrix as one GEMM against
-#: the packed pair products while n is at most this, and the full matrices as one stacked
-#: product per matrix above it. Timed with one BLAS thread, the packed kernel was faster up
-#: to n = 60 on 40 and 400 points and slower at n = 64 (the README's "Cost" table), but above
-#: 32 it makes every n block-dependent (see form_propagators) where the stacked products are
-#: not; n = 32 keeps the pair products at 132 KiB.
+#: form_propagators forms each point's n(n+1)/2 distinct entries per matrix by one GEMM against
+#: the packed pair products while n is at most this, and the full matrices by one product per
+#: matrix above it. Timed with one BLAS thread, the packed kernel took 0.6 of the full one's
+#: time at n = 11 and 0.9 at n = 32, but 1.05 at n = 40 and 1.4 at n = 60 (the README's "Cost"
+#: paragraph); n = 32 keeps the pair products at 132 KiB.
 PAIR_PRODUCT_MAX_N = 32
 
 
@@ -183,14 +182,12 @@ def form_propagators(sd: SpectralDecomposition, t, out=None) -> np.ndarray:
 
     At n <= PAIR_PRODUCT_MAX_N each matrix is packed: the last axis holds
     its n(n+1)/2 entries (j, k), j <= k, in np.triu_indices(n) order, and
-    the block is one GEMM, [exp(lambda t); cos(lambda t); sin(lambda t)]
-    times sd.pair_products. Above it each matrix is full, (n, n), one
-    stacked product V diag(f) V^T. The route depends on n alone. A point's
-    values then do not depend on how a grid is split into calls, except
-    where OpenBLAS's GEMM rounds a row differently with the number of rows:
-    on 200-point grids that was so at n = 17, 18 and 20-32, by up to 1.1e-15
-    in F, 3.6e-14 in C and 5.6e-16 in G. Where t == 0 the three are exactly
-    I, I and 0.
+    each point is one GEMM, its [exp(lambda t); cos(lambda t); sin(lambda t)]
+    of shape (3, n) times sd.pair_products. Above it each matrix is full,
+    (n, n), one product V diag(f) V^T. So every point's BLAS calls have one
+    shape however many points share the call, and a point's values do not
+    depend on how a grid is split into calls. Where t == 0 the three are
+    exactly I, I and 0.
 
     ``out``, if given, is a C-contiguous 1-d float array of the stack's size
     whose memory receives it (a caller sweeping blocks reuses one); the
@@ -214,8 +211,8 @@ def form_propagators(sd: SpectralDecomposition, t, out=None) -> np.ndarray:
         raise ValueError(f"out must be a C-contiguous float array of {size} entries")
     props = out.reshape(factors.shape[:-1] + entries)
     packed = len(entries) == 1
-    if packed:
-        np.matmul(factors.reshape(-1, n), sd.pair_products, out=props.reshape(-1, entries[0]))
+    if packed:  # the point axes lead, so the stacked product is one (3, n) GEMM per point
+        np.matmul(np.moveaxis(factors, 0, -2), sd.pair_products, out=np.moveaxis(props, 0, -2))
     else:
         np.matmul(sd.eigenvectors * factors[..., None, :], sd.eigenvectors.T, out=props)
     zero = t == 0.0
@@ -236,23 +233,17 @@ def full_propagators(sd: SpectralDecomposition, props: np.ndarray) -> np.ndarray
 
 
 def column_sums(sd: SpectralDecomposition, props: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Column sums of each symmetric matrix of a stack in form_propagators' layout, shape lead + (n,).
+    """Column sums of each matrix of a stack form_propagators wrote, shape (3,) + np.shape(t) + (n,).
 
-    ``props`` has shape lead + sd.propagator_shape. The sums are BLAS
-    products, not strided reductions: a packed stack is one GEMM against the
-    layout's incidence M[i, j], 1 where node j is in pair i, a full one a
-    vector-matrix product per matrix. ``out``, of shape lead + (n,),
+    The sums are BLAS products, one shape per point however many points
+    the stack holds: packed, one GEMM of the point's three rows against the
+    layout's incidence M[i, j], 1 where node j is in pair i; full, a
+    vector-matrix product per matrix. ``out``, of the result's shape,
     receives them if given, and is returned.
     """
     if len(sd.propagator_shape) == 1:
-        # M^T X^T of shape (n, points): a point's sums then do not depend on how many points
-        # its block holds, as X M's did at n = 9 to 11
-        lead = props.shape[:-1]
-        sums = (_pairs(sd.n)[3].T @ props.reshape(-1, props.shape[-1]).T).reshape((sd.n,) + lead)
-        sums = sums.transpose(tuple(range(1, len(lead) + 1)) + (0,))  # nodes last, no copy
         if out is None:
-            out = np.empty(sums.shape)
-        out[...] = sums
+            out = np.empty(props.shape[:-1] + (sd.n,))
+        np.matmul(np.moveaxis(props, 0, -2), _pairs(sd.n)[3], out=np.moveaxis(out, 0, -2))
         return out
     return np.matmul(np.ones(sd.n), props, out=out)
-

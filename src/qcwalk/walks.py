@@ -30,11 +30,11 @@ formed per matrix: 248 points at n = 11, one point from n = 91 on.
 :func:`reduce_propagators` then reduces the block in that buffer: |a|^2 =
 re^2 + im^2, and p |a|^2, |a| and sqrt(p) |a| overwrite the three stacks
 before their column sums, :func:`qcwalk.spectral.column_sums`, write F, C
-and G into the result. So a block allocates no array of its own size, and
-at small n the per-point cost is flops, not call overhead. A point's
-values do not depend on the blocks, except in the last bits at some n
-from 17 to 32 (see form_propagators). Every distance quantity, curve,
-CLI column and figure preset reads from it, so a time point costs one
+and G into the result. So a block allocates no array of its own size and
+is a few numpy calls however many points it holds. Every point's BLAS
+calls have one shape whatever its block, so its values do not depend on
+the blocks (see form_propagators). Every distance quantity, curve, CLI
+column and figure preset reads from it, so a time point costs one
 propagator pair however many quantities and nodes are asked for. The
 record is one read-only array of shape ``(3,) + np.shape(t) + (n,)``:
 ``F, C, G = obs``. The value at one launch node j is entry j of the last

@@ -1008,22 +1008,26 @@ def test_verify_stdout_independent_of_block_size(monkeypatch, capsys):
     assert len(outputs) == 1
 
 
-@pytest.mark.parametrize("n", [11, PAIR_PRODUCT_MAX_N, PAIR_PRODUCT_MAX_N + 1, 60])
+@pytest.mark.parametrize("n", [11, 17, 21, PAIR_PRODUCT_MAX_N, PAIR_PRODUCT_MAX_N + 1, 60])
 def test_distance_csv_independent_of_block_size(n, monkeypatch, tmp_path, capsys):
-    # the two distance workloads' sizes and one n on each side of the route cutoff;
-    # the grid starts at t = 0
+    # the two distance workloads' sizes, one n on each side of the route cutoff, and two
+    # packed sizes where a GEMM shared by a block's points would round a point with their
+    # number; on a linear grid from t = 0, and on a log grid whose small times print the last
+    # digits of 1 - F
     import qcwalk.walks as walks
 
-    argv = ["distance", "--graph", f"random_connected:{n}:{n // 2}", "--tmin", "0", "--tmax", "20"]
-    argv += ["--linear", "--steps", "41", "--quantities", "qc,average,gamma_s,gamma_l,delta,conditional,gfid"]
-    outputs = set()
-    for block_elements in (1, 8000, 10**6):
-        monkeypatch.setattr(walks, "BLOCK_ELEMENTS", block_elements)
-        out = tmp_path / f"{block_elements}.csv"
-        code, _, _ = run(argv + ["--out", str(out)], capsys)
-        assert code == 0
-        outputs.add(out.read_bytes())
-    assert len(outputs) == 1
+    linear = ["--tmin", "0", "--tmax", "20", "--linear", "--steps", "41"]
+    for grid in (linear, ["--tmin", "1e-3", "--tmax", "1e3", "--steps", "200"]):
+        argv = ["distance", "--graph", f"random_connected:{n}:{n // 2}", *grid]
+        argv += ["--quantities", "qc,average,gamma_s,gamma_l,delta,conditional,gfid"]
+        outputs = set()
+        for block_elements in (1, 8000, 10**6):
+            monkeypatch.setattr(walks, "BLOCK_ELEMENTS", block_elements)
+            out = tmp_path / f"{block_elements}.csv"
+            code, _, _ = run(argv + ["--out", str(out)], capsys)
+            assert code == 0
+            outputs.add(out.read_bytes())
+        assert len(outputs) == 1, grid
 
 
 def test_invariant_checks_make_one_propagator_call_per_graph(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from conftest import random_connected_edges
-from qcwalk import graph as G
+from qcwalk import checks, graph as G
 from qcwalk.cli import main
 from qcwalk.spectral import eigendecompose
 
@@ -157,6 +157,30 @@ def test_integral_counts_and_endpoints_are_accepted():
     chorded = G.generate("random_connected", 9, 4, seed=2)
     assert G.generate("random_connected", 9.0, np.int16(4), seed=2) == chorded
     assert all(type(x) is int for e in chorded.edges for x in e)
+
+
+RING5 = eigendecompose(G.laplacian(G.generate("ring", 5)))
+SEEDED = {
+    "generate": lambda seed: G.generate("random_connected", 11, 6, seed=seed),
+    "invariant_checks": checks.run_invariant_checks,
+    "optimality": lambda seed: checks.verify_localized_optimality(RING5, 3, [0.5, 2.0], seed=seed),
+    "run_checks": lambda seed: checks.run_checks(3, 4, seed),
+}
+
+
+@pytest.mark.parametrize("call", SEEDED)
+@pytest.mark.parametrize("seed, shown", [(1.9, "1.9"), (float("nan"), "nan"), ("3", "'3'")], ids=["fraction", "nan", "string"])
+def test_non_integral_seeds_are_refused(call, seed, shown):
+    # refused, not truncated: seed 1.9 would otherwise draw seed 1's graph or samples
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(shown)}$"):
+        SEEDED[call](seed)
+
+
+@pytest.mark.parametrize("call", SEEDED)
+def test_integral_seeds_of_any_type_are_accepted(call):
+    reference = SEEDED[call](2)
+    for seed in (2.0, np.int64(2)):
+        assert SEEDED[call](seed) == reference
 
 
 def test_ring_degrees_all_two():

@@ -2,9 +2,10 @@
 
 The kernel forms exp(L t) and exp(i L t) from one eigendecomposition: at
 n <= PAIR_PRODUCT_MAX_N only the n(n+1)/2 distinct entries of each
-symmetric matrix, by one GEMM per block, and above it the full matrices, by
-stacked products. The reference here forms them with scipy.linalg.expm from
-the Laplacian matrix and reduces them to F, C and G directly. Graphs on both
+symmetric matrix, by one GEMM per point, and above it the full matrices, by
+one product per matrix. The reference here forms them with
+scipy.linalg.expm from the Laplacian matrix and reduces them to F, C and G
+directly. Graphs on both
 sides of the cutoff are checked, and the packed route against the stacked
 one below it. The derived graph-level quantities
 (qc, gamma_S, gamma_L) and the delta vector are checked the same way. A grid
@@ -228,6 +229,10 @@ GRID_GRAPHS = {
     1: generate("complete", 1),
     5: generate("random_connected", 5, extra=3, seed=0),
     11: generate("random_connected", 11, extra=6, seed=0),
+    # packed sizes where one GEMM over a block's points would round a point with their number
+    17: generate("random_connected", 17, extra=8, seed=0),
+    21: generate("random_connected", 21, extra=10, seed=0),
+    CUT: generate("random_connected", CUT, extra=16, seed=0),
     60: generate("random_connected", 60, extra=20, seed=0),
     130: generate("ring", 130),
 }
@@ -338,10 +343,11 @@ def test_bad_time_inside_grid_raises_todays_message(bad):
 def out_of_place_reduction(sd, props):
     """F, C and G by the reduction's formulas, each step into a fresh array.
 
-    The column sums are the reduction's: one GEMM of the three packed stacks
-    against the pair incidence, or a vector-matrix product per full matrix.
-    They are written out here, not read from spectral.column_sums, so the
-    reference stays independent of the step it checks.
+    The column sums are the reduction's: per point, one GEMM of its three
+    packed rows against the pair incidence, or a vector-matrix product per
+    full matrix. They are written out here, not read from
+    spectral.column_sums, so the reference stays independent of the step it
+    checks.
     """
     p, re, im = props
     p = np.clip(p, 0.0, 1.0)
@@ -349,8 +355,10 @@ def out_of_place_reduction(sd, props):
     amp = np.sqrt(amp2)
     stack = np.stack([p * amp2, amp, np.sqrt(p) * amp])
     if len(sd.propagator_shape) == 1:
-        sums = spectral._pairs(sd.n)[3].T @ stack.reshape(-1, stack.shape[-1]).T
-        f, c, g = np.moveaxis(sums.reshape((sd.n,) + stack.shape[:-1]), 0, -1)
+        incidence = spectral._pairs(sd.n)[3]
+        f, c, g = np.empty(stack.shape[:-1] + (sd.n,))
+        for i in np.ndindex(stack.shape[1:-1]):
+            f[i], c[i], g[i] = np.ascontiguousarray(stack[(slice(None), *i)]) @ incidence
     else:
         f, c, g = np.ones(sd.n) @ stack
     return np.clip(f, 0.0, 1.0), np.maximum(c**2 - 1.0, 0.0), np.clip(g, 0.0, 1.0)

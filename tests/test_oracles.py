@@ -21,7 +21,9 @@ the phase φ = nt, so its relative error is held to
 The last factor is 1 except near a revival (nt close to a multiple of 2π),
 where C, and so gamma_S, is small and a phase error is large next to it.
 Only t >= 1e-2 is checked: at shorter times 1 - F, C and 1 - G cancel in the
-kernel's arithmetic.
+kernel's arithmetic. K_32 and K_33, the last n of the packed layout and the
+first of the full one (spectral.PAIR_PRODUCT_MAX_N), are checked at this
+bound on 40 times from 0.1 to 100; K_33's worst error is 0.2 of it.
 
 ring(n) is circulant, so its propagator columns are Fourier sums over
 λ_m = -2 + 2 cos(2πm/n); its cases take the same bound with max|λ| for n,
@@ -53,6 +55,7 @@ import pytest
 from conftest import series_oracle
 from qcwalk import eigendecompose, generate, laplacian
 from qcwalk.distance import conditional_vector, short_vector
+from qcwalk.spectral import PAIR_PRODUCT_MAX_N
 from qcwalk.walks import node_observables
 
 TIMES = np.geomspace(1e-2, 1e4, 13)
@@ -97,9 +100,9 @@ CASES = [pytest.param("complete", n, id=str(n)) for n in (3, 5, 50, 200)] + [
 ]
 
 
-@pytest.mark.parametrize("kind, n", CASES)
-def test_complete_graph_matches_closed_form(kind, n):
-    obs = node_observables(eigendecompose(laplacian(generate(kind, n))), TIMES)
+def assert_matches_complete_graph(kind: str, n: int, times) -> None:
+    """Node 0's F, C, 1 - G, D_QC and gamma_S of kind(n) on ``times`` against K_n's closed form."""
+    obs = node_observables(eigendecompose(laplacian(generate(kind, n))), times)
     distance, short = conditional_vector(obs)[:, 0], short_vector(obs)[:, 0]
     kernel = {
         "F": obs[0][:, 0],
@@ -108,11 +111,22 @@ def test_complete_graph_matches_closed_form(kind, n):
         "D_QC": distance,
         "gamma_S": distance / short,
     }
-    for i, t in enumerate(TIMES):
+    for i, t in enumerate(times):
         for name, (exact, condition) in exact_and_condition(n, t).items():
             error = abs(kernel[name][i] - exact) / abs(exact)
             bound = 1e-12 + 10 * t * EPS * n * condition
             assert error <= bound, f"{name} of {kind}({n}) at t={t:.3g}: relative error {error:.2e} > {bound:.2e}"
+
+
+@pytest.mark.parametrize("kind, n", CASES)
+def test_complete_graph_matches_closed_form(kind, n):
+    assert_matches_complete_graph(kind, n, TIMES)
+
+
+@pytest.mark.parametrize("n", [PAIR_PRODUCT_MAX_N, PAIR_PRODUCT_MAX_N + 1])
+def test_complete_graph_across_the_layout_cutoff(n):
+    # the last packed n and the first full one, on a denser grid of the times a curve plots
+    assert_matches_complete_graph("complete", n, np.geomspace(0.1, 100.0, 40))
 
 
 def ring_oracle(n: int, times) -> list[dict[str, float]]:
