@@ -3,28 +3,13 @@
 
 Each argv runs once in PARENT_TREE and once in this tree, each in a fresh
 interpreter with that tree's ``src`` on the path and its own empty working
-directory. The default set is the benchmark's ``graph_level`` and
-``node_resolved`` argvs at seeds 0, 1, 7 and 1301, the six figure presets
-(every CSV and the manifest) with default options, then ``figure fig1-center
---n 5`` and ``figure fig2 --seed 3``, the asymptote diagnostics ``distance
---graph ring:11 --steps 12 --quantities qc,short,long,gamma_s,gamma_l,delta``
-and the same on ``random_connected:11:6 --seed 3``, ``distance --graph
-random_connected:n:6 --quantities qc,coherence,gfid --steps 200`` at n = 17
-and 21 (packed sizes whose grid values the tests pin to one-point values)
-and at n = 32 and 33 (the last n of the packed propagator layout and the
-first of the full one), ``verify --n-max 10 --samples 4000`` at seeds
-0, 1 and 1301, ``verify --n-max 3 --samples 1 --seed 2`` (one sample per time),
-``verify --n-max 10 --samples 40000 --seed 5`` (1250 samples per time and size,
-many element-budget chunks of samples), and the degenerate-graph argv
-``distance --node 1 --quantities
-conditional,coherence,gfid,short,long,delta,qc`` on complete:50, complete:200,
-ring:64, star:200, wheel:50 and wheel:200. Then the grid's edge cases, each a
-``distance`` argv: a linear grid from t = 0 (NA gamma cells), a one-point grid,
-one node's default t_max of 10, an explicit ``--tmax`` and a log grid from 0
-(refused, exit 1); the request refusals on ring:5, an empty quantity list, a
-``--node`` of 5 and an unknown quantity (each exit 1); and ``graph`` writing its
-edge list to a file and to stdout.
-``--argv`` replaces the set.
+directory. The default set, :func:`default_argvs`, covers every route to an
+output: the benchmark's argvs at four seeds, every figure preset's CSVs and
+manifest, the gamma and delta asymptotes on short grids, both sides of the
+propagator layout's cutoff, ``verify``'s printed figures (its one-sample and
+many-chunk sweeps too), graphs with repeated eigenvalues, whose clusters
+eigendecompose merges, and the edge cases and refusals with their exit
+codes and messages. ``--argv`` replaces the set.
 
 For each argv it prints ``identical``; or the number of changed CSV cells,
 their largest relative change and their largest change in units of the 12th

@@ -7,9 +7,9 @@ error found against the property's tolerance. The checks are deterministic
 given the seed. They are spot checks for field use; the test suite covers
 the same ground more thoroughly. Each family graph forms every propagator
 the checks read in one form_propagators call, as the optimality sweep forms
-its grid: the matrix checks and the oracle read it expanded by
-full_propagators, and walks.reduce_propagators then reduces the slice the
-kernel's F, C and G are read from.
+its grid: the matrix checks and the oracle read the pair full_propagators
+returns, and walks.reduce_propagators then reduces the whole stack, the
+kernel's F, C and G read at their grid positions.
 
 :func:`verify_localized_optimality` checks numerically the concavity
 argument behind D_QC's worst case over localized launches (see
@@ -159,8 +159,7 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
         # every time the checks read is one grid, formed once: the 4 sampled times, t1, t2 and
         # t1 + t2, the 2 oracle times, the plateau and, on regular graphs, 3 more
         props = form_propagators(sd, [*t_samples, *t1, *t2, *(t1 + t2), *oracle_times, t_inf, *regular_times])
-        p, re, im = full_propagators(sd, props)
-        u = re + 1j * im
+        p, u = full_propagators(sd, props)
         ps, us = p[:4], u[:4]
         rows, cols = np.abs(ps.sum(axis=-1) - 1.0), np.abs(ps.sum(axis=-2) - 1.0)
         stoch = np.maximum(cols.max(axis=-1), rows.max(axis=-1))
@@ -185,18 +184,18 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
         # independent of the kernel's real reduction
         psi = u[13:15, :, nodes]
         oracle = (psi.conj() * np.maximum(p[13:15, :, nodes], 0.0) * psi).sum(axis=-2).real
-        # the kernel's reduction of the oracle times, the plateau and the regular-graph times
-        obs = walks.reduce_propagators(sd, props[:, 13:])
-        direct = obs[0, :2][..., nodes]
+        # the kernel's reduction, read at the oracle times, the plateau and the regular-graph times
+        obs = walks.reduce_propagators(sd, props)
+        direct = obs[0, 13:15][..., nodes]
         for i, t in enumerate(oracle_times):
             for k, j in enumerate(nodes):
                 err = abs(direct[i, k] - oracle[i, k])
                 add("localized fidelity matches Uhlmann oracle", f"{label} j={j} t={t}", err)
 
-        value = float(qc_of(obs[:, 2])[0])
+        value = float(qc_of(obs[:, 15])[0])
         add("long-time plateau 1 - 1/n", f"{label} t={t_inf:.1f}", abs(value - (1.0 - 1.0 / sd.n)))
 
-        fid = obs[0, 3:]
+        fid = obs[0, 16:]
         spread = fid.max(axis=-1) - fid.min(axis=-1)
         for t, err in zip(regular_times, spread):
             add("regular graphs are node equivalent", f"{label} t={t}", err)
@@ -293,9 +292,9 @@ def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_val
     holds (it is not swept in the kernel's time blocks): one
     form_propagators call forms every time's pair, and all T * n_samples
     Dirichlet draws are made at once. The classical states P(t) z and
-    unitaries U = Re + i Im are read from the pairs expanded by
-    full_propagators, and walks.reduce_propagators reduces the formed
-    stack, so min_j F_j is the kernel's own F bit for bit.
+    unitaries U are read from the pairs full_propagators returns, and
+    walks.reduce_propagators reduces the formed stack, so min_j F_j is the
+    kernel's own F bit for bit.
 
     Then classical_quantum_affinity validates the inputs, once, as
     classical_quantum_fidelity validates them (ValueError if a U(t) drifts
@@ -330,8 +329,7 @@ def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_val
     n = sd.n
 
     props = form_propagators(sd, t_values)
-    p, re, im = full_propagators(sd, props)
-    u = re + 1j * im
+    p, u = full_propagators(sd, props)
     # batch draws equal sequential draws, time by time
     z = rng.dirichlet(np.ones(n), size=(t_values.size, n_samples))
     q = np.clip(z @ p.swapaxes(-1, -2), 0.0, None)
@@ -367,17 +365,17 @@ def run_checks(n_max: int, samples: int, seed: int) -> tuple[list[CheckResult], 
 
     The sweep spreads ``samples`` Dirichlet draws across random connected
     graphs of sizes 3..n_max and times {0.1, 0.5, 1, 3}. ``n_max``,
-    ``samples`` and ``seed`` are validated before any unit runs, ``samples``
-    up to the count whose largest draw, at n_max, still fits one numpy
-    array, and ``seed`` by check_int. The
-    units run in report order: the invariant checks, then one per size,
-    ascending. Returns the
-    results in report order and the worst margin (by _worst: a NaN one,
-    else the smallest), None if no size gave one. A unit that refuses its
-    input (a ValueError other than numpy's LinAlgError) fails each of its
-    checks, since none was established over the whole family, and the run
-    goes on; any other exception ends the run.
+    ``samples`` and ``seed`` are validated before any unit runs, all three
+    by check_int and ``samples`` up to the count whose largest draw, at
+    n_max, still fits one numpy array. The units run in report order: the
+    invariant checks, then one per size, ascending. Returns the results in
+    report order and the worst margin (by _worst: a NaN one, else the
+    smallest), None if no size gave one. A unit that refuses its input (a
+    ValueError other than numpy's LinAlgError) fails each of its checks,
+    since none was established over the whole family, and the run goes on;
+    any other exception ends the run.
     """
+    n_max, samples = check_int(n_max, "n_max"), check_int(samples, "sample count")
     if n_max > 10:
         raise ValueError("n_max above 10 is not supported (dense fidelity cost)")
     if n_max < 3:

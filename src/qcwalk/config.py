@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graph import check_int
+
 __all__ = ["time_grid"]
 
 #: the default grid's first time and point count (also the CLI's --tmin and --steps)
@@ -30,11 +32,13 @@ def time_grid(t_min: float, t_max: float, steps: int, spacing: str = "log") -> n
 
     Endpoints are included whenever there are two or more points; a
     single-point grid is just [t_min], which is how a run at one instant
-    (including t = 0) is requested. Log spacing needs t_min > 0. The points
-    must pass :func:`check_grid`; anything else raises ValueError.
+    (including t = 0) is requested. Log spacing needs t_min > 0, and
+    ``steps`` passes graph.check_int. The points must pass
+    :func:`check_grid`; anything else raises ValueError.
     """
     if spacing not in ("linear", "log"):
         raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
+    steps = check_int(steps, "step count")
     if steps < 1:
         raise ValueError("grid needs at least one point")
     if not (np.isfinite(t_min) and np.isfinite(t_max)):

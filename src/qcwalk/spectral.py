@@ -15,10 +15,10 @@ optimality sweep and invariant checks of :mod:`qcwalk.checks` alike. The
 Laplacian is symmetric, so all three are too: while n is at most
 PAIR_PRODUCT_MAX_N it forms only their n(n+1)/2 distinct entries, the
 pairs j <= k in ``np.triu_indices(n)`` order. This module alone reads
-that layout: :func:`column_sums` sums the matrices' columns in it, for the
-kernel's reduction, and :func:`full_propagators` expands it to the (n, n)
-matrices, always into a new array, for the checks that read whole
-matrices; a caller that needs the complex unitary forms re + 1j * im.
+that stack: :func:`column_sums` sums the matrices' columns in it, for the
+kernel's reduction, and :func:`full_propagators` reads the pair off it,
+the real exp(L t) and the complex exp(i L t) as (n, n) matrices in new
+arrays, for the checks that read whole matrices.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ def form_propagators(sd: SpectralDecomposition, t, out=None) -> np.ndarray:
     props = out.reshape(factors.shape[:-1] + entries)
     packed = len(entries) == 1
     if packed:  # the point axes lead, so the stacked product is one (3, n) GEMM per point
-        np.matmul(np.moveaxis(factors, 0, -2), sd.pair_products, out=np.moveaxis(props, 0, -2))
+        np.matmul(factors.swapaxes(0, -2), sd.pair_products, out=props.swapaxes(0, -2))
     else:
         np.matmul(sd.eigenvectors * factors[..., None, :], sd.eigenvectors.T, out=props)
     zero = t == 0.0
@@ -222,14 +222,16 @@ def form_propagators(sd: SpectralDecomposition, t, out=None) -> np.ndarray:
     return props
 
 
-def full_propagators(sd: SpectralDecomposition, props: np.ndarray) -> np.ndarray:
-    """The (n, n) matrices of a stack form_propagators wrote, shape (3,) + np.shape(t) + (n, n).
+def full_propagators(sd: SpectralDecomposition, props: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair of a stack form_propagators wrote: real exp(L t) and complex exp(i L t).
 
-    Always a new array: a packed stack is expanded through the layout's
-    index I[j, k] = I[k, j], so entries (j, k) and (k, j) are the same bits,
-    and a full one is copied.
+    Each has shape np.shape(t) + (n, n) and shares no memory with ``props``:
+    a packed stack is expanded through the layout's index I[j, k] = I[k, j],
+    so entries (j, k) and (k, j) are the same bits, and a full one is copied.
     """
-    return props[..., _pairs(sd.n)[2]] if len(sd.propagator_shape) == 1 else props.copy()
+    # p stays a view of the gathered stack: a copy of it moved the last bit of verify's row sums
+    p, re, im = props[..., _pairs(sd.n)[2]] if len(sd.propagator_shape) == 1 else props.copy()
+    return p, re + 1j * im
 
 
 def column_sums(sd: SpectralDecomposition, props: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -244,6 +246,6 @@ def column_sums(sd: SpectralDecomposition, props: np.ndarray, out: np.ndarray | 
     if len(sd.propagator_shape) == 1:
         if out is None:
             out = np.empty(props.shape[:-1] + (sd.n,))
-        np.matmul(np.moveaxis(props, 0, -2), _pairs(sd.n)[3], out=np.moveaxis(out, 0, -2))
+        np.matmul(props.swapaxes(0, -2), _pairs(sd.n)[3], out=out.swapaxes(0, -2))
         return out
     return np.matmul(np.ones(sd.n), props, out=out)

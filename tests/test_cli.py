@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_eigensolves, real_propagators
+from conftest import count_eigensolves, propagator_pair
 from qcwalk import eigendecompose, generate, graph_from_spec, laplacian, read_edge_list
 import qcwalk.cli as cli
 from qcwalk.cli import _QUANTITIES, _format_cell, _format_table, main
@@ -954,6 +954,29 @@ def test_fig3_right_delta_limits(tmp_path, capsys):
 
 # --- verify subcommand ----------------------------------------------------------------
 
+#: the invariant checks of verify, in report order
+INVARIANT_CHECKS = (
+    "laplacian row sums vanish",
+    "laplacian trace is -2|edges|",
+    "eigendecomposition reconstructs L",
+    "eigenvectors orthonormal",
+    "zero mode first, spectrum nonpositive",
+    "heat propagator doubly stochastic",
+    "heat propagator entries in [0, 1]",
+    "unitary propagator unitary",
+    "heat propagator semigroup",
+    "unitary propagator group law",
+    "localized fidelity matches Uhlmann oracle",
+    "long-time plateau 1 - 1/n",
+    "regular graphs are node equivalent",
+)
+
+
+def test_invariant_checks_report_their_names_in_order():
+    import qcwalk.checks as checks
+
+    assert tuple(r.name for r in checks.run_invariant_checks(0)) == INVARIANT_CHECKS
+
 
 def test_verify_default_passes(capsys):
     code, stdout, _ = run(["verify", "--samples", "60"], capsys)
@@ -1073,20 +1096,20 @@ def test_invariant_checks_make_one_propagator_call_per_graph(monkeypatch):
 
 def test_invariant_checks_pass_on_the_full_route(monkeypatch):
     # a cutoff of 0 sends every family graph down the full route: full (n, n) matrices, which
-    # full_propagators copies, and the reduction's vector-matrix column sums
+    # full_propagators reads into new arrays, and the reduction's vector-matrix column sums
     import qcwalk.checks as checks
     import qcwalk.spectral as spectral
 
     monkeypatch.setattr(spectral, "PAIR_PRODUCT_MAX_N", 0)
     results = checks.run_invariant_checks(seed=0)
-    assert len(results) == 13
+    assert len(results) == len(INVARIANT_CHECKS)
     assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
 def per_group_invariant_checks(seed: int) -> list:
     """run_invariant_checks with each group of times in a grid of its own.
 
-    Three real_propagators calls per graph (the sampled times; t1, t2 and
+    Three propagator_pair calls per graph (the sampled times; t1, t2 and
     t1 + t2; the oracle times) and three kernel calls (the oracle times,
     the plateau through qc_distance, the regular-graph times).
     """
@@ -1111,8 +1134,7 @@ def per_group_invariant_checks(seed: int) -> list:
         vals = np.linalg.eigvalsh(lap)
         add("zero mode first, spectrum nonpositive", label, max(np.abs(vals).min(), vals.max()))
 
-        p, re, im = real_propagators(sd, t_samples)
-        u = re + 1j * im
+        p, u = propagator_pair(sd, t_samples)
         rows, cols = np.abs(p.sum(axis=-1) - 1.0), np.abs(p.sum(axis=-2) - 1.0)
         stoch = np.maximum(cols.max(axis=-1), rows.max(axis=-1))
         bounds = np.maximum(np.maximum(-p.min(axis=(-2, -1)), p.max(axis=(-2, -1)) - 1.0), 0.0)
@@ -1123,8 +1145,7 @@ def per_group_invariant_checks(seed: int) -> list:
             add("unitary propagator unitary", f"{label} t={t:.3f}", unitarity[i])
 
         t1, t2 = rng.uniform(0.0, 5.0, size=(3, 3)).T[:2]
-        p, re, im = real_propagators(sd, np.stack([t1, t2, t1 + t2]))
-        u = re + 1j * im
+        p, u = propagator_pair(sd, np.stack([t1, t2, t1 + t2]))
         semigroup = np.abs(p[0] @ p[1] - p[2]).max(axis=(-2, -1))
         group = np.abs(u[0] @ u[1] - u[2]).max(axis=(-2, -1))
         for i in range(3):
@@ -1132,8 +1153,8 @@ def per_group_invariant_checks(seed: int) -> list:
             add("unitary propagator group law", f"{label} t1={t1[i]:.3f} t2={t2[i]:.3f}", group[i])
 
         oracle_times, nodes = (0.3, 1.7), [0, sd.n - 1]
-        p, re, im = real_propagators(sd, oracle_times)
-        psi = (re + 1j * im)[..., nodes]
+        p, u = propagator_pair(sd, oracle_times)
+        psi = u[..., nodes]
         oracle = (psi.conj() * np.maximum(p[..., nodes], 0.0) * psi).sum(axis=-2).real
         direct = node_observables(sd, oracle_times)[0][..., nodes]
         for i, t in enumerate(oracle_times):
@@ -1160,7 +1181,7 @@ def test_invariant_checks_equal_the_per_group_route(seed):
     import qcwalk.checks as checks
 
     results = checks.run_invariant_checks(seed)
-    assert len(results) == 13
+    assert len(results) == len(INVARIANT_CHECKS)
     assert results == per_group_invariant_checks(seed)
 
 
@@ -1271,7 +1292,7 @@ def test_verify_reports_an_unnormalised_route_as_failed_checks(monkeypatch, caps
     assert code == 3 and stderr == "4 check(s) failed\n"
     lines = stdout.splitlines()
     # every check still reports its line
-    assert len(lines) == 13 + 2 + 1
+    assert len(lines) == len(INVARIANT_CHECKS) + 2 + 1
     failed = [line.split(":")[0] for line in lines if line.startswith("[FAIL]")]
     assert failed == [
         "[FAIL] unitary propagator unitary",
@@ -1413,7 +1434,7 @@ def test_verify_reports_a_refused_unit_as_failed_checks(monkeypatch, capsys):
 
     alter_the_route(monkeypatch, negative)
     code, stdout, stderr = run(["verify", "--n-max", "4", "--samples", "16"], capsys)
-    assert (code, stderr) == (3, "15 check(s) failed\n")
+    assert (code, stderr) == (3, f"{len(INVARIANT_CHECKS) + 2} check(s) failed\n")
     refusal = "refused: classical distribution has negative entry -1.000e-09"
     assert stdout.splitlines() == [f"[FAIL] {name}: {refusal}" for name in checks._TOLERANCES] + [
         "[FAIL] localized optimality on random_connected(3): refused: density matrix trace must be 1, got 0.97",
@@ -1439,7 +1460,7 @@ def test_verify_fails_a_nan_unitary(monkeypatch, capsys):
 
     alter_the_route(monkeypatch, nan_on(6, slice(1, 3)))
     code, stdout, stderr = run(["verify", "--n-max", "4", "--samples", "16"], capsys)
-    assert (code, stderr) == (3, "13 check(s) failed\n")
+    assert (code, stderr) == (3, f"{len(INVARIANT_CHECKS)} check(s) failed\n")
     refusal = "refused: unitary exp(i L t) has a non-finite entry: the decomposition is corrupt"
     assert [line for line in stdout.splitlines() if line.startswith("[FAIL]")] == [
         f"[FAIL] {name}: {refusal}" for name in checks._TOLERANCES
@@ -1452,7 +1473,7 @@ def test_verify_refuses_a_nan_heat_kernel(monkeypatch, capsys):
 
     alter_the_route(monkeypatch, nan_on(6, slice(0, 1)))
     code, stdout, stderr = run(["verify", "--n-max", "4", "--samples", "16"], capsys)
-    assert (code, stderr) == (3, "13 check(s) failed\n")
+    assert (code, stderr) == (3, f"{len(INVARIANT_CHECKS)} check(s) failed\n")
     refusal = "refused: heat kernel exp(L t) has a NaN entry: the decomposition is corrupt"
     assert [line for line in stdout.splitlines() if line.startswith("[FAIL]")] == [
         f"[FAIL] {name}: {refusal}" for name in checks._TOLERANCES

@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import connected_components
 from conftest import random_connected_edges
 from qcwalk import checks, graph as G
 from qcwalk.cli import main
+from qcwalk.config import time_grid
 from qcwalk.spectral import eigendecompose
 
 
@@ -140,11 +141,27 @@ def test_random_connected_draws_as_the_candidate_list():
         (lambda: G.generate("ring", 5.9), "node count must be an integer, got 5.9"),
         (lambda: G.generate("ring", float("inf")), "node count must be an integer, got inf"),
         (lambda: G.generate("random_connected", 9, 3.5), "degree target must be an integer, got 3.5"),
+        (lambda: checks.run_checks(4, 2.5, 0), "sample count must be an integer, got 2.5"),
+        (lambda: checks.run_checks(5.5, 10, 0), "n_max must be an integer, got 5.5"),
+        (lambda: checks.run_checks("5", 10, 0), "n_max must be an integer, got '5'"),
+        (lambda: time_grid(0.1, 1.0, 2.5), "step count must be an integer, got 2.5"),
     ],
-    ids=["endpoint", "nan_endpoint", "string_endpoint", "count", "generator_count", "infinite_count", "extra"],
+    ids=[
+        "endpoint",
+        "nan_endpoint",
+        "string_endpoint",
+        "count",
+        "generator_count",
+        "infinite_count",
+        "extra",
+        "samples",
+        "n_max",
+        "string_n_max",
+        "steps",
+    ],
 )
 def test_non_integral_counts_and_endpoints_are_refused(build, message):
-    # refused, not truncated: the graph would otherwise be another one
+    # refused, not truncated: the graph, the sweep or the grid would otherwise be another one
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 
@@ -157,6 +174,10 @@ def test_integral_counts_and_endpoints_are_accepted():
     chorded = G.generate("random_connected", 9, 4, seed=2)
     assert G.generate("random_connected", 9.0, np.int16(4), seed=2) == chorded
     assert all(type(x) is int for e in chorded.edges for x in e)
+    grid = time_grid(0.1, 1.0, 3)
+    assert np.array_equal(time_grid(0.1, 1.0, 3.0), grid) and np.array_equal(time_grid(0.1, 1.0, np.float64(3)), grid)
+    assert np.array_equal(time_grid(0.1, 1.0, np.int64(4)), time_grid(0.1, 1.0, 4))
+    assert checks.run_checks(3.0, np.int64(4), 0) == checks.run_checks(3, 4, 0)
 
 
 RING5 = eigendecompose(G.laplacian(G.generate("ring", 5)))

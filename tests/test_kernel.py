@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import real_propagators
+from conftest import propagator_pair
 from qcwalk import generate, laplacian
 from qcwalk.cli import main
 import qcwalk.walks as walks
@@ -105,10 +105,10 @@ def test_kernel_at_zero_time_is_exact():
         obs = node_observables(sd, 0.0)
         assert np.array_equal(obs, [np.ones(n), np.zeros(n), np.ones(n)])
         # the t = 0 point shares its block's product with t = 1
-        p, re, im = real_propagators(sd, [0.0, 1.0])
+        p, u = propagator_pair(sd, [0.0, 1.0])
         assert np.array_equal(p[0], np.eye(n))
-        assert np.array_equal(re[0], np.eye(n))
-        assert np.array_equal(im[0], np.zeros((n, n)))
+        assert np.array_equal(u[0].real, np.eye(n))
+        assert np.array_equal(u[0].imag, np.zeros((n, n)))
 
 
 @pytest.mark.parametrize("n", [5, CUT, CUT + 1, 60])
@@ -116,21 +116,25 @@ def test_real_propagators_are_the_propagator_pair(n):
     lap = laplacian(generate("random_connected", n, extra=n // 2, seed=0))
     sd = eigendecompose(lap)
     t = np.geomspace(1e-2, 1e2, 9)
-    props = real_propagators(sd, t)
-    assert props.shape == (3, 9, n, n)
+    p, u = propagator_pair(sd, t)
+    assert p.shape == u.shape == (9, n, n)
+    assert p.dtype == float and u.dtype == complex
     if n <= CUT:
-        # every matrix exactly symmetric: a packed stack is expanded by one index
-        assert np.array_equal(props, props.swapaxes(-1, -2))
+        # both matrices exactly symmetric: a packed stack is expanded by one index
+        assert np.array_equal(p, p.swapaxes(-1, -2))
+        assert np.array_equal(u, u.swapaxes(-1, -2))
     # against expm, within the phase error of order t eps max|lambda|
     bound = 1e-12 + 10 * t * EPS * np.abs(sd.eigenvalues).max()
     for i, ti in enumerate(t):
-        u = expm(1j * lap * ti)
-        for got, want in zip(props[:, i], (expm(lap * ti), u.real, u.imag)):
-            assert np.abs(got - want).max() <= bound[i], ti
+        want = expm(1j * lap * ti)
+        assert np.abs(p[i] - expm(lap * ti)).max() <= bound[i], ti
+        assert np.abs(u[i].real - want.real).max() <= bound[i], ti
+        assert np.abs(u[i].imag - want.imag).max() <= bound[i], ti
     # the formation step, in its own layout: packed at n <= CUT, full above
     formed = form_propagators(sd, t)
     assert formed.shape == (3, 9) + sd.propagator_shape
-    assert np.array_equal(full_propagators(sd, formed), props)
+    read_p, read_u = full_propagators(sd, formed)
+    assert np.array_equal(read_p, p) and np.array_equal(read_u, u)
     # written into a caller's buffer, the result is a view of that buffer with the same bits
     out = np.empty(formed.size)
     into = form_propagators(sd, t, out)
@@ -189,7 +193,8 @@ def test_packed_route_matches_the_stacked_route(n, monkeypatch):
     monkeypatch.undo()
     eye = np.eye(n)[np.triu_indices(n)]
     assert np.array_equal(form_propagators(sd, [0.0, 1.0])[:, 0], [eye, eye, np.zeros_like(eye)])
-    assert np.array_equal(real_propagators(sd, 0.0), [np.eye(n), np.eye(n), np.zeros((n, n))])
+    p, u = propagator_pair(sd, 0.0)
+    assert np.array_equal(p, np.eye(n)) and np.array_equal(u.real, np.eye(n)) and not u.imag.any()
     assert np.array_equal(packed[:, 0], [np.ones(n), np.zeros(n), np.ones(n)])
 
 
@@ -204,7 +209,7 @@ def test_pair_layout_is_cached_and_read_only(n):
     for cached in (products, *layout):
         assert not cached.flags.writeable
     node_observables(sd, np.geomspace(1e-2, 1e2, 40))
-    real_propagators(sd, [0.5, 2.0])
+    propagator_pair(sd, [0.5, 2.0])
     assert spectral._pairs(n) is layout and sd.pair_products is products
     # each decomposition holds its own pair products; the layout depends on n alone
     other = packed_decomposition(n)
@@ -294,7 +299,8 @@ def test_grid_starting_at_zero_reads_exact_identity(tmp_path):
     sd = eigendecompose(laplacian(generate("ring", 5)))
     grid = node_observables(sd, np.linspace(0.0, 5.0, steps))
     assert np.array_equal(grid[:, 0], [np.ones(5), np.zeros(5), np.ones(5)])
-    assert np.array_equal(real_propagators(sd, [0.0, 1.0])[:, 0], [np.eye(5), np.eye(5), np.zeros((5, 5))])
+    p, u = propagator_pair(sd, [0.0, 1.0])
+    assert np.array_equal(p[0], np.eye(5)) and np.array_equal(u[0].real, np.eye(5)) and not u[0].imag.any()
 
 
 def test_negativity_in_second_block_raises_like_one_point(monkeypatch):
@@ -330,7 +336,7 @@ def test_bad_time_inside_grid_raises_todays_message(bad):
     times = np.linspace(0.1, 10.0, 2 * block + 1)
     times[block + 2] = bad
     heat_message = f"heat propagator needs finite t >= 0, got {bad}"
-    for call in (node_observables, real_propagators):
+    for call in (node_observables, propagator_pair):
         for t in (bad, times):
             with pytest.raises(ValueError) as exc:
                 call(sd, t)
@@ -388,15 +394,15 @@ def test_in_place_reduction_is_bitwise_the_out_of_place_one(n):
 
 @pytest.mark.parametrize("n", [11, CUT + 1])
 def test_full_propagators_own_their_memory(n):
-    # on both sides of the cutoff the expanded matrices are a new array, so reducing the formed
+    # on both sides of the cutoff the pair is read into new arrays, so reducing the formed
     # stack in place leaves them as they were
     sd = eigendecompose(laplacian(generate("random_connected", n, extra=n // 2, seed=0)))
     props = form_propagators(sd, [0.5, 2.0])
-    full = full_propagators(sd, props)
-    assert not np.shares_memory(full, props)
-    kept = full.copy()
+    pair = full_propagators(sd, props)
+    assert not any(np.shares_memory(m, props) for m in pair)
+    kept = [m.copy() for m in pair]
     walks.reduce_propagators(sd, props)
-    assert np.array_equal(full, kept)
+    assert all(np.array_equal(m, k) for m, k in zip(pair, kept))
 
 
 def test_kernel_allocates_no_reduction_temporaries():
@@ -448,8 +454,7 @@ def test_optimality_margins_read_the_reduction_of_an_untouched_pair(monkeypatch)
     monkeypatch.setattr(checks, "classical_quantum_affinity", affinity)
     monkeypatch.setattr(checks, "_fidelity", fidelity)
     worst = checks.verify_localized_optimality(sd, 30, t_values, seed=6)
-    (props,) = formed
-    unitaries = props[1] + 1j * props[2]
+    ((_, unitaries),) = formed
     assert len(bounded) == 1 and np.array_equal(bounded[0], unitaries)
     assert solved and all(any(np.array_equal(u, v) for v in unitaries) for u in solved)
     reference = lambda sd, props: np.stack(out_of_place_reduction(sd, props))

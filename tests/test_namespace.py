@@ -88,6 +88,14 @@ def test_only_spectral_reads_the_propagator_layout(path):
     assert not found, f"{path} names {found}, which belong to qcwalk.spectral"
 
 
+def test_checks_reads_the_propagator_pair_not_the_stack():
+    # verify's checks read exp(L t) and exp(i L t) as full_propagators returns them and hand
+    # the whole formed stack to the reduction, so they never rebuild the unitary or index a stack
+    text = (SRC / "checks.py").read_text()
+    found = [token for token in ("1j", "props[") if token in text]
+    assert not found, f"checks.py contains {found}"
+
+
 def test_checks_does_not_size_propagator_blocks():
     # the optimality sweep forms its whole grid at once, so verify's checks never size a
     # propagator block from the layout's entry count
