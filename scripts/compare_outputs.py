@@ -103,6 +103,9 @@ def compare_csv(old: str, new: str) -> tuple[list[tuple[float, float]], str | No
                 return [], f"row {i}: cell {a} became {b}"
             x, y = float(a), float(b)
             scale = max(abs(x), abs(y))
+            if not scale:  # a zero that changed sign, 0 against -0
+                changes.append((0.0, 0.0))
+                continue
             changes.append((abs(x - y) / scale, abs(x - y) / 10.0 ** (math.floor(math.log10(scale)) - 11)))
     return changes, None
 

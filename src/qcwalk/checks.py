@@ -8,8 +8,8 @@ given the seed. They are spot checks for field use; the test suite covers
 the same ground more thoroughly. Each family graph forms every propagator
 the checks read in one form_propagators call, as the optimality sweep forms
 its grid: the matrix checks and the oracle read the pair full_propagators
-returns, and walks.reduce_propagators then reduces the whole stack, the
-kernel's F, C and G read at their grid positions.
+returns, and the kernel's reduction, spectral.reduce_propagators, then
+reduces the whole stack, F, C and G read at their grid positions.
 
 :func:`verify_localized_optimality` checks numerically the concavity
 argument behind D_QC's worst case over localized launches (see
@@ -46,6 +46,7 @@ from .spectral import (
     eigendecompose,
     form_propagators,
     full_propagators,
+    reduce_propagators,
 )
 
 __all__ = [
@@ -185,7 +186,7 @@ def run_invariant_checks(seed: int = 0) -> list[CheckResult]:
         psi = u[13:15, :, nodes]
         oracle = (psi.conj() * np.maximum(p[13:15, :, nodes], 0.0) * psi).sum(axis=-2).real
         # the kernel's reduction, read at the oracle times, the plateau and the regular-graph times
-        obs = walks.reduce_propagators(sd, props)
+        obs = reduce_propagators(sd, props)
         direct = obs[0, 13:15][..., nodes]
         for i, t in enumerate(oracle_times):
             for k, j in enumerate(nodes):
@@ -293,7 +294,7 @@ def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_val
     form_propagators call forms every time's pair, and all T * n_samples
     Dirichlet draws are made at once. The classical states P(t) z and
     unitaries U are read from the pairs full_propagators returns, and
-    walks.reduce_propagators reduces the formed stack, so min_j F_j is the
+    reduce_propagators reduces the formed stack, so min_j F_j is the
     kernel's own F bit for bit.
 
     Then classical_quantum_affinity validates the inputs, once, as
@@ -333,7 +334,7 @@ def verify_localized_optimality(sd: SpectralDecomposition, n_samples: int, t_val
     # batch draws equal sequential draws, time by time
     z = rng.dirichlet(np.ones(n), size=(t_values.size, n_samples))
     q = np.clip(z @ p.swapaxes(-1, -2), 0.0, None)
-    floor = walks.reduce_propagators(sd, props)[0].min(axis=-1)
+    floor = reduce_propagators(sd, props)[0].min(axis=-1)
     lower = classical_quantum_affinity(q, u, z) - floor[:, None]
     if np.isnan(lower).any():
         return math.nan

@@ -15,10 +15,11 @@ optimality sweep and invariant checks of :mod:`qcwalk.checks` alike. The
 Laplacian is symmetric, so all three are too: while n is at most
 PAIR_PRODUCT_MAX_N it forms only their n(n+1)/2 distinct entries, the
 pairs j <= k in ``np.triu_indices(n)`` order. This module alone reads
-that stack: :func:`column_sums` sums the matrices' columns in it, for the
-kernel's reduction, and :func:`full_propagators` reads the pair off it,
-the real exp(L t) and the complex exp(i L t) as (n, n) matrices in new
-arrays, for the checks that read whole matrices.
+that stack: :func:`reduce_propagators` reduces it in place, column by
+column, to the F, C and G of every launch node, for the kernel and the
+checks alike, and :func:`full_propagators` reads the pair off it, the real
+exp(L t) and the complex exp(i L t) as (n, n) matrices in new arrays, for
+the checks that read whole matrices.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SpectralDecomposition", "eigendecompose", "form_propagators", "full_propagators", "column_sums"]
+__all__ = ["SpectralDecomposition", "eigendecompose", "form_propagators", "full_propagators", "reduce_propagators"]
 
 #: how negative a probability (a state's eigenvalue, an entry of exp(L t)) may be
 NEGATIVITY_TOL = -1e-10
@@ -234,18 +235,56 @@ def full_propagators(sd: SpectralDecomposition, props: np.ndarray) -> tuple[np.n
     return p, re + 1j * im
 
 
-def column_sums(sd: SpectralDecomposition, props: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Column sums of each matrix of a stack form_propagators wrote, shape (3,) + np.shape(t) + (n,).
+def reduce_propagators(sd: SpectralDecomposition, props: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The reduction step: F, C and G from a stack of exp(L t) and exp(i L t), column by column.
 
-    The sums are BLAS products, one shape per point however many points
-    the stack holds: packed, one GEMM of the point's three rows against the
-    layout's incidence M[i, j], 1 where node j is in pair i; full, a
-    vector-matrix product per matrix. ``out``, of the result's shape,
-    receives them if given, and is returned.
+    ``props`` is a float array of shape ``(3,) + shape + sd.propagator_shape``
+    holding exp(L t), Re exp(i L t) and Im exp(i L t) in the layout
+    form_propagators writes. It is the reduction's work space and is
+    overwritten, so the reduction allocates no array of its size. Every
+    entry of exp(L t) is checked and clipped into [0, 1] first: for the first
+    point with a NaN entry ValueError says ``heat kernel exp(L t) has a NaN
+    entry: ...``, and for one with an entry more negative than roundoff
+    allows ``classical distribution has negative entry ...``. Then |a|^2 =
+    re^2 + im^2 and |a| its square root, all in real arithmetic, and the
+    three stacks become p |a|^2, |a| and sqrt(p) |a|, whose column sums give
+    F, C and G. The sums are BLAS products, one shape per point however many
+    points the stack holds: packed, one GEMM of the point's three rows
+    against the layout's incidence M[i, j], 1 where node j is in pair i;
+    full, a vector-matrix product per matrix. A non-finite sum can then only
+    come from exp(i L t): ValueError ``unitary exp(i L t) has a non-finite
+    entry: the decomposition is corrupt``. Returns F, C and G stacked, shape
+    ``(3,) + shape + (n,)``: F and G clipped into [0, 1], C clipped to be
+    nonnegative. ``out``, of that shape, receives them if given, and is
+    returned.
     """
+    p, re, im = props
+    if not p.min(initial=np.inf) >= NEGATIVITY_TOL:  # a NaN minimum is bad too
+        smallest = p.reshape(-1, math.prod(sd.propagator_shape)).min(axis=-1)
+        first = float(smallest[~(smallest >= NEGATIVITY_TOL)].flat[0])
+        if np.isnan(first):
+            raise ValueError("heat kernel exp(L t) has a NaN entry: the decomposition is corrupt")
+        raise ValueError(f"classical distribution has negative entry {first:.3e}")
+    np.clip(p, 0.0, 1.0, out=p)
+    re *= re
+    im *= im
+    re += im  # |a|^2
+    np.sqrt(p, out=im)
+    p *= re  # p |a|^2
+    np.sqrt(re, out=re)  # |a|
+    im *= re  # sqrt(p) |a|
     if len(sd.propagator_shape) == 1:
         if out is None:
             out = np.empty(props.shape[:-1] + (sd.n,))
         np.matmul(props.swapaxes(0, -2), _pairs(sd.n)[3], out=out.swapaxes(0, -2))
-        return out
-    return np.matmul(np.ones(sd.n), props, out=out)
+    else:
+        out = np.matmul(np.ones(sd.n), props, out=out)
+    if not np.isfinite(out).all():  # p is finite by now, so a NaN or inf came from the unitary
+        raise ValueError("unitary exp(i L t) has a non-finite entry: the decomposition is corrupt")
+    fidelity, coherence, gfid = out
+    np.clip(fidelity, 0.0, 1.0, out=fidelity)
+    np.square(coherence, out=coherence)
+    coherence -= 1.0
+    np.maximum(coherence, 0.0, out=coherence)
+    np.clip(gfid, 0.0, 1.0, out=gfid)
+    return out

@@ -1305,16 +1305,16 @@ def test_verify_reports_an_unnormalised_route_as_failed_checks(monkeypatch, caps
 
 def test_verify_detects_tampered_fidelity(monkeypatch, capsys):
     # the reduction is the step the CLI's kernel and verify's checks both read F from
-    import qcwalk.walks as walks
+    import qcwalk.checks as checks
 
-    true_reduction = walks.reduce_propagators
+    true_reduction = checks.reduce_propagators
 
     def skewed(sd, props, out=None):
         obs = true_reduction(sd, props, out)
         np.minimum(obs[0] + 0.05, 1.0, out=obs[0])
         return obs
 
-    monkeypatch.setattr(walks, "reduce_propagators", skewed)
+    monkeypatch.setattr(checks, "reduce_propagators", skewed)
     code, stdout, stderr = run(["verify", "--n-max", "4", "--samples", "16"], capsys)
     assert code == 3
     assert "FAIL" in stdout

@@ -352,8 +352,8 @@ def out_of_place_reduction(sd, props):
     The column sums are the reduction's: per point, one GEMM of its three
     packed rows against the pair incidence, or a vector-matrix product per
     full matrix. They are written out here, not read from
-    spectral.column_sums, so the reference stays independent of the step it
-    checks.
+    spectral.reduce_propagators, so the reference stays independent of the
+    step it checks.
     """
     p, re, im = props
     p = np.clip(p, 0.0, 1.0)
@@ -381,10 +381,10 @@ def test_in_place_reduction_is_bitwise_the_out_of_place_one(n):
     for b in blocks:
         props = form_propagators(sd, times[b])
         want = out_of_place_reduction(sd, props)
-        got = walks.reduce_propagators(sd, props)
+        got = spectral.reduce_propagators(sd, props)
         # given out, the reduction writes F, C and G there and returns that memory
         out = np.empty((3, len(times[b]), n))
-        into = walks.reduce_propagators(sd, form_propagators(sd, times[b]), out)
+        into = spectral.reduce_propagators(sd, form_propagators(sd, times[b]), out)
         assert np.shares_memory(into, out)
         for k, ref in enumerate(want):
             assert np.array_equal(obs[k, b], ref), (k, b)
@@ -401,7 +401,7 @@ def test_full_propagators_own_their_memory(n):
     pair = full_propagators(sd, props)
     assert not any(np.shares_memory(m, props) for m in pair)
     kept = [m.copy() for m in pair]
-    walks.reduce_propagators(sd, props)
+    spectral.reduce_propagators(sd, props)
     assert all(np.array_equal(m, k) for m, k in zip(pair, kept))
 
 
@@ -458,7 +458,7 @@ def test_optimality_margins_read_the_reduction_of_an_untouched_pair(monkeypatch)
     assert len(bounded) == 1 and np.array_equal(bounded[0], unitaries)
     assert solved and all(any(np.array_equal(u, v) for v in unitaries) for u in solved)
     reference = lambda sd, props: np.stack(out_of_place_reduction(sd, props))
-    monkeypatch.setattr(walks, "reduce_propagators", reference)
+    monkeypatch.setattr(checks, "reduce_propagators", reference)
     assert checks.verify_localized_optimality(sd, 30, t_values, seed=6) == worst
 
 
@@ -472,11 +472,11 @@ def test_optimality_floor_is_the_kernels_fidelity(n, monkeypatch):
     kernel = node_observables(sd, t_values)[0]
     reduced = []
 
-    def recorded(sd, props, _original=walks.reduce_propagators):
+    def recorded(sd, props, _original=checks.reduce_propagators):
         obs = _original(sd, props)
         reduced.append(obs[0].copy())
         return obs
 
-    monkeypatch.setattr(walks, "reduce_propagators", recorded)
+    monkeypatch.setattr(checks, "reduce_propagators", recorded)
     checks.verify_localized_optimality(sd, 5, t_values, seed=n)
     assert np.array_equal(np.concatenate(reduced), kernel)

@@ -30,9 +30,8 @@ def test_all_names_exist_once(name):
     [
         ("spectral", "form_propagators"),
         ("spectral", "full_propagators"),
-        ("spectral", "column_sums"),
+        ("spectral", "reduce_propagators"),
         ("walks", "time_blocks"),
-        ("walks", "reduce_propagators"),
         ("walks", "node_observables"),
     ],
 )
@@ -80,12 +79,14 @@ def test_no_module_imports_a_name_it_never_reads(path):
 LAYOUT_NAMES = re.compile(r"_pairs|pair_(products|index|incidence)|PAIR_PRODUCT_MAX_N|propagator_shape\) == 1")
 
 
-@pytest.mark.parametrize("path", ["walks.py", "checks.py"])
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "spectral.py"], ids=lambda p: p.name
+)
 def test_only_spectral_reads_the_propagator_layout(path):
-    # the kernel's reduction and verify's checks read a formed stack through spectral's steps
-    # (column_sums, full_propagators), so a change of layout edits one module
-    found = sorted({m.group(0) for m in LAYOUT_NAMES.finditer((SRC / path).read_text())})
-    assert not found, f"{path} names {found}, which belong to qcwalk.spectral"
+    # the kernel and verify's checks read a formed stack through spectral's steps
+    # (reduce_propagators, full_propagators), so a change of layout edits one module
+    found = sorted({m.group(0) for m in LAYOUT_NAMES.finditer(path.read_text())})
+    assert not found, f"{path.name} names {found}, which belong to qcwalk.spectral"
 
 
 def test_checks_reads_the_propagator_pair_not_the_stack():

@@ -102,16 +102,30 @@ def test_compare_outputs_reports_a_changed_error_message(tmp_path):
     ]
 
 
+def load_compare_outputs():
+    spec = importlib.util.spec_from_file_location("compare_outputs", ROOT / "scripts" / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_compare_outputs_default_argvs_parse():
     # an argv both trees refuse with a usage error compares identical, so a typo in the
     # default set would go unseen: every default argv must get past the parser
-    from qcwalk.cli import build_parser
+    from qcwalk.cli import FIGURES, build_parser
 
-    spec = importlib.util.spec_from_file_location("compare_outputs", ROOT / "scripts" / "compare_outputs.py")
-    compare_outputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(compare_outputs)
-    for argv in compare_outputs.default_argvs():
+    argvs = load_compare_outputs().default_argvs()
+    for argv in argvs:
         build_parser().parse_args(shlex.split(argv))
+    # and every figure preset's outputs are compared
+    assert all(f"figure {name} --out out" in argvs for name in FIGURES)
+
+
+def test_compare_outputs_reports_a_zero_that_changes_sign():
+    # the CLI prints -0.0 as -0 and np.clip keeps it, so a rewrite of the reduction may flip
+    # the sign of a zero: a changed cell with no change in value, not a structural difference
+    compare_csv = load_compare_outputs().compare_csv
+    assert compare_csv("t,x\r\n0,0\r\n", "t,x\r\n0,-0\r\n") == ([(0.0, 0.0)], None)
 
 
 def test_a_failing_hypothesis_test_leaves_the_session_running(tmp_path):
